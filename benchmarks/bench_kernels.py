@@ -1,24 +1,33 @@
-"""Timing comparison of the JIT-compiled kernels against the pure-Python
-fallbacks (the path selected by FOCKTRACE_DISABLE_NUMBA=1).
+"""Layer timing of the numeric kernels in `focktrace._kernels`.
 
-Run:  python benchmarks/bench_kernels.py [--length 1048576]
+Times each kernel once per repeat at one row length (best of 3, after one
+warm-up call) and writes BENCH_kernels.json at the repository root, with
+the kernel backend and the machine it ran on.
+
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--length 1048576]
 """
 
 import argparse
+import json
+import os
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
 
 from focktrace import _kernels
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def bench(fn, *args, repeat=3, warmup=1):
+
+def bench(fn, repeat=3, warmup=1):
     for _ in range(warmup):
-        fn(*args)
+        fn()
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn(*args)
+        fn()
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -26,6 +35,7 @@ def bench(fn, *args, repeat=3, warmup=1):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--length", type=int, default=1 << 20)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
     args = parser.parse_args()
     L = args.length
 
@@ -35,29 +45,41 @@ def main():
     mults = np.ones(L, dtype=np.int64)
     ranks = np.array([2**e for e in range(10, int(np.log2(L)) + 1)],
                      dtype=np.int64) - 1
+    # n = 2 multiplicities k+1: inexact products, ranks up to the last run
+    degree_mults = np.arange(1, L + 1, dtype=np.int64)
+    top = int(degree_mults.sum()) - 1
+    degree_ranks = np.array([2**e for e in range(10, top.bit_length())]
+                            + [top], dtype=np.int64)
 
     cases = [
-        ("ladder_row", lambda impl: impl["ladder_row"](ones, 0.59634736, 1.0)),
-        ("pair_rows", lambda impl: impl["pair_rows"](0.5, 1.2, 0.82, 1.0, L - 1)),
-        ("raise_row", lambda impl: impl["raise_row"](ones, 1.0)),
+        ("ladder_row", lambda: _kernels.ladder_row(ones, 0.59634736, 1.0)),
+        ("pair_rows", lambda: _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, L - 1)),
+        ("raise_row", lambda: _kernels.raise_row(ones, 1.0)),
         ("partial_sums_at",
-         lambda impl: impl["partial_sums_at"](values, mults, ranks)),
+         lambda: _kernels.partial_sums_at(values, mults, ranks)),
+        ("partial_sums_at[mults=k+1]",
+         lambda: _kernels.partial_sums_at(values, degree_mults, degree_ranks)),
     ]
 
-    backends = list(_kernels.IMPLS)
-    print(f"kernel timings, length = {L} (best of 3)")
-    header = f"{'kernel':<18}" + "".join(f"{b:>14}" for b in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>10}"
-    print(header)
-    for name, runner in cases:
-        times = {}
-        for b in backends:
-            times[b] = bench(lambda impl=_kernels.IMPLS[b]: runner(impl))
-        row = f"{name:<18}" + "".join(f"{times[b]*1e3:>12.2f}ms" for b in backends)
-        if "numba" in times and "python" in times:
-            row += f"{times['python'] / times['numba']:>9.1f}x"
-        print(row)
+    print(f"kernel timings, length = {L} (best of 3), "
+          f"backend {_kernels.ACTIVE_BACKEND}")
+    rows = []
+    for name, fn in cases:
+        seconds = bench(fn)
+        rows.append({"kernel": name, "length": L, "seconds": seconds})
+        print(f"{name:<28}{seconds * 1e3:>10.2f} ms")
+
+    record = {
+        "backend": _kernels.ACTIVE_BACKEND,
+        "machine": {"processor": platform.processor() or platform.machine(),
+                    "cpus": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "results": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -16,9 +16,11 @@ import math
 
 import numpy as np
 
-# factorials/binomials switch from exact integer arithmetic to log-Gamma
-# above this degree
+# factorials switch from exact integer arithmetic to log-Gamma above this
+# degree
 _EXACT_FACTORIAL_LIMIT = 10_000
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def factorial(k: int) -> float:
@@ -34,12 +36,10 @@ def log_factorial(k: int) -> float:
 
 
 def binomial(a: int, b: int) -> int:
+    """Exact C(a, b) at every size; 0 outside 0 <= b <= a."""
     if b < 0 or b > a:
         return 0
-    if a <= _EXACT_FACTORIAL_LIMIT:
-        return math.comb(a, b)
-    return int(round(math.exp(math.lgamma(a + 1) - math.lgamma(b + 1)
-                              - math.lgamma(a - b + 1))))
+    return math.comb(a, b)
 
 
 def degree(alpha) -> int:
@@ -95,11 +95,27 @@ def enumerate_basis(n: int, D: int):
     return out
 
 
-def degree_multiplicity(n: int, k: int) -> int:
-    """Number of multi-indices of length n with |alpha| = k."""
-    if n < 1 or k < 0:
+def degree_multiplicity(n: int, k):
+    """Number of multi-indices of length n with |alpha| = k, C(k+n-1, n-1).
+
+    k is an int, or an integer array for which an int64 array of the same
+    shape is returned; that form raises ValueError when a value would not
+    fit in int64.
+    """
+    if n < 1 or np.any(np.asarray(k) < 0):
         raise ValueError("need n >= 1 and k >= 0")
-    return binomial(k + n - 1, k)
+    if np.ndim(k) == 0:
+        return binomial(int(k) + n - 1, n - 1)
+    k = np.asarray(k, dtype=np.int64)
+    if k.size and binomial(int(k.max()) + n - 1, n - 1) > _INT64_MAX:
+        raise ValueError(f"C(k+{n - 1}, {n - 1}) overflows int64 at k = {k.max()}")
+    # C(k+i, i) = C(k+i-1, i-1) * (k+i) / i; dividing by i before the
+    # product (split by the gcd) keeps every intermediate below the result
+    out = np.ones_like(k)
+    for i in range(1, n):
+        g = np.gcd(out, i)
+        out = (out // g) * ((k + i) // (i // g))
+    return out
 
 
 def sphere_surface_area(n: int) -> float:

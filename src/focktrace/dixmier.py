@@ -32,12 +32,16 @@ class DixmierEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def log_mean(seq: SNumberSequence, K: int) -> float:
-    """Partial sum of the first K+1 values divided by log(K+2)."""
+def _check_rank(seq: SNumberSequence, K: int):
     if K < 2:
         raise ValueError("need K >= 2")
     if K >= seq.total:
         raise ValueError(f"rank {K} beyond sequence length {seq.total}")
+
+
+def log_mean(seq: SNumberSequence, K: int) -> float:
+    """Partial sum of the first K+1 values divided by log(K+2)."""
+    _check_rank(seq, K)
     return seq.partial_sum(K) / math.log(K + 2)
 
 
@@ -83,7 +87,11 @@ def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:
     K_grid = sorted(int(k) for k in K_grid)
     if len(K_grid) < 3:
         raise ValueError("need at least 3 grid points")
-    lms = [log_mean(seq, K) for K in K_grid]
+    _check_rank(seq, K_grid[0])
+    _check_rank(seq, K_grid[-1])
+    # the whole grid in one walk; each entry equals log_mean(seq, K)
+    sums = seq.partial_sums(K_grid).tolist()
+    lms = [s / math.log(K + 2) for s, K in zip(sums, K_grid)]
     c, b, rms = fit_inverse_log(K_grid, lms)
     xs = 1.0 / np.log(np.asarray(K_grid, dtype=float) + 2.0)
     ill = bool(xs.max() - xs.min() < 1e-3)

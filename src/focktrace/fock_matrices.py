@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels
 from .core import (degree, enumerate_basis, mi_add, mi_factorial, mi_sub,
@@ -155,6 +154,10 @@ def radial_moment(d: int, t: float, gamma: float) -> float:
             return 0.0
         return math.exp(d * math.log(u) - gamma * u + s * math.log1p(u)
                         + (d + 1) * math.log(gamma) - lg)
+
+    # imported here, not at module level: no default experiment reaches
+    # this branch, and loading scipy dominated a fresh process's start-up
+    from scipy import integrate
 
     peak = max(d, 1) / gamma
     mid = 3.0 * peak + 10.0

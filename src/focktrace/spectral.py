@@ -78,7 +78,8 @@ class SNumberSequence:
         return float(self.values[run])
 
     def partial_sums(self, ranks) -> np.ndarray:
-        """Compensated sums of the first K+1 values, for each K in ranks."""
+        """Correctly rounded sums of the first K+1 values, for each K in
+        ranks (one walk; see `_kernels.partial_sums_at`)."""
         ranks = np.asarray(ranks, dtype=np.int64)
         if np.any(ranks < 0) or np.any(ranks >= self.total):
             raise ValueError("rank out of range")
@@ -344,7 +345,8 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
 
     radial = n == 1 or _is_radial(config)
     if not radial:
-        count = sum(degree_multiplicity(n, k) for k in range(K_degree + 1))
+        # sum over k <= K_degree of C(k+n-1, n-1)
+        count = math.comb(K_degree + n, n)
         if count > max_values:
             raise DiagonalityError(
                 f"per-multi-index path would materialize {count} values; "
@@ -360,9 +362,7 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
         if config.power != 1:
             vals = vals**config.power
         per_degree = None
-        degree_mults = np.array(
-            [degree_multiplicity(n, k) for k in range(K_degree + 1)],
-            dtype=np.int64)
+        degree_mults = degree_multiplicity(n, np.arange(K_degree + 1))
     else:
         per_degree = []
         for k in range(K_degree + 1):

@@ -1,6 +1,9 @@
 """CLI driver: report schema, serialization, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,3 +134,16 @@ def test_non_diagonal_configuration_refused_with_guidance():
     with pytest.raises(ConfigError, match="diagonal"):
         run_experiment("toeplitz-trace", {"n": 2, "f": f.to_json_dict(),
                                           "K_degree": 50})
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only the quadrature branch of radial_moment, which no
+    # default experiment reaches; loading it dominated a fresh process's start
+    import focktrace
+    src = os.path.dirname(os.path.dirname(focktrace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, focktrace.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

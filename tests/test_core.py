@@ -42,6 +42,31 @@ def test_degree_multiplicity():
     assert degree_multiplicity(3, 2) == sum(
         1 for a in enumerate_basis(3, 2) if sum(a) == 2)
     assert degree_multiplicity(3, 2) == 6
+    # exact at large degree, where log-Gamma rounding was off by -569 and -2
+    assert degree_multiplicity(3, 10**6) == 500001500001
+    assert degree_multiplicity(4, 10001) == math.comb(10004, 3)
+    assert degree_multiplicity(3, np.array([10**6]))[0] == 500001500001
+    # C(k+4, 4) passes int64 between k = 2^16 and k = 2^17
+    with pytest.raises(ValueError):
+        degree_multiplicity(5, np.arange(1 << 17))
+    with pytest.raises(ValueError):
+        degree_multiplicity(2, np.array([3, -1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(0, 10**6), min_size=1,
+                                   max_size=20))
+def test_degree_multiplicity_exact_against_comb(n, ks):
+    # exact at every size, scalar and array form alike
+    ref = [math.comb(k + n - 1, n - 1) for k in ks]
+    assert [degree_multiplicity(n, k) for k in ks] == ref
+    if max(ref) > np.iinfo(np.int64).max:
+        with pytest.raises(ValueError):
+            degree_multiplicity(n, np.array(ks))
+    else:
+        arr = degree_multiplicity(n, np.array(ks, dtype=np.int64))
+        assert arr.dtype == np.int64
+        assert arr.tolist() == ref
 
 
 def _circle_integral_oracle(p, q, m=256):

@@ -7,6 +7,7 @@ import pytest
 
 from focktrace.dixmier import (DEFAULT_RANK_GRID_1D, extrapolate, log_mean,
                                pointwise, pointwise_estimate)
+from focktrace.extrapolation import fit_inverse_log
 from focktrace.spectral import SNumberSequence
 
 
@@ -74,6 +75,30 @@ def test_extrapolate_default_grid_respects_certificate():
                           certified_rank=1 << 12)
     est = extrapolate(seq)
     assert max(est.diagnostics["grid"]) <= (1 << 12) - 1
+
+
+def test_extrapolate_one_walk_matches_per_rank_log_means():
+    from focktrace.fock_matrices import FockContext
+    from focktrace.spectral import diagonal_spectrum, toeplitz_config
+    from focktrace.symbols import RadialSymbol
+
+    seq = diagonal_spectrum(FockContext(1, 1.0),
+                            toeplitz_config(RadialSymbol.radial_power(1, -2.0)),
+                            1 << 14)
+    grid = [2**e for e in range(6, 14)]
+    est = extrapolate(seq, grid)
+    # the per-rank path extrapolate replaced: one log_mean walk per rank
+    lms = [log_mean(seq, K) for K in grid]
+    c, b, rms = fit_inverse_log(grid, lms)
+    assert est.value == c
+    assert est.diagnostics["fit_b"] == b
+    assert est.diagnostics["fit_residual_rms"] == rms
+    assert est.diagnostics["log_mean_tail"] == lms[-3:]
+    assert est.diagnostics["log_mean_tail_spread"] == (
+        (max(lms[-3:]) - min(lms[-3:])) / abs(c))
+    for bad in ([1, 100, 1000], [100, 1000, seq.total]):
+        with pytest.raises(ValueError):
+            extrapolate(seq, bad)
 
 
 def test_extrapolate_needs_three_points():

@@ -1,12 +1,44 @@
-"""Backend equivalence and correctness of the recurrence/summation kernels."""
+"""Correctness of the recurrence/summation kernels, against high-precision
+values and against the serial loops they replace (kept here as oracles)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focktrace import _kernels
 from focktrace.fock_matrices import radial_moment_hp
+
+
+# -- serial oracles ---------------------------------------------------------
+
+def serial_ladder_row(prev, out0, gamma):
+    out = np.empty_like(prev)
+    out[0] = out0
+    for d in range(1, prev.shape[0]):
+        out[d] = (gamma / d) * (prev[d - 1] - out[d - 1])
+    return out
+
+
+def serial_pair_rows(s_plus_one, a0, b0, gamma, dmax):
+    A = np.empty(dmax + 1)
+    B = np.empty(dmax + 1)
+    A[0] = a0
+    B[0] = b0
+    for d in range(1, dmax + 1):
+        B[d] = (gamma / d) * (A[d - 1] - B[d - 1])
+        A[d] = A[d - 1] + (s_plus_one / gamma) * B[d]
+    return A, B
+
+
+def serial_raise_row(row, gamma):
+    out = np.empty(row.shape[0] - 1)
+    for d in range(out.shape[0]):
+        out[d] = row[d] + ((d + 1) / gamma) * row[d + 1]
+    return out
 
 
 def normalized_oracle(d, t, gamma):
@@ -65,29 +97,84 @@ def test_partial_sums_at_matches_fsum():
         assert abs(got - ref) <= 1e-14 * (1 + abs(ref))
 
 
-@pytest.mark.parametrize("name", sorted(_kernels._PY_IMPLS))
-def test_backends_agree(name):
-    if "numba" not in _kernels.IMPLS:
-        pytest.skip("numba backend not active")
-    py = _kernels.IMPLS["python"][name]
-    nb = _kernels.IMPLS["numba"][name]
+def test_active_backend_is_numpy():
+    assert _kernels.ACTIVE_BACKEND == "numpy"
+
+
+def test_raise_row_bit_identical_to_serial():
     rng = np.random.default_rng(11)
-    if name == "ladder_row":
-        prev = rng.random(500) + 0.5
-        a = py(prev, 0.3, 1.3)
-        b = nb(prev, 0.3, 1.3)
-        np.testing.assert_allclose(a, b, rtol=0, atol=0)
-    elif name == "pair_rows":
-        a = py(0.5, 1.2, 0.7, 1.1, 400)
-        b = nb(0.5, 1.2, 0.7, 1.1, 400)
-        np.testing.assert_allclose(a[0], b[0], rtol=0, atol=0)
-        np.testing.assert_allclose(a[1], b[1], rtol=0, atol=0)
-    elif name == "raise_row":
-        row = rng.random(300) + 0.1
-        np.testing.assert_allclose(py(row, 2.0), nb(row, 2.0), rtol=0, atol=0)
-    elif name == "partial_sums_at":
-        values = rng.normal(size=200)
-        mults = rng.integers(1, 5, size=200).astype(np.int64)
-        ranks = np.array([0, 3, 50, int(mults.sum()) - 1], dtype=np.int64)
-        np.testing.assert_allclose(py(values, mults, ranks),
-                                   nb(values, mults, ranks), rtol=0, atol=0)
+    for gamma in (0.3, 1.0, 2.0):
+        row = rng.random(3000) + 0.1
+        assert np.array_equal(_kernels.raise_row(row, gamma),
+                              serial_raise_row(row, gamma))
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
+def test_ladder_row_matches_serial(gamma):
+    rng = np.random.default_rng(12)
+    # the last row is shorter than the serial prefix
+    rows = [rng.random(5000) + 0.5, np.ones(5000),
+            1.0 / np.sqrt(np.arange(5000) + 1.0), np.linspace(1.0, 2.0, 20)]
+    for prev in rows:
+        got = _kernels.ladder_row(prev, 0.3, gamma)
+        ref = serial_ladder_row(prev, 0.3, gamma)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
+
+
+def test_pair_rows_bit_identical_to_serial():
+    got = _kernels.pair_rows(0.5, 1.2, 0.7, 1.1, 4000)
+    ref = serial_pair_rows(0.5, 1.2, 0.7, 1.1, 4000)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
+@st.composite
+def run_length_data(draw):
+    runs = draw(st.integers(1, 60))
+    values = draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        min_size=runs, max_size=runs))
+    mults = draw(st.lists(st.integers(1, 50), min_size=runs, max_size=runs))
+    ends = np.cumsum(mults)
+    total = int(ends[-1])
+    # ranks anywhere, at run boundaries (either side), and the last rank
+    pool = st.one_of(st.integers(0, total - 1),
+                     st.sampled_from([int(e) - 1 for e in ends]),
+                     st.sampled_from([int(e) for e in ends[:-1]] or [0]),
+                     st.just(total - 1))
+    ranks = draw(st.lists(pool, min_size=1, max_size=12))
+    return (np.array(values), np.array(mults, dtype=np.int64),
+            np.array(sorted(ranks), dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_length_data())
+def test_partial_sums_at_is_correctly_rounded(data):
+    values, mults, ranks = data
+    expanded = np.repeat(values, mults)
+    out = _kernels.partial_sums_at(values, mults, ranks)
+    for r, got in zip(ranks, out):
+        ref = math.fsum(expanded[: r + 1])
+        assert abs(got - ref) <= 1e-15 * (1 + abs(ref))
+
+
+def test_partial_sums_at_spans_chunks():
+    # more runs than one fsum chunk, large multiplicities (inexact products)
+    rng = np.random.default_rng(5)
+    n = 3 * _kernels._CHUNK + 17
+    values = rng.normal(size=n)
+    mults = rng.integers(1, 10**6, size=n).astype(np.int64)
+    ends = np.cumsum(mults)
+    ranks = np.array([0, ends[_kernels._CHUNK] - 1, ends[_kernels._CHUNK],
+                      ends[-1] - 5, ends[-1] - 1], dtype=np.int64)
+    out = _kernels.partial_sums_at(values, mults, ranks)
+    runs = np.searchsorted(ends, ranks, side="right")
+    # the exact values: Fraction sums of every product and the partial run
+    walked, prefix = 0, Fraction(0)
+    for r, run, got in zip(ranks, runs, out):
+        for j in range(walked, run):
+            prefix += int(mults[j]) * Fraction(float(values[j]))
+        walked = run
+        start = int(ends[run] - mults[run])
+        exact = prefix + (int(r) - start + 1) * Fraction(float(values[run]))
+        assert got == float(exact)
