@@ -2,26 +2,4 @@
 Toeplitz, Hankel and Weyl-type operators on Gaussian-weighted spaces of
 entire functions."""
 
-from .core import (SpherePolynomial, degree_multiplicity, enumerate_basis,
-                   sphere_equal, sphere_integral, sphere_norm_sq,
-                   sphere_surface_area)
-from .dixmier import (DixmierEstimate, extrapolate, log_mean, pointwise,
-                      pointwise_estimate)
-from .fock_matrices import (FockContext, OperatorMatrix, berezin,
-                            buffered_product, hankel_product, identity_matrix,
-                            monomial_norm_sq, radial_moment,
-                            scaled_moment_row, toeplitz_matrix, weyl_matrix)
-from .sphere_calculus import (boundary_pairing, boundary_pairing_limit,
-                              boundary_pairing_numeric, radial_antiholo,
-                              radial_holo, reeb, sphere_laplacian,
-                              tangential_bracket, tangential_d,
-                              tangential_dbar)
-from .spectral import (DiagonalChain, DiagonalConfig, SNumberSequence,
-                       commutator_config, diagonal_spectrum, hankel_config,
-                       hermitian_spectrum, product_config, singular_values,
-                       toeplitz_config)
-from .symbols import HomogeneousSymbol, RadialSymbol
-from .weyl_calculus import (hankel_leading_symbol, heat_inverse, heat_layers,
-                            heat_quadrature, heat_transform, star)
-
 __version__ = "0.1.0"

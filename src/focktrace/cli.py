@@ -139,6 +139,22 @@ def _grid_for(cfg, seq, n):
     return None  # certified auto grid
 
 
+def _trace_check(ctx, config, cfg, target, default_tol, check_name,
+                 csv_label, csv_sink):
+    """The spectral half of a trace experiment: the per-degree spectrum of
+    config, its extrapolated log-Cesaro limit checked against the symbolic
+    target, and the estimate's diagnostics."""
+    n = ctx.n
+    K = int(cfg.get("K_degree", 4000 if n > 1 else 1 << 20))
+    seq = diagonal_spectrum(ctx, config, K)
+    est = extrapolate(seq, _grid_for(cfg, seq, n))
+    csv_sink(csv_label, seq)
+    check = make_check(check_name, est.value, target,
+                       float(cfg.get("tolerance", default_tol)))
+    return check, {"estimate_method": est.method, "estimate_K": est.K_used,
+                   **est.diagnostics}
+
+
 def _leading(sym: RadialSymbol):
     m, lead = sym.leading_sphere_part()
     mi = int(round(-m))
@@ -200,14 +216,10 @@ def _exp_toeplitz_trace(cfg, rng, csv_sink):
         raise ConfigError(
             f"trace formula needs a symbol of order -2n = {-2*n}, got {-m}")
     target = gamma**n / math.factorial(n) * sphere_integral(f0).real
-    K = int(cfg.get("K_degree", 4000 if n > 1 else 1 << 20))
-    seq = diagonal_spectrum(ctx, toeplitz_config(f), K)
-    est = extrapolate(seq, _grid_for(cfg, seq, n))
-    checks = [make_check("trace-vs-boundary-integral", est.value, target,
-                         float(cfg.get("tolerance", 0.02)))]
-    csv_sink("toeplitz-trace", seq)
-    return checks, {"estimate_method": est.method, "estimate_K": est.K_used,
-                    **est.diagnostics}
+    check, diags = _trace_check(ctx, toeplitz_config(f), cfg, target, 0.02,
+                                "trace-vs-boundary-integral", "toeplitz-trace",
+                                csv_sink)
+    return [check], diags
 
 
 def _exp_hankel_trace(cfg, rng, csv_sink):
@@ -224,14 +236,11 @@ def _exp_hankel_trace(cfg, rng, csv_sink):
         raise ConfigError("hankel-trace needs order-0 symbols")
     bracket = tangential_bracket(f0.conj(), g0)
     target = sphere_integral(bracket**n).real / math.factorial(n)
-    K = int(cfg.get("K_degree", 4000 if n > 1 else 1 << 20))
-    seq = diagonal_spectrum(ctx, hankel_config(f, g) ** n, K)
-    est = extrapolate(seq, _grid_for(cfg, seq, n))
-    tol = float(cfg.get("tolerance", 0.01 if n == 1 else 0.05))
-    checks = [make_check("hankel-trace-vs-bracket-integral", est.value, target, tol)]
-    csv_sink("hankel-trace", seq)
-    return checks, {"estimate_method": est.method, "estimate_K": est.K_used,
-                    **est.diagnostics}
+    check, diags = _trace_check(ctx, hankel_config(f, g) ** n, cfg, target,
+                                0.01 if n == 1 else 0.05,
+                                "hankel-trace-vs-bracket-integral",
+                                "hankel-trace", csv_sink)
+    return [check], diags
 
 
 def _exp_commutator_trace(cfg, rng, csv_sink):
@@ -262,14 +271,10 @@ def _exp_commutator_trace(cfg, rng, csv_sink):
         cj = commutator_config(fj, gj)
         config = cj if config is None else config * cj
     target = sphere_integral(integrand).real / math.factorial(n)
-    K = int(cfg.get("K_degree", 4000 if n > 1 else 1 << 20))
-    seq = diagonal_spectrum(ctx, config, K)
-    est = extrapolate(seq, _grid_for(cfg, seq, n))
-    checks = [make_check("commutator-trace-vs-boundary-integral",
-                         est.value, target, float(cfg.get("tolerance", 0.05)))]
-    csv_sink("commutator-trace", seq)
-    return checks, {"estimate_method": est.method, "estimate_K": est.K_used,
-                    **est.diagnostics}
+    check, diags = _trace_check(ctx, config, cfg, target, 0.05,
+                                "commutator-trace-vs-boundary-integral",
+                                "commutator-trace", csv_sink)
+    return [check], diags
 
 
 def _mixed_case(case, csv_sink, label):
@@ -303,14 +308,8 @@ def _mixed_case(case, csv_sink, label):
         raise ConfigError("mixed-trace needs at least one factor")
     target = (gamma ** (n - l) / math.factorial(n)
               * sphere_integral(integrand).real)
-    K = int(case.get("K_degree", 4000 if n > 1 else 1 << 20))
-    seq = diagonal_spectrum(ctx, config, K)
-    est = extrapolate(seq, _grid_for(case, seq, n))
-    tol = float(case.get("tolerance", 0.05))
-    csv_sink(f"mixed-trace-{label}", seq)
-    diags = {"estimate_method": est.method, "estimate_K": est.K_used,
-             **est.diagnostics}
-    return make_check(f"mixed-trace-{label}", est.value, target, tol), diags
+    name = f"mixed-trace-{label}"
+    return _trace_check(ctx, config, case, target, 0.05, name, name, csv_sink)
 
 
 def _default_mixed_cases():
@@ -583,7 +582,7 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, config: dict | None = None, seed: int = 0,
-                   max_dense_dim: int = 3000, csv_dir=None) -> dict:
+                   csv_dir=None) -> dict:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{name}'; choose from "
                           f"{sorted(EXPERIMENTS)}")
@@ -600,12 +599,6 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
         seq.to_csv(path, rle=seq.total > 2_000_000)
         written.append(path)
 
-    if "D" in cfg:
-        n = int(cfg.get("n", 1))
-        if len(enumerate_basis(n, int(cfg["D"]))) > max_dense_dim:
-            raise ConfigError(
-                f"dense basis for D={cfg['D']} exceeds --max-dense-dim="
-                f"{max_dense_dim}; lower D or use a diagonal configuration")
     t0 = time.perf_counter()
     try:
         checks, diagnostics = EXPERIMENTS[name](cfg, rng, csv_sink)
@@ -613,8 +606,7 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
         raise ConfigError(
             f"{exc}; this experiment estimates traces through the exact "
             f"per-degree path, which needs shift-cancelling (monomial-"
-            f"diagonal) configurations: the dense route is capped at "
-            f"--max-dense-dim={max_dense_dim} basis elements and cannot reach "
+            f"diagonal) configurations: dense truncations cannot reach "
             f"trace asymptotics") from exc
     elapsed = time.perf_counter() - t0
     return {
@@ -641,7 +633,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="report JSON output path (default: stdout)")
     parser.add_argument("--csv-spectra", help="directory for spectra CSV dumps")
-    parser.add_argument("--max-dense-dim", type=int, default=3000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -655,7 +646,6 @@ def main(argv=None) -> int:
             return 2
     try:
         report = run_experiment(args.experiment, config, seed=args.seed,
-                                max_dense_dim=args.max_dense_dim,
                                 csv_dir=args.csv_spectra)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,23 +16,13 @@ import math
 
 import numpy as np
 
-# factorials switch from exact integer arithmetic to log-Gamma above this
-# degree
-_EXACT_FACTORIAL_LIMIT = 10_000
-
 _INT64_MAX = np.iinfo(np.int64).max
 
 
 def factorial(k: int) -> float:
-    if k < 0:
-        raise ValueError("negative factorial")
-    if k <= _EXACT_FACTORIAL_LIMIT:
-        return float(math.factorial(k))
-    return math.exp(math.lgamma(k + 1))
-
-
-def log_factorial(k: int) -> float:
-    return math.lgamma(k + 1)
+    """k! correctly rounded; OverflowError above k = 170, where k! leaves the
+    float range."""
+    return float(math.factorial(k))
 
 
 def binomial(a: int, b: int) -> int:
@@ -246,19 +236,14 @@ class SpherePolynomial:
 
 
 def _monomial_integral(n: int, p, q) -> float:
-    # normalized measure: vanishes unless p == q, else (n-1)! p! / (n-1+|p|)!
+    # normalized measure: vanishes unless p == q, else (n-1)! p! / (n-1+|p|)!,
+    # a ratio of exact integers and so correctly rounded at every degree
     if p != q:
         return 0.0
-    dp = degree(p)
-    if dp + n - 1 <= _EXACT_FACTORIAL_LIMIT:
-        num = math.factorial(n - 1)
-        for a in p:
-            num *= math.factorial(a)
-        return num / math.factorial(n - 1 + dp)
-    logv = log_factorial(n - 1) - log_factorial(n - 1 + dp)
+    num = math.factorial(n - 1)
     for a in p:
-        logv += log_factorial(a)
-    return math.exp(logv)
+        num *= math.factorial(a)
+    return num / math.factorial(n - 1 + degree(p))
 
 
 def sphere_integral(P: SpherePolynomial) -> complex:

@@ -27,7 +27,7 @@ DEFAULT_RANK_GRID_1D = tuple(2**e for e in range(10, 21, 2))
 @dataclass
 class DixmierEstimate:
     value: float
-    method: str  # "log-mean" | "pointwise-tail" | "extrapolated"
+    method: str  # "extrapolated", the only estimator
     K_used: int
     diagnostics: dict = field(default_factory=dict)
 
@@ -52,13 +52,6 @@ def pointwise(seq: SNumberSequence, window) -> tuple[float, float]:
     med = float(np.median(vals))
     spread = float((vals.max() - vals.min()) / max(abs(med), 1e-300))
     return med, spread
-
-
-def pointwise_estimate(seq: SNumberSequence, window) -> DixmierEstimate:
-    med, spread = pointwise(seq, window)
-    return DixmierEstimate(med, "pointwise-tail", int(window[1]),
-                           {"pointwise_median": med, "pointwise_spread": spread,
-                            "window": [int(window[0]), int(window[1])]})
 
 
 def default_rank_grid(seq: SNumberSequence):
@@ -109,7 +102,3 @@ def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:
     if ill:
         diags["warning"] = "grid spans too little of 1/log(K+2); fit ill-conditioned"
     return DixmierEstimate(c, "extrapolated", K_grid[-1], diags)
-
-
-def log_mean_estimate(seq: SNumberSequence, K: int) -> DixmierEstimate:
-    return DixmierEstimate(log_mean(seq, K), "log-mean", K, {})

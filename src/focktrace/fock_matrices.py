@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import (degree, enumerate_basis, mi_add, mi_factorial, mi_sub,
-                   rising_product)
+from .core import degree, enumerate_basis, mi_add, mi_sub, rising_product
 from .symbols import RadialSymbol, _tkey
 from .weyl_calculus import heat_inverse
 
@@ -41,11 +40,6 @@ class FockContext:
             raise ValueError("need n >= 1")
         if not self.gamma > 0:
             raise ValueError("need gamma > 0")
-
-
-def monomial_norm_sq(ctx: FockContext, alpha) -> float:
-    """Squared norm of z^alpha: (pi/gamma)^n * alpha! / gamma^|alpha|."""
-    return (math.pi / ctx.gamma) ** ctx.n * mi_factorial(alpha) / ctx.gamma ** degree(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +107,8 @@ def _compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
 
 
 def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:
-    """m_t[0..dmax] with m_t[d] = gamma^(d+1)/d! * radial_moment(d, t, gamma).
+    """m_t[0..dmax] with m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2)
+    e^(-gamma u) du.
 
     Rows are cached per (t, gamma) and grown on demand; the returned array is
     read-only.
@@ -128,53 +123,6 @@ def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:
         row.setflags(write=False)
         _ROW_CACHE[key] = row
     return row
-
-
-def radial_moment(d: int, t: float, gamma: float) -> float:
-    """integral_0^inf u^d (1+u)^(t/2) e^(-gamma u) du.
-
-    Even-integer t goes through the exact recurrence ladder; other exponents
-    use adaptive quadrature (split at u = 1) on the factorial-normalized
-    integrand.  Relative accuracy ~1e-12.  The unscaled value overflows for
-    d beyond ~170 at gamma = 1; use `scaled_moment_row` at large degree.
-    """
-    if d < 0:
-        raise ValueError("need d >= 0")
-    if not gamma > 0:
-        raise ValueError("need gamma > 0")
-    s = t / 2.0
-    unscale = math.exp(math.lgamma(d + 1) - (d + 1) * math.log(gamma))
-    if abs(s - round(s)) < 1e-12:
-        return scaled_moment_row(t, gamma, d)[d] * unscale
-
-    lg = math.lgamma(d + 1)
-
-    def f(u):
-        if u <= 0.0:
-            return 0.0
-        return math.exp(d * math.log(u) - gamma * u + s * math.log1p(u)
-                        + (d + 1) * math.log(gamma) - lg)
-
-    # imported here, not at module level: no default experiment reaches
-    # this branch, and loading scipy dominated a fresh process's start-up
-    from scipy import integrate
-
-    peak = max(d, 1) / gamma
-    mid = 3.0 * peak + 10.0
-    v1, _ = integrate.quad(f, 0.0, 1.0, epsabs=0, epsrel=1e-13, limit=300)
-    v2, _ = integrate.quad(f, 1.0, mid, points=[peak] if peak > 1 else None,
-                           epsabs=0, epsrel=1e-13, limit=300)
-    v3, _ = integrate.quad(f, mid, np.inf, epsabs=1e-300, epsrel=1e-13, limit=300)
-    return (v1 + v2 + v3) * unscale
-
-
-def radial_moment_hp(d: int, t: float, gamma: float, dps: int = 30):
-    """High-precision reference value via mpmath (test oracle)."""
-    import mpmath as mp
-    with mp.workdps(dps):
-        val = mp.quad(lambda u: u**d * (1 + u) ** (t / 2.0) * mp.e ** (-gamma * u),
-                      [0, 1, max(d, 1) / gamma + 1, mp.inf])
-        return val
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +300,26 @@ def berezin(ctx: FockContext, M: OperatorMatrix, w) -> complex:
             f"truncation degree D={M.D} may not capture the kernel mass at "
             f"|w|^2={lam / gamma:g} (needs ~{lam + 10 * math.sqrt(lam) + 20:.0f})",
             RuntimeWarning, stacklevel=2)
-    basis = enumerate_basis(n, M.D)
-    e = np.empty(len(basis), dtype=complex)
-    for i, alpha in enumerate(basis):
-        val = 1.0 + 0.0j
-        for j in range(n):
-            if alpha[j]:
-                val *= w[j] ** alpha[j]
-        e[i] = val / math.sqrt(monomial_norm_sq(ctx, alpha))
-    K = (gamma / math.pi) ** n * math.exp(lam)
-    return complex(e @ M.entries @ e.conj()) / K
+    # the normalized coherent vector w^alpha sqrt(gamma^|alpha| / alpha!)
+    # e^(-lam/2) is a product of one-variable factors
+    factors = [_coherent_factors(wj, gamma, M.D) for wj in w]
+    e = np.array([math.prod(f[a] for f, a in zip(factors, alpha))
+                  for alpha in enumerate_basis(n, M.D)])
+    return complex(e @ M.entries @ e.conj())
+
+
+def _coherent_factors(wj: complex, gamma: float, D: int) -> np.ndarray:
+    """wj^a sqrt(gamma^a / a!) e^(-gamma |wj|^2 / 2) for a = 0..D, by a ratio
+    recurrence in a (no factorial).  The Gaussian is spread over the first
+    m = ceil(gamma |wj|^2) steps, so no partial product under- or overflows
+    below gamma |wj|^2 ~ 3800; the part still owed below step m comes last."""
+    lam = gamma * abs(wj) ** 2
+    m = max(math.ceil(lam), 1)
+    damp = math.exp(-lam / (2 * m))
+    out = np.ones(D + 1, dtype=complex)
+    for a in range(1, D + 1):
+        out[a] = out[a - 1] * wj * (math.sqrt(gamma / a) * (damp if a <= m else 1.0))
+    return out * damp ** np.maximum(m - np.arange(D + 1), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,25 +19,13 @@ class ConvergenceError(RuntimeError):
     """Raised when a radial-limit sequence fails its Cauchy check."""
 
 
-def radial_holo(P: SpherePolynomial) -> SpherePolynomial:
-    """Holomorphic radial derivative on degree-0 extensions:
-    zeta^p conj(zeta)^q -> ((|p|-|q|)/2) zeta^p conj(zeta)^q."""
-    return SpherePolynomial(
-        P.n, {(p, q): c * (degree(p) - degree(q)) / 2.0
-              for (p, q), c in P.terms.items()})
-
-
-def radial_antiholo(P: SpherePolynomial) -> SpherePolynomial:
-    """Anti-holomorphic radial derivative; multiplier (|q|-|p|)/2."""
+def reeb(P: SpherePolynomial) -> SpherePolynomial:
+    """Reeb field (anti-holomorphic minus holomorphic radial parts, halved):
+    multiplier (|q|-|p|)/2 on each monomial.  On degree-0 extensions it is the
+    anti-holomorphic radial derivative, and minus the holomorphic one."""
     return SpherePolynomial(
         P.n, {(p, q): c * (degree(q) - degree(p)) / 2.0
               for (p, q), c in P.terms.items()})
-
-
-def reeb(P: SpherePolynomial) -> SpherePolynomial:
-    """Reeb field (anti-holomorphic minus holomorphic radial parts, halved):
-    multiplier (|q|-|p|)/2 on each monomial."""
-    return radial_antiholo(P)
 
 
 def tangential_d(j: int, P: SpherePolynomial) -> SpherePolynomial:

@@ -137,7 +137,8 @@ def test_surface_area_constant():
 def test_norm_identity_polar_factorization():
     # sphere_integral(|z^p|^2) * area * Gamma(|p|+n)/(2 gamma^(|p|+n))
     # equals the Gaussian monomial norm pi^n p!/gamma^(n+|p|)
-    from focktrace.fock_matrices import FockContext, monomial_norm_sq
+    from focktrace.fock_matrices import FockContext
+    from oracles import monomial_norm_sq
     for n, p, gamma in [(1, (3,), 1.0), (2, (2, 1), 1.0), (2, (1, 0), 2.0),
                         (3, (1, 1, 0), 0.7)]:
         P = SpherePolynomial.monomial(n, p, p)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from focktrace.dixmier import (DEFAULT_RANK_GRID_1D, extrapolate, log_mean,
-                               pointwise, pointwise_estimate)
+                               pointwise)
 from focktrace.extrapolation import fit_inverse_log
 from focktrace.spectral import SNumberSequence
 
@@ -49,9 +49,6 @@ def test_pointwise_examples():
     seq2 = SNumberSequence(vals, np.ones(10_001, dtype=np.int64), "synthetic")
     med2, _ = pointwise(seq2, (5000, 10_000))
     assert med2 < 2e-4
-    est = pointwise_estimate(seq, (100, 10_000))
-    assert est.method == "pointwise-tail"
-    assert est.value == 1.0
 
 
 def test_extrapolate_harmonic():

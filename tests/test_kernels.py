@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focktrace import _kernels
-from focktrace.fock_matrices import radial_moment_hp
+from oracles import radial_moment_hp
 
 
 # -- serial oracles ---------------------------------------------------------

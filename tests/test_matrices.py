@@ -11,11 +11,11 @@ from focktrace.fock_matrices import (FockContext, berezin,
                                      buffered_product, hankel_product,
                                      identity_matrix, matrix_from_binary,
                                      matrix_to_binary, matrix_to_csv,
-                                     monomial_norm_sq, radial_moment,
-                                     radial_moment_hp, scaled_moment_row,
-                                     toeplitz_matrix, weyl_matrix)
+                                     scaled_moment_row, toeplitz_matrix,
+                                     weyl_matrix)
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import heat_transform, star
+from oracles import monomial_norm_sq, radial_moment, radial_moment_hp
 
 
 def gauss_hermite_norm_sq(n, gamma, alpha, nodes=120):
@@ -73,7 +73,7 @@ def test_radial_moment_against_high_precision():
 
 
 def test_scaled_rows_match_radial_moment():
-    # recurrence route vs quadrature/closed-form route
+    # recurrence route vs quadrature, for even and odd exponents alike
     for t in (0.0, 2.0, -2.0, -1.0, -3.0, -1.5, 3.0, -6.0):
         for gamma in (1.0, 2.0):
             row = scaled_moment_row(t, gamma, 120)
@@ -249,6 +249,21 @@ def test_berezin_heat_identities():
         # quantizing symbol
         E1 = heat_transform(zzb, gamma)
         assert berezin(ctx, W, [w]) == pytest.approx(E1.evaluate([w]), rel=1e-10)
+
+
+def test_berezin_at_large_degree_and_point():
+    # D = 250 is past the float range of 171!, and exp(gamma |w|^2) at
+    # |w| = 10 is ~e^100: neither may enter the computation
+    rng = np.random.default_rng(9)
+    a = RadialSymbol(1, {((p,), (q,), 0.0): complex(rng.normal(), rng.normal())
+                         for p in range(5) for q in range(5 - p)})
+    for gamma in (1.0, 0.7):
+        ctx = FockContext(1, gamma)
+        T = toeplitz_matrix(ctx, a, 250)
+        E2 = heat_transform(heat_transform(a, gamma), gamma)
+        for w in (10.0, 10.0 * np.exp(2.1j)):
+            assert berezin(ctx, T, [w]) == pytest.approx(E2.evaluate([w]),
+                                                         rel=1e-12)
 
 
 def test_berezin_truncation_warning():

@@ -5,16 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focktrace.core import degree_multiplicity
 from focktrace.fock_matrices import (FockContext, OperatorMatrix,
-                                     hankel_product, radial_moment,
+                                     buffered_product, hankel_product,
                                      toeplitz_matrix)
 from focktrace.spectral import (DiagonalityError, SNumberSequence,
-                                diagonal_spectrum, hankel_config,
-                                hermitian_spectrum, product_config,
-                                singular_values, toeplitz_config)
+                                commutator_config, diagonal_spectrum,
+                                hankel_config, hermitian_spectrum,
+                                product_config, singular_values,
+                                toeplitz_config)
 from focktrace.symbols import RadialSymbol
+from oracles import radial_moment
 
 
 def random_matrix(rng, n, hermitian=False):
@@ -289,3 +293,46 @@ def test_dense_pipeline_agrees_with_diagonal_engine():
                                rtol=1e-12)
     assert log_mean(dense, 400) == pytest.approx(log_mean(diag, 400),
                                                  rel=1e-12)
+
+
+# largest truncation degree per dimension: dense sizes 31, 55 and 56
+_PROPERTY_MAX_DEGREE = {1: 30, 2: 9, 3: 5}
+
+
+@st.composite
+def shift_cancelling_cases(draw):
+    n = draw(st.integers(1, 3))
+    p = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    t = -draw(st.integers(0, 8)) / 2.0
+    D = draw(st.integers(1, _PROPERTY_MAX_DEGREE[n]))
+    kind = draw(st.sampled_from(["radial-toeplitz", "hankel", "commutator"]))
+    return n, p, t, D, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift_cancelling_cases())
+def test_diagonal_spectrum_matches_dense_eigenvalues(case):
+    # f = z^p (1+|z|^2)^(t/2); every configuration below cancels its shifts,
+    # so its degree-<=D truncation is exactly diagonal and the per-degree
+    # path must reproduce the dense eigenvalues with their multiplicities
+    n, p, t, D, kind = case
+    ctx = FockContext(n, 1.0)
+    f = RadialSymbol.monomial(n, p, (0,) * n, t)
+    if kind == "radial-toeplitz":
+        S = RadialSymbol.radial_power(n, t)
+        config, entries = toeplitz_config(S), toeplitz_matrix(ctx, S, D).entries
+    elif kind == "hankel":
+        config = hankel_config(f, f)
+        entries = hankel_product(ctx, f, f, D).entries
+    else:
+        g = f.conj() * RadialSymbol.radial_power(n, t)
+        config = commutator_config(f, g)
+        entries = (buffered_product(ctx, [f, g], D).entries
+                   - buffered_product(ctx, [g, f], D).entries)
+    M = OperatorMatrix(ctx, D, entries, frozenset(), hermitian=True)
+    dense = np.sort(hermitian_spectrum(M, signed=True).values)
+    seq = diagonal_spectrum(ctx, config, D)
+    fast = np.sort(np.repeat(seq.values, seq.mults))
+    assert fast.shape == dense.shape
+    scale = max(float(np.max(np.abs(dense))), float(np.max(np.abs(fast))))
+    np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-10 * scale)
