@@ -16,13 +16,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import compositions, degree, degree_multiplicity, mi_add, mi_sub
+from .core import degree, degree_multiplicity, mi_add, mi_sub
 from .fock_matrices import FockContext, OperatorMatrix, scaled_moment_row
 from .symbols import RadialSymbol
 
 
+# multi-indices assembled per `_chain_values` call on the per-multi-index path
+_BLOCK = 1 << 16
+# most values the per-multi-index path materializes
+_MAX_VALUES = 60_000_000
+# descents of a sort key below which the stable sort beats the unstable one
+_FEW_RUNS = 16
+
+
 class DiagonalityError(ValueError):
     """Raised when an operator configuration is not monomial-diagonal."""
+
+
+def _modulus_order(values: np.ndarray) -> np.ndarray:
+    """np.argsort(-np.abs(values), kind="stable").
+
+    A key made of a few sorted runs (a spectrum monotone in degree, a merge
+    of two spectra) goes to the stable sort, which merges runs in about
+    linear time.  Any other key goes to the unstable sort, several times
+    faster there, and index order is then restored inside each group of
+    equal keys.  A NaN equals nothing, so NaNs keep the unstable order."""
+    key = -np.abs(values)
+    if np.count_nonzero(key[1:] < key[:-1]) < _FEW_RUNS:
+        return np.argsort(key, kind="stable")
+    order = np.argsort(key)
+    k = key[order]
+    tied = k[1:] == k[:-1]
+    if tied.any():
+        # sort (group, index) pairs over the positions that share a key;
+        # groups are contiguous, so the pairs land back in their own group
+        first = np.concatenate(([True], ~tied))
+        pos = np.flatnonzero(~first | np.concatenate((~first[1:], [False])))
+        group = np.cumsum(first)[pos] * order.size
+        order[pos] = np.sort(group + order[pos]) - group
+    return order
 
 
 @dataclass
@@ -48,8 +80,12 @@ class SNumberSequence:
         self.mults = np.asarray(self.mults, dtype=np.int64)
         if self.values.shape != self.mults.shape or self.values.ndim != 1:
             raise ValueError("values and mults must be equal-length 1-D")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("values must be finite")
         a = np.abs(self.values)
-        if np.any(a[1:] > a[:-1] * (1 + 1e-15) + 1e-300):
+        with np.errstate(over="ignore"):  # an infinite bound is the right one
+            unsorted = np.any(a[1:] > a[:-1] * (1 + 1e-15) + 1e-300)
+        if unsorted:
             raise ValueError("values must be sorted by nonincreasing modulus")
         if not self.signed and np.any(self.values < 0):
             raise ValueError("s-numbers must be nonnegative")
@@ -59,8 +95,7 @@ class SNumberSequence:
     @classmethod
     def from_values(cls, values, provenance, signed=False, certified_rank=None):
         values = np.asarray(values, dtype=float)
-        order = np.argsort(-np.abs(values), kind="stable")
-        v = values[order]
+        v = values[_modulus_order(values)]
         return cls(v, np.ones(v.shape[0], dtype=np.int64), provenance,
                    signed=signed, certified_rank=certified_rank)
 
@@ -107,7 +142,7 @@ class SNumberSequence:
         """Spectrum of the direct sum: sorted union with multiplicities."""
         v = np.concatenate([self.values, other.values])
         m = np.concatenate([self.mults, other.mults])
-        order = np.argsort(-np.abs(v), kind="stable")
+        order = _modulus_order(v)
         cert = None
         if self.certified_rank is not None and other.certified_rank is not None:
             cert = self.certified_rank + other.certified_rank
@@ -285,19 +320,29 @@ def _is_radial(config: DiagonalConfig) -> bool:
     return True
 
 
+def _is_real(config: DiagonalConfig) -> bool:
+    coeffs = [ch.coeff for ch in config.chains]
+    coeffs += [c for ch in config.chains for S in ch.factors
+               for c in S.terms.values()]
+    return all(complex(c).imag == 0 for c in coeffs)
+
+
 def _chain_values(ch: DiagonalChain, shifts, comps: np.ndarray,
-                  gamma: float, rows: dict) -> np.ndarray:
+                  gamma: float, rows: dict, dtype) -> np.ndarray:
     """Eigenvalue contribution of one chain at the multi-indices whose
-    components are the columns of comps (shape (n, m))."""
+    components are the columns of comps (shape (n, m)).  dtype float drops
+    the (zero) imaginary parts of every coefficient: a complex product of
+    operands with zero imaginary part has the same real part."""
     n, m = comps.shape
+    coef = complex if dtype is complex else (lambda c: complex(c).real)
     cur = comps.astype(np.int64).copy()
     deg_cur = cur.sum(axis=0)
-    out = np.full(m, ch.coeff, dtype=complex)
+    out = np.full(m, coef(ch.coeff), dtype=dtype)
     alive = np.ones(m, dtype=bool)
     for S, v in zip(reversed(ch.factors), reversed(shifts)):
         nxt = cur + np.array(v, dtype=np.int64)[:, None]
         valid = alive & (nxt >= 0).all(axis=0)
-        fac = np.zeros(m, dtype=complex)
+        fac = np.zeros(m, dtype=dtype)
         for (p, q, t), c in S.terms.items():
             dp, dq = degree(p), degree(q)
             a_deg = deg_cur + dp
@@ -308,7 +353,7 @@ def _chain_values(ch: DiagonalChain, shifts, comps: np.ndarray,
                     ratio *= cur[i] + l
                 for l in range(1, q[i] + 1):
                     ratio *= nxt[i] + l
-            fac += c * row[a_deg + n - 1] * np.sqrt(ratio) * gamma ** (-(dp + dq) / 2.0)
+            fac += coef(c) * row[a_deg + n - 1] * np.sqrt(ratio) * gamma ** (-(dp + dq) / 2.0)
         out = np.where(valid, out * fac, 0.0)
         alive = valid
         cur = np.where(alive, nxt, 0)
@@ -316,15 +361,50 @@ def _chain_values(ch: DiagonalChain, shifts, comps: np.ndarray,
     return out
 
 
+def _config_values(config: DiagonalConfig, per_chain, comps: np.ndarray,
+                   gamma: float, rows: dict, dtype) -> np.ndarray:
+    """Eigenvalues of config at the columns of comps."""
+    v = np.zeros(comps.shape[1], dtype=dtype)
+    for ch, shifts in zip(config.chains, per_chain):
+        v += _chain_values(ch, shifts, comps, gamma, rows, dtype)
+    if config.power != 1:
+        # a complex integer power is a chain of products, a float one a
+        # single rounded pow: raise in complex so both dtypes agree exactly
+        p = v.astype(complex) ** config.power
+        v = p.real if dtype is float else p
+    return v
+
+
+def _multi_indices(offsets: list, cols: np.ndarray) -> np.ndarray:
+    """The multi-indices at positions cols of the degree-major enumeration,
+    descending lex within a degree (`core.compositions`), as an
+    (n, cols.size) array.  offsets[m - 2][k], for m = 2..n, counts the
+    multi-indices of length m and degree < k.
+
+    The rank of (a_1, rest) inside its degree is the position of rest in
+    the enumeration of length n - 1, so one search per length unranks."""
+    degs = []
+    for off in reversed(offsets):
+        k = np.searchsorted(off, cols, side="right") - 1
+        degs.append(k)
+        cols = cols - off[k]
+    degs.append(cols)  # a length-1 multi-index is its own position
+    degs = np.array(degs)  # row i: degree of (a_i, ..., a_n)
+    return np.vstack([degs[:-1] - degs[1:], degs[-1:]])
+
+
 def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
-                      K_degree: int, max_values: int = 60_000_000) -> SNumberSequence:
+                      K_degree: int) -> SNumberSequence:
     """Exact spectrum of a diagonal configuration for all degrees <= K_degree.
 
     Radial configurations (n = 1, or all factors free of monomial parts)
-    produce one value per degree with the full degree multiplicity attached;
-    otherwise one value per multi-index is computed (n = 2 is vectorized over
-    each degree, higher n enumerates).  certified_rank marks how far the
-    sorted values are guaranteed to be the operator's true leading s-numbers.
+    produce one value per degree with the full degree multiplicity attached.
+    Otherwise one value per multi-index is computed, degree by degree
+    (alpha_1 ascending at n = 2, `core.compositions` order at higher n),
+    in blocks of `_BLOCK` consecutive multi-indices that may cut across
+    degrees.  Configurations with only real coefficients are evaluated in
+    float64.  certified_rank marks how far the sorted values are guaranteed
+    to be the operator's true leading s-numbers.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
@@ -343,58 +423,48 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
                     rows[t] = scaled_moment_row(
                         t, gamma, K_degree + buffer_deg + n + 1)
 
-    radial = n == 1 or _is_radial(config)
-    if not radial:
+    dtype = float if _is_real(config) else complex
+    degrees = np.arange(K_degree + 1)
+    if n == 1 or _is_radial(config):
+        # the eigenvalue depends on |alpha| only: one representative per degree
+        comps = np.zeros((n, K_degree + 1), dtype=np.int64)
+        comps[0] = degrees
+        vals = _config_values(config, per_chain, comps, gamma, rows, dtype)
+        degree_mults = degree_multiplicity(n, degrees)
+        starts = np.arange(K_degree + 2)
+    else:
         # sum over k <= K_degree of C(k+n-1, n-1)
         count = math.comb(K_degree + n, n)
-        if count > max_values:
+        if count > _MAX_VALUES:
             raise DiagonalityError(
                 f"per-multi-index path would materialize {count} values; "
                 f"lower K_degree")
+        offsets = [np.concatenate(([0], np.cumsum(degree_multiplicity(m, degrees))))
+                   for m in range(2, n + 1)]
+        starts = offsets[-1]
+        vals = np.empty(count, dtype=dtype)
+        for lo in range(0, count, _BLOCK):
+            cols = np.arange(lo, min(lo + _BLOCK, count))
+            comps = _multi_indices(offsets, cols)
+            if n == 2:  # alpha_1 ascending: the reverse of compositions order
+                comps = comps[::-1]
+            vals[lo:lo + cols.size] = _config_values(config, per_chain, comps,
+                                                     gamma, rows, dtype)
+        degree_mults = np.ones(count, dtype=np.int64)
 
-    if radial:
-        # the eigenvalue depends on |alpha| only: one representative per degree
-        comps = np.zeros((n, K_degree + 1), dtype=np.int64)
-        comps[0] = np.arange(K_degree + 1)
-        vals = np.zeros(K_degree + 1, dtype=complex)
-        for ch, shifts in zip(config.chains, per_chain):
-            vals += _chain_values(ch, shifts, comps, gamma, rows)
-        if config.power != 1:
-            vals = vals**config.power
-        per_degree = None
-        degree_mults = degree_multiplicity(n, np.arange(K_degree + 1))
-    else:
-        per_degree = []
-        for k in range(K_degree + 1):
-            if n == 2:
-                a1 = np.arange(k + 1, dtype=np.int64)
-                comps = np.vstack([a1, k - a1])
-            else:
-                comps = np.array(list(compositions(k, n)), dtype=np.int64).T
-            v = np.zeros(comps.shape[1], dtype=complex)
-            for ch, shifts in zip(config.chains, per_chain):
-                v += _chain_values(ch, shifts, comps, gamma, rows)
-            if config.power != 1:
-                v = v**config.power
-            per_degree.append(v)
-        vals = np.concatenate(per_degree)
-        degree_mults = np.ones(vals.shape[0], dtype=np.int64)
-
-    # imaginary parts must be numerical noise for these self-adjoint products
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
-        raise DiagonalityError("configuration has non-real diagonal values")
+    if dtype is complex:
+        # imaginary parts must be numerical noise for these self-adjoint products
+        scale = max(float(np.max(np.abs(vals))), 1e-300)
+        if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
+            raise DiagonalityError("configuration has non-real diagonal values")
 
     # truncation certificate: everything beyond K_degree is bounded by the
     # largest modulus seen over the last 5% of degrees
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
-    if radial:
-        tail_bound = float(np.max(np.abs(vals[tail_lo:])))
-    else:
-        tail_bound = max(float(np.max(np.abs(v))) for v in per_degree[tail_lo:])
+    tail_bound = float(np.max(np.abs(vals[starts[tail_lo]:])))
 
     values = vals.real
-    order = np.argsort(-np.abs(values), kind="stable")
+    order = _modulus_order(values)
     values = values[order]
     mults = degree_mults[order]
     signed = bool(np.any(values < 0))

@@ -1,9 +1,10 @@
-"""Reference values for the tests: monomial norms, and the radial moments
+"""Reference values for the tests: monomial norms, the radial moments
 
     integral_0^inf u^d (1+u)^(t/2) e^(-gamma u) du
 
 by quadrature, independently of the recurrences behind
-`focktrace.fock_matrices.scaled_moment_row`.
+`focktrace.fock_matrices.scaled_moment_row`, and the per-multi-index
+spectrum assembled one degree at a time.
 """
 
 import math
@@ -12,7 +13,9 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 
-from focktrace.core import degree, mi_factorial
+from focktrace import spectral
+from focktrace.core import compositions, degree, mi_factorial
+from focktrace.fock_matrices import scaled_moment_row
 
 
 def monomial_norm_sq(ctx, alpha) -> float:
@@ -53,3 +56,43 @@ def radial_moment_hp(d: int, t: float, gamma: float, dps: int = 30):
     with mp.workdps(dps):
         return mp.quad(lambda u: u**d * (1 + u) ** (t / 2.0) * mp.e ** (-gamma * u),
                        [0, 1, max(d, 1) / gamma + 1, mp.inf])
+
+
+def per_degree_spectrum(ctx, config, K_degree: int):
+    """`spectral.diagonal_spectrum` of a non-radial configuration as it was
+    built before blocks: one complex `_chain_values` call per chain and
+    degree (alpha_1 ascending at n = 2, `compositions` order above), the
+    per-degree arrays concatenated, and a stable sort."""
+    n, gamma = ctx.n, ctx.gamma
+    per_chain = spectral._validate(config)
+    buffer_deg = max(
+        (sum(max(degree(p) for (p, q, _t) in S.terms) for S in ch.factors)
+         for ch in config.chains), default=0)
+    rows = {t: scaled_moment_row(t, gamma, K_degree + buffer_deg + n + 1)
+            for ch in config.chains for S in ch.factors for (_p, _q, t) in S.terms}
+    per_degree = []
+    for k in range(K_degree + 1):
+        if n == 2:
+            a1 = np.arange(k + 1, dtype=np.int64)
+            comps = np.vstack([a1, k - a1])
+        else:
+            comps = np.array(list(compositions(k, n)), dtype=np.int64).T
+        v = np.zeros(comps.shape[1], dtype=complex)
+        for ch, shifts in zip(config.chains, per_chain):
+            v += spectral._chain_values(ch, shifts, comps, gamma, rows, complex)
+        if config.power != 1:
+            v = v**config.power
+        per_degree.append(v)
+    vals = np.concatenate(per_degree)
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
+        raise spectral.DiagonalityError("configuration has non-real diagonal values")
+    tail_lo = max(0, int(math.floor(0.95 * K_degree)))
+    tail_bound = max(float(np.max(np.abs(v))) for v in per_degree[tail_lo:])
+    values = vals.real
+    values = values[np.argsort(-np.abs(values), kind="stable")]
+    certified = int(np.sum(np.abs(values) > tail_bound * (1 + 1e-12)))
+    return spectral.SNumberSequence(
+        values, np.ones(values.shape[0], dtype=np.int64),
+        f"exact-diagonal(K_degree={K_degree})",
+        signed=bool(np.any(values < 0)), certified_rank=certified)

@@ -2,12 +2,14 @@
 against the dense route, sequence bookkeeping."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focktrace import spectral
 from focktrace.core import degree_multiplicity
 from focktrace.fock_matrices import (FockContext, OperatorMatrix,
                                      buffered_product, hankel_product,
@@ -18,7 +20,7 @@ from focktrace.spectral import (DiagonalityError, SNumberSequence,
                                 product_config, singular_values,
                                 toeplitz_config)
 from focktrace.symbols import RadialSymbol
-from oracles import radial_moment
+from oracles import per_degree_spectrum, radial_moment
 
 
 def random_matrix(rng, n, hermitian=False):
@@ -228,6 +230,15 @@ def test_sequence_validation():
     # signed sequences may carry negative values, ordered by modulus
     seq = SNumberSequence(np.array([-1.0, 0.5]), np.array([1, 1]), "x", signed=True)
     assert seq.signed
+    for bad in ([2.0, np.nan, 1.0], [np.inf, 1.0], [-np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            SNumberSequence(np.array(bad), np.ones(len(bad), dtype=np.int64),
+                            "x", signed=True)
+    with pytest.raises(ValueError, match="finite"):
+        SNumberSequence.from_values([2.0, np.nan, 1.0], "x")
+    # moduli near the largest float: the sortedness bound overflows to inf
+    with np.errstate(over="raise"):
+        SNumberSequence(np.array([np.finfo(float).max, 1.0]), np.array([1, 1]), "x")
 
 
 def test_sequence_merge_is_directsum_spectrum():
@@ -336,3 +347,112 @@ def test_diagonal_spectrum_matches_dense_eigenvalues(case):
     assert fast.shape == dense.shape
     scale = max(float(np.max(np.abs(dense))), float(np.max(np.abs(fast))))
     np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-10 * scale)
+
+
+# --- blocked per-multi-index assembly -----------------------------------------
+
+def _per_multi_index_configs(n):
+    w = RadialSymbol.radial_power(n, -1.0)
+    f = RadialSymbol.coordinate(n, 1) * w
+    z1, z1b = RadialSymbol.coordinate(n, 1), RadialSymbol.coordinate(n, 1, conjugated=True)
+    z2, z2b = RadialSymbol.coordinate(n, 2), RadialSymbol.coordinate(n, 2, conjugated=True)
+    w2 = RadialSymbol.radial_power(n, -2.0)
+    return {
+        "hankel": hankel_config(f, f),
+        "commutator": commutator_config(f, f.conj() * w),
+        # the CLI's default mixed-trace case
+        "mixed": hankel_config(z1 * w2, z1 * w2) * toeplitz_config(z1 * z1b * w2),
+        "hankel-power-2": hankel_config(f, f) ** 2,
+        # a float pow would round once where the complex power multiplies
+        "hankel-power-3": hankel_config(f, f) ** 3,
+        # value(a_1, a_2, ...) = -value(a_2, a_1, ...): ties of +x and -x
+        "signed-ties": toeplitz_config((z1 * z1b - z2 * z2b) * w2),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("n, K", [(2, 24), (3, 9)])
+@pytest.mark.parametrize("kind", ["hankel", "commutator", "mixed",
+                                  "hankel-power-2", "hankel-power-3",
+                                  "signed-ties"])
+def test_blocked_spectrum_matches_per_degree_oracle(monkeypatch, block, n, K, kind):
+    # blocks of 1, 7 and 64 multi-indices end inside degrees and on their
+    # edges; the float64 blocks must reproduce the complex per-degree loop
+    # bit for bit, tie order included
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    ctx = FockContext(n, 1.0)
+    config = _per_multi_index_configs(n)[kind]
+    got = diagonal_spectrum(ctx, config, K)
+    ref = per_degree_spectrum(ctx, config, K)
+    np.testing.assert_array_equal(got.values, ref.values)
+    np.testing.assert_array_equal(got.mults, ref.mults)
+    assert (got.certified_rank, got.signed) == (ref.certified_rank, ref.signed)
+    if kind == "signed-ties":
+        v = got.values
+        assert np.any((v[1:] == -v[:-1]) & (v[1:] != 0))
+
+
+def test_per_multi_index_value_cap(monkeypatch):
+    ctx = FockContext(2, 1.0)
+    config = _per_multi_index_configs(2)["hankel"]
+    monkeypatch.setattr(spectral, "_MAX_VALUES", 10)
+    assert diagonal_spectrum(ctx, config, 3).total == 10  # C(5, 2)
+    with pytest.raises(DiagonalityError, match="materialize 15 values"):
+        diagonal_spectrum(ctx, config, 4)
+
+
+def test_complex_coefficients_take_the_complex_path():
+    ctx = FockContext(2, 1.0)
+    S = (RadialSymbol.coordinate(2, 1) * RadialSymbol.coordinate(2, 1, conjugated=True)
+         * RadialSymbol.radial_power(2, -6.0))
+    with pytest.raises(DiagonalityError, match="non-real"):
+        diagonal_spectrum(ctx, toeplitz_config(S).scaled(1j), 20)
+    # i*f has non-real chain coefficients but the same Hankel product
+    f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
+    assert not spectral._is_real(hankel_config(1j * f, 1j * f))
+    got = diagonal_spectrum(ctx, hankel_config(1j * f, 1j * f), 40)
+    ref = diagonal_spectrum(ctx, hankel_config(f, f), 40)
+    np.testing.assert_array_equal(got.mults, ref.mults)
+    np.testing.assert_allclose(got.values, ref.values, rtol=1e-15, atol=0)
+    assert got.certified_rank == ref.certified_rank
+
+
+_TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e-300, 7.0]
+
+
+@st.composite
+def tie_heavy_values(draw):
+    # runs of equal values and of +-x pairs from a small pool, mixed with
+    # arbitrary finite floats
+    runs = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(_TIE_POOL),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        st.integers(1, 300)), max_size=30))
+    return np.array([v for v, r in runs for _ in range(r)], dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_values(), tie_heavy_values())
+def test_modulus_order_is_the_stable_order(a, b):
+    stable = np.argsort(-np.abs(a), kind="stable")
+    # every key to the unstable sort with its tie repair, then every key to
+    # the stable sort
+    for few_runs in (0, a.size + 1):
+        with mock.patch.object(spectral, "_FEW_RUNS", few_runs):
+            np.testing.assert_array_equal(spectral._modulus_order(a), stable)
+    seq = SNumberSequence.from_values(a, "x", signed=True)
+    assert seq.values.tobytes() == a[stable].tobytes()
+    sa = SNumberSequence(a[stable], np.arange(1, a.size + 1), "a", signed=True)
+    sb = SNumberSequence.from_values(b, "b", signed=True)
+    m = sa.merge(sb)
+    v = np.concatenate([sa.values, sb.values])
+    old = np.argsort(-np.abs(v), kind="stable")
+    assert m.values.tobytes() == v[old].tobytes()
+    np.testing.assert_array_equal(m.mults, np.concatenate([sa.mults, sb.mults])[old])
+
+
+def test_modulus_order_on_long_tied_runs():
+    rng = np.random.default_rng(5)
+    v = rng.choice(np.array(_TIE_POOL), size=200_000)
+    np.testing.assert_array_equal(spectral._modulus_order(v),
+                                  np.argsort(-np.abs(v), kind="stable"))
