@@ -9,8 +9,11 @@ the normalized moments
 
     m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2) e^(-gamma u) du,
 
-which stay O(1) at every degree, so assembly never overflows.  Entries are
-evaluated in a fixed term order regardless of any outer parallelism.
+which stay O(1) at every degree, so assembly never overflows.  The rows come
+from recurrences in d and t, seeded by the d = 0 moments, which are
+gamma e^gamma E_(-t/2)(gamma) in terms of the generalized exponential
+integral (DLMF 8.19).  Entries are evaluated in a fixed term order
+regardless of any outer parallelism.
 """
 
 from __future__ import annotations
@@ -50,13 +53,16 @@ _ROW_CACHE: dict = {}
 
 
 def _base_moment(t: float, gamma: float) -> float:
-    """integral_0^inf (1+u)^(t/2) e^(-gamma u) du to ~25 digits (mpmath)."""
+    """integral_0^inf (1+u)^(t/2) e^(-gamma u) du to double precision.
+
+    Substituting v = 1 + u gives e^gamma * E_(-t/2)(gamma), where
+    E_p(z) = integral_1^inf v^(-p) e^(-z v) dv is the generalized exponential
+    integral (DLMF 8.19); mpmath evaluates it at 30 digits."""
     key = (_tkey(t), float(gamma))
     if key not in _BASE_CACHE:
         import mpmath as mp
         with mp.workdps(30):
-            val = mp.quad(lambda u: (1 + u) ** (t / 2.0) * mp.e ** (-gamma * u),
-                          [0, 1, mp.inf])
+            val = mp.e ** gamma * mp.expint(-t / 2.0, gamma)
         _BASE_CACHE[key] = float(val)
     return _BASE_CACHE[key]
 

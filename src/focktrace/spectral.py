@@ -25,8 +25,6 @@ from .symbols import RadialSymbol
 _BLOCK = 1 << 16
 # most values the per-multi-index path materializes
 _MAX_VALUES = 60_000_000
-# descents of a sort key below which the stable sort beats the unstable one
-_FEW_RUNS = 16
 
 
 class DiagonalityError(ValueError):
@@ -34,27 +32,19 @@ class DiagonalityError(ValueError):
 
 
 def _modulus_order(values: np.ndarray) -> np.ndarray:
-    """np.argsort(-np.abs(values), kind="stable").
+    """Indices that sort values by decreasing modulus, ties in index order."""
+    return np.argsort(-np.abs(values), kind="stable")
 
-    A key made of a few sorted runs (a spectrum monotone in degree, a merge
-    of two spectra) goes to the stable sort, which merges runs in about
-    linear time.  Any other key goes to the unstable sort, several times
-    faster there, and index order is then restored inside each group of
-    equal keys.  A NaN equals nothing, so NaNs keep the unstable order."""
-    key = -np.abs(values)
-    if np.count_nonzero(key[1:] < key[:-1]) < _FEW_RUNS:
-        return np.argsort(key, kind="stable")
-    order = np.argsort(key)
-    k = key[order]
-    tied = k[1:] == k[:-1]
-    if tied.any():
-        # sort (group, index) pairs over the positions that share a key;
-        # groups are contiguous, so the pairs land back in their own group
-        first = np.concatenate(([True], ~tied))
-        pos = np.flatnonzero(~first | np.concatenate((~first[1:], [False])))
-        group = np.cumsum(first)[pos] * order.size
-        order[pos] = np.sort(group + order[pos]) - group
-    return order
+
+def _sorted_by_modulus(values: np.ndarray) -> np.ndarray:
+    """values[_modulus_order(values)].
+
+    When no value has its sign bit set (-0.0 counts as signed), equal keys
+    hold equal bits, so the stable modulus order is the values themselves
+    sorted descending: no argsort and no gather."""
+    if np.signbit(values).any():
+        return values[_modulus_order(values)]
+    return np.sort(values)[::-1]
 
 
 @dataclass
@@ -94,8 +84,7 @@ class SNumberSequence:
 
     @classmethod
     def from_values(cls, values, provenance, signed=False, certified_rank=None):
-        values = np.asarray(values, dtype=float)
-        v = values[_modulus_order(values)]
+        v = _sorted_by_modulus(np.asarray(values, dtype=float))
         return cls(v, np.ones(v.shape[0], dtype=np.int64), provenance,
                    signed=signed, certified_rank=certified_rank)
 
@@ -332,38 +321,80 @@ def _chain_values(ch: DiagonalChain, shifts, comps: np.ndarray,
     """Eigenvalue contribution of one chain at the multi-indices whose
     components are the columns of comps (shape (n, m)).  dtype float drops
     the (zero) imaginary parts of every coefficient: a complex product of
-    operands with zero imaginary part has the same real part."""
+    operands with zero imaginary part has the same real part.
+
+    Each value is the product, over the factors from the right, of
+    sum_terms c * m_t[|alpha| + |p| + n - 1] * sqrt(ratio) * gamma^(-(|p|+|q|)/2),
+    where ratio is the rising-factorial quotient of the monomial norms, and
+    0 once a shift leaves the multi-index cone.  Every column sees these
+    operations in this order, except multiplications by an exact 1 and
+    additions to an initial 0, which are skipped: that can change only the
+    sign of a zero, and `_config_values` adds each chain to +0.0."""
     n, m = comps.shape
     coef = complex if dtype is complex else (lambda c: complex(c).real)
-    cur = comps.astype(np.int64).copy()
+    cur = np.asarray(comps, dtype=np.int64)
     deg_cur = cur.sum(axis=0)
-    out = np.full(m, coef(ch.coeff), dtype=dtype)
-    alive = np.ones(m, dtype=bool)
+    c0 = coef(ch.coeff)
+    # a float chain starts from its first factor, times c0 unless that is 1
+    out = np.full(m, c0, dtype=dtype) if dtype is complex or not ch.factors else None
+    valid = None  # None: every column is still inside the cone
     for S, v in zip(reversed(ch.factors), reversed(shifts)):
         nxt = cur + np.array(v, dtype=np.int64)[:, None]
-        valid = alive & (nxt >= 0).all(axis=0)
-        fac = np.zeros(m, dtype=dtype)
+        neg = [i for i in range(n) if v[i] < 0]
+        if neg:
+            inside = (nxt[neg] >= 0).all(axis=0)
+            if valid is not None:
+                valid &= inside
+            elif not inside.all():
+                valid = inside
+        fac = None
         for (p, q, t), c in S.terms.items():
             dp, dq = degree(p), degree(q)
-            a_deg = deg_cur + dp
-            row = rows[t]
-            ratio = np.ones(m)
+            term = rows[t][deg_cur + (dp + n - 1)]
+            if dtype is complex:
+                term = coef(c) * term
+            elif coef(c) != 1:
+                term *= coef(c)
+            ratio = None
             for i in range(n):
-                for l in range(1, p[i] + 1):
-                    ratio *= cur[i] + l
-                for l in range(1, q[i] + 1):
-                    ratio *= nxt[i] + l
-            fac += coef(c) * row[a_deg + n - 1] * np.sqrt(ratio) * gamma ** (-(dp + dq) / 2.0)
-        out = np.where(valid, out * fac, 0.0)
-        alive = valid
-        cur = np.where(alive, nxt, 0)
-        deg_cur = cur.sum(axis=0)
+                for base, k in ((cur[i], p[i]), (nxt[i], q[i])):
+                    for l in range(1, k + 1):
+                        if ratio is None:
+                            ratio = (base + l).astype(float)
+                        else:
+                            ratio *= base + l
+            if ratio is not None:
+                term *= np.sqrt(ratio, out=ratio)
+            g = gamma ** (-(dp + dq) / 2.0)
+            if g != 1:
+                term *= g
+            if fac is None:
+                fac = term
+            else:
+                fac += term
+        if out is None:
+            out = fac
+            if c0 != 1:
+                out *= c0
+        else:
+            out *= fac
+        deg_cur += sum(v)
+        if valid is not None:
+            dead = ~valid
+            out[dead] = 0.0
+            nxt[:, dead] = 0
+            deg_cur[dead] = 0
+        cur = nxt
     return out
 
 
 def _config_values(config: DiagonalConfig, per_chain, comps: np.ndarray,
                    gamma: float, rows: dict, dtype) -> np.ndarray:
     """Eigenvalues of config at the columns of comps."""
+    # _chain_values skips multiplications by an exact 1 and additions to an
+    # initial 0, which can leave -0.0 where the full products give +0.0.
+    # Adding every chain to +0.0 turns both into +0.0: its bit-identity
+    # depends on this start.
     v = np.zeros(comps.shape[1], dtype=dtype)
     for ch, shifts in zip(config.chains, per_chain):
         v += _chain_values(ch, shifts, comps, gamma, rows, dtype)
@@ -403,8 +434,11 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     (alpha_1 ascending at n = 2, `core.compositions` order at higher n),
     in blocks of `_BLOCK` consecutive multi-indices that may cut across
     degrees.  Configurations with only real coefficients are evaluated in
-    float64.  certified_rank marks how far the sorted values are guaranteed
-    to be the operator's true leading s-numbers.
+    float64.  The values are put in the stable order of decreasing modulus:
+    when every multiplicity is 1 and no value has its sign bit set, by
+    sorting the values themselves (`_sorted_by_modulus`), otherwise by
+    `_modulus_order`.  certified_rank marks how far the sorted values are
+    guaranteed to be the operator's true leading s-numbers.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
@@ -425,7 +459,8 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
 
     dtype = float if _is_real(config) else complex
     degrees = np.arange(K_degree + 1)
-    if n == 1 or _is_radial(config):
+    radial = _is_radial(config)
+    if n == 1 or radial:
         # the eigenvalue depends on |alpha| only: one representative per degree
         comps = np.zeros((n, K_degree + 1), dtype=np.int64)
         comps[0] = degrees
@@ -463,10 +498,13 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
     tail_bound = float(np.max(np.abs(vals[starts[tail_lo]:])))
 
-    values = vals.real
-    order = _modulus_order(values)
-    values = values[order]
-    mults = degree_mults[order]
+    if n == 1 or not radial:  # every multiplicity is 1
+        values = _sorted_by_modulus(vals.real)
+        mults = degree_mults
+    else:
+        order = _modulus_order(vals.real)
+        values = vals.real[order]
+        mults = degree_mults[order]
     signed = bool(np.any(values < 0))
     certified = int(np.sum(mults[np.abs(values) > tail_bound * (1 + 1e-12)]))
     return SNumberSequence(values, mults,

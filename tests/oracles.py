@@ -3,8 +3,10 @@
     integral_0^inf u^d (1+u)^(t/2) e^(-gamma u) du
 
 by quadrature, independently of the recurrences behind
-`focktrace.fock_matrices.scaled_moment_row`, and the per-multi-index
-spectrum assembled one degree at a time.
+`focktrace.fock_matrices.scaled_moment_row`, their d = 0 base moments by
+quadrature, independently of the closed form behind
+`focktrace.fock_matrices._base_moment`, and the per-multi-index spectrum
+assembled one degree at a time.
 """
 
 import math
@@ -58,9 +60,50 @@ def radial_moment_hp(d: int, t: float, gamma: float, dps: int = 30):
                        [0, 1, max(d, 1) / gamma + 1, mp.inf])
 
 
+def base_moment_quad(t: float, gamma: float) -> float:
+    """integral_0^inf (1+u)^(t/2) e^(-gamma u) du by 30-digit mpmath
+    quadrature, rounded to a float."""
+    with mp.workdps(30):
+        return float(mp.quad(lambda u: (1 + u) ** (t / 2.0) * mp.e ** (-gamma * u),
+                             [0, 1, mp.inf]))
+
+
+def chain_values(ch, shifts, comps: np.ndarray, gamma: float, rows: dict,
+                 dtype) -> np.ndarray:
+    """`spectral._chain_values` as it was before its passes were trimmed: one
+    full-width numpy expression per term and factor, each validity test and
+    degree sum over every column."""
+    n, m = comps.shape
+    coef = complex if dtype is complex else (lambda c: complex(c).real)
+    cur = comps.astype(np.int64).copy()
+    deg_cur = cur.sum(axis=0)
+    out = np.full(m, coef(ch.coeff), dtype=dtype)
+    alive = np.ones(m, dtype=bool)
+    for S, v in zip(reversed(ch.factors), reversed(shifts)):
+        nxt = cur + np.array(v, dtype=np.int64)[:, None]
+        valid = alive & (nxt >= 0).all(axis=0)
+        fac = np.zeros(m, dtype=dtype)
+        for (p, q, t), c in S.terms.items():
+            dp, dq = degree(p), degree(q)
+            a_deg = deg_cur + dp
+            row = rows[t]
+            ratio = np.ones(m)
+            for i in range(n):
+                for l in range(1, p[i] + 1):
+                    ratio *= cur[i] + l
+                for l in range(1, q[i] + 1):
+                    ratio *= nxt[i] + l
+            fac += coef(c) * row[a_deg + n - 1] * np.sqrt(ratio) * gamma ** (-(dp + dq) / 2.0)
+        out = np.where(valid, out * fac, 0.0)
+        alive = valid
+        cur = np.where(alive, nxt, 0)
+        deg_cur = cur.sum(axis=0)
+    return out
+
+
 def per_degree_spectrum(ctx, config, K_degree: int):
     """`spectral.diagonal_spectrum` of a non-radial configuration as it was
-    built before blocks: one complex `_chain_values` call per chain and
+    built before blocks: one complex `chain_values` call per chain and
     degree (alpha_1 ascending at n = 2, `compositions` order above), the
     per-degree arrays concatenated, and a stable sort."""
     n, gamma = ctx.n, ctx.gamma
@@ -79,7 +122,7 @@ def per_degree_spectrum(ctx, config, K_degree: int):
             comps = np.array(list(compositions(k, n)), dtype=np.int64).T
         v = np.zeros(comps.shape[1], dtype=complex)
         for ch, shifts in zip(config.chains, per_chain):
-            v += spectral._chain_values(ch, shifts, comps, gamma, rows, complex)
+            v += chain_values(ch, shifts, comps, gamma, rows, complex)
         if config.power != 1:
             v = v**config.power
         per_degree.append(v)

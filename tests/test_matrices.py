@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from focktrace import fock_matrices
 from focktrace.fock_matrices import (FockContext, berezin,
                                      buffered_product, hankel_product,
                                      identity_matrix, matrix_from_binary,
@@ -15,7 +16,8 @@ from focktrace.fock_matrices import (FockContext, berezin,
                                      weyl_matrix)
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import heat_transform, star
-from oracles import monomial_norm_sq, radial_moment, radial_moment_hp
+from oracles import (base_moment_quad, monomial_norm_sq, radial_moment,
+                     radial_moment_hp)
 
 
 def gauss_hermite_norm_sq(n, gamma, alpha, nodes=120):
@@ -70,6 +72,22 @@ def test_radial_moment_against_high_precision():
                         (60, 2.0, 1.0)]:
         ref = float(radial_moment_hp(d, t, gamma))
         assert radial_moment(d, t, gamma) == pytest.approx(ref, rel=1e-12)
+
+
+_BASE_T = (-40.0, -21.0, -12.0, -3.0, -1.0, 0.0, 1.0, 1.9)
+_BASE_GAMMA = (0.01, 0.3, 1.0, 2.0, 50.0, 200.0)
+
+
+def test_base_moment_closed_form_equals_quadrature(monkeypatch):
+    # the closed form e^gamma E_(-t/2)(gamma) rounds to the same float as the
+    # 30-digit quadrature it replaced, over exponents from -40 to 1.9 and
+    # weights from 0.01 to 200: each t with two weights, plus the corners
+    pairs = [(t, _BASE_GAMMA[(i + k) % len(_BASE_GAMMA)])
+             for i, t in enumerate(_BASE_T) for k in (0, 3)]
+    pairs += [(-40.0, 0.01), (-40.0, 200.0), (1.9, 0.01), (1.9, 200.0)]
+    monkeypatch.setattr(fock_matrices, "_BASE_CACHE", {})
+    for t, gamma in pairs:
+        assert fock_matrices._base_moment(t, gamma) == base_moment_quad(t, gamma), (t, gamma)
 
 
 def test_scaled_rows_match_radial_moment():

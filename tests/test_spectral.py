@@ -378,18 +378,20 @@ def _per_multi_index_configs(n):
 def test_blocked_spectrum_matches_per_degree_oracle(monkeypatch, block, n, K, kind):
     # blocks of 1, 7 and 64 multi-indices end inside degrees and on their
     # edges; the float64 blocks must reproduce the complex per-degree loop
-    # bit for bit, tie order included
+    # bit for bit, tie order included.  At gamma = 1 every power of gamma is
+    # exactly 1, so gamma = 0.7 is what checks the norm exponents
     monkeypatch.setattr(spectral, "_BLOCK", block)
-    ctx = FockContext(n, 1.0)
     config = _per_multi_index_configs(n)[kind]
-    got = diagonal_spectrum(ctx, config, K)
-    ref = per_degree_spectrum(ctx, config, K)
-    np.testing.assert_array_equal(got.values, ref.values)
-    np.testing.assert_array_equal(got.mults, ref.mults)
-    assert (got.certified_rank, got.signed) == (ref.certified_rank, ref.signed)
-    if kind == "signed-ties":
-        v = got.values
-        assert np.any((v[1:] == -v[:-1]) & (v[1:] != 0))
+    for gamma in (1.0, 0.7):
+        ctx = FockContext(n, gamma)
+        got = diagonal_spectrum(ctx, config, K)
+        ref = per_degree_spectrum(ctx, config, K)
+        np.testing.assert_array_equal(got.values, ref.values)
+        np.testing.assert_array_equal(got.mults, ref.mults)
+        assert (got.certified_rank, got.signed) == (ref.certified_rank, ref.signed)
+        if kind == "signed-ties":
+            v = got.values
+            assert np.any((v[1:] == -v[:-1]) & (v[1:] != 0))
 
 
 def test_per_multi_index_value_cap(monkeypatch):
@@ -435,11 +437,7 @@ def tie_heavy_values(draw):
 @given(tie_heavy_values(), tie_heavy_values())
 def test_modulus_order_is_the_stable_order(a, b):
     stable = np.argsort(-np.abs(a), kind="stable")
-    # every key to the unstable sort with its tie repair, then every key to
-    # the stable sort
-    for few_runs in (0, a.size + 1):
-        with mock.patch.object(spectral, "_FEW_RUNS", few_runs):
-            np.testing.assert_array_equal(spectral._modulus_order(a), stable)
+    np.testing.assert_array_equal(spectral._modulus_order(a), stable)
     seq = SNumberSequence.from_values(a, "x", signed=True)
     assert seq.values.tobytes() == a[stable].tobytes()
     sa = SNumberSequence(a[stable], np.arange(1, a.size + 1), "a", signed=True)
@@ -449,6 +447,36 @@ def test_modulus_order_is_the_stable_order(a, b):
     old = np.argsort(-np.abs(v), kind="stable")
     assert m.values.tobytes() == v[old].tobytes()
     np.testing.assert_array_equal(m.mults, np.concatenate([sa.mults, sb.mults])[old])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_values())
+def test_sorted_by_modulus_sorts_unsigned_values_directly(a):
+    # with unit multiplicities the sorted values are the stable modulus order
+    # gathered, bit for bit; values with a sign bit (-0.0 included) go
+    # through _modulus_order, values without one never do
+    for v in (a, np.abs(a)):
+        stable = v[np.argsort(-np.abs(v), kind="stable")]
+        signed = bool(np.signbit(v).any())
+        with mock.patch.object(spectral, "_modulus_order",
+                               wraps=spectral._modulus_order) as order:
+            got = spectral._sorted_by_modulus(v)
+        assert order.called == signed
+        np.testing.assert_array_equal(got.view(np.uint64), stable.view(np.uint64))
+
+
+def test_sorted_by_modulus_sends_signed_zeros_and_negatives_to_modulus_order():
+    for v in (np.array([1.0, -0.0, 0.0, 2.0]), np.array([1.0, -2.0, 2.0, -1.0])):
+        with mock.patch.object(spectral, "_modulus_order",
+                               wraps=spectral._modulus_order) as order:
+            got = spectral._sorted_by_modulus(v)
+        order.assert_called_once()
+        stable = v[np.argsort(-np.abs(v), kind="stable")]
+        assert got.tobytes() == stable.tobytes()
+    # the order of +0.0 and -0.0 is the index order, which a sort of the
+    # values themselves would not keep
+    assert spectral._sorted_by_modulus(np.array([-0.0, 0.0]))[0].tobytes() == \
+        np.array(-0.0).tobytes()
 
 
 def test_modulus_order_on_long_tied_runs():
