@@ -13,6 +13,7 @@ unnormalized measure.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -44,25 +45,16 @@ def mi_factorial(alpha) -> float:
 
 
 def mi_add(alpha, beta):
-    return tuple(a + b for a, b in zip(alpha, beta))
+    return tuple(map(operator.add, alpha, beta))
 
 
 def mi_sub(alpha, beta):
-    return tuple(a - b for a, b in zip(alpha, beta))
+    return tuple(map(operator.sub, alpha, beta))
 
 
 def unit_index(n: int, j: int):
     """e_j as a multi-index, j being 1-based."""
     return tuple(1 if i == j - 1 else 0 for i in range(n))
-
-
-def rising_product(alpha, p) -> float:
-    """(alpha+p)! / alpha! as a float, computed without large factorials."""
-    out = 1.0
-    for a, k in zip(alpha, p):
-        for l in range(1, k + 1):
-            out *= a + l
-    return out
 
 
 def compositions(k: int, n: int):
@@ -83,6 +75,27 @@ def enumerate_basis(n: int, D: int):
     for k in range(D + 1):
         out.extend(compositions(k, n))
     return out
+
+
+def graded_rank(alphas: np.ndarray) -> np.ndarray:
+    """Positions in `enumerate_basis` order of the rows of an (m, n) array of
+    multi-indices.
+
+    With r_i = alpha_i + ... + alpha_n, the multi-indices before alpha are
+    the C(r_1+n-1, n) of lower degree and, for each i < n, the
+    C(r_(i+1)+n-i-1, n-i) of degree r_1 that agree with alpha before i and
+    exceed it at i.
+    """
+    m, n = alphas.shape
+    rest = alphas[:, ::-1].cumsum(axis=1)[:, ::-1]  # rest[:, i] = r_(i+1)
+    rank = np.zeros(m, dtype=np.int64)
+    for i in range(n):
+        # C(r+k-1, k) with k = n - i, built up exactly as C(r+j-1, j), j <= k
+        r, c = rest[:, i], np.ones(m, dtype=np.int64)
+        for j in range(1, n - i + 1):
+            c = c * (r + j - 1) // j
+        rank += c
+    return rank
 
 
 def degree_multiplicity(n: int, k):
@@ -119,7 +132,8 @@ class SpherePolynomial:
 
     The representation is not unique on the sphere (|zeta|^2 = 1); use
     `sphere_equal` for semantic comparison.  Terms with exactly zero
-    coefficient are not stored.
+    coefficient are not stored; a multi-index of the wrong length or with a
+    negative entry raises ValueError.
     """
 
     __slots__ = ("n", "terms")
@@ -129,8 +143,12 @@ class SpherePolynomial:
         self.terms = {}
         if terms:
             for (p, q), c in (terms.items() if isinstance(terms, dict) else terms):
+                p, q = tuple(p), tuple(q)
+                if len(p) != n or len(q) != n or min(p + q, default=0) < 0:
+                    raise ValueError(f"need two multi-indices of {n} "
+                                     f"nonnegative exponents, got {p}, {q}")
                 if c != 0:
-                    key = (tuple(p), tuple(q))
+                    key = (p, q)
                     c0 = self.terms.get(key, 0.0) + complex(c)
                     if c0 == 0:
                         self.terms.pop(key, None)
@@ -256,8 +274,29 @@ def sphere_integral(P: SpherePolynomial) -> complex:
 
 
 def sphere_norm_sq(P: SpherePolynomial) -> float:
-    """L^2 norm squared against the normalized measure, computed exactly."""
-    return sphere_integral(P * P.conj()).real
+    """L^2 norm squared against the normalized measure, computed exactly.
+
+    Bit for bit `sphere_integral(P * P.conj()).real`, but only the diagonal
+    terms of the product are formed: the product of zeta^p1 conj(zeta)^q1
+    and zeta^p2 conj(zeta)^q2 integrates to nonzero only when
+    p2 - q2 = q1 - p1, so the factors of P.conj() are bucketed by that shift.
+    Each diagonal coefficient is summed over its pairs in the order of the
+    product's double loop, and the integral runs over the diagonal terms in
+    the product's key order.
+    """
+    by_shift = {}
+    for (p2, q2), c2 in P.conj().terms.items():
+        by_shift.setdefault(mi_sub(p2, q2), []).append((p2, c2))
+    diag = {}
+    for (p1, q1), c1 in P.terms.items():
+        for p2, c2 in by_shift.get(mi_sub(q1, p1), ()):
+            key = mi_add(p1, p2)
+            diag[key] = diag.get(key, 0.0) + c1 * c2
+    out = 0.0 + 0.0j
+    for p, c in diag.items():
+        if c != 0:
+            out += (0.0 + complex(c)) * _monomial_integral(P.n, p, p)
+    return complex(out).real
 
 
 def sphere_equal(P: SpherePolynomial, Q: SpherePolynomial,

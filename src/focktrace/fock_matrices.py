@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import degree, enumerate_basis, mi_add, mi_sub, rising_product
+from .core import degree, enumerate_basis, graded_rank, mi_add, mi_sub
 from .symbols import RadialSymbol, _tkey
 from .weyl_calculus import heat_inverse
 
@@ -188,27 +188,40 @@ def toeplitz_matrix(ctx: FockContext, S: RadialSymbol, D: int) -> OperatorMatrix
 
         c * m_t[|a|+n-1] * sqrt((a!/alpha!) (a!/beta!)) * gamma^(-(|p|+|q|)/2),
 
-    with a = alpha + p.
+    with a = alpha + p.  Each term is evaluated at once over every basis
+    column alpha whose beta stays in the cone and below degree D, as
+    ((c * m_t) * gamma^(...)) * sqrt(r_alpha * r_beta), where the rising
+    products r_alpha = a!/alpha! and r_beta = a!/beta! are multiplied up
+    factor by factor; the terms are added in their stored order.
     """
     if S.n != ctx.n:
         raise ValueError("symbol dimension does not match context")
     n, gamma = ctx.n, ctx.gamma
-    basis = enumerate_basis(n, D)
-    index = {a: i for i, a in enumerate(basis)}
-    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    basis = np.array(enumerate_basis(n, D), dtype=np.int64).reshape(-1, n)
+    deg = basis.sum(axis=1)
+    M = np.zeros((basis.shape[0], basis.shape[0]), dtype=complex)
     shifts = set()
     for (p, q, t), c in S.terms.items():
-        shifts.add(mi_sub(p, q))
-        row = scaled_moment_row(t, gamma, D + degree(p) + n)
-        gfac = gamma ** (-(degree(p) + degree(q)) / 2.0)
-        for i_a, alpha in enumerate(basis):
-            beta = mi_add(alpha, mi_sub(p, q))
-            if any(b < 0 for b in beta) or degree(beta) > D:
-                continue
-            a = mi_add(alpha, p)
-            val = c * row[degree(a) + n - 1] * gfac * math.sqrt(
-                rising_product(alpha, p) * rising_product(beta, q))
-            M[index[beta], i_a] += val
+        shift = mi_sub(p, q)
+        shifts.add(shift)
+        dp, dq = degree(p), degree(q)
+        row = scaled_moment_row(t, gamma, D + dp + n)
+        gfac = gamma ** (-(dp + dq) / 2.0)
+        beta = basis + np.array(shift, dtype=np.int64)
+        cols = np.flatnonzero((beta >= 0).all(axis=1) & (deg + (dp - dq) <= D))
+        alpha, beta = basis[cols], beta[cols]
+        r_alpha = np.ones(cols.shape[0])
+        r_beta = np.ones(cols.shape[0])
+        for i in range(n):
+            for l in range(1, p[i] + 1):
+                r_alpha *= alpha[:, i] + l
+            for l in range(1, q[i] + 1):
+                r_beta *= beta[:, i] + l
+        val = c * row[deg[cols] + (dp + n - 1)]
+        val *= gfac
+        val *= np.sqrt(r_alpha * r_beta)
+        # beta is injective in alpha, so no entry repeats within a term
+        M[graded_rank(beta), cols] += val
     return OperatorMatrix(
         ctx, D, M, frozenset(shifts), hermitian=S.is_real(),
         provenance={"kind": "toeplitz", "symbol": S.to_json_dict(),

@@ -35,7 +35,9 @@ class RadialSymbol:
     """Finite sum of terms c * z^p * conj(z)^q * (1+|z|^2)^(t/2) on C^n.
 
     terms maps (p, q, t) -> complex coefficient; zero coefficients are
-    dropped.  The order of the symbol is max over terms of |p|+|q|+t.
+    dropped, and a multi-index of the wrong length or with a negative entry
+    raises ValueError.  The order of the symbol is max over terms of
+    |p|+|q|+t.
     """
 
     __slots__ = ("n", "terms")
@@ -46,8 +48,12 @@ class RadialSymbol:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for (p, q, t), c in items:
+                p, q = tuple(p), tuple(q)
+                if len(p) != n or len(q) != n or min(p + q, default=0) < 0:
+                    raise ValueError(f"need two multi-indices of {n} "
+                                     f"nonnegative exponents, got {p}, {q}")
                 if c != 0:
-                    key = (tuple(p), tuple(q), _tkey(t))
+                    key = (p, q, _tkey(t))
                     c0 = self.terms.get(key, 0.0) + complex(c)
                     if c0 == 0:
                         self.terms.pop(key, None)
@@ -247,10 +253,6 @@ class RadialSymbol:
             c = complex(item["c"][0], item["c"][1])
             p = tuple(int(x) for x in item["p"])
             q = tuple(int(x) for x in item["q"])
-            if len(p) != n or len(q) != n:
-                raise ValueError("multi-index length does not match n")
-            if any(x < 0 for x in p + q):
-                raise ValueError("negative exponent in symbol term")
             t = float(item["t"])
             key = (p, q, _tkey(t))
             terms[key] = terms.get(key, 0.0) + c

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import enumerate_basis, mi_factorial, mi_sub
+from .core import enumerate_basis, mi_add, mi_factorial, mi_sub
 from .symbols import HomogeneousSymbol, RadialSymbol
 
 
@@ -33,9 +33,9 @@ def _falling(p, alpha) -> float:
     return out
 
 
-def poly_deriv(a: RadialSymbol, alpha, beta) -> RadialSymbol:
-    """d^alpha/dz^alpha d^beta/dconj(z)^beta of a polynomial symbol."""
-    _require_polynomial(a, "poly_deriv")
+def _deriv_terms(a: RadialSymbol, alpha, beta) -> dict:
+    """The terms {(p, q, 0.0): c} of `poly_deriv(a, alpha, beta)`, each
+    coefficient rounded as the RadialSymbol constructor leaves it."""
     out = {}
     for (p, q, _t), c in a.terms.items():
         f1 = _falling(p, alpha)
@@ -44,9 +44,18 @@ def poly_deriv(a: RadialSymbol, alpha, beta) -> RadialSymbol:
         f2 = _falling(q, beta)
         if f2 == 0.0:
             continue
-        key = (mi_sub(p, alpha), mi_sub(q, beta), 0.0)
-        out[key] = out.get(key, 0.0) + c * f1 * f2
-    return RadialSymbol(a.n, out)
+        # 0.0 + c is the constructor's rounding (it turns a -0.0 part into
+        # +0.0); the keys are distinct, so nothing else is summed here
+        c = 0.0 + c * f1 * f2
+        if c != 0:
+            out[(mi_sub(p, alpha), mi_sub(q, beta), 0.0)] = c
+    return out
+
+
+def poly_deriv(a: RadialSymbol, alpha, beta) -> RadialSymbol:
+    """d^alpha/dz^alpha d^beta/dconj(z)^beta of a polynomial symbol."""
+    _require_polynomial(a, "poly_deriv")
+    return RadialSymbol(a.n, _deriv_terms(a, alpha, beta))
 
 
 def _zdeg(a: RadialSymbol) -> int:
@@ -65,28 +74,52 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
             * d^alpha dbar^beta a * d^beta dbar^alpha b.
 
     The sum is finite on polynomials; 1 is a two-sided unit.
+
+    Each (alpha, beta) product is formed and scaled on plain dicts, rounded
+    at every step as the RadialSymbol arithmetic would round it, and summed
+    into one accumulator that drops a key whose sum is exactly zero; the
+    result is bit for bit, key order included, the sum of RadialSymbols
+    `out + coeff * (poly_deriv(a, alpha, beta) * poly_deriv(b, beta, alpha))`
+    over the pairs in graded order.
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     _require_polynomial(a, "star")
     _require_polynomial(b, "star")
     n = a.n
-    amax = min(_zdeg(a), _zbardeg(b))
-    bmax = min(_zbardeg(a), _zdeg(b))
-    out = RadialSymbol(n)
-    for alpha in enumerate_basis(n, amax):
-        for beta in enumerate_basis(n, bmax):
-            da = poly_deriv(a, alpha, beta)
-            if da.is_zero():
+    alphas = enumerate_basis(n, min(_zdeg(a), _zbardeg(b)))
+    betas = enumerate_basis(n, min(_zbardeg(a), _zdeg(b)))
+    out = {}
+    for alpha in alphas:
+        ka, fa = sum(alpha), mi_factorial(alpha)
+        for beta in betas:
+            da = _deriv_terms(a, alpha, beta)
+            if not da:
                 continue
-            db = poly_deriv(b, beta, alpha)
-            if db.is_zero():
+            db = _deriv_terms(b, beta, alpha)
+            if not db:
                 continue
-            ka, kb = sum(alpha), sum(beta)
+            kb = sum(beta)
             coeff = (-1.0) ** kb / (
-                mi_factorial(alpha) * mi_factorial(beta) * (-2.0 * gamma) ** (ka + kb))
-            out = out + coeff * (da * db)
-    return out
+                fa * mi_factorial(beta) * (-2.0 * gamma) ** (ka + kb))
+            prod = {}
+            for (p1, q1, _), c1 in da.items():
+                for (p2, q2, _), c2 in db.items():
+                    key = (mi_add(p1, p2), mi_add(q1, q2), 0.0)
+                    prod[key] = prod.get(key, 0.0) + c1 * c2
+            for key, c in prod.items():
+                # the rounding of da * db, then of coeff * (da * db)
+                if c == 0:
+                    continue
+                c = (0.0 + c) * coeff
+                if c == 0:
+                    continue
+                c = out.get(key, 0.0) + (0.0 + c)
+                if c == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = c
+    return RadialSymbol(n, out)
 
 
 def heat_transform(a: RadialSymbol, gamma: float) -> RadialSymbol:

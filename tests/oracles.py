@@ -5,8 +5,11 @@
 by quadrature, independently of the recurrences behind
 `focktrace.fock_matrices.scaled_moment_row`, their d = 0 base moments by
 quadrature, independently of the closed form behind
-`focktrace.fock_matrices._base_moment`, and the per-multi-index spectrum
-assembled one degree at a time.
+`focktrace.fock_matrices._base_moment`, the per-multi-index spectrum
+assembled one degree at a time, and the symbol algebra and Toeplitz
+compression as they were computed term by term: `star` on RadialSymbol
+arithmetic, `sphere_norm_sq` from the full product P * P.conj(), and
+`toeplitz_entries` looping over the basis.
 """
 
 import math
@@ -16,8 +19,11 @@ import numpy as np
 from scipy import integrate
 
 from focktrace import spectral
-from focktrace.core import compositions, degree, mi_factorial
+from focktrace.core import (compositions, degree, enumerate_basis, mi_add,
+                            mi_factorial, mi_sub, sphere_integral)
 from focktrace.fock_matrices import scaled_moment_row
+from focktrace.symbols import RadialSymbol
+from focktrace.weyl_calculus import _falling
 
 
 def monomial_norm_sq(ctx, alpha) -> float:
@@ -139,3 +145,76 @@ def per_degree_spectrum(ctx, config, K_degree: int):
         values, np.ones(values.shape[0], dtype=np.int64),
         f"exact-diagonal(K_degree={K_degree})",
         signed=bool(np.any(values < 0)), certified_rank=certified)
+
+
+def _rising_product(alpha, p) -> float:
+    """(alpha+p)! / alpha! as a float, computed without large factorials."""
+    out = 1.0
+    for a, k in zip(alpha, p):
+        for l in range(1, k + 1):
+            out *= a + l
+    return out
+
+
+def toeplitz_entries(ctx, S, D: int) -> np.ndarray:
+    """`fock_matrices.toeplitz_matrix(ctx, S, D).entries` as it was built
+    before array assembly: one Python pass over the basis per term."""
+    n, gamma = ctx.n, ctx.gamma
+    basis = enumerate_basis(n, D)
+    index = {a: i for i, a in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    for (p, q, t), c in S.terms.items():
+        row = scaled_moment_row(t, gamma, D + degree(p) + n)
+        gfac = gamma ** (-(degree(p) + degree(q)) / 2.0)
+        for i_a, alpha in enumerate(basis):
+            beta = mi_add(alpha, mi_sub(p, q))
+            if any(b < 0 for b in beta) or degree(beta) > D:
+                continue
+            a = mi_add(alpha, p)
+            val = c * row[degree(a) + n - 1] * gfac * math.sqrt(
+                _rising_product(alpha, p) * _rising_product(beta, q))
+            M[index[beta], i_a] += val
+    return M
+
+
+def _poly_deriv(a, alpha, beta):
+    out = {}
+    for (p, q, _t), c in a.terms.items():
+        f1 = _falling(p, alpha)
+        if f1 == 0.0:
+            continue
+        f2 = _falling(q, beta)
+        if f2 == 0.0:
+            continue
+        key = (mi_sub(p, alpha), mi_sub(q, beta), 0.0)
+        out[key] = out.get(key, 0.0) + c * f1 * f2
+    return RadialSymbol(a.n, out)
+
+
+def star(a, b, gamma: float):
+    """`weyl_calculus.star` as it was summed on RadialSymbols: one symbol
+    per derivative and per product, and a fresh accumulator per pair."""
+    n = a.n
+    amax = min(max((sum(p) for (p, _q, _t) in a.terms), default=0),
+               max((sum(q) for (_p, q, _t) in b.terms), default=0))
+    bmax = min(max((sum(q) for (_p, q, _t) in a.terms), default=0),
+               max((sum(p) for (p, _q, _t) in b.terms), default=0))
+    out = RadialSymbol(n)
+    for alpha in enumerate_basis(n, amax):
+        for beta in enumerate_basis(n, bmax):
+            da = _poly_deriv(a, alpha, beta)
+            if da.is_zero():
+                continue
+            db = _poly_deriv(b, beta, alpha)
+            if db.is_zero():
+                continue
+            ka, kb = sum(alpha), sum(beta)
+            coeff = (-1.0) ** kb / (
+                mi_factorial(alpha) * mi_factorial(beta) * (-2.0 * gamma) ** (ka + kb))
+            out = out + coeff * (da * db)
+    return out
+
+
+def sphere_norm_sq(P) -> float:
+    """`core.sphere_norm_sq` as the integral of the full product."""
+    return sphere_integral(P * P.conj()).real

@@ -155,10 +155,16 @@ def test_benchmark_tracer_hooks_resolve():
             "from tracer import Tracer; from focktrace import cli; "
             "tracer = Tracer(); tracer.install(); "
             "cli.run_experiment('model-operator', json.loads(sys.argv[2])); "
+            "cli.run_experiment('calculus-check'); "
             "print(json.dumps(tracer.summary()['calls']))")
     out = subprocess.run([sys.executable, "-c", code, perfbench,
                           json.dumps(FAST_MODEL_CFG)], env=env, check=True,
                          capture_output=True, text=True).stdout
     calls = json.loads(out)
-    assert calls["cli.run_experiment"] == 1
+    assert calls["cli.run_experiment"] == 2
     assert calls["spectral.diagonal_spectrum"] == 1
+    # the symbolic-dense workload's layers: a hook that no longer reaches
+    # its function would leave these at zero
+    for layer in ("weyl_calculus.star", "fock_matrices.dense",
+                  "core.sphere_norm_sq"):
+        assert calls.get(layer, 0) >= 1, layer

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focktrace.core import (SpherePolynomial, degree_multiplicity,
-                            enumerate_basis, sphere_equal, sphere_integral,
-                            sphere_norm_sq, sphere_surface_area)
+                            enumerate_basis, graded_rank, sphere_equal,
+                            sphere_integral, sphere_norm_sq,
+                            sphere_surface_area)
+from oracles import sphere_norm_sq as sphere_norm_sq_oracle
 
 
 def test_enumerate_basis_one_variable():
@@ -189,3 +191,45 @@ def test_algebra_basics():
     val = (a + b).evaluate(zeta)
     assert val == pytest.approx(2 * zeta[0] + 1j * np.conj(zeta[0]))
     assert sphere_norm_sq(SpherePolynomial.constant(n, 3.0)) == pytest.approx(9.0)
+
+
+# exact small values and their negatives make coefficient sums cancel to 0
+_COEFFS = [1.0, -1.0, 0.5, -2.0, 1j, -1j, 1 + 1j, -0.5 + 2j]
+
+
+@st.composite
+def sphere_polys_any(draw):
+    n = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.one_of(st.sampled_from(_COEFFS),
+                  st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                     allow_infinity=False))), max_size=10))
+    return SpherePolynomial(n, [((p, q), c) for p, q, c in terms])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sphere_polys_any())
+def test_sphere_norm_sq_equals_full_product_bitwise(P):
+    got, ref = sphere_norm_sq(P), sphere_norm_sq_oracle(P)
+    assert np.float64(got).view(np.uint64) == np.float64(ref).view(np.uint64)
+
+
+def test_graded_rank_inverts_enumerate_basis():
+    for n in (1, 2, 3, 5):
+        for D in (0, 1, 4, 7):
+            basis = np.array(enumerate_basis(n, D)).reshape(-1, n)
+            np.testing.assert_array_equal(graded_rank(basis),
+                                          np.arange(basis.shape[0]))
+    assert graded_rank(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+def test_sphere_polynomial_refuses_malformed_multi_indices():
+    with pytest.raises(ValueError, match="multi-indices"):
+        SpherePolynomial(2, {((1,), (0, 0)): 1.0})
+    with pytest.raises(ValueError, match="multi-indices"):
+        SpherePolynomial(1, {((-1,), (0,)): 1.0})
+    # refused whatever the coefficient, so a zero term cannot hide one
+    with pytest.raises(ValueError, match="multi-indices"):
+        SpherePolynomial(2, {((0, 0), (1,)): 0.0})

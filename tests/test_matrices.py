@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from focktrace import fock_matrices
@@ -17,7 +19,7 @@ from focktrace.fock_matrices import (FockContext, berezin,
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import heat_transform, star
 from oracles import (base_moment_quad, monomial_norm_sq, radial_moment,
-                     radial_moment_hp)
+                     radial_moment_hp, toeplitz_entries)
 
 
 def gauss_hermite_norm_sq(n, gamma, alpha, nodes=120):
@@ -356,3 +358,29 @@ def test_truncation_norms_bounded_for_order_zero_symbol():
     assert norms[0] <= norms[1] <= norms[2] + 1e-13
     # sup |a| = sup r^2/(1+r^2) < 1 over the z1-axis
     assert norms[2] <= 1.0
+
+
+@st.composite
+def toeplitz_inputs(draw):
+    # exponents up to 3 against small D, so shifts leave the cone and pass
+    # degree D; t covers polynomial, fractional and negative radial weights
+    n = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.sampled_from([0.0, 2.0, -2.0, -2.5, 1.5, -0.7]),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                           allow_infinity=False)), min_size=1, max_size=5))
+    S = RadialSymbol(n, [((p, q, t), c) for p, q, t, c in terms])
+    ctx = FockContext(n, draw(st.sampled_from([1.0, 0.7])))
+    return ctx, S, draw(st.integers(0, {1: 12, 2: 6, 3: 4}[n]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(toeplitz_inputs())
+def test_toeplitz_matrix_equals_basis_loop_bitwise(inputs):
+    ctx, S, D = inputs
+    M = toeplitz_matrix(ctx, S, D)
+    np.testing.assert_array_equal(M.entries.view(np.uint64),
+                                  toeplitz_entries(ctx, S, D).view(np.uint64))
+    assert M.shifts == frozenset((tuple(np.subtract(p, q)) for (p, q, _t) in S.terms))

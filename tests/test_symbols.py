@@ -177,6 +177,17 @@ def test_json_round_trip():
         assert set(item) == {"c", "p", "q", "t"}
 
 
+def test_radial_symbol_refuses_malformed_multi_indices():
+    with pytest.raises(ValueError, match="multi-indices"):
+        RadialSymbol(2, {((1,), (0,), 0.0): 1.0})
+    with pytest.raises(ValueError, match="multi-indices"):
+        RadialSymbol(1, {((-1,), (0,), 0.0): 1.0})
+    with pytest.raises(ValueError, match="multi-indices"):
+        RadialSymbol(2, [(((0, 0), (2, -1), -1.0), 1j)])
+    with pytest.raises(ValueError, match="multi-indices"):
+        RadialSymbol(1, {((0,), (0, 0), 0.0): 0.0})
+
+
 def test_json_rejects_bad_input():
     with pytest.raises(ValueError):
         RadialSymbol.from_json_dict(

@@ -3,7 +3,10 @@ transform round trips, layer expansions against Gauss-Hermite quadrature."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from focktrace.core import enumerate_basis, mi_factorial, sphere_equal
 from focktrace.extrapolation import loglog_slope
 from focktrace.sphere_calculus import boundary_pairing
@@ -241,3 +244,49 @@ def test_hankel_leading_symbol_rejects_positive_order():
     with pytest.raises(ValueError):
         hankel_leading_symbol(RadialSymbol.coordinate(1, 1),
                               RadialSymbol.constant(1), 1.0)
+
+
+# exact small values and their negatives make coefficient sums cancel to 0
+_COEFFS = [1.0, -1.0, 0.5, -2.0, 1j, -1j, 1 + 1j, -0.5 + 2j]
+
+
+@st.composite
+def polynomial_symbols(draw, n):
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.one_of(st.sampled_from(_COEFFS),
+                  st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                     allow_infinity=False))), max_size=5))
+    return RadialSymbol(n, [((p, q, 0.0), c) for p, q, c in terms])
+
+
+@st.composite
+def star_inputs(draw):
+    n = draw(st.integers(1, 3))
+    return (draw(polynomial_symbols(n)), draw(polynomial_symbols(n)),
+            draw(st.sampled_from([1.0, 0.7, 0.5])))
+
+
+def _bits(S):
+    return np.array(list(S.terms.values()), dtype=complex).view(np.uint64)
+
+
+# a key whose sum cancels to exactly 0 and is then summed again: dropping it
+# moves it to the end of the key order
+_CANCELLING = (
+    RadialSymbol(2, {((0, 0), (0, 0), 0.0): 3.0, ((2, 0), (1, 0), 0.0): 1.0,
+                     ((2, 2), (0, 1), 0.0): 1.0}),
+    RadialSymbol(2, {((0, 0), (0, 0), 0.0): 3.0, ((2, 1), (2, 0), 0.0): 1.0,
+                     ((2, 2), (1, 0), 0.0): 1.0}),
+    1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(star_inputs())
+@example(_CANCELLING)
+def test_star_equals_symbol_arithmetic_bitwise(inputs):
+    a, b, gamma = inputs
+    got, ref = star(a, b, gamma), oracles.star(a, b, gamma)
+    assert list(got.terms) == list(ref.terms)
+    np.testing.assert_array_equal(_bits(got), _bits(ref))
