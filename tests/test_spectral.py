@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focktrace import spectral
@@ -451,7 +451,6 @@ def test_from_values_and_merge_keep_the_stable_order(a, b):
 
 @settings(max_examples=100, deadline=None)
 @given(tie_heavy_values())
-@example(_LONG_TIED_RUNS)
 def test_sorted_by_modulus_sorts_unsigned_values_directly(a):
     # with unit multiplicities the sorted values are the stable modulus order
     # gathered, bit for bit; values with a sign bit (-0.0 included) go
@@ -478,3 +477,20 @@ def test_sorted_by_modulus_sends_signed_zeros_and_negatives_to_modulus_order():
     # values themselves would not keep
     assert spectral._sorted_by_modulus(np.array([-0.0, 0.0]))[0].tobytes() == \
         np.array(-0.0).tobytes()
+
+
+def test_modulus_order_on_long_tied_runs():
+    # checked against the definition, not against another argsort: a
+    # permutation, moduli non-increasing, equal moduli in index order
+    v = _LONG_TIED_RUNS
+    order = spectral._modulus_order(v)
+    np.testing.assert_array_equal(np.sort(order), np.arange(v.size))
+    mod = np.abs(v)[order]
+    assert (mod[:-1] >= mod[1:]).all()
+    tied = mod[:-1] == mod[1:]
+    assert (order[:-1][tied] < order[1:][tied]).all()
+    # both paths of _sorted_by_modulus gather that order, bit for bit
+    for w in (v, np.abs(v)):
+        np.testing.assert_array_equal(
+            spectral._sorted_by_modulus(w).view(np.uint64),
+            w[spectral._modulus_order(w)].view(np.uint64))
