@@ -1,5 +1,10 @@
-"""Multi-index arithmetic, graded monomial bases, and exact integration of
-polynomials on the unit sphere of C^n.
+"""Multi-index arithmetic, graded monomial bases, the term-sum algebra, and
+exact integration of polynomials on the unit sphere of C^n.
+
+`TermSum` is the one sparse algebra of sums c * z^p * conj(z)^q (times a
+radial factor): its constructor, rounding, +, -, *, **, conj, evaluation
+and repr serve `SpherePolynomial` here and `RadialSymbol` and
+`HomogeneousSymbol` in `focktrace.symbols`.
 
 Multi-indices are plain tuples of nonnegative ints.  The global basis order
 is graded: total degree first, then descending lexicographic within a degree.
@@ -18,6 +23,7 @@ import operator
 import numpy as np
 
 _INT64_MAX = np.iinfo(np.int64).max
+_TKEY_DECIMALS = 9
 
 
 def factorial(k: int) -> float:
@@ -126,34 +132,175 @@ def sphere_surface_area(n: int) -> float:
     return 2.0 * math.pi**n / factorial(n - 1)
 
 
-class SpherePolynomial:
-    """Finite sum of monomials zeta^p conj(zeta)^q restricted to the unit
-    sphere of C^n.
+def _tkey(t: float) -> float:
+    # radial exponents act as dict keys; round to kill 1e-16 drift from t-2 chains
+    return round(float(t), _TKEY_DECIMALS)
 
-    The representation is not unique on the sphere (|zeta|^2 = 1); use
-    `sphere_equal` for semantic comparison.  Terms with exactly zero
-    coefficient are not stored; a multi-index of the wrong length or with a
-    negative entry raises ValueError.
+
+class TermSum:
+    """Finite sum of terms c * z^p * conj(z)^q, times a radial factor w^t in
+    the kinds that have one, on C^n: the algebra shared by `SpherePolynomial`
+    and the symbols of `focktrace.symbols`.
+
+    `terms` maps (p, q), or (p, q, t) with t rounded by `_tkey`, to a nonzero
+    complex coefficient.  The constructor refuses a multi-index of the wrong
+    length or with a negative entry (ValueError), sums repeated keys and
+    drops a key whose sum is exactly zero; it stores 0.0 + complex(c), which
+    turns a -0.0 part into +0.0.  Arithmetic builds each result once, in that
+    stored form and with that rounding, without checking its keys again.
+    Operands must be of one kind and dimension; a number stands for a
+    constant.  A subclass with a radial factor names it in `_radial` (None:
+    keys are (p, q)) and evaluates w^t at |z|^2 = r2 in `_factor(r2, t)`.
     """
 
     __slots__ = ("n", "terms")
+    degree = None  # homogeneity degree; only homogeneous layers have one
+    _radial = None
 
     def __init__(self, n: int, terms=None):
         self.n = n
         self.terms = {}
         if terms:
-            for (p, q), c in (terms.items() if isinstance(terms, dict) else terms):
-                p, q = tuple(p), tuple(q)
-                if len(p) != n or len(q) != n or min(p + q, default=0) < 0:
-                    raise ValueError(f"need two multi-indices of {n} "
-                                     f"nonnegative exponents, got {p}, {q}")
-                if c != 0:
-                    key = (p, q)
-                    c0 = self.terms.get(key, 0.0) + complex(c)
-                    if c0 == 0:
-                        self.terms.pop(key, None)
-                    else:
-                        self.terms[key] = c0
+            for (p, q, *t), c in (terms.items() if isinstance(terms, dict) else terms):
+                self._add(p, q, t, c)
+
+    def _add(self, p, q, t, c):
+        p, q = tuple(p), tuple(q)
+        if len(p) != self.n or len(q) != self.n or min(p + q, default=0) < 0:
+            raise ValueError(f"need two multi-indices of {self.n} "
+                             f"nonnegative exponents, got {p}, {q}")
+        if c != 0:
+            key = self._key(p, q, t)
+            c0 = self.terms.get(key, 0.0) + complex(c)
+            if c0 == 0:
+                self.terms.pop(key, None)
+            else:
+                self.terms[key] = c0
+
+    def _key(self, p, q, t):
+        if len(t) != (self._radial is not None):
+            raise ValueError(f"{type(self).__name__} keys have "
+                             f"{3 if self._radial else 2} entries, got {(p, q, *t)}")
+        return (p, q, _tkey(t[0])) if t else (p, q)
+
+    def _new(self, terms, degree=None):
+        """A sum of this kind on terms in stored form, unchecked; a layer
+        keeps its degree unless given another."""
+        out = object.__new__(type(self))
+        out.n, out.terms = self.n, terms
+        if self.degree is not None:
+            out.degree = self.degree if degree is None else degree
+        return out
+
+    def _from_sums(self, sums, degree=None):
+        """`_new` on sums as the constructor stores them: exact zeros
+        dropped, 0.0 + complex(c) kept."""
+        return self._new({k: 0.0 + complex(c) for k, c in sums.items() if c != 0},
+                         degree)
+
+    def _constant(self, c):
+        z = (0,) * self.n
+        return self._from_sums({(z, z, 0.0) if self._radial else (z, z): c}, 0.0)
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+
+    def __add__(self, other):
+        if not isinstance(other, TermSum):
+            other = self._constant(other)
+        self._check(other)
+        if (self.degree is not None and self.terms and other.terms
+                and abs(self.degree - other.degree) > 1e-8):
+            raise ValueError("incompatible layers")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            c0 = out.get(k, 0.0) + c
+            if c0 == 0:
+                out.pop(k, None)
+            else:
+                out[k] = c0
+        return self._new(out, None if self.terms else other.degree)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._from_sums({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, TermSum):
+            return self._from_sums({k: c * other for k, c in self.terms.items()})
+        self._check(other)
+        radial = self._radial is not None
+        sums = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = (mi_add(k1[0], k2[0]), mi_add(k1[1], k2[1]))
+                if radial:
+                    key += (_tkey(k1[2] + k2[2]),)
+                sums[key] = sums.get(key, 0.0) + c1 * c2
+        return self._from_sums(
+            sums, None if self.degree is None else self.degree + other.degree)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("need a nonnegative integer exponent")
+        out = self._constant(1.0)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conj(self):
+        return self._from_sums(
+            {(k[1], k[0]) + k[2:]: c.conjugate() for k, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def evaluate(self, z) -> complex:
+        z = np.asarray(z, dtype=complex)
+        r2 = float(np.sum(np.abs(z) ** 2))
+        out = 0.0 + 0.0j
+        for (p, q, *t), c in self.terms.items():
+            val = c * self._factor(r2, *t) if t else c
+            for i in range(self.n):
+                if p[i]:
+                    val *= z[i] ** p[i]
+                if q[i]:
+                    val *= np.conj(z[i]) ** q[i]
+            out += val
+        return complex(out)
+
+    def __repr__(self):
+        head = f"{type(self).__name__}(n={self.n}"
+        if self.degree is not None:
+            head += f", deg={self.degree:g}"
+        bits = [f"{c:+.6g}*z^{list(p)}*zb^{list(q)}"
+                + "".join(f"*{self._radial}^{s:g}" for s in t)
+                for (p, q, *t), c in sorted(self.terms.items())]
+        return f"{head}, {' '.join(bits) or 0})"
+
+
+class SpherePolynomial(TermSum):
+    """Finite sum of monomials zeta^p conj(zeta)^q restricted to the unit
+    sphere of C^n, keyed (p, q).
+
+    The representation is not unique on the sphere (|zeta|^2 = 1); use
+    `sphere_equal` for semantic comparison.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, n, p, q, c=1.0):
@@ -164,77 +311,6 @@ class SpherePolynomial:
         z = (0,) * n
         return cls(n, {(z, z): c})
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, SpherePolynomial):
-            other = SpherePolynomial.constant(self.n, other)
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            c0 = out.get(k, 0.0) + c
-            if c0 == 0:
-                out.pop(k, None)
-            else:
-                out[k] = c0
-        return SpherePolynomial(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SpherePolynomial(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SpherePolynomial):
-            other = SpherePolynomial.constant(self.n, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, SpherePolynomial):
-            return SpherePolynomial(
-                self.n, {k: c * other for k, c in self.terms.items()})
-        self._check(other)
-        out = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                key = (mi_add(p1, p2), mi_add(q1, q2))
-                c0 = out.get(key, 0.0) + c1 * c2
-                out[key] = c0
-        return SpherePolynomial(self.n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = SpherePolynomial.constant(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def conj(self):
-        return SpherePolynomial(
-            self.n, {(q, p): c.conjugate() for (p, q), c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def evaluate(self, zeta) -> complex:
-        zeta = np.asarray(zeta, dtype=complex)
-        out = 0.0 + 0.0j
-        for (p, q), c in self.terms.items():
-            val = c
-            for i in range(self.n):
-                if p[i]:
-                    val *= zeta[i] ** p[i]
-                if q[i]:
-                    val *= np.conj(zeta[i]) ** q[i]
-            out += val
-        return complex(out)
-
     def permute(self, perm):
         """Apply a coordinate permutation: zeta_i -> zeta_perm[i]."""
         out = {}
@@ -243,14 +319,6 @@ class SpherePolynomial:
             q2 = tuple(q[perm[i]] for i in range(self.n))
             out[(p2, q2)] = out.get((p2, q2), 0.0) + c
         return SpherePolynomial(self.n, out)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"SpherePolynomial(n={self.n}, 0)"
-        bits = []
-        for (p, q), c in sorted(self.terms.items()):
-            bits.append(f"{c:+.6g}*z^{list(p)}*zb^{list(q)}")
-        return f"SpherePolynomial(n={self.n}, {' '.join(bits)})"
 
 
 def _monomial_integral(n: int, p, q) -> float:

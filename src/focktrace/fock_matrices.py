@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import degree, enumerate_basis, graded_rank, mi_add, mi_sub
-from .symbols import RadialSymbol, _tkey
+from .core import _tkey, degree, enumerate_basis, graded_rank, mi_add, mi_sub
+from .symbols import RadialSymbol
 from .weyl_calculus import heat_inverse
 
 

@@ -3,7 +3,9 @@
 The operators act on `SpherePolynomial` data through closed-form monomial
 rules, derived by extending zeta^p conj(zeta)^q to the degree-0 homogeneous
 function z^p conj(z)^q |z|^(-|p|-|q|) and restricting the ambient derivative
-back to the sphere.  Finite differences are used only in tests.
+back to the sphere.  `tangential_dbar` is `tangential_d` conjugated on both
+sides, and each rule builds its result in the stored form of `core.TermSum`
+directly.  Finite differences are used only in tests.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ def reeb(P: SpherePolynomial) -> SpherePolynomial:
     """Reeb field (anti-holomorphic minus holomorphic radial parts, halved):
     multiplier (|q|-|p|)/2 on each monomial.  On degree-0 extensions it is the
     anti-holomorphic radial derivative, and minus the holomorphic one."""
-    return SpherePolynomial(
-        P.n, {(p, q): c * (degree(q) - degree(p)) / 2.0
-              for (p, q), c in P.terms.items()})
+    return P._from_sums({(p, q): c * (degree(q) - degree(p)) / 2.0
+                         for (p, q), c in P.terms.items()})
 
 
 def tangential_d(j: int, P: SpherePolynomial) -> SpherePolynomial:
@@ -35,39 +36,23 @@ def tangential_d(j: int, P: SpherePolynomial) -> SpherePolynomial:
     if not 1 <= j <= P.n:
         raise ValueError("coordinate index out of range")
     e = unit_index(P.n, j)
-    out = {}
-
-    def acc(key, c):
-        if c != 0:
-            out[key] = out.get(key, 0.0) + c
-
+    sums = {}
     for (p, q), c in P.terms.items():
         if p[j - 1] > 0:
-            acc((mi_sub(p, e), q), c * p[j - 1])
+            key = (mi_sub(p, e), q)
+            sums[key] = sums.get(key, 0.0) + c * p[j - 1]
         dp = degree(p)
         if dp:
-            acc((p, mi_add(q, e)), -c * dp)
-    return SpherePolynomial(P.n, out)
+            key = (p, mi_add(q, e))
+            sums[key] = sums.get(key, 0.0) + -c * dp
+    return P._from_sums(sums)
 
 
 def tangential_dbar(j: int, P: SpherePolynomial) -> SpherePolynomial:
-    """Tangential part of d/dconj(z_j); mirror rule of `tangential_d`."""
-    if not 1 <= j <= P.n:
-        raise ValueError("coordinate index out of range")
-    e = unit_index(P.n, j)
-    out = {}
-
-    def acc(key, c):
-        if c != 0:
-            out[key] = out.get(key, 0.0) + c
-
-    for (p, q), c in P.terms.items():
-        if q[j - 1] > 0:
-            acc((p, mi_sub(q, e)), c * q[j - 1])
-        dq = degree(q)
-        if dq:
-            acc((mi_add(p, e), q), -c * dq)
-    return SpherePolynomial(P.n, out)
+    """Tangential part of d/dconj(z_j), the mirror of `tangential_d`:
+    zeta^p conj(zeta)^q -> q_j zeta^p conj(zeta)^(q-e_j)
+                           - |q| zeta^(p+e_j) conj(zeta)^q."""
+    return tangential_d(j, P.conj()).conj()
 
 
 def tangential_bracket(phi: SpherePolynomial, psi: SpherePolynomial) -> SpherePolynomial:

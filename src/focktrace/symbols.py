@@ -4,23 +4,18 @@ This class of functions is smooth on all of C^n, exactly integrable against
 Gaussians, closed under Wirtinger derivatives, products and conjugation, and
 carries an asymptotic expansion into layers homogeneous of decreasing degree
 at infinity.  `HomogeneousSymbol` represents one such layer,
-c * z^p * conj(z)^q * |z|^s, valid away from the origin.
+c * z^p * conj(z)^q * |z|^s, valid away from the origin.  Both are
+`core.TermSum`s keyed (p, q, t), whose arithmetic they share; they add the
+radial factor, one Wirtinger rule for both factors, the layer expansion, the
+restriction to the sphere and the JSON format.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import SpherePolynomial, degree, mi_add, mi_sub, unit_index
-
-_TKEY_DECIMALS = 9
-
-
-def _tkey(t: float) -> float:
-    # radial exponents act as dict keys; round to kill 1e-16 drift from t-2 chains
-    return round(float(t), _TKEY_DECIMALS)
+from .core import (SpherePolynomial, TermSum, _tkey, degree, mi_add, mi_sub,
+                   unit_index)
 
 
 def general_binomial(x: float, i: int) -> float:
@@ -31,34 +26,13 @@ def general_binomial(x: float, i: int) -> float:
     return out
 
 
-class RadialSymbol:
-    """Finite sum of terms c * z^p * conj(z)^q * (1+|z|^2)^(t/2) on C^n.
+class RadialSymbol(TermSum):
+    """Finite sum of terms c * z^p * conj(z)^q * (1+|z|^2)^(t/2) on C^n,
+    keyed (p, q, t).  The order of the symbol is max over terms of
+    |p|+|q|+t."""
 
-    terms maps (p, q, t) -> complex coefficient; zero coefficients are
-    dropped, and a multi-index of the wrong length or with a negative entry
-    raises ValueError.  The order of the symbol is max over terms of
-    |p|+|q|+t.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (p, q, t), c in items:
-                p, q = tuple(p), tuple(q)
-                if len(p) != n or len(q) != n or min(p + q, default=0) < 0:
-                    raise ValueError(f"need two multi-indices of {n} "
-                                     f"nonnegative exponents, got {p}, {q}")
-                if c != 0:
-                    key = (p, q, _tkey(t))
-                    c0 = self.terms.get(key, 0.0) + complex(c)
-                    if c0 == 0:
-                        self.terms.pop(key, None)
-                    else:
-                        self.terms[key] = c0
+    __slots__ = ()
+    _radial = "w"
 
     @classmethod
     def monomial(cls, n, p, q, t=0.0, c=1.0):
@@ -82,62 +56,6 @@ class RadialSymbol:
         z = (0,) * n
         return cls.monomial(n, z, z, t)
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, RadialSymbol):
-            other = RadialSymbol.constant(self.n, other)
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            c0 = out.get(k, 0.0) + c
-            if c0 == 0:
-                out.pop(k, None)
-            else:
-                out[k] = c0
-        return RadialSymbol(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RadialSymbol(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, RadialSymbol):
-            other = RadialSymbol.constant(self.n, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, RadialSymbol):
-            return RadialSymbol(self.n, {k: c * other for k, c in self.terms.items()})
-        self._check(other)
-        out = {}
-        for (p1, q1, t1), c1 in self.terms.items():
-            for (p2, q2, t2), c2 in other.terms.items():
-                key = (mi_add(p1, p2), mi_add(q1, q2), _tkey(t1 + t2))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return RadialSymbol(self.n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = RadialSymbol.constant(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def conj(self):
-        return RadialSymbol(
-            self.n, {(q, p, t): c.conjugate() for (p, q, t), c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_real(self) -> bool:
         """True iff the symbol equals its own conjugate, term by term."""
         for (p, q, t), c in self.terms.items():
@@ -155,51 +73,41 @@ class RadialSymbol:
         return max(degree(p) + degree(q) + t for (p, q, t) in self.terms)
 
     def wirtinger(self, j: int, kind: str):
-        """Wirtinger derivative d/dz_j ('holo') or d/dconj(z_j) ('anti')."""
+        """Wirtinger derivative d/dz_j ('holo') or d/dconj(z_j) ('anti').
+
+        The radial factor w = (1+|z|^2)^(1/2), or w = |z| in a homogeneous
+        layer, follows the one rule d w^t / dz_j = (t/2) conj(z_j) w^(t-2)
+        (and its mirror), so a layer's degree drops by exactly one.
+        """
         if not 1 <= j <= self.n:
             raise ValueError("coordinate index out of range")
+        if kind not in ("holo", "anti"):
+            raise ValueError("kind must be 'holo' or 'anti'")
+        holo = kind == "holo"
         e = unit_index(self.n, j)
-        out = {}
-
-        def acc(key, c):
-            if c != 0:
-                out[key] = out.get(key, 0.0) + c
-
+        sums = {}
         for (p, q, t), c in self.terms.items():
-            if kind == "holo":
-                if p[j - 1] > 0:
-                    acc((mi_sub(p, e), q, t), c * p[j - 1])
-                if t != 0:
-                    acc((p, mi_add(q, e), _tkey(t - 2)), c * t / 2.0)
-            elif kind == "anti":
-                if q[j - 1] > 0:
-                    acc((p, mi_sub(q, e), t), c * q[j - 1])
-                if t != 0:
-                    acc((mi_add(p, e), q, _tkey(t - 2)), c * t / 2.0)
-            else:
-                raise ValueError("kind must be 'holo' or 'anti'")
-        return RadialSymbol(self.n, out)
+            m = p[j - 1] if holo else q[j - 1]
+            if m > 0:
+                key = (mi_sub(p, e), q, t) if holo else (p, mi_sub(q, e), t)
+                sums[key] = sums.get(key, 0.0) + c * m
+            if t != 0:
+                dc = c * t / 2.0
+                if dc != 0:
+                    t2 = _tkey(t - 2)
+                    key = (p, mi_add(q, e), t2) if holo else (mi_add(p, e), q, t2)
+                    sums[key] = sums.get(key, 0.0) + dc
+        return self._from_sums(sums, None if self.degree is None else self.degree - 1)
 
     def laplacian(self):
         """4 * sum_j d/dz_j d/dconj(z_j)."""
-        out = RadialSymbol(self.n)
+        out = self._new({})
         for j in range(1, self.n + 1):
             out = out + self.wirtinger(j, "holo").wirtinger(j, "anti")
         return 4.0 * out
 
-    def evaluate(self, z) -> complex:
-        z = np.asarray(z, dtype=complex)
-        r2 = float(np.sum(np.abs(z) ** 2))
-        out = 0.0 + 0.0j
-        for (p, q, t), c in self.terms.items():
-            val = c * (1.0 + r2) ** (t / 2.0)
-            for i in range(self.n):
-                if p[i]:
-                    val *= z[i] ** p[i]
-                if q[i]:
-                    val *= np.conj(z[i]) ** q[i]
-            out += val
-        return complex(out)
+    def _factor(self, r2: float, t: float) -> float:
+        return (1.0 + r2) ** (t / 2.0)
 
     def homogeneous_expansion(self, N: int):
         """First N homogeneous layers at infinity, degrees m, m-1, ..., m-N+1.
@@ -258,104 +166,34 @@ class RadialSymbol:
             terms[key] = terms.get(key, 0.0) + c
         return cls(n, terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return f"RadialSymbol(n={self.n}, 0)"
-        bits = []
-        for (p, q, t), c in sorted(self.terms.items()):
-            bits.append(f"{c:+.6g}*z^{list(p)}*zb^{list(q)}*w^{t:g}")
-        return f"RadialSymbol(n={self.n}, {' '.join(bits)})"
 
-
-class HomogeneousSymbol:
+class HomogeneousSymbol(TermSum):
     """Finite sum of terms c * z^p * conj(z)^q * |z|^s, all of one common
-    homogeneity degree |p|+|q|+s, defined for |z| > 0."""
+    homogeneity degree |p|+|q|+s, defined for |z| > 0; keyed (p, q, s)."""
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("degree",)
+    _radial = "r"
 
     def __init__(self, n: int, deg: float, terms=None):
-        self.n = n
         self.degree = float(deg)
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (p, q, s), c in items:
-                self.add_term(p, q, s, c)
+        super().__init__(n, terms)
 
     def add_term(self, p, q, s, c):
-        if c == 0:
-            return
-        p, q, s = tuple(p), tuple(q), _tkey(s)
-        if abs(degree(p) + degree(q) + s - self.degree) > 1e-8:
+        self._add(p, q, [s], c)
+
+    def _key(self, p, q, t):
+        key = super()._key(p, q, t)
+        if abs(degree(p) + degree(q) + key[2] - self.degree) > 1e-8:
             raise ValueError("term degree does not match layer degree")
-        key = (p, q, s)
-        c0 = self.terms.get(key, 0.0) + complex(c)
-        if c0 == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = c0
+        return key
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    wirtinger = RadialSymbol.wirtinger
+    laplacian = RadialSymbol.laplacian
 
-    def __add__(self, other):
-        if self.n != other.n or (self.terms and other.terms
-                                 and abs(self.degree - other.degree) > 1e-8):
-            raise ValueError("incompatible layers")
-        deg = self.degree if self.terms else other.degree
-        out = HomogeneousSymbol(self.n, deg, dict(self.terms))
-        for (p, q, s), c in other.terms.items():
-            out.add_term(p, q, s, c)
-        return out
-
-    def __mul__(self, scalar):
-        return HomogeneousSymbol(
-            self.n, self.degree,
-            {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def wirtinger(self, j: int, kind: str):
-        """Derivative rule with d|z|^s = (s/2) conj(z)_j |z|^(s-2); degree
-        drops by exactly one."""
-        e = unit_index(self.n, j)
-        out = HomogeneousSymbol(self.n, self.degree - 1)
-        for (p, q, s), c in self.terms.items():
-            if kind == "holo":
-                if p[j - 1] > 0:
-                    out.add_term(mi_sub(p, e), q, s, c * p[j - 1])
-                if s != 0:
-                    out.add_term(p, mi_add(q, e), s - 2, c * s / 2.0)
-            elif kind == "anti":
-                if q[j - 1] > 0:
-                    out.add_term(p, mi_sub(q, e), s, c * q[j - 1])
-                if s != 0:
-                    out.add_term(mi_add(p, e), q, s - 2, c * s / 2.0)
-            else:
-                raise ValueError("kind must be 'holo' or 'anti'")
-        return out
-
-    def laplacian(self):
-        out = HomogeneousSymbol(self.n, self.degree - 2)
-        for j in range(1, self.n + 1):
-            out = out + self.wirtinger(j, "holo").wirtinger(j, "anti")
-        return 4.0 * out
-
-    def evaluate(self, z) -> complex:
-        z = np.asarray(z, dtype=complex)
-        r = float(np.sqrt(np.sum(np.abs(z) ** 2)))
-        if r == 0:
+    def _factor(self, r2: float, s: float) -> float:
+        if r2 == 0:
             raise ValueError("homogeneous symbols are singular at the origin")
-        out = 0.0 + 0.0j
-        for (p, q, s), c in self.terms.items():
-            val = c * r**s
-            for i in range(self.n):
-                if p[i]:
-                    val *= z[i] ** p[i]
-                if q[i]:
-                    val *= np.conj(z[i]) ** q[i]
-            out += val
-        return complex(out)
+        return math.sqrt(r2) ** s
 
     def restrict_sphere(self) -> SpherePolynomial:
         """Set |z| = 1, forgetting the radial factor."""
@@ -363,11 +201,3 @@ class HomogeneousSymbol:
         for (p, q, _s), c in self.terms.items():
             out[(p, q)] = out.get((p, q), 0.0) + c
         return SpherePolynomial(self.n, out)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"HomogeneousSymbol(n={self.n}, deg={self.degree:g}, 0)"
-        bits = []
-        for (p, q, s), c in sorted(self.terms.items()):
-            bits.append(f"{c:+.6g}*z^{list(p)}*zb^{list(q)}*r^{s:g}")
-        return f"HomogeneousSymbol(n={self.n}, deg={self.degree:g}, {' '.join(bits)})"

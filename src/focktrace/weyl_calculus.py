@@ -77,7 +77,8 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
 
     Each (alpha, beta) product is formed and scaled on plain dicts, rounded
     at every step as the RadialSymbol arithmetic would round it, and summed
-    into one accumulator that drops a key whose sum is exactly zero; the
+    into one accumulator that drops a key whose sum is exactly zero and so
+    is already the result's stored form, taken without a second check; the
     result is bit for bit, key order included, the sum of RadialSymbols
     `out + coeff * (poly_deriv(a, alpha, beta) * poly_deriv(b, beta, alpha))`
     over the pairs in graded order.
@@ -119,7 +120,7 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
                     out.pop(key, None)
                 else:
                     out[key] = c
-    return RadialSymbol(n, out)
+    return a._new(out)
 
 
 def heat_transform(a: RadialSymbol, gamma: float) -> RadialSymbol:
@@ -137,17 +138,10 @@ def heat_transform(a: RadialSymbol, gamma: float) -> RadialSymbol:
 
 
 def heat_inverse(a: RadialSymbol, gamma: float) -> RadialSymbol:
-    """Inverse of `heat_transform` on polynomials (alternating-sign series);
+    """Inverse of `heat_transform` on polynomials: the same flow run
+    backward, sum_l Laplacian^l a / (l! (-8 gamma)^l);
     heat_inverse(heat_transform(a)) == a exactly."""
-    _require_polynomial(a, "heat_inverse")
-    out = RadialSymbol(a.n)
-    term = a
-    l = 0
-    while not term.is_zero():
-        out = out + ((-1.0) ** l / (math.factorial(l) * (8.0 * gamma) ** l)) * term
-        term = term.laplacian()
-        l += 1
-    return out
+    return heat_transform(a, -gamma)
 
 
 def heat_layers(S: RadialSymbol, N: int, gamma: float):

@@ -6,10 +6,11 @@ by quadrature, independently of the recurrences behind
 `focktrace.fock_matrices.scaled_moment_row`, their d = 0 base moments by
 quadrature, independently of the closed form behind
 `focktrace.fock_matrices._base_moment`, the per-multi-index spectrum
-assembled one degree at a time, and the symbol algebra and Toeplitz
-compression as they were computed term by term: `star` on RadialSymbol
-arithmetic, `sphere_norm_sq` from the full product P * P.conj(), and
-`toeplitz_entries` looping over the basis.
+assembled one degree at a time, the term arithmetic of the symbol classes
+as plain-dict rules, and the symbol algebra and Toeplitz compression as
+they were computed term by term: `star` on that term arithmetic,
+`sphere_norm_sq` from the full product P * P.conj(), and `toeplitz_entries`
+looping over the basis.
 """
 
 import math
@@ -19,10 +20,10 @@ import numpy as np
 from scipy import integrate
 
 from focktrace import spectral
-from focktrace.core import (compositions, degree, enumerate_basis, mi_add,
-                            mi_factorial, mi_sub, sphere_integral)
+from focktrace.core import (SpherePolynomial, compositions, degree,
+                            enumerate_basis, mi_add, mi_factorial, mi_sub,
+                            sphere_integral)
 from focktrace.fock_matrices import scaled_moment_row
-from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import _falling
 
 
@@ -177,9 +178,138 @@ def toeplitz_entries(ctx, S, D: int) -> np.ndarray:
     return M
 
 
-def _poly_deriv(a, alpha, beta):
+# --- term arithmetic -------------------------------------------------------
+# The rules of SpherePolynomial, RadialSymbol and HomogeneousSymbol on their
+# term dicts {(p, q[, t]): complex c}, as each class computed them on its
+# own: every result of an operation went through its constructor again.
+
+
+def _key(key):
+    return key[:2] + tuple(round(float(t), 9) for t in key[2:])
+
+
+def add_term(terms, key, c):
+    """`HomogeneousSymbol.add_term`, and the constructors' rule per term:
+    skip a zero c, store 0.0 + complex(c) summed onto the key, and pop the
+    key when its sum is exactly zero (a later term re-adds it at the end)."""
+    if c == 0:
+        return
+    key = _key(key)
+    c0 = terms.get(key, 0.0) + complex(c)
+    if c0 == 0:
+        terms.pop(key, None)
+    else:
+        terms[key] = c0
+
+
+def stored(items) -> dict:
+    """The terms a constructor stores for a sequence of (key, c)."""
     out = {}
-    for (p, q, _t), c in a.terms.items():
+    for key, c in items:
+        add_term(out, key, c)
+    return out
+
+
+def term_sum(a: dict, b: dict) -> dict:
+    """a + b: a copied, b's coefficients summed in with pop on zero."""
+    out = dict(a)
+    for k, c in b.items():
+        c0 = out.get(k, 0.0) + c
+        if c0 == 0:
+            out.pop(k, None)
+        else:
+            out[k] = c0
+    return stored(out.items())
+
+
+def term_scale(a: dict, s) -> dict:
+    return stored((k, c * s) for k, c in a.items())
+
+
+def term_neg(a: dict) -> dict:
+    return stored((k, -c) for k, c in a.items())
+
+
+def term_product(a: dict, b: dict) -> dict:
+    """a * b: products summed per key without dropping zeros, then stored."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = _key((mi_add(k1[0], k2[0]), mi_add(k1[1], k2[1]))
+                       + tuple(t1 + t2 for t1, t2 in zip(k1[2:], k2[2:])))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return stored(out.items())
+
+
+def term_conj(a: dict) -> dict:
+    return stored(((q, p, *t), c.conjugate()) for (p, q, *t), c in a.items())
+
+
+def _summed(parts) -> dict:
+    """Nonzero contributions summed per key without dropping zeros, then
+    stored: the rule of RadialSymbol.wirtinger and the tangential fields."""
+    out = {}
+    for key, c in parts:
+        if c != 0:
+            key = _key(key)
+            out[key] = out.get(key, 0.0) + c
+    return stored(out.items())
+
+
+def term_wirtinger(n: int, a: dict, j: int, kind: str, layer: bool = False) -> dict:
+    """d/dz_j ('holo') or d/dconj(z_j) ('anti') of keys (p, q, t), with
+    d w^t = (t/2) conj(z_j) w^(t-2) dz_j.  A RadialSymbol used `_summed`; a
+    layer (HomogeneousSymbol) added each contribution with `add_term`."""
+    e = tuple(1 if i == j - 1 else 0 for i in range(n))
+    parts = []
+    for (p, q, t), c in a.items():
+        if kind == "holo":
+            if p[j - 1] > 0:
+                parts.append(((mi_sub(p, e), q, t), c * p[j - 1]))
+            if t != 0:
+                parts.append(((p, mi_add(q, e), t - 2), c * t / 2.0))
+        else:
+            if q[j - 1] > 0:
+                parts.append(((p, mi_sub(q, e), t), c * q[j - 1]))
+            if t != 0:
+                parts.append(((mi_add(p, e), q, t - 2), c * t / 2.0))
+    return stored(parts) if layer else _summed(parts)
+
+
+def term_laplacian(n: int, a: dict, layer: bool = False) -> dict:
+    out = {}
+    for j in range(1, n + 1):
+        out = term_sum(out, term_wirtinger(
+            n, term_wirtinger(n, a, j, "holo", layer), j, "anti", layer))
+    return term_scale(out, 4.0)
+
+
+def heat_inverse(n: int, a: dict, gamma: float) -> dict:
+    """`weyl_calculus.heat_inverse` as its own alternating series."""
+    out, term, l = {}, a, 0
+    while term:
+        out = term_sum(out, term_scale(
+            term, (-1.0) ** l / (math.factorial(l) * (8.0 * gamma) ** l)))
+        term = term_laplacian(n, term)
+        l += 1
+    return out
+
+
+def tangential_dbar(n: int, P: dict, j: int) -> dict:
+    """`sphere_calculus.tangential_dbar` as its own rule on keys (p, q)."""
+    e = tuple(1 if i == j - 1 else 0 for i in range(n))
+    parts = []
+    for (p, q), c in P.items():
+        if q[j - 1] > 0:
+            parts.append(((p, mi_sub(q, e)), c * q[j - 1]))
+        if degree(q):
+            parts.append(((mi_add(p, e), q), -c * degree(q)))
+    return _summed(parts)
+
+
+def _poly_deriv(a: dict, alpha, beta) -> dict:
+    out = {}
+    for (p, q, _t), c in a.items():
         f1 = _falling(p, alpha)
         if f1 == 0.0:
             continue
@@ -188,33 +318,35 @@ def _poly_deriv(a, alpha, beta):
             continue
         key = (mi_sub(p, alpha), mi_sub(q, beta), 0.0)
         out[key] = out.get(key, 0.0) + c * f1 * f2
-    return RadialSymbol(a.n, out)
+    return stored(out.items())
 
 
-def star(a, b, gamma: float):
-    """`weyl_calculus.star` as it was summed on RadialSymbols: one symbol
-    per derivative and per product, and a fresh accumulator per pair."""
+def star(a, b, gamma: float) -> dict:
+    """The terms of `weyl_calculus.star(a, b, gamma)` as they were summed on
+    symbols: one term dict per derivative and per product, and a fresh
+    accumulator per pair."""
     n = a.n
     amax = min(max((sum(p) for (p, _q, _t) in a.terms), default=0),
                max((sum(q) for (_p, q, _t) in b.terms), default=0))
     bmax = min(max((sum(q) for (_p, q, _t) in a.terms), default=0),
                max((sum(p) for (p, _q, _t) in b.terms), default=0))
-    out = RadialSymbol(n)
+    out = {}
     for alpha in enumerate_basis(n, amax):
         for beta in enumerate_basis(n, bmax):
-            da = _poly_deriv(a, alpha, beta)
-            if da.is_zero():
+            da = _poly_deriv(a.terms, alpha, beta)
+            if not da:
                 continue
-            db = _poly_deriv(b, beta, alpha)
-            if db.is_zero():
+            db = _poly_deriv(b.terms, beta, alpha)
+            if not db:
                 continue
             ka, kb = sum(alpha), sum(beta)
             coeff = (-1.0) ** kb / (
                 mi_factorial(alpha) * mi_factorial(beta) * (-2.0 * gamma) ** (ka + kb))
-            out = out + coeff * (da * db)
+            out = term_sum(out, term_scale(term_product(da, db), coeff))
     return out
 
 
 def sphere_norm_sq(P) -> float:
     """`core.sphere_norm_sq` as the integral of the full product."""
-    return sphere_integral(P * P.conj()).real
+    return sphere_integral(
+        SpherePolynomial(P.n, term_product(P.terms, term_conj(P.terms)))).real

@@ -165,6 +165,7 @@ def test_benchmark_tracer_hooks_resolve():
     assert calls["spectral.diagonal_spectrum"] == 1
     # the symbolic-dense workload's layers: a hook that no longer reaches
     # its function would leave these at zero
-    for layer in ("weyl_calculus.star", "fock_matrices.dense",
-                  "core.sphere_norm_sq"):
+    for layer in ("weyl_calculus.star", "weyl_calculus.heat",
+                  "fock_matrices.dense", "core.sphere_norm_sq",
+                  "sphere_calculus"):
         assert calls.get(layer, 0) >= 1, layer

@@ -1,13 +1,128 @@
-"""Symbol algebra: derivative rules against finite differences, asymptotic
-layers against direct evaluation, JSON round trips."""
+"""Symbol algebra: the term arithmetic of all three term-sum classes against
+its plain-dict rules bit for bit, derivative rules against finite
+differences, asymptotic layers against direct evaluation, JSON round
+trips."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from focktrace.core import SpherePolynomial, sphere_equal
+from focktrace.sphere_calculus import tangential_dbar
 from focktrace.symbols import HomogeneousSymbol, RadialSymbol
+from focktrace.weyl_calculus import heat_inverse
+
+# exact parts, their negatives and both zeros: coefficient sums cancel to
+# exactly zero and products meet signed zeros
+_PARTS = [1.0, -1.0, 0.5, -0.5, 2.0, -0.25, 0.0, -0.0]
+_COEFFS = st.builds(complex, st.sampled_from(_PARTS), st.sampled_from(_PARTS))
+_SCALARS = [2.0, -1.0, 0.5j, complex(-0.0, 1.0), 0.0, -3, np.float64(1.5)]
+
+
+@st.composite
+def term_lists(draw, kind, n, deg):
+    """(key, c) items of one kind; a layer's exponents s = deg - |p| - |q|."""
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        p = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        q = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        if kind == "sphere":
+            key = (p, q)
+        elif kind == "radial":
+            key = (p, q, draw(st.sampled_from([0.0, -1.0, -2.0, 1.0, -0.5])))
+        else:
+            key = (p, q, deg - sum(p) - sum(q))
+        items.append((key, draw(_COEFFS)))
+    return items
+
+
+@st.composite
+def term_sums(draw):
+    kind = draw(st.sampled_from(["sphere", "radial", "layer"]))
+    n = draw(st.integers(1, 2))
+    deg = draw(st.sampled_from([0.0, -1.0, -1.5]))
+    return (kind, n, deg, draw(term_lists(kind, n, deg)),
+            draw(term_lists(kind, n, deg)), draw(st.sampled_from(_SCALARS)))
+
+
+def _bits(terms):
+    return np.array(list(terms.values()), dtype=complex).view(np.uint64)
+
+
+def _same(got, ref: dict):
+    assert list(got.terms) == list(ref)
+    assert all(type(c) is complex for c in got.terms.values())
+    np.testing.assert_array_equal(_bits(got.terms), _bits(ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_sums())
+def test_term_arithmetic_matches_the_plain_dict_rules_bitwise(case):
+    kind, n, deg, items_a, items_b, s = case
+    make = {"sphere": lambda items: SpherePolynomial(n, items),
+            "radial": lambda items: RadialSymbol(n, items),
+            "layer": lambda items: HomogeneousSymbol(n, deg, items)}[kind]
+    a, b = make(items_a), make(items_b)
+    ta, tb = oracles.stored(items_a), oracles.stored(items_b)
+    _same(a, ta)
+    _same(b, tb)
+    _same(a + b, oracles.term_sum(ta, tb))
+    _same(a - b, oracles.term_sum(ta, oracles.term_neg(tb)))
+    _same(-a, oracles.term_neg(ta))
+    _same(a * s, oracles.term_scale(ta, s))
+    _same(s * a, oracles.term_scale(ta, s))
+    _same(a * b, oracles.term_product(ta, tb))
+    _same(a.conj(), oracles.term_conj(ta))
+    zero = (0,) * n
+    one = oracles.stored([((zero, zero) if kind == "sphere" else (zero, zero, 0.0), 1.0)])
+    _same(a ** 2, oracles.term_product(oracles.term_product(one, ta), ta))
+    if kind == "sphere":
+        for j in range(1, n + 1):
+            _same(tangential_dbar(j, a), oracles.tangential_dbar(n, ta, j))
+        return
+    layer = kind == "layer"
+    for j in range(1, n + 1):
+        for way in ("holo", "anti"):
+            _same(a.wirtinger(j, way), oracles.term_wirtinger(n, ta, j, way, layer))
+    _same(a.laplacian(), oracles.term_laplacian(n, ta, layer))
+    if layer:
+        H = HomogeneousSymbol(n, deg)
+        for (p, q, t), c in items_a:
+            H.add_term(p, q, t, c)
+        _same(H, ta)
+        assert a.laplacian().degree == (deg - 1) - 1
+        assert (a * b).degree == deg + deg
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists("radial", 2, 0.0), st.floats(0.05, 50.0))
+def test_heat_inverse_matches_its_alternating_series_bitwise(items, gamma):
+    a = RadialSymbol(2, [((p, q, 0.0), c) for (p, q, _t), c in items])
+    _same(heat_inverse(a, gamma), oracles.heat_inverse(2, a.terms, gamma))
+
+
+def test_powers_refuse_negative_exponents():
+    for S in (RadialSymbol.coordinate(2, 1),
+              SpherePolynomial.monomial(2, (1, 0), (0, 0))):
+        assert list((S ** 0).terms.values()) == [1]
+        for k in (-1, -2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                S ** k
+
+
+def test_wirtinger_checks_coordinate_and_kind_up_front():
+    for S in (RadialSymbol.coordinate(2, 1), RadialSymbol(2),
+              HomogeneousSymbol(2, -1.0, {((1, 0), (0, 0), -2.0): 1.0}),
+              HomogeneousSymbol(2, -1.0)):
+        for j in (0, 3):
+            with pytest.raises(ValueError, match="coordinate index"):
+                S.wirtinger(j, "holo")
+        with pytest.raises(ValueError, match="kind"):
+            S.wirtinger(1, "bogus")
 
 
 def fd_wirtinger(S, j, kind, z, h=1e-5):
