@@ -10,10 +10,11 @@ parameter is tied to it throughout (no independent rescaling is representable).
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .core import enumerate_basis, mi_add, mi_factorial, mi_sub
+from .core import mi_factorial, mi_sub
 from .symbols import HomogeneousSymbol, RadialSymbol
 
 
@@ -58,12 +59,56 @@ def poly_deriv(a: RadialSymbol, alpha, beta) -> RadialSymbol:
     return RadialSymbol(a.n, _deriv_terms(a, alpha, beta))
 
 
-def _zdeg(a: RadialSymbol) -> int:
-    return max((sum(p) for (p, _q, _t) in a.terms), default=0)
+def _require_gamma(gamma, what: str):
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"{what} needs gamma finite and > 0, got {gamma!r}")
 
 
-def _zbardeg(a: RadialSymbol) -> int:
-    return max((sum(q) for (_p, q, _t) in a.terms), default=0)
+def _max_exponents(a: RadialSymbol):
+    """Componentwise maxima of the p and of the q of a's terms."""
+    zero = (0,) * a.n
+    ps = [p for (p, _q, _t) in a.terms] or [zero]
+    qs = [q for (_p, q, _t) in a.terms] or [zero]
+    return [max(col) for col in zip(*ps)], [max(col) for col in zip(*qs)]
+
+
+def _graded(alpha):
+    """Sort key of the graded order of `enumerate_basis`."""
+    return sum(alpha), [-x for x in alpha]
+
+
+def _fallings(p, cap, weights):
+    """(alpha, p!/(p-alpha)!, sum_i alpha_i weights_i) for every alpha <= p
+    and <= cap componentwise; each ratio is the float product `_falling`
+    forms, factor by factor in the same order."""
+    out = [((), 1.0, 0)]
+    for a, m, w in zip(p, cap, weights):
+        nxt = []
+        for alpha, f, off in out:
+            nxt.append((alpha + (0,), f, off))
+            for l in range(min(a, m)):
+                f *= a - l
+                off += w
+                nxt.append((alpha + (l + 1,), f, off))
+        out = nxt
+    return out
+
+
+def _deriv_table(a: RadialSymbol, cap_p, cap_q, wp, wq) -> dict:
+    """{(u, v): [(packed key, coefficient)]}: the terms of
+    `_deriv_terms(a, u, v)` for every u <= cap_p and v <= cap_q
+    componentwise that leaves one, in a's term order, with the same
+    coefficients; (p, q) is packed as sum_i p_i wp_i + q_i wq_i."""
+    table = {}
+    for (p, q, _t), c in a.terms.items():
+        key = sum(map(operator.mul, p, wp)) + sum(map(operator.mul, q, wq))
+        vs = _fallings(q, cap_q, wq)
+        for u, f1, o1 in _fallings(p, cap_p, wp):
+            for v, f2, o2 in vs:
+                d = 0.0 + c * f1 * f2
+                if d != 0:
+                    table.setdefault((u, v), []).append((key - o1 - o2, d))
+    return table
 
 
 def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
@@ -73,65 +118,87 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
         sum_{alpha,beta} (-1)^|beta| / (alpha! beta! (-2 gamma)^(|alpha|+|beta|))
             * d^alpha dbar^beta a * d^beta dbar^alpha b.
 
-    The sum is finite on polynomials; 1 is a two-sided unit.
+    The sum is finite on polynomials; 1 is a two-sided unit.  gamma must be
+    finite and > 0 (ValueError).
 
-    Each (alpha, beta) product is formed and scaled on plain dicts, rounded
-    at every step as the RadialSymbol arithmetic would round it, and summed
-    into one accumulator that drops a key whose sum is exactly zero and so
-    is already the result's stored form, taken without a second check; the
+    Each operand's derivatives come from one table per call, {(u, v):
+    terms}, built term by term over u <= p and v <= q only.  A pair needs a
+    term of b with q >= alpha and p >= beta, so a's table caps alpha by b's
+    componentwise maximum of q and beta by that of p; b's table, keyed
+    (beta, alpha), caps beta by a's maximum of q and alpha by that of p.
+    Only the pairs in both tables are visited, in graded order (alpha, then
+    beta, each ordered as `enumerate_basis` orders them).  Keys (p, q) are packed as integers in base
+    B = 2E + 1, E the largest exponent of either operand: a product's
+    exponents are at most 2E < B, so adding two packed keys never carries
+    and adds the exponents; keys are decoded once at the end.
+
+    Each pair's product is formed and scaled on plain dicts, rounded at
+    every step as the RadialSymbol arithmetic would round it, and summed
+    into one accumulator that drops a key whose sum is exactly zero; the
     result is bit for bit, key order included, the sum of RadialSymbols
     `out + coeff * (poly_deriv(a, alpha, beta) * poly_deriv(b, beta, alpha))`
     over the pairs in graded order.
     """
+    _require_gamma(gamma, "star")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     _require_polynomial(a, "star")
     _require_polynomial(b, "star")
     n = a.n
-    alphas = enumerate_basis(n, min(_zdeg(a), _zbardeg(b)))
-    betas = enumerate_basis(n, min(_zbardeg(a), _zdeg(b)))
+    max_pa, max_qa = _max_exponents(a)
+    max_pb, max_qb = _max_exponents(b)
+    base = 2 * max(max_pa + max_qa + max_pb + max_qb) + 1
+    wp = [base**i for i in range(n)]
+    wq = [base**(n + i) for i in range(n)]
+    ta = _deriv_table(a, max_qb, max_pb, wp, wq)
+    tb = _deriv_table(b, max_qa, max_pa, wp, wq)
+    pairs = sorted((pair for pair in ta if pair[::-1] in tb),
+                   key=lambda pair: (_graded(pair[0]), _graded(pair[1])))
     out = {}
-    for alpha in alphas:
-        ka, fa = sum(alpha), mi_factorial(alpha)
-        for beta in betas:
-            da = _deriv_terms(a, alpha, beta)
-            if not da:
+    for alpha, beta in pairs:
+        da, db = ta[alpha, beta], tb[beta, alpha]
+        ka, kb = sum(alpha), sum(beta)
+        coeff = (-1.0) ** kb / (mi_factorial(alpha) * mi_factorial(beta)
+                                * (-2.0 * gamma) ** (ka + kb))
+        prod = {}
+        for k1, c1 in da:
+            for k2, c2 in db:
+                key = k1 + k2
+                prod[key] = prod.get(key, 0.0) + c1 * c2
+        for key, c in prod.items():
+            # the rounding of da * db, then of coeff * (da * db)
+            if c == 0:
                 continue
-            db = _deriv_terms(b, beta, alpha)
-            if not db:
+            c = (0.0 + c) * coeff
+            if c == 0:
                 continue
-            kb = sum(beta)
-            coeff = (-1.0) ** kb / (
-                fa * mi_factorial(beta) * (-2.0 * gamma) ** (ka + kb))
-            prod = {}
-            for (p1, q1, _), c1 in da.items():
-                for (p2, q2, _), c2 in db.items():
-                    key = (mi_add(p1, p2), mi_add(q1, q2), 0.0)
-                    prod[key] = prod.get(key, 0.0) + c1 * c2
-            for key, c in prod.items():
-                # the rounding of da * db, then of coeff * (da * db)
-                if c == 0:
-                    continue
-                c = (0.0 + c) * coeff
-                if c == 0:
-                    continue
-                c = out.get(key, 0.0) + (0.0 + c)
-                if c == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = c
-    return a._new(out)
+            c = out.get(key, 0.0) + (0.0 + c)
+            if c == 0:
+                out.pop(key, None)
+            else:
+                out[key] = c
+    terms = {}
+    for key, c in out.items():
+        digits = []
+        for _ in range(2 * n):
+            key, d = divmod(key, base)
+            digits.append(d)
+        terms[(tuple(digits[:n]), tuple(digits[n:]), 0.0)] = c
+    return a._new(terms)
 
 
 def heat_transform(a: RadialSymbol, gamma: float) -> RadialSymbol:
     """Heat flow at time 1/(8 gamma) applied to a polynomial symbol:
-    sum_l Laplacian^l a / (l! (8 gamma)^l), a finite sum."""
+    sum_l Laplacian^l a / (l! (8 gamma)^l), a finite sum.  gamma must be
+    finite and nonzero (ValueError); `heat_inverse` runs it at -gamma."""
+    if gamma == 0 or not math.isfinite(gamma):
+        raise ValueError(f"heat_transform needs gamma finite and nonzero, got {gamma!r}")
     _require_polynomial(a, "heat_transform")
     out = RadialSymbol(a.n)
     term = a
     l = 0
     while not term.is_zero():
-        out = out + (1.0 / (math.factorial(l) * (8.0 * gamma) ** l)) * term
+        out._accumulate(term, 1.0 / (math.factorial(l) * (8.0 * gamma) ** l))
         term = term.laplacian()
         l += 1
     return out
@@ -152,8 +219,10 @@ def heat_layers(S: RadialSymbol, N: int, gamma: float):
     order - k.  The heat transform minus the sum of the N layers is
     O(|z|^(order - N)); it decays faster when omitted layers vanish (for
     (1+|z|^2)^(-1) the odd layers do, so the remainder after N layers has
-    degree -2 - 2*ceil(N/2)).  Positive-order symbols are rejected.
+    degree -2 - 2*ceil(N/2)).  Positive-order symbols, and a gamma that is
+    not finite and > 0, are rejected (ValueError).
     """
+    _require_gamma(gamma, "heat_layers")
     m = S.order()
     if m > 0:
         raise ValueError("heat_layers requires a symbol of order <= 0")
@@ -166,7 +235,7 @@ def heat_layers(S: RadialSymbol, N: int, gamma: float):
             term = sym_layers[j]
             for _ in range(l):
                 term = term.laplacian()
-            layer = layer + (1.0 / (math.factorial(l) * (8.0 * gamma) ** l)) * term
+            layer._accumulate(term, 1.0 / (math.factorial(l) * (8.0 * gamma) ** l))
         out.append(layer)
     return out
 
@@ -175,9 +244,10 @@ def hankel_leading_symbol(f: RadialSymbol, g: RadialSymbol, gamma: float) -> Rad
     """Leading symbol of the Hankel product pairing f against g:
     (1/gamma) sum_j d/dz_j conj(f) * d/dconj(z_j) g.
 
-    Both symbols must have order <= 0; the result has order at most
-    order(f) + order(g) - 2.
+    Both symbols must have order <= 0, and gamma finite and > 0
+    (ValueError); the result has order at most order(f) + order(g) - 2.
     """
+    _require_gamma(gamma, "hankel_leading_symbol")
     if f.n != g.n:
         raise ValueError("dimension mismatch")
     if f.order() > 0 or g.order() > 0:
@@ -185,7 +255,7 @@ def hankel_leading_symbol(f: RadialSymbol, g: RadialSymbol, gamma: float) -> Rad
     fbar = f.conj()
     out = RadialSymbol(f.n)
     for j in range(1, f.n + 1):
-        out = out + fbar.wirtinger(j, "holo") * g.wirtinger(j, "anti")
+        out._accumulate(fbar.wirtinger(j, "holo") * g.wirtinger(j, "anti"))
     return (1.0 / gamma) * out
 
 

@@ -262,10 +262,42 @@ def polynomial_symbols(draw, n):
 
 
 @st.composite
+def multi_indices(draw, n, deg):
+    """A multi-index of length n and total degree at most deg, so one entry
+    can reach deg."""
+    entries = []
+    for _ in range(n):
+        entries.append(draw(st.integers(0, deg - sum(entries))))
+    return tuple(draw(st.permutations(entries)))
+
+
+@st.composite
+def graded_symbols(draw, n, deg):
+    """1 to 5 terms with |p| + |q| <= deg; the zero symbol when deg < 0."""
+    if deg < 0:
+        return RadialSymbol(n)
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        p = draw(multi_indices(n, deg))
+        terms.append(((p, draw(multi_indices(n, deg - sum(p))), 0.0),
+                      draw(st.sampled_from(_COEFFS))))
+    return RadialSymbol(n, terms)
+
+
+@st.composite
 def star_inputs(draw):
     n = draw(st.integers(1, 3))
-    return (draw(polynomial_symbols(n)), draw(polynomial_symbols(n)),
-            draw(st.sampled_from([1.0, 0.7, 0.5])))
+    gamma = draw(st.sampled_from([1.0, 0.7, 0.5]))
+    shape = draw(st.sampled_from(["small", "lopsided", "wide"]))
+    if shape == "small":
+        # exponents 0-2 in every slot and arbitrary coefficients
+        return draw(polynomial_symbols(n)), draw(polynomial_symbols(n)), gamma
+    # exponents up to 6 against the zero symbol, a constant, a symbol of
+    # degree at most 1 or another of degree at most 6, on either side
+    big = draw(graded_symbols(n, 6))
+    other = draw(graded_symbols(n, draw(st.sampled_from([-1, 0, 1]))
+                                if shape == "lopsided" else 6))
+    return (big, other, gamma) if draw(st.booleans()) else (other, big, gamma)
 
 
 def _bits(terms):
@@ -282,7 +314,7 @@ _CANCELLING = (
     1.0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(star_inputs())
 @example(_CANCELLING)
 def test_star_equals_symbol_arithmetic_bitwise(inputs):
@@ -290,3 +322,26 @@ def test_star_equals_symbol_arithmetic_bitwise(inputs):
     got, ref = star(a, b, gamma), oracles.star(a, b, gamma)
     assert list(got.terms) == list(ref)
     np.testing.assert_array_equal(_bits(got.terms), _bits(ref))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_gamma_must_be_finite_and_positive(gamma):
+    z = RadialSymbol.coordinate(1, 1)
+    f = z * RadialSymbol.radial_power(1, -1.0)
+    with pytest.raises(ValueError, match="gamma"):
+        star(z, z.conj(), gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        star(z, z, gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        heat_layers(RadialSymbol.radial_power(1, -2.0), 2, gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        hankel_leading_symbol(f, f, gamma)
+    if gamma < 0 and np.isfinite(gamma):
+        # heat_inverse runs the heat flow at -gamma
+        expect = z * z.conj() + RadialSymbol.constant(1, 1.0 / (2 * gamma))
+        assert sym_close(heat_transform(z * z.conj(), gamma), expect, 1e-15)
+    else:
+        with pytest.raises(ValueError, match="gamma"):
+            heat_transform(z * z.conj(), gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            heat_inverse(z * z.conj(), gamma)
