@@ -566,7 +566,8 @@ def _ambient_laplacian_on_sphere(P: SpherePolynomial) -> SpherePolynomial:
     for (p, q), c in P.terms.items():
         ext = HomogeneousSymbol(P.n, 0.0)
         ext.add_term(p, q, -(sum(p) + sum(q)), c)
-        out._accumulate(ext.laplacian().restrict_sphere(), 1.0 / 4.0)
+        lap = ext.laplacian()
+        out = out + (1.0 / 4.0) * lap.restrict_sphere()
     return out
 
 

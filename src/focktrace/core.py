@@ -227,33 +227,6 @@ class TermSum:
 
     __radd__ = __add__
 
-    def _accumulate(self, other, scale=None):
-        """Add `other`, or `scale * other` for a number scale, to this sum in
-        place and return it: bit for bit, key order and layer degree
-        included, `self + other` (or `self + scale * other`), without the
-        copy of self.  Only for an accumulator that nothing else holds."""
-        self._check(other)
-        if self.degree is not None:
-            if (self.terms and other.terms
-                    and abs(self.degree - other.degree) > 1e-8):
-                raise ValueError("incompatible layers")
-            if not self.terms:
-                self.degree = other.degree
-        terms = self.terms
-        for k, c in other.terms.items():
-            if scale is not None:
-                # the rounding of scale * other
-                c = c * scale
-                if c == 0:
-                    continue
-                c = 0.0 + complex(c)
-            c0 = terms.get(k, 0.0) + c
-            if c0 == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = c0
-        return self
-
     def __neg__(self):
         return self._from_sums({k: -c for k, c in self.terms.items()})
 

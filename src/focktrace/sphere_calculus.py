@@ -62,8 +62,8 @@ def tangential_bracket(phi: SpherePolynomial, psi: SpherePolynomial) -> SpherePo
         raise ValueError("dimension mismatch")
     out = SpherePolynomial(phi.n)
     for j in range(1, phi.n + 1):
-        out._accumulate(tangential_d(j, phi) * tangential_dbar(j, psi))
-    return out._accumulate(-(reeb(phi) * reeb(psi)))
+        out = out + tangential_d(j, phi) * tangential_dbar(j, psi)
+    return out - reeb(phi) * reeb(psi)
 
 
 def sphere_laplacian(P: SpherePolynomial) -> SpherePolynomial:
@@ -82,9 +82,9 @@ def sphere_laplacian(P: SpherePolynomial) -> SpherePolynomial:
     """
     out = SpherePolynomial(P.n)
     for j in range(1, P.n + 1):
-        out._accumulate(tangential_d(j, tangential_dbar(j, P))
-                        + tangential_dbar(j, tangential_d(j, P)), 0.5)
-    return out._accumulate(-reeb(reeb(P)))
+        out = out + 0.5 * (tangential_d(j, tangential_dbar(j, P))
+                           + tangential_dbar(j, tangential_d(j, P)))
+    return out - reeb(reeb(P))
 
 
 def boundary_pairing(f_lead: SpherePolynomial, m: int,
@@ -107,7 +107,7 @@ def boundary_pairing(f_lead: SpherePolynomial, m: int,
     right = (k / 2.0) * g_lead - reeb(g_lead)
     out = left * right
     for j in range(1, f_lead.n + 1):
-        out._accumulate(tangential_d(j, fb) * tangential_dbar(j, g_lead))
+        out = out + tangential_d(j, fb) * tangential_dbar(j, g_lead)
     return out
 
 

@@ -103,7 +103,7 @@ class RadialSymbol(TermSum):
         """4 * sum_j d/dz_j d/dconj(z_j)."""
         out = self._new({})
         for j in range(1, self.n + 1):
-            out._accumulate(self.wirtinger(j, "holo").wirtinger(j, "anti"))
+            out = out + self.wirtinger(j, "holo").wirtinger(j, "anti")
         return 4.0 * out
 
     def _factor(self, r2: float, t: float) -> float:

@@ -14,49 +14,13 @@ import operator
 
 import numpy as np
 
-from .core import mi_factorial, mi_sub
+from .core import mi_factorial
 from .symbols import HomogeneousSymbol, RadialSymbol
 
 
 def _require_polynomial(a: RadialSymbol, what: str):
     if not a.is_polynomial():
         raise ValueError(f"{what} requires a pure polynomial symbol (all t = 0)")
-
-
-def _falling(p, alpha) -> float:
-    """p!/(p-alpha)! componentwise; 0 when alpha exceeds p somewhere."""
-    out = 1.0
-    for a, b in zip(p, alpha):
-        if b > a:
-            return 0.0
-        for l in range(b):
-            out *= a - l
-    return out
-
-
-def _deriv_terms(a: RadialSymbol, alpha, beta) -> dict:
-    """The terms {(p, q, 0.0): c} of `poly_deriv(a, alpha, beta)`, each
-    coefficient rounded as the RadialSymbol constructor leaves it."""
-    out = {}
-    for (p, q, _t), c in a.terms.items():
-        f1 = _falling(p, alpha)
-        if f1 == 0.0:
-            continue
-        f2 = _falling(q, beta)
-        if f2 == 0.0:
-            continue
-        # 0.0 + c is the constructor's rounding (it turns a -0.0 part into
-        # +0.0); the keys are distinct, so nothing else is summed here
-        c = 0.0 + c * f1 * f2
-        if c != 0:
-            out[(mi_sub(p, alpha), mi_sub(q, beta), 0.0)] = c
-    return out
-
-
-def poly_deriv(a: RadialSymbol, alpha, beta) -> RadialSymbol:
-    """d^alpha/dz^alpha d^beta/dconj(z)^beta of a polynomial symbol."""
-    _require_polynomial(a, "poly_deriv")
-    return RadialSymbol(a.n, _deriv_terms(a, alpha, beta))
 
 
 def _require_gamma(gamma, what: str):
@@ -79,8 +43,8 @@ def _graded(alpha):
 
 def _fallings(p, cap, weights):
     """(alpha, p!/(p-alpha)!, sum_i alpha_i weights_i) for every alpha <= p
-    and <= cap componentwise; each ratio is the float product `_falling`
-    forms, factor by factor in the same order."""
+    and <= cap componentwise; each ratio is the float product of the
+    factors p_i - l, over i and then l in increasing order."""
     out = [((), 1.0, 0)]
     for a, m, w in zip(p, cap, weights):
         nxt = []
@@ -95,10 +59,11 @@ def _fallings(p, cap, weights):
 
 
 def _deriv_table(a: RadialSymbol, cap_p, cap_q, wp, wq) -> dict:
-    """{(u, v): [(packed key, coefficient)]}: the terms of
-    `_deriv_terms(a, u, v)` for every u <= cap_p and v <= cap_q
-    componentwise that leaves one, in a's term order, with the same
-    coefficients; (p, q) is packed as sum_i p_i wp_i + q_i wq_i."""
+    """{(u, v): [(packed key, coefficient)]}: the terms of d^u dbar^v a for
+    every u <= cap_p and v <= cap_q componentwise that leaves one, in a's
+    term order, each coefficient 0.0 + c * f1 * f2 (the falling factorials
+    of `_fallings`) as the RadialSymbol constructor rounds it; (p, q) is
+    packed as sum_i p_i wp_i + q_i wq_i."""
     table = {}
     for (p, q, _t), c in a.terms.items():
         key = sum(map(operator.mul, p, wp)) + sum(map(operator.mul, q, wq))
@@ -109,6 +74,32 @@ def _deriv_table(a: RadialSymbol, cap_p, cap_q, wp, wq) -> dict:
                 if d != 0:
                     table.setdefault((u, v), []).append((key - o1 - o2, d))
     return table
+
+
+def _packing(n: int, base: int):
+    """The weights wp, wq packing (p, q) as sum_i p_i base^i + q_i base^(n+i)."""
+    return [base**i for i in range(n)], [base**(n + i) for i in range(n)]
+
+
+def _unpack(key: int, n: int, base: int):
+    """The RadialSymbol key (p, q, 0.0) of a packed key whose digits are
+    all below base."""
+    digits = []
+    for _ in range(2 * n):
+        key, d = divmod(key, base)
+        digits.append(d)
+    return tuple(digits[:n]), tuple(digits[n:]), 0.0
+
+
+def poly_deriv(a: RadialSymbol, alpha, beta) -> RadialSymbol:
+    """d^alpha/dz^alpha d^beta/dconj(z)^beta of a polynomial symbol: the
+    (alpha, beta) entry of a's derivative table."""
+    _require_polynomial(a, "poly_deriv")
+    max_p, max_q = _max_exponents(a)
+    base = max(max_p + max_q) + 1
+    wp, wq = _packing(a.n, base)
+    terms = _deriv_table(a, alpha, beta, wp, wq).get((tuple(alpha), tuple(beta)), [])
+    return RadialSymbol(a.n, [(_unpack(k, a.n, base), c) for k, c in terms])
 
 
 def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
@@ -127,10 +118,11 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
     componentwise maximum of q and beta by that of p; b's table, keyed
     (beta, alpha), caps beta by a's maximum of q and alpha by that of p.
     Only the pairs in both tables are visited, in graded order (alpha, then
-    beta, each ordered as `enumerate_basis` orders them).  Keys (p, q) are packed as integers in base
-    B = 2E + 1, E the largest exponent of either operand: a product's
-    exponents are at most 2E < B, so adding two packed keys never carries
-    and adds the exponents; keys are decoded once at the end.
+    beta, each ordered as `enumerate_basis` orders them).  Keys (p, q) are
+    packed as integers in base B = 2E + 1, E the largest exponent of either
+    operand: a product's exponents are at most 2E < B, so adding two packed
+    keys never carries and adds the exponents; keys are decoded once at the
+    end.
 
     Each pair's product is formed and scaled on plain dicts, rounded at
     every step as the RadialSymbol arithmetic would round it, and summed
@@ -148,8 +140,7 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
     max_pa, max_qa = _max_exponents(a)
     max_pb, max_qb = _max_exponents(b)
     base = 2 * max(max_pa + max_qa + max_pb + max_qb) + 1
-    wp = [base**i for i in range(n)]
-    wq = [base**(n + i) for i in range(n)]
+    wp, wq = _packing(n, base)
     ta = _deriv_table(a, max_qb, max_pb, wp, wq)
     tb = _deriv_table(b, max_qa, max_pa, wp, wq)
     pairs = sorted((pair for pair in ta if pair[::-1] in tb),
@@ -177,38 +168,38 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
                 out.pop(key, None)
             else:
                 out[key] = c
-    terms = {}
-    for key, c in out.items():
-        digits = []
-        for _ in range(2 * n):
-            key, d = divmod(key, base)
-            digits.append(d)
-        terms[(tuple(digits[:n]), tuple(digits[n:]), 0.0)] = c
-    return a._new(terms)
+    return a._new({_unpack(key, n, base): c for key, c in out.items()})
 
 
-def heat_transform(a: RadialSymbol, gamma: float) -> RadialSymbol:
-    """Heat flow at time 1/(8 gamma) applied to a polynomial symbol:
-    sum_l Laplacian^l a / (l! (8 gamma)^l), a finite sum.  gamma must be
-    finite and nonzero (ValueError); `heat_inverse` runs it at -gamma."""
-    if gamma == 0 or not math.isfinite(gamma):
-        raise ValueError(f"heat_transform needs gamma finite and nonzero, got {gamma!r}")
-    _require_polynomial(a, "heat_transform")
+def _heat_series(a: RadialSymbol, t: float) -> RadialSymbol:
+    """sum_l Laplacian^l a / (l! (8 t)^l), a finite sum on polynomials."""
     out = RadialSymbol(a.n)
     term = a
     l = 0
     while not term.is_zero():
-        out._accumulate(term, 1.0 / (math.factorial(l) * (8.0 * gamma) ** l))
+        out = out + (1.0 / (math.factorial(l) * (8.0 * t) ** l)) * term
         term = term.laplacian()
         l += 1
     return out
 
 
+def heat_transform(a: RadialSymbol, gamma: float) -> RadialSymbol:
+    """Heat flow at time 1/(8 gamma) applied to a polynomial symbol:
+    sum_l Laplacian^l a / (l! (8 gamma)^l), a finite sum.  gamma must be
+    finite and > 0 (ValueError)."""
+    _require_gamma(gamma, "heat_transform")
+    _require_polynomial(a, "heat_transform")
+    return _heat_series(a, gamma)
+
+
 def heat_inverse(a: RadialSymbol, gamma: float) -> RadialSymbol:
     """Inverse of `heat_transform` on polynomials: the same flow run
     backward, sum_l Laplacian^l a / (l! (-8 gamma)^l);
-    heat_inverse(heat_transform(a)) == a exactly."""
-    return heat_transform(a, -gamma)
+    heat_inverse(heat_transform(a)) == a exactly.  gamma must be finite
+    and > 0 (ValueError)."""
+    _require_gamma(gamma, "heat_inverse")
+    _require_polynomial(a, "heat_inverse")
+    return _heat_series(a, -gamma)
 
 
 def heat_layers(S: RadialSymbol, N: int, gamma: float):
@@ -235,7 +226,7 @@ def heat_layers(S: RadialSymbol, N: int, gamma: float):
             term = sym_layers[j]
             for _ in range(l):
                 term = term.laplacian()
-            layer._accumulate(term, 1.0 / (math.factorial(l) * (8.0 * gamma) ** l))
+            layer = layer + (1.0 / (math.factorial(l) * (8.0 * gamma) ** l)) * term
         out.append(layer)
     return out
 
@@ -255,7 +246,7 @@ def hankel_leading_symbol(f: RadialSymbol, g: RadialSymbol, gamma: float) -> Rad
     fbar = f.conj()
     out = RadialSymbol(f.n)
     for j in range(1, f.n + 1):
-        out._accumulate(fbar.wirtinger(j, "holo") * g.wirtinger(j, "anti"))
+        out = out + fbar.wirtinger(j, "holo") * g.wirtinger(j, "anti")
     return (1.0 / gamma) * out
 
 

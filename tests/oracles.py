@@ -24,7 +24,6 @@ from focktrace.core import (SpherePolynomial, compositions, degree,
                             enumerate_basis, mi_add, mi_factorial, mi_sub,
                             sphere_integral)
 from focktrace.fock_matrices import scaled_moment_row
-from focktrace.weyl_calculus import _falling
 
 
 def monomial_norm_sq(ctx, alpha) -> float:
@@ -307,7 +306,18 @@ def tangential_dbar(n: int, P: dict, j: int) -> dict:
     return _summed(parts)
 
 
-def _poly_deriv(a: dict, alpha, beta) -> dict:
+def _falling(p, alpha) -> float:
+    """p!/(p-alpha)! componentwise; 0 when alpha exceeds p somewhere."""
+    out = 1.0
+    for a, b in zip(p, alpha):
+        if b > a:
+            return 0.0
+        for l in range(b):
+            out *= a - l
+    return out
+
+
+def poly_deriv(a: dict, alpha, beta) -> dict:
     out = {}
     for (p, q, _t), c in a.items():
         f1 = _falling(p, alpha)
@@ -333,10 +343,10 @@ def star(a, b, gamma: float) -> dict:
     out = {}
     for alpha in enumerate_basis(n, amax):
         for beta in enumerate_basis(n, bmax):
-            da = _poly_deriv(a.terms, alpha, beta)
+            da = poly_deriv(a.terms, alpha, beta)
             if not da:
                 continue
-            db = _poly_deriv(b.terms, beta, alpha)
+            db = poly_deriv(b.terms, beta, alpha)
             if not db:
                 continue
             ka, kb = sum(alpha), sum(beta)

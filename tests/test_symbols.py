@@ -77,10 +77,6 @@ def test_term_arithmetic_matches_the_plain_dict_rules_bitwise(case):
     _same(s * a, oracles.term_scale(ta, s))
     _same(a * b, oracles.term_product(ta, tb))
     _same(a.conj(), oracles.term_conj(ta))
-    # in place: the same sums and key order, without copying the accumulator
-    _same(make(items_a)._accumulate(b), oracles.term_sum(ta, tb))
-    _same(make(items_a)._accumulate(b, s),
-          oracles.term_sum(ta, oracles.term_scale(tb, s)))
     zero = (0,) * n
     one = oracles.stored([((zero, zero) if kind == "sphere" else (zero, zero, 0.0), 1.0)])
     _same(a ** 2, oracles.term_product(oracles.term_product(one, ta), ta))
@@ -100,15 +96,6 @@ def test_term_arithmetic_matches_the_plain_dict_rules_bitwise(case):
         _same(H, ta)
         assert a.laplacian().degree == (deg - 1) - 1
         assert (a * b).degree == deg + deg
-        other = HomogeneousSymbol(n, deg - 1.0, [((p, q, t - 1.0), c)
-                                                 for (p, q, t), c in items_b])
-        # an empty layer takes the degree of what is added to it
-        ref = HomogeneousSymbol(n, deg) + other
-        got = HomogeneousSymbol(n, deg)._accumulate(other)
-        assert got.degree == ref.degree == deg - 1.0
-        if a.terms and other.terms:
-            with pytest.raises(ValueError, match="incompatible layers"):
-                make(items_a)._accumulate(other)
 
 
 @settings(max_examples=100, deadline=None)
