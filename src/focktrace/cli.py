@@ -20,7 +20,6 @@ import numpy as np
 from .core import (SpherePolynomial, enumerate_basis, sphere_integral,
                    sphere_norm_sq)
 from .dixmier import DEFAULT_RANK_GRID_1D, extrapolate, pointwise
-from .extrapolation import loglog_slope
 from .fock_matrices import (FockContext, berezin, buffered_product,
                             toeplitz_matrix, weyl_matrix)
 from .sphere_calculus import (boundary_pairing, boundary_pairing_limit,
@@ -131,6 +130,25 @@ def _cfg_symbol(cfg, key, n, default: RadialSymbol) -> RadialSymbol:
     return default
 
 
+def _context(cfg, default_n: int) -> FockContext:
+    """The FockContext of the config's n and gamma."""
+    try:
+        return FockContext(int(cfg.get("n", default_n)),
+                           float(cfg.get("gamma", 1.0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid n or gamma: {exc}") from exc
+
+
+def _cutoff(cfg, key, default: int) -> int:
+    try:
+        K = int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
+    if K < 0:
+        raise ConfigError(f"{key} must be >= 0, got {K}")
+    return K
+
+
 def _grid_for(cfg, seq, n):
     if "grid" in cfg:
         return [int(k) for k in cfg["grid"]]
@@ -139,20 +157,43 @@ def _grid_for(cfg, seq, n):
     return None  # certified auto grid
 
 
+def _estimate(cfg, seq, n):
+    """extrapolate over the config's rank grid; a grid the spectrum cannot
+    carry is a configuration error."""
+    try:
+        return extrapolate(seq, _grid_for(cfg, seq, n))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"cannot extrapolate over {seq.total} ranks: {exc}") from exc
+
+
 def _trace_check(ctx, config, cfg, target, default_tol, check_name,
                  csv_label, csv_sink):
     """The spectral half of a trace experiment: the per-degree spectrum of
     config, its extrapolated log-Cesaro limit checked against the symbolic
     target, and the estimate's diagnostics."""
     n = ctx.n
-    K = int(cfg.get("K_degree", 4000 if n > 1 else 1 << 20))
+    K = _cutoff(cfg, "K_degree", 4000 if n > 1 else 1 << 20)
     seq = diagonal_spectrum(ctx, config, K)
-    est = extrapolate(seq, _grid_for(cfg, seq, n))
+    est = _estimate(cfg, seq, n)
     csv_sink(csv_label, seq)
     check = make_check(check_name, est.value, target,
                        float(cfg.get("tolerance", default_tol)))
     return check, {"estimate_method": est.method, "estimate_K": est.K_used,
                    **est.diagnostics}
+
+
+def loglog_slope(xs, ys):
+    """Least-squares slope of log|y| against log x."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.abs(np.asarray(ys, dtype=float))
+    if np.any(ys == 0):
+        raise ValueError("zero values have no log-log slope")
+    lx = np.log(xs)
+    ly = np.log(ys)
+    A = np.vstack([np.ones_like(lx), lx]).T
+    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
+    return float(coef[1])
 
 
 def _leading(sym: RadialSymbol):
@@ -167,30 +208,29 @@ def _leading(sym: RadialSymbol):
 # experiments
 
 def _exp_model_operator(cfg, rng, csv_sink):
-    n = int(cfg.get("n", 1))
-    gamma = float(cfg.get("gamma", 1.0))
-    ctx = FockContext(n, gamma)
+    ctx = _context(cfg, 1)
+    n, gamma = ctx.n, ctx.gamma
     S = RadialSymbol.radial_power(n, -2.0 * n)
     target = gamma**n / math.factorial(n)
     checks = []
     diags = {}
     if n == 1:
-        K = int(cfg.get("K_ranks", 1 << 20))
+        K = _cutoff(cfg, "K_ranks", 1 << 20)
         seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
         window = cfg.get("window", [500_000, 1_000_000])
         window = [min(int(w), seq.total - 1) for w in window]
         med, spread = pointwise(seq, window)
         checks.append(make_check("pointwise-median", med, target,
                                  float(cfg.get("tol_pointwise", 0.005))))
-        est = extrapolate(seq, _grid_for(cfg, seq, n))
+        est = _estimate(cfg, seq, n)
         checks.append(make_check("extrapolated-log-mean", est.value, target,
                                  float(cfg.get("tol_extrapolated", 0.02))))
         diags = {"pointwise_spread": spread, "estimate_method": est.method,
                  "estimate_K": est.K_used, **est.diagnostics}
     else:
-        K = int(cfg.get("K_degree", 10_000))
+        K = _cutoff(cfg, "K_degree", 10_000)
         seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
-        est = extrapolate(seq, _grid_for(cfg, seq, n))
+        est = _estimate(cfg, seq, n)
         checks.append(make_check("extrapolated-log-mean", est.value, target,
                                  float(cfg.get("tol_extrapolated", 0.02))))
         lo = max(0, (seq.certified_rank or seq.total) - 200_000)
@@ -204,9 +244,8 @@ def _exp_model_operator(cfg, rng, csv_sink):
 
 
 def _exp_toeplitz_trace(cfg, rng, csv_sink):
-    n = int(cfg.get("n", 2))
-    gamma = float(cfg.get("gamma", 1.0))
-    ctx = FockContext(n, gamma)
+    ctx = _context(cfg, 2)
+    n, gamma = ctx.n, ctx.gamma
     default = (RadialSymbol.coordinate(n, 1)
                * RadialSymbol.coordinate(n, 1, conjugated=True)
                * RadialSymbol.radial_power(n, -2.0 * (n + 1)))
@@ -223,9 +262,8 @@ def _exp_toeplitz_trace(cfg, rng, csv_sink):
 
 
 def _exp_hankel_trace(cfg, rng, csv_sink):
-    n = int(cfg.get("n", 1))
-    gamma = float(cfg.get("gamma", 1.0))
-    ctx = FockContext(n, gamma)
+    ctx = _context(cfg, 1)
+    n = ctx.n
     default = (RadialSymbol.coordinate(n, 1)
                * RadialSymbol.radial_power(n, -1.0))
     f = _cfg_symbol(cfg, "f", n, default)
@@ -244,9 +282,8 @@ def _exp_hankel_trace(cfg, rng, csv_sink):
 
 
 def _exp_commutator_trace(cfg, rng, csv_sink):
-    n = int(cfg.get("n", 1))
-    gamma = float(cfg.get("gamma", 1.0))
-    ctx = FockContext(n, gamma)
+    ctx = _context(cfg, 1)
+    n = ctx.n
     du = RadialSymbol.radial_power(n, -1.0)
     default_pairs = [
         (RadialSymbol.coordinate(n, 1) * du,
@@ -278,9 +315,8 @@ def _exp_commutator_trace(cfg, rng, csv_sink):
 
 
 def _mixed_case(case, csv_sink, label):
-    n = int(case.get("n", 2))
-    gamma = float(case.get("gamma", 1.0))
-    ctx = FockContext(n, gamma)
+    ctx = _context(case, 2)
+    n, gamma = ctx.n, ctx.gamma
     pairs = [(_parse_symbol(fj, n), _parse_symbol(gj, n))
              for fj, gj in case.get("hankel_pairs", [])]
     factors = [_parse_symbol(h, n) for h in case.get("toeplitz_factors", [])]
@@ -381,7 +417,7 @@ def _monomial_decaying(n, p, q, order):
 
 def _exp_calculus_check(cfg, rng, csv_sink):
     checks = []
-    gamma = float(cfg.get("gamma", 1.0))
+    gamma = _context(cfg, 1).gamma
 
     # star product: associativity, conjugation, unit, generators
     dev_assoc = 0.0

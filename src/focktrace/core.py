@@ -311,15 +311,6 @@ class SpherePolynomial(TermSum):
         z = (0,) * n
         return cls(n, {(z, z): c})
 
-    def permute(self, perm):
-        """Apply a coordinate permutation: zeta_i -> zeta_perm[i]."""
-        out = {}
-        for (p, q), c in self.terms.items():
-            p2 = tuple(p[perm[i]] for i in range(self.n))
-            q2 = tuple(q[perm[i]] for i in range(self.n))
-            out[(p2, q2)] = out.get((p2, q2), 0.0) + c
-        return SpherePolynomial(self.n, out)
-
 
 def _monomial_integral(n: int, p, q) -> float:
     # normalized measure: vanishes unless p == q, else (n-1)! p! / (n-1+|p|)!,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrapolation import fit_inverse_log
 from .spectral import SNumberSequence
 
 # spec'd default grid for one-dimensional diagonal runs
@@ -69,6 +68,23 @@ def default_rank_grid(seq: SNumberSequence):
     hi = int(math.floor(math.log2(top)))
     lo = max(4, hi - 7)
     return [2**e for e in range(lo, hi + 1)]
+
+
+def fit_inverse_log(Ks, values):
+    """Least-squares fit values[i] = c + b / log(Ks[i] + 2).
+
+    Returns (c, b, rms_residual).
+    """
+    Ks = np.asarray(Ks, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if Ks.size < 2:
+        raise ValueError("need at least two grid points")
+    x = 1.0 / np.log(Ks + 2.0)
+    A = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    rms = float(np.sqrt(np.mean(resid**2)))
+    return float(coef[0]), float(coef[1]), rms
 
 
 def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:

@@ -1,7 +1,8 @@
 """Exact truncated operator matrices on the Gaussian-weighted entire-function
 space over C^n: Toeplitz compressions of the symbol algebra, buffered
-products, Hankel products, heat-inverse (Weyl-type) quantization, and
-coherent-state (Berezin) symbols.
+products, heat-inverse (Weyl-type) quantization, and coherent-state
+(Berezin) symbols.  The dense matrices serve the Weyl-calculus check; the
+trace experiments read only the moment rows.
 
 Matrix elements come from the angular x radial factorization: the angular
 sphere integral is exact in closed form, and the radial piece is carried by
@@ -12,24 +13,21 @@ the normalized moments
 which stay O(1) at every degree, so assembly never overflows.  The rows come
 from recurrences in d and t, seeded by the d = 0 moments, which are
 gamma e^gamma E_(-t/2)(gamma) in terms of the generalized exponential
-integral (DLMF 8.19).  Entries are evaluated in a fixed term order
-regardless of any outer parallelism.
+integral (DLMF 8.19).  Entries are evaluated in a fixed term order.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import _tkey, degree, enumerate_basis, graded_rank, mi_add, mi_sub
+from .core import _tkey, degree, enumerate_basis, graded_rank, mi_sub
 from .symbols import RadialSymbol
-from .weyl_calculus import heat_inverse
+from .weyl_calculus import _require_gamma, heat_inverse
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,7 @@ class FockContext:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need n >= 1")
-        if not self.gamma > 0:
-            raise ValueError("need gamma > 0")
+        _require_gamma(self.gamma, "FockContext")
 
 
 # ---------------------------------------------------------------------------
@@ -140,44 +137,12 @@ class OperatorMatrix:
     rows/columns in the global graded basis order.  entries[i_beta, i_alpha]
     is the coefficient of e_beta in (T e_alpha)."""
 
-    ctx: FockContext
     D: int
     entries: np.ndarray
-    shifts: frozenset
-    hermitian: bool
-    provenance: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def basis(self):
-        return enumerate_basis(self.ctx.n, self.D)
-
-    def check_hermitian(self, tol: float = 1e-12) -> bool:
-        m = np.max(np.abs(self.entries))
-        if m == 0:
-            return True
-        return np.max(np.abs(self.entries - self.entries.conj().T)) <= tol * m
-
-    def compress(self, D: int) -> "OperatorMatrix":
-        """Top-left block on the degree-<=D subbasis (graded order makes this
-        a leading principal block)."""
-        if D > self.D:
-            raise ValueError("cannot expand a matrix by compression")
-        size = len(enumerate_basis(self.ctx.n, D))
-        sub = np.array(self.entries[:size, :size])
-        return OperatorMatrix(self.ctx, D, sub, self.shifts,
-                              hermitian=self.hermitian,
-                              provenance=dict(self.provenance, compressed_to=D))
-
-
-def identity_matrix(ctx: FockContext, D: int) -> OperatorMatrix:
-    size = len(enumerate_basis(ctx.n, D))
-    zero = (0,) * ctx.n
-    return OperatorMatrix(ctx, D, np.eye(size, dtype=complex),
-                          frozenset([zero]), hermitian=True,
-                          provenance={"kind": "identity", "D": D})
 
 
 def toeplitz_matrix(ctx: FockContext, S: RadialSymbol, D: int) -> OperatorMatrix:
@@ -200,14 +165,11 @@ def toeplitz_matrix(ctx: FockContext, S: RadialSymbol, D: int) -> OperatorMatrix
     basis = np.array(enumerate_basis(n, D), dtype=np.int64).reshape(-1, n)
     deg = basis.sum(axis=1)
     M = np.zeros((basis.shape[0], basis.shape[0]), dtype=complex)
-    shifts = set()
     for (p, q, t), c in S.terms.items():
-        shift = mi_sub(p, q)
-        shifts.add(shift)
         dp, dq = degree(p), degree(q)
         row = scaled_moment_row(t, gamma, D + dp + n)
         gfac = gamma ** (-(dp + dq) / 2.0)
-        beta = basis + np.array(shift, dtype=np.int64)
+        beta = basis + np.array(mi_sub(p, q), dtype=np.int64)
         cols = np.flatnonzero((beta >= 0).all(axis=1) & (deg + (dp - dq) <= D))
         alpha, beta = basis[cols], beta[cols]
         r_alpha = np.ones(cols.shape[0])
@@ -222,10 +184,7 @@ def toeplitz_matrix(ctx: FockContext, S: RadialSymbol, D: int) -> OperatorMatrix
         val *= np.sqrt(r_alpha * r_beta)
         # beta is injective in alpha, so no entry repeats within a term
         M[graded_rank(beta), cols] += val
-    return OperatorMatrix(
-        ctx, D, M, frozenset(shifts), hermitian=S.is_real(),
-        provenance={"kind": "toeplitz", "symbol": S.to_json_dict(),
-                    "D": D, "buffer": 0, "gamma": gamma, "n": n})
+    return OperatorMatrix(D, M)
 
 
 def _symbol_buffer(S: RadialSymbol) -> int:
@@ -233,73 +192,27 @@ def _symbol_buffer(S: RadialSymbol) -> int:
 
 
 def buffered_product(ctx: FockContext, factors, D: int) -> OperatorMatrix:
-    """Operator product of Toeplitz factors (or prebuilt matrices), assembled
-    at internal degree D + B and compressed to degree D.
+    """Operator product of Toeplitz factors, assembled at internal degree
+    D + B and compressed to degree D.
 
-    B sums each symbol factor's maximal monomial shift, which makes the
-    degree-<=D block of the product exact: no factor can move total degree
-    past the buffer.  Matrix factors must already cover degree D + B.
+    B sums each factor's maximal monomial shift, which makes the degree-<=D
+    block of the product exact: no factor can move total degree past the
+    buffer.
     """
     if not factors:
         raise ValueError("need at least one factor")
-    B = sum(_symbol_buffer(f) for f in factors if isinstance(f, RadialSymbol))
-    Dbuf = D + B
-    mats = []
-    for f in factors:
-        if isinstance(f, RadialSymbol):
-            mats.append(toeplitz_matrix(ctx, f, Dbuf))
-        elif isinstance(f, OperatorMatrix):
-            if f.D < Dbuf:
-                raise ValueError(
-                    f"matrix factor at degree {f.D} cannot feed a buffered "
-                    f"product needing degree {Dbuf}")
-            mats.append(f.compress(Dbuf))
-        else:
-            raise TypeError("factors must be RadialSymbol or OperatorMatrix")
-    prod = mats[0].entries
-    shifts = mats[0].shifts
-    for m in mats[1:]:
-        prod = prod @ m.entries
-        shifts = frozenset(mi_add(a, b) for a in shifts for b in m.shifts)
+    Dbuf = D + sum(_symbol_buffer(f) for f in factors)
+    prod = toeplitz_matrix(ctx, factors[0], Dbuf).entries
+    for f in factors[1:]:
+        prod = prod @ toeplitz_matrix(ctx, f, Dbuf).entries
     size = len(enumerate_basis(ctx.n, D))
-    out = OperatorMatrix(
-        ctx, D, np.array(prod[:size, :size]), shifts, hermitian=False,
-        provenance={"kind": "product", "D": D, "buffer": B, "gamma": ctx.gamma,
-                    "n": ctx.n,
-                    "factors": [f.to_json_dict() if isinstance(f, RadialSymbol)
-                                else f.provenance for f in factors]})
-    out.hermitian = out.check_hermitian()
-    return out
-
-
-def hankel_product(ctx: FockContext, f: RadialSymbol, g: RadialSymbol,
-                   D: int) -> OperatorMatrix:
-    """Matrix of the Hankel product pairing f against g:
-    toeplitz(conj(f) * g) - toeplitz(conj(f)) @ toeplitz(g), with buffering.
-
-    Positive semidefinite when f = g.  Positive-order (polynomial-type)
-    symbols are accepted: the compression is finite entry by entry even when
-    the operators are only densely defined."""
-    direct = toeplitz_matrix(ctx, f.conj() * g, D)
-    cross = buffered_product(ctx, [f.conj(), g], D)
-    M = direct.entries - cross.entries
-    out = OperatorMatrix(
-        ctx, D, M, direct.shifts | cross.shifts, hermitian=False,
-        provenance={"kind": "hankel-product", "f": f.to_json_dict(),
-                    "g": g.to_json_dict(), "D": D,
-                    "buffer": cross.provenance["buffer"],
-                    "gamma": ctx.gamma, "n": ctx.n})
-    out.hermitian = out.check_hermitian()
-    return out
+    return OperatorMatrix(D, np.array(prod[:size, :size]))
 
 
 def weyl_matrix(ctx: FockContext, a: RadialSymbol, D: int) -> OperatorMatrix:
     """Quantization with heat-inverse symbol: toeplitz(heat_inverse(a), D).
     Defined for polynomial symbols."""
-    out = toeplitz_matrix(ctx, heat_inverse(a, ctx.gamma), D)
-    out.provenance = {"kind": "weyl", "symbol": a.to_json_dict(), "D": D,
-                      "buffer": 0, "gamma": ctx.gamma, "n": ctx.n}
-    return out
+    return toeplitz_matrix(ctx, heat_inverse(a, ctx.gamma), D)
 
 
 def berezin(ctx: FockContext, M: OperatorMatrix, w) -> complex:
@@ -339,50 +252,3 @@ def _coherent_factors(wj: complex, gamma: float, D: int) -> np.ndarray:
     for a in range(1, D + 1):
         out[a] = out[a - 1] * wj * (math.sqrt(gamma / a) * (damp if a <= m else 1.0))
     return out * damp ** np.maximum(m - np.arange(D + 1), 0)
-
-
-# ---------------------------------------------------------------------------
-# export formats
-
-_BINARY_MAGIC = b"FTMX"
-
-
-def matrix_to_csv(M: OperatorMatrix, path):
-    """Nonzero entries as 'row,col,re,im' lines, plus a provenance sidecar."""
-    with open(path, "w") as fh:
-        fh.write("row,col,re,im\n")
-        rows, cols = np.nonzero(M.entries)
-        for r, c in zip(rows, cols):
-            v = M.entries[r, c]
-            fh.write(f"{r},{c},{v.real:.17g},{v.imag:.17g}\n")
-    _write_sidecar(M, str(path) + ".json")
-
-
-def matrix_to_binary(M: OperatorMatrix, path):
-    """Compact layout: magic, int64 rows/cols, row-major complex doubles."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<qq", M.entries.shape[0], M.entries.shape[1]))
-        fh.write(np.ascontiguousarray(M.entries, dtype=np.complex128).tobytes())
-    _write_sidecar(M, str(path) + ".json")
-
-
-def matrix_from_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ValueError("not a focktrace matrix file")
-        rows, cols = struct.unpack("<qq", fh.read(16))
-        data = np.frombuffer(fh.read(rows * cols * 16), dtype=np.complex128)
-    return data.reshape(rows, cols).copy()
-
-
-def _write_sidecar(M: OperatorMatrix, path):
-    meta = dict(M.provenance)
-    meta.setdefault("gamma", M.ctx.gamma)
-    meta.setdefault("n", M.ctx.n)
-    meta.setdefault("D", M.D)
-    meta["hermitian"] = bool(M.hermitian)
-    meta["shifts"] = sorted(list(s) for s in M.shifts)
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)

@@ -1,6 +1,6 @@
-"""Spectral extraction: dense Hermitian eigensolve and SVD for truncated
-matrices, and an exact per-degree fast path for operator products that the
-monomial basis diagonalizes.
+"""Spectral extraction: the exact per-degree spectrum of operator products
+that the monomial basis diagonalizes, and the sorted s-number sequences the
+trace estimators read.
 
 A product chain is diagonal when every Toeplitz factor shifts all monomials
 by one fixed multi-index and the shifts cancel along the chain.  Its
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .core import degree, degree_multiplicity, mi_add, mi_sub
-from .fock_matrices import FockContext, OperatorMatrix, scaled_moment_row
+from .fock_matrices import FockContext, scaled_moment_row
 from .symbols import RadialSymbol
 
 
@@ -52,11 +52,10 @@ class SNumberSequence:
     """Run-length-compressed spectrum sorted by decreasing |value|.
 
     For s-number data (signed=False) all values are >= 0.  provenance records
-    whether the values are exact eigenvalues of the full operator cut at a
-    degree ('exact-diagonal(...)') or eigenvalues of a truncation
-    ('truncated(...)').  Ranks below certified_rank are guaranteed to be the
-    true leading s-numbers of the untruncated operator: every dropped
-    eigenvalue is smaller in modulus.
+    where the values come from, e.g. 'exact-diagonal(...)' for the exact
+    eigenvalues of the full operator cut at a degree.  Ranks below
+    certified_rank are guaranteed to be the true leading s-numbers of the
+    untruncated operator: every dropped eigenvalue is smaller in modulus.
     """
 
     values: np.ndarray
@@ -92,15 +91,6 @@ class SNumberSequence:
     def total(self) -> int:
         return int(self.mults.sum())
 
-    def rank_boundaries(self) -> np.ndarray:
-        return np.cumsum(self.mults)
-
-    def value_at(self, j: int) -> float:
-        if not 0 <= j < self.total:
-            raise IndexError("rank out of range")
-        run = int(np.searchsorted(self.rank_boundaries(), j, side="right"))
-        return float(self.values[run])
-
     def partial_sums(self, ranks) -> np.ndarray:
         """Correctly rounded sums of the first K+1 values, for each K in
         ranks (one walk; see `_kernels.partial_sums_at`)."""
@@ -122,7 +112,7 @@ class SNumberSequence:
             raise ValueError("window out of range")
         if hi - lo > 20_000_000:
             raise ValueError("window too large to materialize")
-        bounds = self.rank_boundaries()
+        bounds = np.cumsum(self.mults)
         j = np.arange(lo, hi + 1, dtype=np.int64)
         runs = np.searchsorted(bounds, j, side="right")
         return (j + 1.0) * self.values[runs]
@@ -166,40 +156,6 @@ class SNumberSequence:
                     for _ in range(m):
                         fh.write(f"{r},{v:.17g}\n")
                         r += 1
-
-
-# ---------------------------------------------------------------------------
-# dense paths
-
-def hermitian_spectrum(M: OperatorMatrix, signed: bool = False,
-                       residual_tol: float = 1e-10) -> SNumberSequence:
-    """Eigenvalues of a Hermitian truncated matrix.
-
-    With signed=True the eigenvalues keep their sign, ordered by decreasing
-    modulus; otherwise moduli are returned as s-numbers.  Each eigenpair is
-    checked against the residual contract |Mv - lambda v| <= tol * |M|.
-    """
-    if not M.hermitian or not M.check_hermitian():
-        raise ValueError("matrix failed the hermiticity gate")
-    H = (M.entries + M.entries.conj().T) / 2.0
-    w, V = np.linalg.eigh(H)
-    opnorm = float(np.max(np.abs(w))) if w.size else 0.0
-    resid = np.linalg.norm(M.entries @ V - V * w, axis=0)
-    if opnorm > 0 and np.max(resid) > residual_tol * opnorm:
-        raise RuntimeError("eigenpair residual exceeds contract")
-    vals = w if signed else np.abs(w)
-    return SNumberSequence.from_values(vals, f"truncated(D={M.D})", signed=signed)
-
-
-def singular_values(M: OperatorMatrix) -> SNumberSequence:
-    """s-numbers of the truncation, with the adjoint symmetry verified."""
-    s = np.linalg.svd(M.entries, compute_uv=False)
-    s_adj = np.linalg.svd(M.entries.conj().T, compute_uv=False)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    if np.max(np.abs(s - s_adj)) > 1e-10 * scale:
-        raise RuntimeError("adjoint symmetry of s-numbers violated")
-    return SNumberSequence(s, np.ones(s.shape[0], dtype=np.int64),
-                           f"truncated(D={M.D})")
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +218,6 @@ class DiagonalConfig:
 
 def toeplitz_config(S: RadialSymbol) -> DiagonalConfig:
     return DiagonalConfig(S.n, [DiagonalChain(1.0, [S])])
-
-
-def product_config(*symbols) -> DiagonalConfig:
-    return DiagonalConfig(symbols[0].n,
-                          [DiagonalChain(1.0, list(symbols))])
 
 
 def hankel_config(f: RadialSymbol, g: RadialSymbol) -> DiagonalConfig:

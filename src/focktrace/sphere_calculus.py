@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SpherePolynomial, degree, mi_add, mi_sub, unit_index
-from .extrapolation import richardson_limit
 from .symbols import RadialSymbol
 
 
@@ -148,6 +147,28 @@ def boundary_pairing_numeric(f: RadialSymbol, g: RadialSymbol, zeta,
                 f"radial limit not Cauchy: |v[-1]-v[-2]| = {gap:.3e} at radii "
                 f"{radii[-2]:g}, {radii[-1]:g}")
     return values
+
+
+def richardson_limit(xs, values):
+    """Neville polynomial extrapolation of values(x) to x = 0.
+
+    xs must be distinct positive scales (typically r^-2 for radii r);
+    values may be complex.  With a single point the value itself is
+    returned.
+    """
+    xs = [float(x) for x in xs]
+    vals = [complex(v) for v in values]
+    if len(xs) != len(vals) or not xs:
+        raise ValueError("xs and values must be equal-length and nonempty")
+    tab = list(vals)
+    m = len(tab)
+    for level in range(1, m):
+        new = []
+        for i in range(m - level):
+            x0, x1 = xs[i], xs[i + level]
+            new.append((x0 * tab[i + 1] - x1 * tab[i]) / (x0 - x1))
+        tab = new
+    return tab[0]
 
 
 def boundary_pairing_limit(f: RadialSymbol, g: RadialSymbol, zeta,

@@ -56,13 +56,6 @@ class RadialSymbol(TermSum):
         z = (0,) * n
         return cls.monomial(n, z, z, t)
 
-    def is_real(self) -> bool:
-        """True iff the symbol equals its own conjugate, term by term."""
-        for (p, q, t), c in self.terms.items():
-            if abs(self.terms.get((q, p, t), 0.0) - c.conjugate()) > 1e-14 * (1 + abs(c)):
-                return False
-        return True
-
     def is_polynomial(self) -> bool:
         return all(t == 0 for (_, _, t) in self.terms)
 

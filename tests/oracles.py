@@ -10,7 +10,9 @@ assembled one degree at a time, the term arithmetic of the symbol classes
 as plain-dict rules, and the symbol algebra and Toeplitz compression as
 they were computed term by term: `star` on that term arithmetic,
 `sphere_norm_sq` from the full product P * P.conj(), and `toeplitz_entries`
-looping over the basis.
+looping over the basis.  Dense truncations: the Hankel product matrix, and
+the Hermitian eigensolve and SVD (with their residual and adjoint-symmetry
+contracts) that the per-degree spectra are checked against.
 """
 
 import math
@@ -23,7 +25,8 @@ from focktrace import spectral
 from focktrace.core import (SpherePolynomial, compositions, degree,
                             enumerate_basis, mi_add, mi_factorial, mi_sub,
                             sphere_integral)
-from focktrace.fock_matrices import scaled_moment_row
+from focktrace.fock_matrices import (buffered_product, scaled_moment_row,
+                                     toeplitz_matrix)
 
 
 def monomial_norm_sq(ctx, alpha) -> float:
@@ -175,6 +178,47 @@ def toeplitz_entries(ctx, S, D: int) -> np.ndarray:
                 _rising_product(alpha, p) * _rising_product(beta, q))
             M[index[beta], i_a] += val
     return M
+
+
+# --- dense truncations -----------------------------------------------------
+
+def hankel_product(ctx, f, g, D: int) -> np.ndarray:
+    """Entries of the degree-<=D truncation of the Hankel product pairing f
+    against g: toeplitz(conj(f) * g) - toeplitz(conj(f)) @ toeplitz(g), the
+    second term buffered.  Positive semidefinite when f = g."""
+    direct = toeplitz_matrix(ctx, f.conj() * g, D).entries
+    return direct - buffered_product(ctx, [f.conj(), g], D).entries
+
+
+def hermitian_spectrum(A, signed: bool = False,
+                       residual_tol: float = 1e-10) -> np.ndarray:
+    """Eigenvalues of the Hermitian matrix A by decreasing modulus, ties in
+    eigh's order; their moduli unless signed.
+
+    A must be Hermitian to 1e-12 of its largest entry, and each eigenpair
+    must meet the residual contract |Av - lambda v| <= tol * |A|."""
+    A = np.asarray(A, dtype=complex)
+    m = np.max(np.abs(A)) if A.size else 0.0
+    if m > 0 and np.max(np.abs(A - A.conj().T)) > 1e-12 * m:
+        raise ValueError("matrix failed the hermiticity gate")
+    w, V = np.linalg.eigh((A + A.conj().T) / 2.0)
+    opnorm = float(np.max(np.abs(w))) if w.size else 0.0
+    resid = np.linalg.norm(A @ V - V * w, axis=0)
+    if opnorm > 0 and np.max(resid) > residual_tol * opnorm:
+        raise RuntimeError("eigenpair residual exceeds contract")
+    vals = w if signed else np.abs(w)
+    return vals[np.argsort(-np.abs(vals), kind="stable")]
+
+
+def singular_values(A) -> np.ndarray:
+    """s-numbers of A, descending, with the adjoint symmetry verified."""
+    A = np.asarray(A, dtype=complex)
+    s = np.linalg.svd(A, compute_uv=False)
+    s_adj = np.linalg.svd(A.conj().T, compute_uv=False)
+    scale = s[0] if s.size and s[0] > 0 else 1.0
+    if np.max(np.abs(s - s_adj)) > 1e-10 * scale:
+        raise RuntimeError("adjoint symmetry of s-numbers violated")
+    return s
 
 
 # --- term arithmetic -------------------------------------------------------

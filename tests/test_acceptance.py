@@ -19,9 +19,8 @@ import math
 
 import numpy as np
 
-from focktrace.cli import run_experiment
+from focktrace.cli import loglog_slope, run_experiment
 from focktrace.dixmier import extrapolate
-from focktrace.extrapolation import loglog_slope
 from focktrace.fock_matrices import FockContext
 from focktrace.sphere_calculus import boundary_pairing, boundary_pairing_limit
 from focktrace.spectral import diagonal_spectrum, toeplitz_config

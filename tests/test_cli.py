@@ -102,6 +102,28 @@ def test_cli_main_config_error(tmp_path):
                  "--out", str(tmp_path / "r2.json")]) == 2
 
 
+@pytest.mark.parametrize("experiment, cfg", [
+    ("hankel-trace", '{"n": 0}'),
+    ("hankel-trace", '{"gamma": 0}'),
+    ("hankel-trace", '{"gamma": -1}'),
+    ("hankel-trace", '{"gamma": NaN}'),
+    ("hankel-trace", '{"gamma": Infinity}'),
+    ("hankel-trace", '{"K_degree": -5}'),
+    ("hankel-trace", '{"K_degree": "abc"}'),
+    ("hankel-trace", '{"grid": [4, 8]}'),
+    ("model-operator", '{"K_ranks": "abc"}'),
+    ("model-operator", '{"K_ranks": 4096, "window": [10, 20], "grid": [4, 8]}'),
+])
+def test_cli_bad_config_exits_2_with_one_error_line(tmp_path, capsys,
+                                                    experiment, cfg):
+    # an exception escaping main would fail here: no traceback is printed
+    p = tmp_path / "cfg.json"
+    p.write_text(cfg)
+    assert main(["--experiment", experiment, "--config", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_cli_main_rejects_unknown_experiment():
     with pytest.raises(SystemExit) as exc:
         main(["--experiment", "bogus"])

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from focktrace.dixmier import (DEFAULT_RANK_GRID_1D, extrapolate, log_mean,
-                               pointwise)
-from focktrace.extrapolation import fit_inverse_log
+from focktrace.dixmier import (DEFAULT_RANK_GRID_1D, extrapolate,
+                               fit_inverse_log, log_mean, pointwise)
 from focktrace.spectral import SNumberSequence
 
 

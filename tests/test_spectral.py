@@ -1,5 +1,5 @@
-"""Spectra: dense solvers against independent oracles, the diagonal fast path
-against the dense route, sequence bookkeeping."""
+"""Spectra: the dense oracles against independent ones, the diagonal fast
+path against the dense route, sequence bookkeeping."""
 
 import math
 from unittest import mock
@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 
 from focktrace import spectral
 from focktrace.core import degree_multiplicity
-from focktrace.fock_matrices import (FockContext, OperatorMatrix,
-                                     buffered_product, hankel_product,
+from focktrace.fock_matrices import (FockContext, buffered_product,
                                      toeplitz_matrix)
 from focktrace.spectral import (DiagonalityError, SNumberSequence,
                                 commutator_config, diagonal_spectrum,
-                                hankel_config, hermitian_spectrum,
-                                product_config, singular_values,
-                                toeplitz_config)
+                                hankel_config, toeplitz_config)
 from focktrace.symbols import RadialSymbol
-from oracles import per_degree_spectrum, radial_moment
+from oracles import (hankel_product, hermitian_spectrum, per_degree_spectrum,
+                     radial_moment, singular_values)
 
 
 def random_matrix(rng, n, hermitian=False):
@@ -30,35 +28,27 @@ def random_matrix(rng, n, hermitian=False):
     return A
 
 
-def wrap(ctx, A, hermitian=False):
-    return OperatorMatrix(ctx, 0, np.asarray(A, dtype=complex),
-                          frozenset(), hermitian=hermitian)
-
-
 CTX1 = FockContext(1, 1.0)
 
 
 def test_hermitian_spectrum_identity():
-    M = wrap(CTX1, np.eye(5), hermitian=True)
-    seq = hermitian_spectrum(M)
-    assert list(seq.values) == [1.0] * 5
+    assert list(hermitian_spectrum(np.eye(5))) == [1.0] * 5
 
 
 def test_hermitian_spectrum_model_diagonal_readoff():
     ctx = FockContext(1, 1.0)
     M = toeplitz_matrix(ctx, RadialSymbol.radial_power(1, -2.0), 50)
-    seq = hermitian_spectrum(M)
-    assert seq.values[0] == pytest.approx(radial_moment(0, -2.0, 1.0), rel=1e-12)
-    assert seq.provenance == "truncated(D=50)"
+    w = hermitian_spectrum(M.entries)
+    assert w[0] == pytest.approx(radial_moment(0, -2.0, 1.0), rel=1e-12)
 
 
 def test_hermitian_spectrum_against_charpoly_roots():
     rng = np.random.default_rng(12)
     H = random_matrix(rng, 6, hermitian=True)
-    seq = hermitian_spectrum(wrap(CTX1, H, hermitian=True), signed=True)
+    w = hermitian_spectrum(H, signed=True)
     roots = np.roots(np.poly(H))
     assert np.max(np.abs(roots.imag)) < 1e-8
-    got = np.sort(seq.values)
+    got = np.sort(w)
     ref = np.sort(roots.real)
     np.testing.assert_allclose(got, ref, atol=1e-8)
 
@@ -67,28 +57,23 @@ def test_hermitian_gate_rejects():
     rng = np.random.default_rng(13)
     A = random_matrix(rng, 4)
     with pytest.raises(ValueError):
-        hermitian_spectrum(wrap(CTX1, A, hermitian=True))
-    with pytest.raises(ValueError):
-        hermitian_spectrum(wrap(CTX1, A, hermitian=False))
+        hermitian_spectrum(A)
 
 
 def test_singular_values_examples():
     rng = np.random.default_rng(14)
     H = random_matrix(rng, 5, hermitian=True)
     P = H @ H.conj().T  # positive
-    s = singular_values(wrap(CTX1, P))
-    e = hermitian_spectrum(wrap(CTX1, P, hermitian=True))
-    np.testing.assert_allclose(s.values, e.values, atol=1e-10)
+    np.testing.assert_allclose(singular_values(P), hermitian_spectrum(P),
+                               atol=1e-10)
 
     J = np.zeros((2, 2))
     J[0, 1] = 1.0
-    s = singular_values(wrap(CTX1, J))
-    np.testing.assert_allclose(s.values, [1.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(singular_values(J), [1.0, 0.0], atol=1e-14)
 
     A = random_matrix(rng, 5)
-    s = singular_values(wrap(CTX1, A))
-    sq = hermitian_spectrum(wrap(CTX1, A.conj().T @ A, hermitian=True))
-    np.testing.assert_allclose(s.values**2, sq.values, atol=1e-10)
+    np.testing.assert_allclose(singular_values(A) ** 2,
+                               hermitian_spectrum(A.conj().T @ A), atol=1e-10)
 
 
 # --- diagonal fast path -------------------------------------------------------
@@ -125,12 +110,12 @@ def test_diagonal_hankel_matches_dense_matrix():
     ctx = FockContext(1, gamma)
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     H = hankel_product(ctx, f, f, 200)
-    dense_diag = np.real(np.diag(H.entries))
+    dense_diag = np.real(np.diag(H))
     seq = diagonal_spectrum(ctx, hankel_config(f, f), 200)
     # same multiset: diagonal matrix entries are the eigenvalues
     np.testing.assert_allclose(np.sort(seq.values)[::-1],
                                np.sort(dense_diag)[::-1], rtol=1e-12)
-    off = H.entries - np.diag(np.diag(H.entries))
+    off = H - np.diag(np.diag(H))
     assert np.max(np.abs(off)) < 1e-13
 
 
@@ -148,10 +133,10 @@ def test_diagonal_rejects_mixed_shift_factor():
 def test_diagonal_annihilated_walks_are_zero():
     # T_g T_{conj g} hits the vacuum: the first eigenvalue is 0
     g = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
-    cfg = product_config(g, g.conj())
+    cfg = toeplitz_config(g) * toeplitz_config(g.conj())
     seq = diagonal_spectrum(CTX1, cfg, 50)
     assert seq.values[-1] == 0.0  # the alpha = 0 walk dies
-    other = diagonal_spectrum(CTX1, product_config(g.conj(), g), 50)
+    other = diagonal_spectrum(CTX1, toeplitz_config(g.conj()) * toeplitz_config(g), 50)
     assert np.all(other.values > 0)
 
 
@@ -159,8 +144,8 @@ def test_truncation_interlacing_toward_diagonal():
     ctx = FockContext(1, 1.0)
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     exact = diagonal_spectrum(ctx, hankel_config(f, f), 400)
-    w_small = hermitian_spectrum(hankel_product(ctx, f, f, 30)).values
-    w_big = hermitian_spectrum(hankel_product(ctx, f, f, 60)).values
+    w_small = hermitian_spectrum(hankel_product(ctx, f, f, 30))
+    w_big = hermitian_spectrum(hankel_product(ctx, f, f, 60))
     k = w_small.size
     assert np.all(w_small <= w_big[:k] + 1e-12)
     assert np.all(w_big[:k] <= exact.values[:k] + 1e-12)
@@ -173,9 +158,9 @@ def test_snumber_sum_inequality():
     for _ in range(20):
         A = random_matrix(rng, 8)
         B = random_matrix(rng, 8)
-        sA = singular_values(wrap(CTX1, A)).values
-        sB = singular_values(wrap(CTX1, B)).values
-        sAB = singular_values(wrap(CTX1, A + B)).values
+        sA = singular_values(A)
+        sB = singular_values(B)
+        sAB = singular_values(A + B)
         for i in range(8):
             for j in range(8 - i):
                 assert sAB[i + j] <= sA[i] + sB[j] + 1e-12
@@ -217,7 +202,6 @@ def test_sequence_partial_sums_and_pointwise():
     assert seq.partial_sum(5) == 11.0
     np.testing.assert_allclose(seq.pointwise_values(1, 3),
                                [2 * 2.0, 3 * 2.0, 4 * 1.0])
-    assert seq.value_at(4) == 1.0
     with pytest.raises(ValueError):
         seq.partial_sums([6])
 
@@ -267,10 +251,10 @@ def test_diagonal_two_variable_matches_dense_matrix():
     f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
     D = 14
     H = hankel_product(ctx, f, f, D)
-    off = H.entries - np.diag(np.diag(H.entries))
+    off = H - np.diag(np.diag(H))
     assert np.max(np.abs(off)) < 1e-13
     seq = diagonal_spectrum(ctx, hankel_config(f, f), D)
-    dense = np.sort(np.real(np.diag(H.entries)))[::-1]
+    dense = np.sort(np.real(np.diag(H)))[::-1]
     fast = np.sort(np.repeat(seq.values, seq.mults))[::-1]
     np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=1e-15)
 
@@ -286,7 +270,7 @@ def test_diagonal_three_variables():
     seq2 = diagonal_spectrum(ctx, hankel_config(f, f), 12)
     assert seq2.total == sum(degree_multiplicity(3, k) for k in range(13))
     H = hankel_product(ctx, f, f, 12)
-    dense = np.sort(np.real(np.diag(H.entries)))[::-1]
+    dense = np.sort(np.real(np.diag(H)))[::-1]
     fast = np.sort(np.repeat(seq2.values, seq2.mults))[::-1]
     np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=1e-15)
 
@@ -300,10 +284,10 @@ def test_dense_pipeline_agrees_with_diagonal_engine():
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     dense = hermitian_spectrum(hankel_product(ctx, f, f, 600))
     diag = diagonal_spectrum(ctx, hankel_config(f, f), 1200)
-    np.testing.assert_allclose(dense.values[:400], diag.values[:400],
-                               rtol=1e-12)
-    assert log_mean(dense, 400) == pytest.approx(log_mean(diag, 400),
-                                                 rel=1e-12)
+    np.testing.assert_allclose(dense[:400], diag.values[:400], rtol=1e-12)
+    dense_seq = SNumberSequence.from_values(dense, "truncated(D=600)")
+    assert log_mean(dense_seq, 400) == pytest.approx(log_mean(diag, 400),
+                                                     rel=1e-12)
 
 
 # largest truncation degree per dimension: dense sizes 31, 55 and 56
@@ -334,14 +318,13 @@ def test_diagonal_spectrum_matches_dense_eigenvalues(case):
         config, entries = toeplitz_config(S), toeplitz_matrix(ctx, S, D).entries
     elif kind == "hankel":
         config = hankel_config(f, f)
-        entries = hankel_product(ctx, f, f, D).entries
+        entries = hankel_product(ctx, f, f, D)
     else:
         g = f.conj() * RadialSymbol.radial_power(n, t)
         config = commutator_config(f, g)
         entries = (buffered_product(ctx, [f, g], D).entries
                    - buffered_product(ctx, [g, f], D).entries)
-    M = OperatorMatrix(ctx, D, entries, frozenset(), hermitian=True)
-    dense = np.sort(hermitian_spectrum(M, signed=True).values)
+    dense = np.sort(hermitian_spectrum(entries, signed=True))
     seq = diagonal_spectrum(ctx, config, D)
     fast = np.sort(np.repeat(seq.values, seq.mults))
     assert fast.shape == dense.shape

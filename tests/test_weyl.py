@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from focktrace.cli import loglog_slope
 from focktrace.core import enumerate_basis, mi_factorial, sphere_equal
-from focktrace.extrapolation import loglog_slope
 from focktrace.sphere_calculus import boundary_pairing
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import (hankel_leading_symbol, heat_inverse,
