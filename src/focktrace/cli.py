@@ -149,6 +149,13 @@ def _cutoff(cfg, key, default: int) -> int:
     return K
 
 
+def _tolerance(cfg, key, default: float) -> float:
+    try:
+        return float(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
 def _grid_for(cfg, seq, n):
     if "grid" in cfg:
         return [int(k) for k in cfg["grid"]]
@@ -178,7 +185,7 @@ def _trace_check(ctx, config, cfg, target, default_tol, check_name,
     est = _estimate(cfg, seq, n)
     csv_sink(csv_label, seq)
     check = make_check(check_name, est.value, target,
-                       float(cfg.get("tolerance", default_tol)))
+                       _tolerance(cfg, "tolerance", default_tol))
     return check, {"estimate_method": est.method, "estimate_K": est.K_used,
                    **est.diagnostics}
 
@@ -207,7 +214,7 @@ def _leading(sym: RadialSymbol):
 # ---------------------------------------------------------------------------
 # experiments
 
-def _exp_model_operator(cfg, rng, csv_sink):
+def _exp_model_operator(cfg, seed, csv_sink):
     ctx = _context(cfg, 1)
     n, gamma = ctx.n, ctx.gamma
     S = RadialSymbol.radial_power(n, -2.0 * n)
@@ -217,14 +224,17 @@ def _exp_model_operator(cfg, rng, csv_sink):
     if n == 1:
         K = _cutoff(cfg, "K_ranks", 1 << 20)
         seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
-        window = cfg.get("window", [500_000, 1_000_000])
-        window = [min(int(w), seq.total - 1) for w in window]
-        med, spread = pointwise(seq, window)
+        try:
+            lo, hi = (min(int(w), seq.total - 1)
+                      for w in cfg.get("window", [500_000, 1_000_000]))
+            med, spread = pointwise(seq, (lo, hi))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid window: {exc}") from exc
         checks.append(make_check("pointwise-median", med, target,
-                                 float(cfg.get("tol_pointwise", 0.005))))
+                                 _tolerance(cfg, "tol_pointwise", 0.005)))
         est = _estimate(cfg, seq, n)
         checks.append(make_check("extrapolated-log-mean", est.value, target,
-                                 float(cfg.get("tol_extrapolated", 0.02))))
+                                 _tolerance(cfg, "tol_extrapolated", 0.02)))
         diags = {"pointwise_spread": spread, "estimate_method": est.method,
                  "estimate_K": est.K_used, **est.diagnostics}
     else:
@@ -232,7 +242,7 @@ def _exp_model_operator(cfg, rng, csv_sink):
         seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
         est = _estimate(cfg, seq, n)
         checks.append(make_check("extrapolated-log-mean", est.value, target,
-                                 float(cfg.get("tol_extrapolated", 0.02))))
+                                 _tolerance(cfg, "tol_extrapolated", 0.02)))
         lo = max(0, (seq.certified_rank or seq.total) - 200_000)
         hi = (seq.certified_rank or seq.total) - 1
         med, spread = pointwise(seq, (lo, hi))
@@ -243,7 +253,7 @@ def _exp_model_operator(cfg, rng, csv_sink):
     return checks, diags
 
 
-def _exp_toeplitz_trace(cfg, rng, csv_sink):
+def _exp_toeplitz_trace(cfg, seed, csv_sink):
     ctx = _context(cfg, 2)
     n, gamma = ctx.n, ctx.gamma
     default = (RadialSymbol.coordinate(n, 1)
@@ -261,7 +271,7 @@ def _exp_toeplitz_trace(cfg, rng, csv_sink):
     return [check], diags
 
 
-def _exp_hankel_trace(cfg, rng, csv_sink):
+def _exp_hankel_trace(cfg, seed, csv_sink):
     ctx = _context(cfg, 1)
     n = ctx.n
     default = (RadialSymbol.coordinate(n, 1)
@@ -281,7 +291,7 @@ def _exp_hankel_trace(cfg, rng, csv_sink):
     return [check], diags
 
 
-def _exp_commutator_trace(cfg, rng, csv_sink):
+def _exp_commutator_trace(cfg, seed, csv_sink):
     ctx = _context(cfg, 1)
     n = ctx.n
     du = RadialSymbol.radial_power(n, -1.0)
@@ -366,8 +376,11 @@ def _default_mixed_cases():
     return [case1, case2]
 
 
-def _exp_mixed_trace(cfg, rng, csv_sink):
+def _exp_mixed_trace(cfg, seed, csv_sink):
     cases = cfg.get("cases", _default_mixed_cases())
+    if not (isinstance(cases, list)
+            and all(isinstance(case, dict) for case in cases)):
+        raise ConfigError("cases must be a list of case objects")
     checks = []
     diags = {}
     for i, case in enumerate(cases):
@@ -415,7 +428,8 @@ def _monomial_decaying(n, p, q, order):
     return RadialSymbol.monomial(n, p, q, t)
 
 
-def _exp_calculus_check(cfg, rng, csv_sink):
+def _exp_calculus_check(cfg, seed, csv_sink):
+    rng = np.random.default_rng(seed)
     checks = []
     gamma = _context(cfg, 1).gamma
 
@@ -623,7 +637,6 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
         raise ConfigError(f"unknown experiment '{name}'; choose from "
                           f"{sorted(EXPERIMENTS)}")
     cfg = dict(config or {})
-    rng = np.random.default_rng(seed)
     written = []
 
     def csv_sink(label, seq):
@@ -637,7 +650,7 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
 
     t0 = time.perf_counter()
     try:
-        checks, diagnostics = EXPERIMENTS[name](cfg, rng, csv_sink)
+        checks, diagnostics = EXPERIMENTS[name](cfg, seed, csv_sink)
     except DiagonalityError as exc:
         raise ConfigError(
             f"{exc}; this experiment estimates traces through the exact "

@@ -10,6 +10,7 @@ evaluated for every degree up to a cap, with multiplicities attached.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -37,14 +38,29 @@ def _modulus_order(values: np.ndarray) -> np.ndarray:
 
 
 def _sorted_by_modulus(values: np.ndarray) -> np.ndarray:
-    """values[_modulus_order(values)].
+    """values[_modulus_order(values)]; values is a buffer the caller owns.
 
     When no value has its sign bit set (-0.0 counts as signed), equal keys
     hold equal bits, so the stable modulus order is the values themselves
-    sorted descending: no argsort and no gather."""
+    sorted descending: they are negated, sorted and negated back in place,
+    with no argsort, gather or copy, and returned."""
     if np.signbit(values).any():
         return values[_modulus_order(values)]
-    return np.sort(values)[::-1]
+    np.negative(values, out=values)
+    values.sort()
+    return np.negative(values, out=values)
+
+
+def _leading_count(values: np.ndarray, bound: float, inclusive=False) -> int:
+    """Length of the prefix of values, sorted by nonincreasing modulus, whose
+    moduli exceed bound (or reach it, with inclusive=True); a bisection."""
+    find = bisect.bisect_right if inclusive else bisect.bisect_left
+    return find(values, -bound, key=lambda x: -abs(x))
+
+
+def _unit_mults(size: int) -> np.ndarray:
+    """size multiplicities of 1: a read-only view with stride 0."""
+    return np.broadcast_to(np.int64(1), (size,))
 
 
 @dataclass
@@ -67,24 +83,29 @@ class SNumberSequence:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.mults = np.asarray(self.mults, dtype=np.int64)
-        if self.values.shape != self.mults.shape or self.values.ndim != 1:
+        v = self.values
+        if v.shape != self.mults.shape or v.ndim != 1:
             raise ValueError("values and mults must be equal-length 1-D")
-        if not np.all(np.isfinite(self.values)):
+        if not v.size:
+            return
+        lo, hi = v.min(), v.max()  # NaN and +-inf reach one of them
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("values must be finite")
-        a = np.abs(self.values)
+        a = v if lo >= 0 else np.abs(v)
         with np.errstate(over="ignore"):  # an infinite bound is the right one
-            unsorted = np.any(a[1:] > a[:-1] * (1 + 1e-15) + 1e-300)
-        if unsorted:
+            bound = a[:-1] * (1 + 1e-15)
+        bound += 1e-300
+        if np.any(a[1:] > bound):
             raise ValueError("values must be sorted by nonincreasing modulus")
-        if not self.signed and np.any(self.values < 0):
+        if not self.signed and lo < 0:
             raise ValueError("s-numbers must be nonnegative")
-        if np.any(self.mults <= 0):
+        if self.mults.min() <= 0:
             raise ValueError("multiplicities must be positive")
 
     @classmethod
     def from_values(cls, values, provenance, signed=False, certified_rank=None):
-        v = _sorted_by_modulus(np.asarray(values, dtype=float))
-        return cls(v, np.ones(v.shape[0], dtype=np.int64), provenance,
+        v = _sorted_by_modulus(np.array(values, dtype=float))
+        return cls(v, _unit_mults(v.shape[0]), provenance,
                    signed=signed, certified_rank=certified_rank)
 
     @property
@@ -122,18 +143,31 @@ class SNumberSequence:
         v = np.concatenate([self.values, other.values])
         m = np.concatenate([self.mults, other.mults])
         order = _modulus_order(v)
-        cert = None
-        if self.certified_rank is not None and other.certified_rank is not None:
-            cert = self.certified_rank + other.certified_rank
-        return SNumberSequence(v[order], m[order],
+        v, m = v[order], m[order]
+        ranks = (self.certified_rank, other.certified_rank)
+        if None in ranks:
+            cert = None
+        elif 0 in ranks:
+            cert = 0
+        else:
+            # a dropped eigenvalue of either part is smaller in modulus than
+            # that part's last certified value, so all of them are below T
+            T = max(abs(x._value_at(x.certified_rank - 1)) for x in (self, other))
+            cert = int(m[:_leading_count(v, T, inclusive=True)].sum())
+        return SNumberSequence(v, m,
                                f"merge({self.provenance},{other.provenance})",
                                signed=self.signed or other.signed,
                                certified_rank=cert)
 
+    def _value_at(self, rank: int) -> float:
+        run = np.searchsorted(np.cumsum(self.mults), rank, side="right")
+        return float(self.values[run])
+
     def scaled(self, factor: float) -> "SNumberSequence":
         if factor < 0 and not self.signed:
             raise ValueError("negative scaling of s-numbers")
-        return SNumberSequence(self.values * factor, self.mults.copy(),
+        mults = self.mults if not self.mults.flags.writeable else self.mults.copy()
+        return SNumberSequence(self.values * factor, mults,
                                self.provenance, signed=self.signed,
                                certified_rank=self.certified_rank)
 
@@ -375,21 +409,18 @@ def _multi_indices(offsets: list, cols: np.ndarray) -> np.ndarray:
     return np.vstack([degs[:-1] - degs[1:], degs[-1:]])
 
 
-def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
-                      K_degree: int) -> SNumberSequence:
-    """Exact spectrum of a diagonal configuration for all degrees <= K_degree.
+def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
+    """The unsorted eigenvalues of a diagonal configuration for all degrees
+    <= K_degree, in a buffer of their own; the index of each degree's first
+    value; and the values' multiplicities, None when every one is 1.
 
     Radial configurations (n = 1, or all factors free of monomial parts)
-    produce one value per degree with the full degree multiplicity attached.
-    Otherwise one value per multi-index is computed, degree by degree
-    (alpha_1 ascending at n = 2, `core.compositions` order at higher n),
-    in blocks of `_BLOCK` consecutive multi-indices that may cut across
+    produce one value per degree with the full degree multiplicity attached
+    (1 at n = 1).  Otherwise one value per multi-index is computed, degree by
+    degree (alpha_1 ascending at n = 2, `core.compositions` order at higher
+    n), in blocks of `_BLOCK` consecutive multi-indices that may cut across
     degrees.  Configurations with only real coefficients are evaluated in
-    float64.  The values are put in the stable order of decreasing modulus:
-    when every multiplicity is 1 and no value has its sign bit set, by
-    sorting the values themselves (`_sorted_by_modulus`), otherwise by
-    `_modulus_order`.  certified_rank marks how far the sorted values are
-    guaranteed to be the operator's true leading s-numbers.
+    float64.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
@@ -410,14 +441,13 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
 
     dtype = float if _is_real(config) else complex
     degrees = np.arange(K_degree + 1)
-    radial = _is_radial(config)
-    if n == 1 or radial:
+    if n == 1 or _is_radial(config):
         # the eigenvalue depends on |alpha| only: one representative per degree
         comps = np.zeros((n, K_degree + 1), dtype=np.int64)
         comps[0] = degrees
         vals = _config_values(config, per_chain, comps, gamma, rows, dtype)
-        degree_mults = degree_multiplicity(n, degrees)
         starts = np.arange(K_degree + 2)
+        mults = degree_multiplicity(n, degrees) if n > 1 else None
     else:
         # sum over k <= K_degree of C(k+n-1, n-1)
         count = math.comb(K_degree + n, n)
@@ -436,9 +466,25 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
                 comps = comps[::-1]
             vals[lo:lo + cols.size] = _config_values(config, per_chain, comps,
                                                      gamma, rows, dtype)
-        degree_mults = np.ones(count, dtype=np.int64)
+        mults = None
+    return vals, starts, mults
 
-    if dtype is complex:
+
+def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
+                      K_degree: int) -> SNumberSequence:
+    """Exact spectrum of a diagonal configuration for all degrees <= K_degree:
+    the values of `_diagonal_values`, with their multiplicities, in the
+    stable order of decreasing modulus.
+
+    The values are held once.  When every multiplicity is 1 and no value has
+    its sign bit set, they are sorted in place (`_sorted_by_modulus`),
+    otherwise gathered in `_modulus_order`; unit multiplicities are a
+    stride-0 view, not an array.  certified_rank marks how far the sorted
+    values are guaranteed to be the operator's true leading s-numbers: the
+    prefix of moduli above the tail bound, found by bisection.
+    """
+    vals, starts, degree_mults = _diagonal_values(ctx, config, K_degree)
+    if vals.dtype == complex:
         # imaginary parts must be numerical noise for these self-adjoint products
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
@@ -448,16 +494,19 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     # largest modulus seen over the last 5% of degrees
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
     tail_bound = float(np.max(np.abs(vals[starts[tail_lo]:])))
+    # the real parts of a complex buffer, or of a power, are a strided view:
+    # only those are copied
+    vals = np.ascontiguousarray(vals.real)
 
-    if n == 1 or not radial:  # every multiplicity is 1
-        values = _sorted_by_modulus(vals.real)
-        mults = degree_mults
+    if degree_mults is None:
+        values = _sorted_by_modulus(vals)
+        mults = _unit_mults(values.shape[0])
     else:
-        order = _modulus_order(vals.real)
-        values = vals.real[order]
+        order = _modulus_order(vals)
+        values = vals[order]
         mults = degree_mults[order]
-    signed = bool(np.any(values < 0))
-    certified = int(np.sum(mults[np.abs(values) > tail_bound * (1 + 1e-12)]))
+    signed = bool(values.min() < 0)
+    certified = int(mults[:_leading_count(values, tail_bound * (1 + 1e-12))].sum())
     return SNumberSequence(values, mults,
                            f"exact-diagonal(K_degree={K_degree})",
                            signed=signed, certified_rank=certified)

@@ -6,13 +6,14 @@ by quadrature, independently of the recurrences behind
 `focktrace.fock_matrices.scaled_moment_row`, their d = 0 base moments by
 quadrature, independently of the closed form behind
 `focktrace.fock_matrices._base_moment`, the per-multi-index spectrum
-assembled one degree at a time, the term arithmetic of the symbol classes
-as plain-dict rules, and the symbol algebra and Toeplitz compression as
-they were computed term by term: `star` on that term arithmetic,
-`sphere_norm_sq` from the full product P * P.conj(), and `toeplitz_entries`
-looping over the basis.  Dense truncations: the Hankel product matrix, and
-the Hermitian eigensolve and SVD (with their residual and adjoint-symmetry
-contracts) that the per-degree spectra are checked against.
+assembled one degree at a time, the spectrum finished with sorted copies,
+the term arithmetic of the symbol classes as plain-dict rules, and the
+symbol algebra and Toeplitz compression as they were computed term by
+term: `star` on that term arithmetic, `sphere_norm_sq` from the full
+product P * P.conj(), and `toeplitz_entries` looping over the basis.
+Dense truncations: the Hankel product matrix, and the Hermitian eigensolve
+and SVD (with their residual and adjoint-symmetry contracts) that the
+per-degree spectra are checked against.
 """
 
 import math
@@ -147,6 +148,31 @@ def per_degree_spectrum(ctx, config, K_degree: int):
     return spectral.SNumberSequence(
         values, np.ones(values.shape[0], dtype=np.int64),
         f"exact-diagonal(K_degree={K_degree})",
+        signed=bool(np.any(values < 0)), certified_rank=certified)
+
+
+def finish_with_copies(vals, starts, degree_mults, K_degree: int):
+    """`spectral.diagonal_spectrum`'s finishing of the output of
+    `spectral._diagonal_values` as it was before the values were held once:
+    a sorted copy (`np.sort(v)[::-1]` for values without a sign bit, a stable
+    modulus argsort otherwise), an `np.ones` multiplicity array, and the
+    certificate as a mask over every modulus."""
+    if np.iscomplexobj(vals):
+        scale = max(float(np.max(np.abs(vals))), 1e-300)
+        if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
+            raise spectral.DiagonalityError("configuration has non-real diagonal values")
+    tail_lo = max(0, int(math.floor(0.95 * K_degree)))
+    tail_bound = float(np.max(np.abs(vals[starts[tail_lo]:])))
+    v = vals.real
+    order = np.argsort(-np.abs(v), kind="stable")
+    if degree_mults is not None:
+        values, mults = v[order], degree_mults[order]
+    else:
+        values = v[order] if np.signbit(v).any() else np.sort(v)[::-1]
+        mults = np.ones(values.shape[0], dtype=np.int64)
+    certified = int(np.sum(mults[np.abs(values) > tail_bound * (1 + 1e-12)]))
+    return spectral.SNumberSequence(
+        values, mults, f"exact-diagonal(K_degree={K_degree})",
         signed=bool(np.any(values < 0)), certified_rank=certified)
 
 

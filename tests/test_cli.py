@@ -113,6 +113,10 @@ def test_cli_main_config_error(tmp_path):
     ("hankel-trace", '{"grid": [4, 8]}'),
     ("model-operator", '{"K_ranks": "abc"}'),
     ("model-operator", '{"K_ranks": 4096, "window": [10, 20], "grid": [4, 8]}'),
+    ("mixed-trace", '{"cases": 3}'),
+    ("model-operator", '{"window": ["a", 2], "K_ranks": 4096}'),
+    ("hankel-trace", '{"tolerance": "x", "K_degree": 65536}'),
+    ("model-operator", '{"tol_pointwise": "x", "K_ranks": 4096}'),
 ])
 def test_cli_bad_config_exits_2_with_one_error_line(tmp_path, capsys,
                                                     experiment, cfg):
@@ -165,6 +169,17 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_spectral_experiment_does_not_load_numpy_random():
+    # only calculus-check draws random numbers, so only it builds a generator
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    code = ("import json, sys; from focktrace.cli import run_experiment; "
+            "run_experiment('model-operator', json.loads(sys.argv[1])); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(FAST_MODEL_CFG)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_benchmark_tracer_hooks_resolve():

@@ -2,6 +2,7 @@
 path against the dense route, sequence bookkeeping."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focktrace import spectral
+from focktrace import _kernels, spectral
 from focktrace.core import degree_multiplicity
 from focktrace.fock_matrices import (FockContext, buffered_product,
                                      toeplitz_matrix)
+from focktrace.dixmier import extrapolate
 from focktrace.spectral import (DiagonalityError, SNumberSequence,
                                 commutator_config, diagonal_spectrum,
                                 hankel_config, toeplitz_config)
 from focktrace.symbols import RadialSymbol
-from oracles import (hankel_product, hermitian_spectrum, per_degree_spectrum,
-                     radial_moment, singular_values)
+from oracles import (finish_with_copies, hankel_product, hermitian_spectrum,
+                     per_degree_spectrum, radial_moment, singular_values)
 
 
 def random_matrix(rng, n, hermitian=False):
@@ -400,6 +402,101 @@ def test_complex_coefficients_take_the_complex_path():
     np.testing.assert_array_equal(got.mults, ref.mults)
     np.testing.assert_allclose(got.values, ref.values, rtol=1e-15, atol=0)
     assert got.certified_rank == ref.certified_rank
+
+
+# --- finishing: the values held once ------------------------------------------
+
+def _finishing_cases():
+    z = RadialSymbol.coordinate(1, 1)
+    u = RadialSymbol.radial_power(1, -1.0)
+    f2 = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
+    toeplitz2 = (RadialSymbol.coordinate(2, 1)
+                 * RadialSymbol.coordinate(2, 1, conjugated=True)
+                 * RadialSymbol.radial_power(2, -6.0))
+    return {
+        "n1-unsigned": (1, toeplitz_config(RadialSymbol.radial_power(1, -2.0)), 3000),
+        "n1-signed": (1, commutator_config(z * u, z.conj() * u), 3000),
+        "n2-toeplitz": (2, toeplitz_config(toeplitz2), 60),
+        "n2-mixed": (2, _per_multi_index_configs(2)["mixed"], 60),
+        "n2-power": (2, _per_multi_index_configs(2)["hankel-power-2"], 40),
+        "n2-radial": (2, toeplitz_config(RadialSymbol.radial_power(2, -4.0)), 300),
+        "n2-complex": (2, hankel_config(1j * f2, 1j * f2), 60),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_finishing_cases()))
+def test_finishing_matches_the_copying_oracle(kind):
+    # the in-place sort, stride-0 unit multiplicities and the certificate by
+    # bisection give the same values, bits, multiplicities and certificate
+    # as sorted copies, np.ones and a mask over every modulus
+    n, config, K = _finishing_cases()[kind]
+    ctx = FockContext(n, 0.7)
+    got = diagonal_spectrum(ctx, config, K)
+    ref = finish_with_copies(*spectral._diagonal_values(ctx, config, K), K)
+    assert got.values.tobytes() == ref.values.tobytes()
+    np.testing.assert_array_equal(got.mults, ref.mults)
+    assert (got.certified_rank, got.signed) == (ref.certified_rank, ref.signed)
+    assert 0 < got.certified_rank < got.total
+    assert got.signed == (kind == "n1-signed")
+    if kind != "n2-radial":
+        assert got.mults.strides == (0,) and not got.mults.flags.writeable
+
+
+def test_finishing_holds_the_values_about_twice(monkeypatch):
+    # diagonal_spectrum then extrapolate at n = 2 (45,451 values) peak at
+    # about 2.2 times the value bytes: the values, plus one value-sized
+    # temporary at a time (the sortedness bound, then the partial sums'
+    # cumulative multiplicities).  Small blocks and chunks keep the
+    # assembly's and the partial sums' scratch below the constant
+    monkeypatch.setattr(spectral, "_BLOCK", 1024)
+    monkeypatch.setattr(_kernels, "_CHUNK", 1024)
+    ctx = FockContext(2, 1.0)
+    config = toeplitz_config(RadialSymbol.coordinate(2, 1)
+                             * RadialSymbol.coordinate(2, 1, conjugated=True)
+                             * RadialSymbol.radial_power(2, -6.0))
+    diagonal_spectrum(ctx, config, 20)  # the moment rows' first call
+    tracemalloc.start()
+    try:
+        seq = diagonal_spectrum(ctx, config, 300)
+        extrapolate(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.values.size == math.comb(302, 2)
+    assert peak <= 2.5 * seq.values.nbytes + 65536, peak / seq.values.nbytes
+
+
+def test_from_values_leaves_its_input_alone():
+    a = np.array([1.0, 3.0, 2.0])
+    seq = SNumberSequence.from_values(a, "x")
+    np.testing.assert_array_equal(a, [1.0, 3.0, 2.0])
+    np.testing.assert_array_equal(seq.values, [3.0, 2.0, 1.0])
+    assert seq.total == 3 and seq.mults.strides == (0,)
+    # a read-only multiplicity view is shared, a writeable array copied
+    assert seq.scaled(2.0).mults is seq.mults
+    b = SNumberSequence(np.array([2.0]), np.array([4]), "b")
+    assert b.scaled(2.0).mults is not b.mults
+
+
+def test_merge_certifies_only_what_both_certificates_cover():
+    # a's uncertified 1 precedes b's 0.8, and a's dropped eigenvalues may
+    # reach about 1: only the ranks at or above 9, a's last certified
+    # modulus, stay certified
+    a = SNumberSequence(np.array([10.0, 9.0, 1.0, 0.5]), np.ones(4, dtype=np.int64),
+                        "a", certified_rank=2)
+    b = SNumberSequence(np.array([0.8, 0.7, 0.6]), np.ones(3, dtype=np.int64),
+                        "b", certified_rank=3)
+    assert a.merge(b).certified_rank == 2
+    assert b.merge(a).certified_rank == 2
+    # multiplicities count, and a certificate may end inside a run
+    c = SNumberSequence(np.array([5.0, 2.0, 1.0]), np.array([2, 3, 1]), "c",
+                        certified_rank=3)
+    d = SNumberSequence(np.array([3.0, 0.1]), np.array([4, 1]), "d",
+                        certified_rank=5)
+    assert c.merge(d).certified_rank == 2 + 4 + 3
+    assert a.merge(SNumberSequence(a.values, a.mults, "z", certified_rank=0)) \
+        .certified_rank == 0
+    assert a.merge(SNumberSequence(a.values, a.mults, "u")).certified_rank is None
 
 
 _TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e-300, 7.0]
