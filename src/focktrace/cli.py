@@ -181,11 +181,11 @@ def _trace_check(ctx, config, cfg, target, default_tol, check_name,
     target, and the estimate's diagnostics."""
     n = ctx.n
     K = _cutoff(cfg, "K_degree", 4000 if n > 1 else 1 << 20)
+    tol = _tolerance(cfg, "tolerance", default_tol)
     seq = diagonal_spectrum(ctx, config, K)
     est = _estimate(cfg, seq, n)
     csv_sink(csv_label, seq)
-    check = make_check(check_name, est.value, target,
-                       _tolerance(cfg, "tolerance", default_tol))
+    check = make_check(check_name, est.value, target, tol)
     return check, {"estimate_method": est.method, "estimate_K": est.K_used,
                    **est.diagnostics}
 
@@ -221,20 +221,24 @@ def _exp_model_operator(cfg, seed, csv_sink):
     target = gamma**n / math.factorial(n)
     checks = []
     diags = {}
+    tol_extrapolated = _tolerance(cfg, "tol_extrapolated", 0.02)
     if n == 1:
         K = _cutoff(cfg, "K_ranks", 1 << 20)
-        seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
+        tol_pointwise = _tolerance(cfg, "tol_pointwise", 0.005)
         try:
-            lo, hi = (min(int(w), seq.total - 1)
-                      for w in cfg.get("window", [500_000, 1_000_000]))
-            med, spread = pointwise(seq, (lo, hi))
+            window = [int(w) for w in cfg.get("window", [500_000, 1_000_000])]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid window: {exc}") from exc
-        checks.append(make_check("pointwise-median", med, target,
-                                 _tolerance(cfg, "tol_pointwise", 0.005)))
+        seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
+        try:
+            lo, hi = (min(w, seq.total - 1) for w in window)
+            med, spread = pointwise(seq, (lo, hi))
+        except ValueError as exc:
+            raise ConfigError(f"invalid window: {exc}") from exc
+        checks.append(make_check("pointwise-median", med, target, tol_pointwise))
         est = _estimate(cfg, seq, n)
         checks.append(make_check("extrapolated-log-mean", est.value, target,
-                                 _tolerance(cfg, "tol_extrapolated", 0.02)))
+                                 tol_extrapolated))
         diags = {"pointwise_spread": spread, "estimate_method": est.method,
                  "estimate_K": est.K_used, **est.diagnostics}
     else:
@@ -242,7 +246,7 @@ def _exp_model_operator(cfg, seed, csv_sink):
         seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
         est = _estimate(cfg, seq, n)
         checks.append(make_check("extrapolated-log-mean", est.value, target,
-                                 _tolerance(cfg, "tol_extrapolated", 0.02)))
+                                 tol_extrapolated))
         lo = max(0, (seq.certified_rank or seq.total) - 200_000)
         hi = (seq.certified_rank or seq.total) - 1
         med, spread = pointwise(seq, (lo, hi))

@@ -152,22 +152,24 @@ class SNumberSequence:
         else:
             # a dropped eigenvalue of either part is smaller in modulus than
             # that part's last certified value, so all of them are below T
-            T = max(abs(x._value_at(x.certified_rank - 1)) for x in (self, other))
+            T = 0.0
+            for x in (self, other):
+                rank = x.certified_rank - 1
+                if x.mults.strides == (0,):  # one multiplicity for every run
+                    run = rank // int(x.mults[0])
+                else:
+                    run = np.searchsorted(np.cumsum(x.mults), rank, side="right")
+                T = max(T, abs(float(x.values[run])))
             cert = int(m[:_leading_count(v, T, inclusive=True)].sum())
         return SNumberSequence(v, m,
                                f"merge({self.provenance},{other.provenance})",
                                signed=self.signed or other.signed,
                                certified_rank=cert)
 
-    def _value_at(self, rank: int) -> float:
-        run = np.searchsorted(np.cumsum(self.mults), rank, side="right")
-        return float(self.values[run])
-
     def scaled(self, factor: float) -> "SNumberSequence":
         if factor < 0 and not self.signed:
             raise ValueError("negative scaling of s-numbers")
-        mults = self.mults if not self.mults.flags.writeable else self.mults.copy()
-        return SNumberSequence(self.values * factor, mults,
+        return SNumberSequence(self.values * factor, self.mults,
                                self.provenance, signed=self.signed,
                                certified_rank=self.certified_rank)
 
