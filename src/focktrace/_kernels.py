@@ -12,12 +12,15 @@ spectral path and run for up to ~10^6 steps.
   the serial loop.
 - `ladder_row` is damped (each step multiplies the carried value by
   -gamma/d), so after a short serial prefix every entry is the same
-  recurrence restarted a few steps back, run for all degrees at once.
+  recurrence restarted a few steps back, run for a chunk of degrees at once.
 - `pair_rows` stays a serial loop: A is a running integral of B, so that
-  recurrence is not damped and cannot be restarted.
+  recurrence is not damped and cannot be restarted.  It fills preallocated
+  rows one chunk of degrees at a time.
 - `partial_sums_at` sums a run-length sequence with `math.fsum`; each
   result is the correctly rounded sum of the exact run products, up to an
-  error below 2^-104 of the sums walked.
+  error below 2^-104 of the sums walked.  Unit multiplicities (a stride-0
+  view of ones) take a path where rank r is run r and the values are the
+  products, with the same bits.
 
 The serial loops these kernels replace are kept in ``tests/`` as oracles.
 """
@@ -39,16 +42,20 @@ _LADDER_SERIAL_PER_GAMMA = 40
 _LADDER_SERIAL_MIN = 64
 _LADDER_TERMS = 12
 
-# partial_sums_at: runs summed per fsum call (bounds the scratch memory)
+# ladder_row, pair_rows: degrees per chunk; partial_sums_at: runs summed per
+# fsum call (each bounds the scratch memory)
 _CHUNK = 1 << 15
+# _two_product: above this modulus 134217729 * x can overflow
+_SPLIT_MAX = 2.0 ** 995
 
 
 def ladder_row(prev, out0, gamma):
     """m_{s-1}[d] = (gamma/d) * (m_s[d-1] - m_{s-1}[d-1]); damped, stable.
 
-    Degrees d >= 40 gamma + 64 run the recurrence from zero at d - 12 for
-    every d at once; the dropped start is damped by prod gamma/(d-i) < 40^-12,
-    so the result matches the serial loop to rounding.
+    Degrees d >= 40 gamma + 64 run the recurrence from zero at d - 12, for
+    _CHUNK degrees at once; the dropped start is damped by
+    prod gamma/(d-i) < 40^-12, so the result matches the serial loop to
+    rounding.
     """
     L = prev.shape[0]
     out = np.empty(L)
@@ -60,12 +67,14 @@ def ladder_row(prev, out0, gamma):
         acc = (gamma / d) * (p[d - 1] - acc)
         serial.append(acc)
     out[:head] = serial
-    if head < L:
-        d = np.arange(head, L)
-        h = np.zeros(L - head)
+    # each degree is restarted on its own, so _CHUNK degrees at a time
+    for lo in range(head, L, _CHUNK):
+        hi = min(lo + _CHUNK, L)
+        d = np.arange(lo, hi)
+        h = np.zeros(hi - lo)
         for k in range(_LADDER_TERMS - 1, -1, -1):
-            h = (gamma / (d - k)) * (prev[head - 1 - k:L - 1 - k] - h)
-        out[head:] = h
+            h = (gamma / (d - k)) * (prev[lo - 1 - k:hi - 1 - k] - h)
+        out[lo:hi] = h
     return out
 
 
@@ -77,18 +86,26 @@ def pair_rows(s_plus_one, a0, b0, gamma, dmax):
 
     A is a running integral of B, so errors in A are carried undamped and
     the recurrence cannot be restarted part way like `ladder_row`: this
-    one stays serial (on Python floats, the same IEEE arithmetic).
+    one stays serial (on Python floats, the same IEEE arithmetic).  The
+    preallocated rows are filled _CHUNK degrees at a time, so the Python
+    floats in flight never outnumber one chunk.
     """
     c = s_plus_one / gamma
     a, b = float(a0), float(b0)
-    A = [a]
-    B = [b]
-    for d in range(1, dmax + 1):
-        b = (gamma / d) * (a - b)
-        a = a + c * b
-        A.append(a)
-        B.append(b)
-    return np.array(A), np.array(B)
+    A = np.empty(dmax + 1)
+    B = np.empty(dmax + 1)
+    A[0], B[0] = a, b
+    for lo in range(1, dmax + 1, _CHUNK):
+        hi = min(lo + _CHUNK, dmax + 1)
+        As, Bs = [], []
+        for gd in (gamma / np.arange(lo, hi, dtype=float)).tolist():
+            b = gd * (a - b)
+            a = a + c * b
+            As.append(a)
+            Bs.append(b)
+        A[lo:hi] = As
+        B[lo:hi] = Bs
+    return A, B
 
 
 def raise_row(row, gamma):
@@ -105,12 +122,26 @@ def _split(x):
 
 def _two_product(a, b):
     """p, e with p = fl(a*b) and p + e == a*b exactly (Dekker; barring
-    overflow, and underflow of e)."""
+    overflow of p, and underflow of e).
+
+    Factors b above _SPLIT_MAX in modulus, whose split would overflow, are
+    scaled by 2^-64 first and both results scaled back; at that size the
+    power-of-two scalings are exact, and the other entries are untouched."""
+    big = np.abs(b) > _SPLIT_MAX
+    if big.any():
+        scale = np.where(big, 2.0 ** 64, 1.0)
+        p, e = _two_product(a, b / scale)
+        return p * scale, e * scale
     p = a * b
     ah, al = _split(a)
     bh, bl = _split(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
+
+
+def is_unit(mults) -> bool:
+    """True when mults is a stride-0 view of ones: every run is one rank."""
+    return mults.strides == (0,) and (mults.size == 0 or mults[0] == 1)
 
 
 def partial_sums_at(values, mults, ranks):
@@ -128,27 +159,38 @@ def partial_sums_at(values, mults, ranks):
     exact product of the partial run are summed once more.  Each result is
     therefore the correctly rounded exact partial sum, up to an error at
     most 2^-104 times the sum of the running totals carried, one per chunk.
+
+    Unit multiplicities (`is_unit`) take the same walk with the values as
+    the products: rank r is run r, with no cumulative sum or splitting.
     """
     out = np.empty(ranks.shape[0])
-    ends = np.cumsum(mults)
-    runs = np.searchsorted(ends, ranks, side="right")
-    inside = runs < values.shape[0]
-    part_runs = runs[inside]
-    counts = ranks[inside] - (ends[part_runs] - mults[part_runs]) + 1
-    part_hi, part_lo = _two_product(counts.astype(float), values[part_runs])
-    part = iter(zip(part_hi.tolist(), part_lo.tolist()))
+    unit = is_unit(mults)
+    if unit:
+        runs = np.minimum(ranks, values.shape[0])
+        inside = runs < values.shape[0]
+        part = ((v,) for v in values[runs[inside]].tolist())
+    else:
+        ends = np.cumsum(mults)
+        runs = np.searchsorted(ends, ranks, side="right")
+        inside = runs < values.shape[0]
+        part_runs = runs[inside]
+        counts = ranks[inside] - (ends[part_runs] - mults[part_runs]) + 1
+        part_hi, part_lo = _two_product(counts.astype(float), values[part_runs])
+        part = zip(part_hi.tolist(), part_lo.tolist())
 
     carry = [0.0, 0.0]
     walked = 0
     for i, (run, has_part) in enumerate(zip(runs.tolist(), inside.tolist())):
         while walked < run:
             stop = min(run, walked + _CHUNK)
-            hi, lo = _two_product(mults[walked:stop].astype(float),
-                                  values[walked:stop])
-            lo = lo[lo != 0]
-            total = math.fsum(chain(carry, memoryview(hi), memoryview(lo)))
-            rest = math.fsum(chain(carry, memoryview(hi), memoryview(lo),
-                                   (-total,)))
+            if unit:
+                terms = (memoryview(values[walked:stop]),)
+            else:
+                hi, lo = _two_product(mults[walked:stop].astype(float),
+                                      values[walked:stop])
+                terms = (memoryview(hi), memoryview(lo[lo != 0]))
+            total = math.fsum(chain(carry, *terms))
+            rest = math.fsum(chain(carry, *terms, (-total,)))
             carry = [total, rest]
             walked = stop
         out[i] = math.fsum(chain(carry, next(part))) if has_part else carry[0]

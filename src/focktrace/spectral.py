@@ -91,12 +91,16 @@ class SNumberSequence:
         lo, hi = v.min(), v.max()  # NaN and +-inf reach one of them
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("values must be finite")
-        a = v if lo >= 0 else np.abs(v)
-        with np.errstate(over="ignore"):  # an infinite bound is the right one
-            bound = a[:-1] * (1 + 1e-15)
-        bound += 1e-300
-        if np.any(a[1:] > bound):
-            raise ValueError("values must be sorted by nonincreasing modulus")
+        # in blocks that overlap by one value, so the scratch stays bounded
+        for start in range(0, v.size - 1, _BLOCK):
+            a = v[start:start + _BLOCK + 1]
+            if lo < 0:
+                a = np.abs(a)
+            with np.errstate(over="ignore"):  # an infinite bound is the right one
+                bound = a[:-1] * (1 + 1e-15)
+            bound += 1e-300
+            if np.any(a[1:] > bound):
+                raise ValueError("values must be sorted by nonincreasing modulus")
         if not self.signed and lo < 0:
             raise ValueError("s-numbers must be nonnegative")
         if self.mults.min() <= 0:
@@ -110,6 +114,8 @@ class SNumberSequence:
 
     @property
     def total(self) -> int:
+        if _kernels.is_unit(self.mults):
+            return self.values.size
         return int(self.mults.sum())
 
     def partial_sums(self, ranks) -> np.ndarray:
@@ -133,17 +139,24 @@ class SNumberSequence:
             raise ValueError("window out of range")
         if hi - lo > 20_000_000:
             raise ValueError("window too large to materialize")
-        bounds = np.cumsum(self.mults)
         j = np.arange(lo, hi + 1, dtype=np.int64)
-        runs = np.searchsorted(bounds, j, side="right")
+        if _kernels.is_unit(self.mults):  # rank j is run j
+            return (j + 1.0) * self.values[lo:hi + 1]
+        runs = np.searchsorted(np.cumsum(self.mults), j, side="right")
         return (j + 1.0) * self.values[runs]
 
     def merge(self, other: "SNumberSequence") -> "SNumberSequence":
-        """Spectrum of the direct sum: sorted union with multiplicities."""
+        """Spectrum of the direct sum: sorted union with multiplicities.
+        Unit multiplicities on both sides stay a stride-0 view."""
         v = np.concatenate([self.values, other.values])
-        m = np.concatenate([self.mults, other.mults])
-        order = _modulus_order(v)
-        v, m = v[order], m[order]
+        unit = _kernels.is_unit(self.mults) and _kernels.is_unit(other.mults)
+        if unit:
+            v = _sorted_by_modulus(v)
+            m = _unit_mults(v.size)
+        else:
+            m = np.concatenate([self.mults, other.mults])
+            order = _modulus_order(v)
+            v, m = v[order], m[order]
         ranks = (self.certified_rank, other.certified_rank)
         if None in ranks:
             cert = None
@@ -160,7 +173,8 @@ class SNumberSequence:
                 else:
                     run = np.searchsorted(np.cumsum(x.mults), rank, side="right")
                 T = max(T, abs(float(x.values[run])))
-            cert = int(m[:_leading_count(v, T, inclusive=True)].sum())
+            lead = _leading_count(v, T, inclusive=True)
+            cert = lead if unit else int(m[:lead].sum())
         return SNumberSequence(v, m,
                                f"merge({self.provenance},{other.provenance})",
                                signed=self.signed or other.signed,
@@ -418,11 +432,11 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
 
     Radial configurations (n = 1, or all factors free of monomial parts)
     produce one value per degree with the full degree multiplicity attached
-    (1 at n = 1).  Otherwise one value per multi-index is computed, degree by
-    degree (alpha_1 ascending at n = 2, `core.compositions` order at higher
-    n), in blocks of `_BLOCK` consecutive multi-indices that may cut across
-    degrees.  Configurations with only real coefficients are evaluated in
-    float64.
+    (1 at n = 1), in blocks of `_BLOCK` degrees.  Otherwise one value per
+    multi-index is computed, degree by degree (alpha_1 ascending at n = 2,
+    `core.compositions` order at higher n), in blocks of `_BLOCK`
+    consecutive multi-indices that may cut across degrees.  Configurations
+    with only real coefficients are evaluated in float64.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
@@ -442,15 +456,21 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
                         t, gamma, K_degree + buffer_deg + n + 1)
 
     dtype = float if _is_real(config) else complex
-    degrees = np.arange(K_degree + 1)
     if n == 1 or _is_radial(config):
-        # the eigenvalue depends on |alpha| only: one representative per degree
-        comps = np.zeros((n, K_degree + 1), dtype=np.int64)
-        comps[0] = degrees
-        vals = _config_values(config, per_chain, comps, gamma, rows, dtype)
-        starts = np.arange(K_degree + 2)
-        mults = degree_multiplicity(n, degrees) if n > 1 else None
+        # the eigenvalue depends on |alpha| only: one representative per
+        # degree, (k, 0, ..., 0)
+        vals = np.empty(K_degree + 1, dtype=dtype)
+        for lo in range(0, K_degree + 1, _BLOCK):
+            hi = min(lo + _BLOCK, K_degree + 1)
+            comps = np.zeros((n, hi - lo), dtype=np.int64)
+            comps[0] = np.arange(lo, hi)
+            vals[lo:hi] = _config_values(config, per_chain, comps, gamma, rows,
+                                         dtype)
+        starts = range(K_degree + 2)
+        mults = (degree_multiplicity(n, np.arange(K_degree + 1)) if n > 1
+                 else None)
     else:
+        degrees = np.arange(K_degree + 1)
         # sum over k <= K_degree of C(k+n-1, n-1)
         count = math.comb(K_degree + n, n)
         if count > _MAX_VALUES:

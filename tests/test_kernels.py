@@ -121,11 +121,41 @@ def test_ladder_row_matches_serial(gamma):
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
 
 
-def test_pair_rows_bit_identical_to_serial():
-    got = _kernels.pair_rows(0.5, 1.2, 0.7, 1.1, 4000)
-    ref = serial_pair_rows(0.5, 1.2, 0.7, 1.1, 4000)
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
+def test_pair_rows_bit_identical_to_serial(monkeypatch):
+    # the rows are filled chunk by chunk: dmax below, on and across the
+    # chunk edges gives the serial loop's bits
+    for chunk in (1, 7, 1000, _kernels._CHUNK):
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        for dmax in (0, 1, 6, 7, 8, 999, 1000, 1001, 4000):
+            got = _kernels.pair_rows(0.5, 1.2, 0.7, 1.1, dmax)
+            ref = serial_pair_rows(0.5, 1.2, 0.7, 1.1, dmax)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+
+
+def restarted_ladder_row(prev, out0, gamma):
+    """`_kernels.ladder_row` as one unchunked expression over every degree
+    past the serial prefix."""
+    L = prev.shape[0]
+    head = min(L, int(_kernels._LADDER_SERIAL_PER_GAMMA * gamma)
+               + _kernels._LADDER_SERIAL_MIN)
+    out = serial_ladder_row(prev[:head], out0, gamma) if head else np.empty(0)
+    d = np.arange(head, L)
+    h = np.zeros(L - head)
+    for k in range(_kernels._LADDER_TERMS - 1, -1, -1):
+        h = (gamma / (d - k)) * (prev[head - 1 - k:L - 1 - k] - h)
+    return np.concatenate([out, h])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, _kernels._CHUNK])
+def test_ladder_row_chunks_are_bit_identical(monkeypatch, chunk):
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    rng = np.random.default_rng(13)
+    for gamma in (0.3, 1.0, 2.5):
+        for L in (20, 200, 1105, 5000):
+            prev = rng.random(L) + 0.5
+            got = _kernels.ladder_row(prev, 0.3, gamma)
+            assert got.tobytes() == restarted_ladder_row(prev, 0.3, gamma).tobytes()
 
 
 @st.composite
@@ -178,3 +208,58 @@ def test_partial_sums_at_spans_chunks():
         start = int(ends[run] - mults[run])
         exact = prefix + (int(r) - start + 1) * Fraction(float(values[run]))
         assert got == float(exact)
+
+
+@st.composite
+def unit_runs(draw):
+    values = np.array(draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64,
+                  min_value=-1e300, max_value=1e300), max_size=80)))
+    # ranks anywhere, on chunk edges and past the end
+    ranks = draw(st.lists(st.integers(0, values.size + 5), min_size=1,
+                          max_size=12))
+    return values, np.array(sorted(ranks), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_runs(), st.sampled_from([1, 3, 16, _kernels._CHUNK]))
+def test_unit_multiplicities_sum_like_an_array_of_ones(data, chunk):
+    # a stride-0 view of ones takes the unit path (no cumulative sum, no
+    # products): the same walk and chunks as np.ones, so the same bits
+    values, ranks = data
+    unit = np.broadcast_to(np.int64(1), values.shape)
+    ones = np.ones(values.size, dtype=np.int64)
+    assert _kernels.is_unit(unit) and (values.size <= 1 or not _kernels.is_unit(ones))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_CHUNK", chunk)
+        try:
+            got = _kernels.partial_sums_at(values, unit, ranks)
+        except OverflowError:  # an intermediate fsum overflow, on both paths
+            with pytest.raises(OverflowError):
+                _kernels.partial_sums_at(values, ones, ranks)
+            return
+        ref = _kernels.partial_sums_at(values, ones, ranks)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_partial_sums_at_of_values_near_the_float_limit():
+    # the Veltkamp split of a value above ~1.3e300 overflowed, and the sums
+    # came out NaN; both paths give the exact sums
+    values = np.array([1.7e308, 1e301, 1e300, -3e299, 5.0, 1e-300])
+    exact = np.cumsum([Fraction(v) for v in values.tolist()])
+    ranks = np.arange(values.size + 1, dtype=np.int64)
+    want = [float(x) for x in exact] + [float(exact[-1])]
+    unit = np.broadcast_to(np.int64(1), values.shape)
+    for mults in (unit, np.ones(values.size, dtype=np.int64)):
+        got = _kernels.partial_sums_at(values, mults, ranks)
+        assert got.tolist() == want
+    # with multiplicities: mults[j] * values[j] is split after a scaling
+    mults = np.array([1, 3, 1000, 7, 2, 5], dtype=np.int64)
+    values[0] = 1e307
+    exact = np.cumsum([int(m) * Fraction(v) for m, v in zip(mults, values.tolist())])
+    ends = np.cumsum(mults) - 1
+    got = _kernels.partial_sums_at(values, mults, ends)
+    assert got.tolist() == [float(x) for x in exact]
+    # a rank inside the run of 1e300
+    got = _kernels.partial_sums_at(values, mults, np.array([ends[1] + 400]))
+    assert got[0] == float(exact[1] + 400 * Fraction(1e300))

@@ -3,6 +3,7 @@ path against the dense route, sequence bookkeeping."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focktrace import _kernels, spectral
+from focktrace import _kernels, fock_matrices, spectral
 from focktrace.core import degree_multiplicity
 from focktrace.fock_matrices import (FockContext, buffered_product,
                                      toeplitz_matrix)
@@ -206,6 +207,21 @@ def test_sequence_partial_sums_and_pointwise():
                                [2 * 2.0, 3 * 2.0, 4 * 1.0])
     with pytest.raises(ValueError):
         seq.partial_sums([6])
+    # unit multiplicities: rank j is run j
+    unit = SNumberSequence.from_values([1.0, 4.0, 2.0], "x")
+    assert unit.total == 3 and unit.partial_sum(2) == 7.0
+    np.testing.assert_array_equal(unit.pointwise_values(1, 2), [2 * 2.0, 3 * 1.0])
+
+
+def test_partial_sums_of_values_near_the_float_limit():
+    # both paths; the split of a value above ~1.3e300 used to overflow into NaN
+    values = np.array([1e301, 1e300])
+    for seq in (SNumberSequence(values, np.array([1, 1]), "x"),
+                SNumberSequence(values, np.array([2, 1]), "x"),
+                SNumberSequence.from_values(values, "x")):
+        want = [1e301, (seq.mults[0] * Fraction(1e301)) + Fraction(1e300)]
+        assert seq.partial_sums([0, seq.total - 1]).tolist() == \
+            [float(w) for w in want]
 
 
 def test_sequence_validation():
@@ -225,6 +241,21 @@ def test_sequence_validation():
     # moduli near the largest float: the sortedness bound overflows to inf
     with np.errstate(over="raise"):
         SNumberSequence(np.array([np.finfo(float).max, 1.0]), np.array([1, 1]), "x")
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_sortedness_is_checked_across_block_edges(monkeypatch, block):
+    # the blocks overlap by one value, so a rise on any edge is refused
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    v = np.arange(12.0, 0.0, -1.0)
+    for signed in (False, True):
+        w = v * np.where(np.arange(12) % 3, 1.0, -1.0) if signed else v
+        SNumberSequence(w, np.ones(12, dtype=np.int64), "x", signed=signed)
+        for i in range(11):
+            bad = w.copy()
+            bad[i], bad[i + 1] = bad[i + 1], bad[i]
+            with pytest.raises(ValueError, match="sorted"):
+                SNumberSequence(bad, np.ones(12, dtype=np.int64), "x", signed=signed)
 
 
 def test_sequence_merge_is_directsum_spectrum():
@@ -379,6 +410,45 @@ def test_blocked_spectrum_matches_per_degree_oracle(monkeypatch, block, n, K, ki
             assert np.any((v[1:] == -v[:-1]) & (v[1:] != 0))
 
 
+def _radial_configs():
+    z = RadialSymbol.coordinate(1, 1)
+    u = RadialSymbol.radial_power(1, -1.0)
+    return {
+        "hankel": (1, hankel_config(z * u, z * u)),
+        "commutator": (1, commutator_config(z * u, z.conj() * u)),
+        "toeplitz-chain": (1, toeplitz_config(u) * toeplitz_config(u)),
+        "hankel-power-3": (1, hankel_config(z * u, z * u) ** 3),
+        "complex": (1, hankel_config(1j * z * u, 1j * z * u)),
+        "radial-n2": (2, toeplitz_config(RadialSymbol.radial_power(2, -4.0))),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("kind", list(_radial_configs()))
+def test_radial_blocks_match_one_unblocked_evaluation(monkeypatch, block, kind):
+    # one value per degree, assembled in blocks of degrees, is the values of
+    # one _config_values call over every degree, bit for bit
+    n, config = _radial_configs()[kind]
+    K = 200
+    ctx = FockContext(n, 0.7)
+    vals, starts, mults = spectral._diagonal_values(ctx, config, K)
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    got, got_starts, got_mults = spectral._diagonal_values(ctx, config, K)
+    comps = np.zeros((n, K + 1), dtype=np.int64)
+    comps[0] = np.arange(K + 1)
+    rows = {t: spectral.scaled_moment_row(t, ctx.gamma, K + 8)
+            for ch in config.chains for S in ch.factors for (_p, _q, t) in S.terms}
+    dtype = complex if np.iscomplexobj(vals) else float
+    ref = spectral._config_values(config, spectral._validate(config), comps,
+                                  ctx.gamma, rows, dtype)
+    assert got.tobytes() == ref.tobytes() == vals.tobytes()
+    assert list(got_starts) == list(range(K + 2))
+    if n == 1:
+        assert got_mults is None
+    else:
+        np.testing.assert_array_equal(got_mults, degree_multiplicity(n, np.arange(K + 1)))
+
+
 def test_per_multi_index_value_cap(monkeypatch):
     ctx = FockContext(2, 1.0)
     config = _per_multi_index_configs(2)["hankel"]
@@ -442,12 +512,12 @@ def test_finishing_matches_the_copying_oracle(kind):
         assert got.mults.strides == (0,) and not got.mults.flags.writeable
 
 
-def test_finishing_holds_the_values_about_twice(monkeypatch):
+def test_finishing_holds_the_values_about_once(monkeypatch):
     # diagonal_spectrum then extrapolate at n = 2 (45,451 values) peak at
-    # about 2.2 times the value bytes: the values, plus one value-sized
-    # temporary at a time (the sortedness bound, then the partial sums'
-    # cumulative multiplicities).  Small blocks and chunks keep the
-    # assembly's and the partial sums' scratch below the constant
+    # about 1.3 times the value bytes: the values, plus the assembly's,
+    # validation's and partial sums' scratch, which small blocks and chunks
+    # keep below the additive constant; one value-length float64 or int64
+    # temporary would break the bound
     monkeypatch.setattr(spectral, "_BLOCK", 1024)
     monkeypatch.setattr(_kernels, "_CHUNK", 1024)
     ctx = FockContext(2, 1.0)
@@ -463,7 +533,31 @@ def test_finishing_holds_the_values_about_twice(monkeypatch):
     finally:
         tracemalloc.stop()
     assert seq.values.size == math.comb(302, 2)
-    assert peak <= 2.5 * seq.values.nbytes + 65536, peak / seq.values.nbytes
+    assert peak <= 1.2 * seq.values.nbytes + 65536, peak / seq.values.nbytes
+
+
+def test_n1_spectrum_holds_values_and_rows(monkeypatch):
+    # the default hankel-trace configuration at K = 2^16, rows not cached:
+    # diagonal_spectrum then extrapolate peak at about 3.2 times the value
+    # bytes, the values and the two moment rows the cache keeps (t = -2 and
+    # -1), plus chunk scratch.  A value-length list of Python floats (32
+    # bytes a value) would break the bound
+    monkeypatch.setattr(spectral, "_BLOCK", 1024)
+    monkeypatch.setattr(_kernels, "_CHUNK", 1024)
+    monkeypatch.setattr(fock_matrices, "_ROW_CACHE", {})
+    f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
+    ctx = FockContext(1, 1.0)
+    diagonal_spectrum(ctx, hankel_config(f, f), 20)  # the base moments
+    fock_matrices._ROW_CACHE.clear()
+    tracemalloc.start()
+    try:
+        seq = diagonal_spectrum(ctx, hankel_config(f, f), 1 << 16)
+        extrapolate(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.values.size == (1 << 16) + 1
+    assert peak <= 3.3 * seq.values.nbytes + 65536, peak / seq.values.nbytes
 
 
 def test_from_values_leaves_its_input_alone():
@@ -529,6 +623,28 @@ def test_from_values_and_merge_keep_the_stable_order(a, b):
     old = np.argsort(-np.abs(v), kind="stable")
     assert m.values.tobytes() == v[old].tobytes()
     np.testing.assert_array_equal(m.mults, np.concatenate([sa.mults, sb.mults])[old])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_values(), tie_heavy_values(), st.data())
+def test_merge_of_unit_sequences_keeps_stride_0_multiplicities(a, b, data):
+    # empty operands included: the same values, bits, multiplicities and
+    # certificate as the merge of np.ones multiplicities, whether the merged
+    # values are gathered (a sign bit set) or sorted in place (none)
+    if data.draw(st.booleans()):
+        a, b = np.abs(a), np.abs(b)
+    cert = [data.draw(st.none() | st.integers(0, v.size)) for v in (a, b)]
+    sa, sb = (SNumberSequence.from_values(v, "x", signed=True, certified_rank=c)
+              for v, c in zip((a, b), cert))
+    ones = [SNumberSequence(s.values, np.ones(s.values.size, dtype=np.int64),
+                            "x", signed=True, certified_rank=c)
+            for s, c in zip((sa, sb), cert)]
+    got = sa.merge(sb)
+    ref = ones[0].merge(ones[1])
+    assert got.mults.strides == (0,) and got.total == ref.total
+    assert got.values.tobytes() == ref.values.tobytes()
+    np.testing.assert_array_equal(got.mults, ref.mults)
+    assert got.certified_rank == ref.certified_rank
 
 
 @settings(max_examples=100, deadline=None)
