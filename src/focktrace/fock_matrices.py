@@ -10,9 +10,12 @@ the normalized moments
 
     m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2) e^(-gamma u) du,
 
-which stay O(1) at every degree, so assembly never overflows.  The rows come
-from recurrences in d and t, seeded by the d = 0 moments, which are
-gamma e^gamma E_(-t/2)(gamma) in terms of the generalized exponential
+which stay O(1) at every degree, so assembly never overflows.  Every row
+comes one way: from an anchor row, by integer steps in t/2 (`raise_row` up,
+`ladder_row` down).  An integer t/2 anchors at m_0 = 1, any other at the
+pair (m_(sigma+1), m_sigma), sigma in (-1, 0), of `pair_rows`.  The d = 0
+moments that seed the pair and the downward steps are
+gamma e^gamma E_(-t/2)(gamma), in terms of the generalized exponential
 integral (DLMF 8.19).  Entries are evaluated in a fixed term order.
 """
 
@@ -65,46 +68,26 @@ def _base_moment(t: float, gamma: float) -> float:
 
 
 def _compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
+    # k = s - sigma steps from the anchor m_sigma: m_0 = 1 for an integer s,
+    # else the member of the pair_rows pair on the side that s lies
     s = t / 2.0
-    si = int(round(s))
-    if abs(s - si) < 1e-12:
-        # even-integer radial exponent: exact ladder / closed form
-        if si == 0:
-            return np.ones(dmax + 1)
-        if si > 0:
-            d = np.arange(dmax + 1, dtype=float)
-            row = np.zeros(dmax + 1)
-            for i in range(si + 1):
-                prod = np.ones(dmax + 1)
-                for l in range(1, i + 1):
-                    prod *= d + l
-                row += math.comb(si, i) * prod / gamma**i
-            return row
-        row = np.ones(dmax + 1)
-        for sigma in range(0, si, -1):
-            base = gamma * _base_moment(2.0 * (sigma - 1), gamma)
-            row = _kernels.ladder_row(row, base, gamma)
-        return row
-    # general real exponent: coupled pair at the fractional anchor, then
-    # integer ladders up or down
-    frac = s - math.floor(s)
-    sigma0 = frac - 1.0  # in (-1, 0)
-    ups = int(round(s - sigma0)) - 1  # number of raise steps beyond the pair
-    downs = int(round(sigma0 - s))
-    length = dmax + 1 + max(ups, 0)
-    a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
-    b0 = gamma * _base_moment(2.0 * sigma0, gamma)
-    A, B = _kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, length - 1)
-    if abs(s - sigma0) < 1e-12:
-        return B[: dmax + 1]
-    if ups >= 0:
-        row = A
-        for _ in range(ups):
-            row = _kernels.raise_row(row, gamma)
-        return row[: dmax + 1]
-    row = B
-    for i in range(downs):
-        base = gamma * _base_moment(2.0 * (sigma0 - i - 1), gamma)
+    if abs(s - round(s)) < 1e-12:
+        sigma, k = 0.0, int(round(s))
+        row = np.ones(dmax + 1 + max(k, 0))
+    else:
+        sigma0 = (s - math.floor(s)) - 1.0
+        k = int(round(s - sigma0)) - 1
+        a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
+        b0 = gamma * _base_moment(2.0 * sigma0, gamma)
+        A, B = _kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, dmax + max(k, 0))
+        if k >= 0:
+            sigma, row = sigma0 + 1.0, A
+        else:
+            sigma, row, k = sigma0, B, k + 1
+    for _ in range(k):
+        row = _kernels.raise_row(row, gamma)
+    for i in range(-k):
+        base = gamma * _base_moment(2.0 * (sigma - i - 1), gamma)
         row = _kernels.ladder_row(row, base, gamma)
     return row[: dmax + 1]
 

@@ -247,14 +247,6 @@ class DiagonalConfig:
                   for c1 in self.chains for c2 in other.chains]
         return DiagonalConfig(self.n, chains)
 
-    def __add__(self, other: "DiagonalConfig") -> "DiagonalConfig":
-        if self.power != 1 or other.power != 1:
-            raise ValueError("combine before raising to a power")
-        return DiagonalConfig(self.n, self.chains + other.chains)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
     def scaled(self, c) -> "DiagonalConfig":
         return DiagonalConfig(
             self.n, [DiagonalChain(ch.coeff * c, ch.factors) for ch in self.chains],
@@ -515,7 +507,9 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     # truncation certificate: everything beyond K_degree is bounded by the
     # largest modulus seen over the last 5% of degrees
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
-    tail_bound = float(np.max(np.abs(vals[starts[tail_lo]:])))
+    seg = vals[starts[tail_lo]:]
+    tail_bound = (float(np.max(np.abs(seg))) if vals.dtype == complex
+                  else max(float(seg.max()), -float(seg.min())))
     # the real parts of a complex buffer, or of a power, are a strided view:
     # only those are copied
     vals = np.ascontiguousarray(vals.real)

@@ -110,72 +110,34 @@ def boundary_pairing(f_lead: SpherePolynomial, m: int,
     return out
 
 
-def boundary_pairing_numeric(f: RadialSymbol, g: RadialSymbol, zeta,
-                             radii=(1e2, 1e3), exponent: int = 2,
-                             tol: float = 1e-3):
-    """Evaluate r^exponent * sum_j (d/dz_j conj(f))(r zeta) * (d/dconj(z_j) g)(r zeta)
-    at each radius, exactly from the symbol derivative algebra.
+def boundary_pairing_limit(f: RadialSymbol, g: RadialSymbol, zeta,
+                           exponent: int = 2) -> complex:
+    """Radial limit of r^exponent * sum_j (d/dz_j conj(f))(r zeta) *
+    (d/dconj(z_j) g)(r zeta), evaluated exactly from the symbol derivative
+    algebra at r = 1e2 and 1e3, for zeta on the unit sphere (1e-12).
 
-    zeta must be on the unit sphere (1e-12); radii must be positive and
-    increasing; raises ConvergenceError when the last two values fail the
-    relative Cauchy check.  Supported-class symbols carry O(r^-2)
-    corrections, so the raw gap at radii (1e2, 1e3) is ~1e-4 times the
-    correction size; the default gate is wide enough for that while still
-    rejecting wrong-exponent sequences, and `boundary_pairing_limit`
-    removes the O(r^-2) bias for high-accuracy comparisons.
+    Supported-class symbols carry O(r^-2) corrections, so the two values
+    agree to ~1e-4 of the correction size; a gap above 1e-3 (1 + |v|), as
+    from a wrong exponent, raises ConvergenceError.  The limit is the
+    two-point Richardson value in x = r^-2, which removes the O(r^-2) bias.
     """
     if f.n != g.n:
         raise ValueError("dimension mismatch")
     zeta = np.asarray(zeta, dtype=complex)
     if abs(float(np.sum(np.abs(zeta) ** 2)) - 1.0) > 1e-12:
         raise ValueError("zeta must lie on the unit sphere")
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and increasing")
     fbar = f.conj()
     dfs = [fbar.wirtinger(j, "holo") for j in range(1, f.n + 1)]
     dgs = [g.wirtinger(j, "anti") for j in range(1, f.n + 1)]
     values = []
-    for r in radii:
+    for r in (1e2, 1e3):
         z = r * zeta
         acc = sum(df.evaluate(z) * dg.evaluate(z) for df, dg in zip(dfs, dgs))
-        values.append(r**exponent * acc)
-    if len(values) >= 2:
-        gap = abs(values[-1] - values[-2])
-        if gap > tol * (1.0 + abs(values[-1])):
-            raise ConvergenceError(
-                f"radial limit not Cauchy: |v[-1]-v[-2]| = {gap:.3e} at radii "
-                f"{radii[-2]:g}, {radii[-1]:g}")
-    return values
-
-
-def richardson_limit(xs, values):
-    """Neville polynomial extrapolation of values(x) to x = 0.
-
-    xs must be distinct positive scales (typically r^-2 for radii r);
-    values may be complex.  With a single point the value itself is
-    returned.
-    """
-    xs = [float(x) for x in xs]
-    vals = [complex(v) for v in values]
-    if len(xs) != len(vals) or not xs:
-        raise ValueError("xs and values must be equal-length and nonempty")
-    tab = list(vals)
-    m = len(tab)
-    for level in range(1, m):
-        new = []
-        for i in range(m - level):
-            x0, x1 = xs[i], xs[i + level]
-            new.append((x0 * tab[i + 1] - x1 * tab[i]) / (x0 - x1))
-        tab = new
-    return tab[0]
-
-
-def boundary_pairing_limit(f: RadialSymbol, g: RadialSymbol, zeta,
-                           radii=(1e2, 1e3), exponent: int = 2,
-                           tol: float = 1e-3) -> complex:
-    """Richardson-extrapolated limit of `boundary_pairing_numeric` in the
-    variable r^-2 (the corrections of these symbols come in powers of r^-2)."""
-    values = boundary_pairing_numeric(f, g, zeta, radii, exponent, tol)
-    xs = [r**-2 for r in radii]
-    return richardson_limit(xs, values)
+        values.append(complex(r**exponent * acc))
+    v0, v1 = values
+    gap = abs(v1 - v0)
+    if gap > 1e-3 * (1.0 + abs(v1)):
+        raise ConvergenceError(
+            f"radial limit not Cauchy: |v1-v0| = {gap:.3e} at radii 1e2, 1e3")
+    x0, x1 = 1e2**-2, 1e3**-2
+    return (x0 * v1 - x1 * v0) / (x0 - x1)

@@ -5,7 +5,8 @@
 by quadrature, independently of the recurrences behind
 `focktrace.fock_matrices.scaled_moment_row`, their d = 0 base moments by
 quadrature, independently of the closed form behind
-`focktrace.fock_matrices._base_moment`, the per-multi-index spectrum
+`focktrace.fock_matrices._base_moment`, the moment rows by their former
+three routes, the per-multi-index spectrum
 assembled one degree at a time, the spectrum finished with sorted copies,
 the term arithmetic of the symbol classes as plain-dict rules, and the
 symbol algebra and Toeplitz compression as they were computed term by
@@ -22,12 +23,12 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 
-from focktrace import spectral
+from focktrace import _kernels, spectral
 from focktrace.core import (SpherePolynomial, compositions, degree,
                             enumerate_basis, mi_add, mi_factorial, mi_sub,
                             sphere_integral)
-from focktrace.fock_matrices import (buffered_product, scaled_moment_row,
-                                     toeplitz_matrix)
+from focktrace.fock_matrices import (_base_moment, buffered_product,
+                                     scaled_moment_row, toeplitz_matrix)
 
 
 def monomial_norm_sq(ctx, alpha) -> float:
@@ -76,6 +77,52 @@ def base_moment_quad(t: float, gamma: float) -> float:
     with mp.workdps(30):
         return float(mp.quad(lambda u: (1 + u) ** (t / 2.0) * mp.e ** (-gamma * u),
                              [0, 1, mp.inf]))
+
+
+def compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
+    """`fock_matrices._compute_row` as it was with three routes: a closed
+    form sum of rising products for t = 2, 4, ..., a ladder loop from
+    m_0 = 1 for t = -2, -4, ..., and the `pair_rows` anchor with raise or
+    ladder steps for every other t."""
+    s = t / 2.0
+    si = int(round(s))
+    if abs(s - si) < 1e-12:
+        if si == 0:
+            return np.ones(dmax + 1)
+        if si > 0:
+            d = np.arange(dmax + 1, dtype=float)
+            row = np.zeros(dmax + 1)
+            for i in range(si + 1):
+                prod = np.ones(dmax + 1)
+                for l in range(1, i + 1):
+                    prod *= d + l
+                row += math.comb(si, i) * prod / gamma**i
+            return row
+        row = np.ones(dmax + 1)
+        for sigma in range(0, si, -1):
+            base = gamma * _base_moment(2.0 * (sigma - 1), gamma)
+            row = _kernels.ladder_row(row, base, gamma)
+        return row
+    frac = s - math.floor(s)
+    sigma0 = frac - 1.0
+    ups = int(round(s - sigma0)) - 1
+    downs = int(round(sigma0 - s))
+    length = dmax + 1 + max(ups, 0)
+    a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
+    b0 = gamma * _base_moment(2.0 * sigma0, gamma)
+    A, B = _kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, length - 1)
+    if abs(s - sigma0) < 1e-12:
+        return B[: dmax + 1]
+    if ups >= 0:
+        row = A
+        for _ in range(ups):
+            row = _kernels.raise_row(row, gamma)
+        return row[: dmax + 1]
+    row = B
+    for i in range(downs):
+        base = gamma * _base_moment(2.0 * (sigma0 - i - 1), gamma)
+        row = _kernels.ladder_row(row, base, gamma)
+    return row[: dmax + 1]
 
 
 def chain_values(ch, shifts, comps: np.ndarray, gamma: float, rows: dict,

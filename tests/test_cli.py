@@ -1,10 +1,12 @@
 """CLI driver: report schema, serialization, exit codes, config handling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from focktrace.cli import ConfigError, main, run_experiment, write_report
@@ -56,14 +58,21 @@ def test_mixed_trace_homogeneity_validation():
 
 def test_report_float_formatting(tmp_path):
     rep = {"schema": 1, "x": 1 / 3, "nested": {"y": [2.0, 1e-17]},
+           "f64": np.float64(2.0) / 3, "i64": np.int64(7), "z": 0.5 - 1e-17j,
            "flag": True, "none": None, "i": 7}
     out = tmp_path / "r.json"
     write_report(rep, out)
-    text = out.read_text()
-    parsed = json.loads(text)
-    assert parsed["x"] == pytest.approx(1 / 3, abs=0)
-    assert "0.33333333333333331" in text  # 17 significant digits
-    assert parsed["nested"]["y"][1] == 1e-17
+    parsed = json.loads(out.read_text())
+    assert parsed["x"].hex() == (1 / 3).hex()
+    assert parsed["nested"]["y"][1].hex() == (1e-17).hex()
+    assert parsed["f64"].hex() == float(np.float64(2.0) / 3).hex()
+    assert type(parsed["i64"]) is int and parsed["i64"] == 7
+    assert parsed["z"]["re"].hex() == (0.5).hex()
+    assert parsed["z"]["im"].hex() == (-1e-17).hex()
+    assert parsed["flag"] is True and parsed["none"] is None
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            write_report({"x": bad}, tmp_path / "bad.json")
 
 
 def test_cli_main_pass_and_csv(tmp_path, capsys):

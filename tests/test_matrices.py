@@ -17,8 +17,9 @@ from focktrace.fock_matrices import (FockContext, berezin, buffered_product,
                                      weyl_matrix)
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import heat_inverse, heat_transform, star
-from oracles import (base_moment_quad, hankel_product, monomial_norm_sq,
-                     radial_moment, radial_moment_hp, toeplitz_entries)
+from oracles import (base_moment_quad, compute_row, hankel_product,
+                     monomial_norm_sq, radial_moment, radial_moment_hp,
+                     toeplitz_entries)
 
 
 def gauss_hermite_norm_sq(n, gamma, alpha, nodes=120):
@@ -100,6 +101,22 @@ def test_scaled_rows_match_radial_moment():
                 ref = radial_moment(d, t, gamma) * math.exp(
                     (d + 1) * math.log(gamma) - math.lgamma(d + 1))
                 assert row[d] == pytest.approx(ref, rel=5e-11), (t, gamma, d)
+
+
+def test_one_anchor_rows_equal_the_three_route_rows():
+    # byte for byte, except at t = 4, 6, 8, where raising m_0 rounds in
+    # the last bits apart from the oracle's sum of rising products
+    for gamma in (0.5, 1.0, 2.0, 7.0):
+        for dmax in (255, 4095, 1 << 17):
+            for t in (0.0, 0.5, -0.5, 1.0, 2.0, 2.5, 3.0, -1.0, -2.0, -3.0,
+                      -4.0, -5.5, -6.0, -8.0):
+                got = fock_matrices._compute_row(t, gamma, dmax)
+                assert got.tobytes() == compute_row(t, gamma, dmax).tobytes(), (
+                    t, gamma, dmax)
+            for t in (4.0, 6.0, 8.0):
+                got = fock_matrices._compute_row(t, gamma, dmax)
+                ref = compute_row(t, gamma, dmax)
+                assert np.max(np.abs(got - ref) / ref) <= 1e-15, (t, gamma, dmax)
 
 
 def test_scaled_rows_large_degree_against_high_precision():

@@ -7,8 +7,7 @@ import pytest
 from focktrace.core import (SpherePolynomial, enumerate_basis, sphere_equal,
                             sphere_integral)
 from focktrace.sphere_calculus import (ConvergenceError, boundary_pairing,
-                                       boundary_pairing_limit,
-                                       boundary_pairing_numeric, reeb,
+                                       boundary_pairing_limit, reeb,
                                        sphere_laplacian, tangential_bracket,
                                        tangential_d, tangential_dbar)
 from focktrace.symbols import HomogeneousSymbol, RadialSymbol
@@ -221,40 +220,33 @@ def test_boundary_pairing_examples():
 
 def test_pairing_numeric_holomorphic_degenerate():
     f = RadialSymbol.coordinate(1, 1)
-    vals = boundary_pairing_numeric(f, f, [1.0], radii=(10.0, 100.0), exponent=2)
-    assert all(v == 0 for v in vals)
+    assert boundary_pairing_limit(f, f, [1.0], exponent=2) == 0
 
 
 def test_pairing_numeric_canonical_limit():
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
-    vals = boundary_pairing_numeric(f, f, [1.0 + 0j], radii=(1e2, 1e3), exponent=2)
-    # raw value at the largest radius is within 1e-6; the accelerated limit
-    # is within 1e-8
-    assert abs(vals[-1] - 0.25) < 1e-6
-    lim = boundary_pairing_limit(f, f, [1.0 + 0j], radii=(1e2, 1e3), exponent=2)
+    lim = boundary_pairing_limit(f, f, [1.0 + 0j], exponent=2)
     assert abs(lim - 0.25) < 1e-8
 
 
 def test_pairing_numeric_two_variables():
     f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
-    lim = boundary_pairing_limit(f, f, [1.0, 0.0], radii=(1e2, 1e3), exponent=2)
+    lim = boundary_pairing_limit(f, f, [1.0, 0.0], exponent=2)
     assert abs(lim - 0.25) < 1e-8
-    lim = boundary_pairing_limit(f, f, [0.0, 1.0], radii=(1e2, 1e3), exponent=2)
+    lim = boundary_pairing_limit(f, f, [0.0, 1.0], exponent=2)
     assert abs(lim) < 1e-10
 
 
 def test_pairing_numeric_detects_wrong_exponent():
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     with pytest.raises(ConvergenceError):
-        boundary_pairing_numeric(f, f, [1.0], radii=(1e2, 1e3), exponent=3)
+        boundary_pairing_limit(f, f, [1.0], exponent=3)
 
 
 def test_pairing_numeric_input_validation():
     f = RadialSymbol.coordinate(1, 1)
     with pytest.raises(ValueError):
-        boundary_pairing_numeric(f, f, [1.1], radii=(10.0, 100.0))
-    with pytest.raises(ValueError):
-        boundary_pairing_numeric(f, f, [1.0], radii=(100.0, 10.0))
+        boundary_pairing_limit(f, f, [1.1])
 
 
 def test_pairing_numeric_matches_symbolic_pointwise():
@@ -271,8 +263,7 @@ def test_pairing_numeric_matches_symbolic_pointwise():
         sym = boundary_pairing(f0, mf, g0, mg)
         for _ in range(5):
             zeta = rand_sphere_point(rng, n)
-            num = boundary_pairing_limit(f, g, zeta, radii=(1e2, 1e3),
-                                         exponent=mf + mg + 2)
+            num = boundary_pairing_limit(f, g, zeta, exponent=mf + mg + 2)
             assert abs(num - sym.evaluate(zeta)) < 1e-7
 
 
