@@ -507,9 +507,7 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     # truncation certificate: everything beyond K_degree is bounded by the
     # largest modulus seen over the last 5% of degrees
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
-    seg = vals[starts[tail_lo]:]
-    tail_bound = (float(np.max(np.abs(seg))) if vals.dtype == complex
-                  else max(float(seg.max()), -float(seg.min())))
+    tail_bound = float(np.max(np.abs(vals[starts[tail_lo]:])))
     # the real parts of a complex buffer, or of a power, are a strided view:
     # only those are copied
     vals = np.ascontiguousarray(vals.real)
