@@ -1,10 +1,16 @@
-"""Layer timing of the numeric kernels in `focktrace._kernels`.
+"""Layer timing of the numeric kernels in `focktrace._kernels` and of the
+n = 2 eigenvalue assembly, `spectral._diagonal_values`.
 
-Times each kernel once per repeat at one row length (best of 3, after one
-warm-up call) and writes BENCH_kernels.json at the repository root, with
-the kernel backend and the machine it ran on.
+Times each kernel once per repeat at one row length, and the assembly of
+the toeplitz-trace and mixed-trace `hankel-toeplitz` default spectra at one
+K_degree with their moment rows cached (best of 3, after one warm-up call).
+The run is one point, named by --label, of BENCH_kernels.json at the
+repository root, with the kernel backend and the machine it ran on; a point
+of the same label is replaced, the others are kept.  focktrace is imported
+from PYTHONPATH, so two checkouts' src/ give two points.
 
-Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--length 1048576]
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py --label after
+          [--length 1048576] [--K-degree 2000]
 """
 
 import argparse
@@ -16,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from focktrace import _kernels
+from focktrace import _kernels, spectral
+from focktrace.fock_matrices import FockContext
+from focktrace.symbols import RadialSymbol
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,10 +42,12 @@ def bench(fn, repeat=3, warmup=1):
 
 def main():
     parser = argparse.ArgumentParser()
+    parser.add_argument("--label", required=True)
     parser.add_argument("--length", type=int, default=1 << 20)
+    parser.add_argument("--K-degree", type=int, default=2000)
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
     args = parser.parse_args()
-    L = args.length
+    L, K = args.length, args.K_degree
 
     ones = np.ones(L)
     rng = np.random.default_rng(0)
@@ -51,25 +61,42 @@ def main():
     degree_ranks = np.array([2**e for e in range(10, top.bit_length())]
                             + [top], dtype=np.int64)
 
+    # the n = 2 default spectra of toeplitz-trace and mixed-trace
+    z1 = RadialSymbol.coordinate(2, 1)
+    z1b = RadialSymbol.coordinate(2, 1, conjugated=True)
+    w2 = RadialSymbol.radial_power(2, -2.0)
+    toeplitz = spectral.toeplitz_config(
+        z1 * z1b * RadialSymbol.radial_power(2, -6.0))
+    mixed = (spectral.hankel_config(z1 * w2, z1 * w2)
+             * spectral.toeplitz_config(z1 * z1b * w2))
+    ctx = FockContext(2, 1.0)
+    count = (K + 1) * (K + 2) // 2
+
     cases = [
-        ("ladder_row", lambda: _kernels.ladder_row(ones, 0.59634736, 1.0)),
-        ("pair_rows", lambda: _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, L - 1)),
-        ("raise_row", lambda: _kernels.raise_row(ones, 1.0)),
-        ("partial_sums_at",
+        ("ladder_row", L, lambda: _kernels.ladder_row(ones, 0.59634736, 1.0)),
+        ("pair_rows", L, lambda: _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, L - 1)),
+        ("raise_row", L, lambda: _kernels.raise_row(ones, 1.0)),
+        ("partial_sums_at", L,
          lambda: _kernels.partial_sums_at(values, mults, ranks)),
-        ("partial_sums_at[mults=k+1]",
+        ("partial_sums_at[mults=k+1]", L,
          lambda: _kernels.partial_sums_at(values, degree_mults, degree_ranks)),
+        # the warm-up call fills the moment-row cache
+        ("_diagonal_values[toeplitz-trace]", count,
+         lambda: spectral._diagonal_values(ctx, toeplitz, K)),
+        ("_diagonal_values[hankel-toeplitz]", count,
+         lambda: spectral._diagonal_values(ctx, mixed, K)),
     ]
 
-    print(f"kernel timings, length = {L} (best of 3), "
-          f"backend {_kernels.ACTIVE_BACKEND}")
+    print(f"kernel timings, length = {L}, assembly at K_degree = {K} "
+          f"({count} values), best of 3, backend {_kernels.ACTIVE_BACKEND}")
     rows = []
-    for name, fn in cases:
+    for name, length, fn in cases:
         seconds = bench(fn)
-        rows.append({"kernel": name, "length": L, "seconds": seconds})
-        print(f"{name:<28}{seconds * 1e3:>10.2f} ms")
+        rows.append({"kernel": name, "length": length, "seconds": seconds})
+        print(f"{name:<36}{seconds * 1e3:>10.2f} ms")
 
     record = {
+        "label": args.label,
         "backend": _kernels.ACTIVE_BACKEND,
         "machine": {"processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count(),
@@ -77,9 +104,10 @@ def main():
                     "numpy": np.__version__},
         "results": rows,
     }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    out = Path(args.out)
+    points = json.loads(out.read_text()).get("points", []) if out.exists() else []
+    points = [p for p in points if p.get("label") != args.label] + [record]
+    out.write_text(json.dumps({"points": points}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

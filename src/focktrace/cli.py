@@ -98,6 +98,23 @@ def _cfg_symbol(cfg, key, n, default: RadialSymbol) -> RadialSymbol:
     return default
 
 
+def _cfg_symbols(cfg, key, n) -> list:
+    """The symbols listed under key, none when it is absent."""
+    items = cfg.get(key, [])
+    if not isinstance(items, list):
+        raise ConfigError(f"{key} must be a list of symbols")
+    return [_parse_symbol(obj, n) for obj in items]
+
+
+def _cfg_symbol_pairs(cfg, key, n) -> list:
+    """The [f, g] symbol pairs listed under key, none when it is absent."""
+    items = cfg.get(key, [])
+    if not (isinstance(items, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in items)):
+        raise ConfigError(f"{key} must be a list of [f, g] symbol pairs")
+    return [(_parse_symbol(f, n), _parse_symbol(g, n)) for f, g in items]
+
+
 def _context(cfg, default_n: int) -> FockContext:
     """The FockContext of the config's n and gamma."""
     try:
@@ -272,8 +289,7 @@ def _exp_commutator_trace(cfg, seed, csv_sink):
          RadialSymbol.coordinate(n, 1, conjugated=True) * du),
     ]
     if "pairs" in cfg:
-        pairs = [(_parse_symbol(fj, n), _parse_symbol(gj, n))
-                 for fj, gj in cfg["pairs"]]
+        pairs = _cfg_symbol_pairs(cfg, "pairs", n)
     else:
         pairs = default_pairs
     if len(pairs) != n:
@@ -299,9 +315,8 @@ def _exp_commutator_trace(cfg, seed, csv_sink):
 def _mixed_case(case, csv_sink, label):
     ctx = _context(case, 2)
     n, gamma = ctx.n, ctx.gamma
-    pairs = [(_parse_symbol(fj, n), _parse_symbol(gj, n))
-             for fj, gj in case.get("hankel_pairs", [])]
-    factors = [_parse_symbol(h, n) for h in case.get("toeplitz_factors", [])]
+    pairs = _cfg_symbol_pairs(case, "hankel_pairs", n)
+    factors = _cfg_symbols(case, "toeplitz_factors", n)
     l = len(pairs)
     integrand = SpherePolynomial.constant(n)
     config = None

@@ -5,7 +5,11 @@ trace estimators read.
 A product chain is diagonal when every Toeplitz factor shifts all monomials
 by one fixed multi-index and the shifts cancel along the chain.  Its
 eigenvalue at alpha is then a finite product of normalized-moment factors,
-evaluated for every degree up to a cap, with multiplicities attached.
+evaluated for every degree up to a cap, with multiplicities attached.  Each
+factor term is a moment-row entry at the degree of alpha times a rising
+factorial in its coordinates, so it is tabulated once per degree and once
+per coordinate value, over blocks of whole degrees, and every eigenvalue is
+formed from gathers of those tables.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from .fock_matrices import FockContext, scaled_moment_row
 from .symbols import RadialSymbol
 
 
-# multi-indices assembled per `_chain_values` call on the per-multi-index path
+# values per block of the per-multi-index path, a run of whole degrees (a
+# degree of more values is a block of its own); degrees per block of the
+# radial path; values per slice of the sortedness check
 _BLOCK = 1 << 16
 # most values the per-multi-index path materializes
 _MAX_VALUES = 60_000_000
@@ -309,54 +315,75 @@ def _is_real(config: DiagonalConfig) -> bool:
     return all(complex(c).imag == 0 for c in coeffs)
 
 
-def _chain_values(ch: DiagonalChain, shifts, comps: np.ndarray,
-                  gamma: float, rows: dict, dtype) -> np.ndarray:
-    """Eigenvalue contribution of one chain at the multi-indices whose
-    components are the columns of comps (shape (n, m)).  dtype float drops
-    the (zero) imaginary parts of every coefficient: a complex product of
-    operands with zero imaginary part has the same real part.
+def _rising(a: np.ndarray, p: int, q: int, v: int) -> np.ndarray:
+    """prod_{l=1..p} (a + l) * prod_{l=1..q} (a + v + l) in float64, one
+    multiplication at a time in that order: one coordinate's part of the
+    rising-factorial quotient of the monomial norms for a term z^p conj(z)^q
+    of shift v = p - q, at the coordinate values a."""
+    r = None
+    for b, k in ((a, p), (a + v, q)):
+        for l in range(1, k + 1):
+            if r is None:
+                r = (b + l).astype(float)
+            else:
+                r *= b + l
+    return r
+
+
+def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
+                  sizes, coords: list, gamma: float, rows: dict,
+                  dtype) -> np.ndarray:
+    """Eigenvalue contribution of one chain at m multi-indices, described as
+    in `_config_values`: degs are the distinct degrees, repeated sizes times
+    (once each when sizes is None), and coords[i] = (a, index) holds the
+    distinct values a of coordinate i and the position of each column's
+    value in a.  dtype float drops the (zero) imaginary parts of every
+    coefficient: a complex product of operands with zero imaginary part has
+    the same real part.
 
     Each value is the product, over the factors from the right, of
     sum_terms c * m_t[|alpha| + |p| + n - 1] * sqrt(ratio) * gamma^(-(|p|+|q|)/2),
     where ratio is the rising-factorial quotient of the monomial norms, and
-    0 once a shift leaves the multi-index cone.  Every column sees these
-    operations in this order, except multiplications by an exact 1 and
-    additions to an initial 0, which are skipped: that can change only the
-    sign of a zero, and `_config_values` adds each chain to +0.0."""
-    n, m = comps.shape
+    0 once a shift leaves the multi-index cone.  A term is evaluated once per
+    distinct index: c * m_t[...] over degs, and each coordinate's part of
+    ratio (`_rising`) over that coordinate's values, with its sqrt when the
+    term carries one coordinate.  Every column then sees the operations of
+    the per-column product in its order, except multiplications by an exact 1
+    and additions to an initial 0, which are skipped: that can change only
+    the sign of a zero, and `_config_values` adds each chain to +0.0.  A
+    ratio over several coordinates is the product of their parts, the same
+    float while the product of integers stays below 2^53.  Tables of indices
+    outside the cone are taken at 0, and those columns are set to 0 at the
+    end."""
+    n = len(coords)
     coef = complex if dtype is complex else (lambda c: complex(c).real)
-    cur = np.asarray(comps, dtype=np.int64)
-    deg_cur = cur.sum(axis=0)
     c0 = coef(ch.coeff)
     # a float chain starts from its first factor, times c0 unless that is 1
     out = np.full(m, c0, dtype=dtype) if dtype is complex or not ch.factors else None
-    valid = None  # None: every column is still inside the cone
+    deg_shift = 0
+    sigma = [0] * n  # the shift of each coordinate before the factor
+    need = [0] * n  # alpha_i >= need[i] keeps every column inside the cone
     for S, v in zip(reversed(ch.factors), reversed(shifts)):
-        nxt = cur + np.array(v, dtype=np.int64)[:, None]
-        neg = [i for i in range(n) if v[i] < 0]
-        if neg:
-            inside = (nxt[neg] >= 0).all(axis=0)
-            if valid is not None:
-                valid &= inside
-            elif not inside.all():
-                valid = inside
         fac = None
         for (p, q, t), c in S.terms.items():
             dp, dq = degree(p), degree(q)
-            term = rows[t][deg_cur + (dp + n - 1)]
+            table = rows[t][np.maximum(degs + deg_shift, 0) + (dp + n - 1)]
             if dtype is complex:
-                term = coef(c) * term
+                table = coef(c) * table
             elif coef(c) != 1:
-                term *= coef(c)
-            ratio = None
-            for i in range(n):
-                for base, k in ((cur[i], p[i]), (nxt[i], q[i])):
-                    for l in range(1, k + 1):
-                        if ratio is None:
-                            ratio = (base + l).astype(float)
-                        else:
-                            ratio *= base + l
-            if ratio is not None:
+                table *= coef(c)
+            term = table if sizes is None else np.repeat(table, sizes)
+            parts = [(_rising(np.maximum(coords[i][0] + sigma[i], 0),
+                              p[i], q[i], v[i]), coords[i][1])
+                     for i in range(n) if p[i] or q[i]]
+            if len(parts) == 1:
+                r, index = parts[0]
+                term *= np.sqrt(r, out=r)[index]
+            elif parts:
+                (r, index), *rest = parts
+                ratio = r[index]
+                for r, index in rest:
+                    ratio *= r[index]
                 term *= np.sqrt(ratio, out=ratio)
             g = gamma ** (-(dp + dq) / 2.0)
             if g != 1:
@@ -371,26 +398,42 @@ def _chain_values(ch: DiagonalChain, shifts, comps: np.ndarray,
                 out *= c0
         else:
             out *= fac
-        deg_cur += sum(v)
-        if valid is not None:
-            dead = ~valid
-            out[dead] = 0.0
-            nxt[:, dead] = 0
-            deg_cur[dead] = 0
-        cur = nxt
+        deg_shift += sum(v)
+        for i in range(n):
+            sigma[i] += v[i]
+            need[i] = max(need[i], -sigma[i])
+    for i in range(n):
+        if need[i]:
+            a, index = coords[i]
+            out[(a < need[i])[index]] = 0.0
     return out
 
 
 def _config_values(config: DiagonalConfig, per_chain, comps: np.ndarray,
-                   gamma: float, rows: dict, dtype) -> np.ndarray:
-    """Eigenvalues of config at the columns of comps."""
+                   gamma: float, rows: dict, dtype, sizes=None) -> np.ndarray:
+    """Eigenvalues of config at the columns of comps, an (n, m) array of
+    multi-indices.  With sizes None, every table is taken at the columns
+    themselves.  Otherwise the columns are runs of whole consecutive
+    degrees, sizes[d] of them of degree k0 + d, where k0 is the degree of
+    the first column: the degree tables are taken over the run's degrees and
+    repeated, and the coordinate tables over 0, ..., the run's last degree
+    and gathered."""
+    n, m = comps.shape
+    if sizes is None:
+        degs = comps.sum(axis=0)
+        coords = [(a, slice(None)) for a in comps]
+    else:
+        end = int(comps[:, 0].sum()) + len(sizes)
+        degs = np.arange(end - len(sizes), end)
+        coords = [(np.arange(end), a) for a in comps]
     # _chain_values skips multiplications by an exact 1 and additions to an
     # initial 0, which can leave -0.0 where the full products give +0.0.
     # Adding every chain to +0.0 turns both into +0.0: its bit-identity
     # depends on this start.
-    v = np.zeros(comps.shape[1], dtype=dtype)
+    v = np.zeros(m, dtype=dtype)
     for ch, shifts in zip(config.chains, per_chain):
-        v += _chain_values(ch, shifts, comps, gamma, rows, dtype)
+        v += _chain_values(ch, shifts, m, degs, sizes, coords, gamma, rows,
+                           dtype)
     if config.power != 1:
         # a complex integer power is a chain of products, a float one a
         # single rounded pow: raise in complex so both dtypes agree exactly
@@ -399,22 +442,22 @@ def _config_values(config: DiagonalConfig, per_chain, comps: np.ndarray,
     return v
 
 
-def _multi_indices(offsets: list, cols: np.ndarray) -> np.ndarray:
-    """The multi-indices at positions cols of the degree-major enumeration,
-    descending lex within a degree (`core.compositions`), as an
-    (n, cols.size) array.  offsets[m - 2][k], for m = 2..n, counts the
-    multi-indices of length m and degree < k.
-
-    The rank of (a_1, rest) inside its degree is the position of rest in
-    the enumeration of length n - 1, so one search per length unranks."""
-    degs = []
-    for off in reversed(offsets):
-        k = np.searchsorted(off, cols, side="right") - 1
-        degs.append(k)
-        cols = cols - off[k]
-    degs.append(cols)  # a length-1 multi-index is its own position
-    degs = np.array(degs)  # row i: degree of (a_i, ..., a_n)
-    return np.vstack([degs[:-1] - degs[1:], degs[-1:]])
+def _degree_runs(k0: int, sizes: np.ndarray, lower) -> np.ndarray:
+    """The multi-indices of the degrees k0, k0 + 1, ..., sizes[d] of degree
+    k0 + d, each degree in `core.compositions` order, as an (n, m) array.
+    Degree k is (k - |beta|, beta) for beta over the first sizes[d] columns
+    of lower, the same enumeration of length n - 1 from degree 0 on: the
+    multi-indices of length n - 1 and degree <= k.  At n = 2, lower is None
+    and beta runs over (0), ..., (k)."""
+    ends = np.cumsum(sizes)
+    ramp = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    first = np.repeat(np.arange(k0, k0 + len(sizes)), sizes)
+    if lower is None:
+        first -= ramp
+        return np.vstack([first, ramp])
+    rest = lower[:, ramp]
+    first -= rest.sum(axis=0)
+    return np.vstack([first, rest])
 
 
 def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
@@ -424,11 +467,13 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
 
     Radial configurations (n = 1, or all factors free of monomial parts)
     produce one value per degree with the full degree multiplicity attached
-    (1 at n = 1), in blocks of `_BLOCK` degrees.  Otherwise one value per
-    multi-index is computed, degree by degree (alpha_1 ascending at n = 2,
-    `core.compositions` order at higher n), in blocks of `_BLOCK`
-    consecutive multi-indices that may cut across degrees.  Configurations
-    with only real coefficients are evaluated in float64.
+    (1 at n = 1), in blocks of `_BLOCK` degrees, each block's tables taken at
+    its degrees.  Otherwise one value per multi-index is computed, degree by
+    degree (alpha_1 ascending at n = 2, `core.compositions` order at higher
+    n), in blocks that are runs of whole degrees (`_degree_runs`); each
+    block's tables are taken once per degree and coordinate value, and its
+    values gathered from them.  Configurations with only real coefficients
+    are evaluated in float64.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
@@ -462,24 +507,31 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
         mults = (degree_multiplicity(n, np.arange(K_degree + 1)) if n > 1
                  else None)
     else:
-        degrees = np.arange(K_degree + 1)
         # sum over k <= K_degree of C(k+n-1, n-1)
         count = math.comb(K_degree + n, n)
         if count > _MAX_VALUES:
             raise DiagonalityError(
                 f"per-multi-index path would materialize {count} values; "
                 f"lower K_degree")
-        offsets = [np.concatenate(([0], np.cumsum(degree_multiplicity(m, degrees))))
-                   for m in range(2, n + 1)]
-        starts = offsets[-1]
+        sizes = degree_multiplicity(n, np.arange(K_degree + 1))
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        lower = None  # the enumeration of length n - 1, for n >= 3
+        for length in range(2, n):
+            lower = _degree_runs(
+                0, degree_multiplicity(length, np.arange(K_degree + 1)), lower)
         vals = np.empty(count, dtype=dtype)
-        for lo in range(0, count, _BLOCK):
-            cols = np.arange(lo, min(lo + _BLOCK, count))
-            comps = _multi_indices(offsets, cols)
+        k = 0
+        while k <= K_degree:
+            # the longest run of whole degrees from k that holds at most
+            # _BLOCK values, or degree k alone
+            end = max(k + 1, int(np.searchsorted(
+                starts, starts[k] + _BLOCK, side="right")) - 1)
+            comps = _degree_runs(k, sizes[k:end], lower)
             if n == 2:  # alpha_1 ascending: the reverse of compositions order
                 comps = comps[::-1]
-            vals[lo:lo + cols.size] = _config_values(config, per_chain, comps,
-                                                     gamma, rows, dtype)
+            vals[starts[k]:starts[end]] = _config_values(
+                config, per_chain, comps, gamma, rows, dtype, sizes[k:end])
+            k = end
         mults = None
     return vals, starts, mults
 

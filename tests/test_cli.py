@@ -126,6 +126,11 @@ def test_cli_main_config_error(tmp_path):
     ("model-operator", '{"window": ["a", 2], "K_ranks": 4096}'),
     ("hankel-trace", '{"tolerance": "x", "K_degree": 65536}'),
     ("model-operator", '{"tol_pointwise": "x", "K_ranks": 4096}'),
+    ("commutator-trace", '{"pairs": 3}'),
+    ("commutator-trace", '{"pairs": [[1]]}'),
+    ("mixed-trace", '{"cases": [{"hankel_pairs": 5}]}'),
+    ("mixed-trace", '{"cases": [{"toeplitz_factors": 7}]}'),
+    ("mixed-trace", '{"cases": [{"hankel_pairs": [[1, 2, 3]]}]}'),
 ])
 def test_cli_bad_config_exits_2_with_one_error_line(tmp_path, capsys,
                                                     experiment, cfg):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from focktrace import _kernels, fock_matrices, spectral
@@ -373,6 +373,7 @@ def _per_multi_index_configs(n):
     z1, z1b = RadialSymbol.coordinate(n, 1), RadialSymbol.coordinate(n, 1, conjugated=True)
     z2, z2b = RadialSymbol.coordinate(n, 2), RadialSymbol.coordinate(n, 2, conjugated=True)
     w2 = RadialSymbol.radial_power(n, -2.0)
+    z1z2 = z1 * z2 * RadialSymbol.radial_power(n, -3.0)
     return {
         "hankel": hankel_config(f, f),
         "commutator": commutator_config(f, f.conj() * w),
@@ -383,6 +384,10 @@ def _per_multi_index_configs(n):
         "hankel-power-3": hankel_config(f, f) ** 3,
         # value(a_1, a_2, ...) = -value(a_2, a_1, ...): ties of +x and -x
         "signed-ties": toeplitz_config((z1 * z1b - z2 * z2b) * w2),
+        # rising products over two coordinates: the chain T_{conj(f) f} has
+        # the term z1 z2 conj(z1 z2) (1+|z|^2)^(-3), the chain T_{conj(f)} T_f
+        # sqrt((a_1+1)(a_2+1)) in each factor
+        "two-coordinate": hankel_config(z1z2, z1z2),
     }
 
 
@@ -390,7 +395,7 @@ def _per_multi_index_configs(n):
 @pytest.mark.parametrize("n, K", [(2, 24), (3, 9)])
 @pytest.mark.parametrize("kind", ["hankel", "commutator", "mixed",
                                   "hankel-power-2", "hankel-power-3",
-                                  "signed-ties"])
+                                  "signed-ties", "two-coordinate"])
 def test_blocked_spectrum_matches_per_degree_oracle(monkeypatch, block, n, K, kind):
     # blocks of 1, 7 and 64 multi-indices end inside degrees and on their
     # edges; the float64 blocks must reproduce the complex per-degree loop
@@ -408,6 +413,70 @@ def test_blocked_spectrum_matches_per_degree_oracle(monkeypatch, block, n, K, ki
         if kind == "signed-ties":
             v = got.values
             assert np.any((v[1:] == -v[:-1]) & (v[1:] != 0))
+
+
+# One of the two parts of every product of these phases is an exact zero.
+# With both parts nonzero, numpy's complex multiply rounds differently in
+# its vector loop and in its remainder loop, so the bits would depend on
+# where a value falls in an array, at every block size alike.
+_PHASES = (1.0, -1.0, 1j, -1j)
+
+
+@st.composite
+def per_multi_index_cases(draw):
+    # non-radial chains of one to three factors, each a sum of terms
+    # c * r * z^(e + v+) conj(z)^(e + v-) (1+|z|^2)^(t/2) of one shift v; the
+    # shifts cancel along the chain, the first ones applied may leave the
+    # cone, and e over several coordinates spreads a rising product over
+    # them.  Each factor has one phase c; the chain coefficient undoes the
+    # product of the phases, so that every value is real
+    n = draw(st.sampled_from([2, 3]))
+    gamma = draw(st.sampled_from([0.7, 1.0, 2.5]))
+    complex_coeffs = draw(st.booleans())
+    unit = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    chains = []
+    for _ in range(draw(st.integers(1, 2))):
+        shifts = [draw(unit) for _ in range(draw(st.integers(0, 2)))]
+        shifts.append([-sum(v[i] for v in shifts) for i in range(n)])
+        factors, phase = [], 1.0
+        for v in shifts:
+            c = draw(st.sampled_from(_PHASES)) if complex_coeffs else 1.0
+            phase *= c
+            terms = draw(st.lists(
+                st.tuples(st.tuples(*[st.integers(0, 1)] * n),
+                          st.integers(-6, 0), st.sampled_from([1.0, -0.5, 2.0])),
+                min_size=1, max_size=2, unique_by=lambda term: term[1]))
+            S = None
+            for e, t, r in terms:
+                p = tuple(max(vi, 0) + ei for vi, ei in zip(v, e))
+                q = tuple(max(-vi, 0) + ei for vi, ei in zip(v, e))
+                term = RadialSymbol.monomial(n, p, q, float(t), c * r)
+                S = term if S is None else S + term
+            factors.append(S)
+        scale = draw(st.sampled_from([1.0, -1.0, 0.5]))
+        chains.append(spectral.DiagonalChain(
+            scale * complex(phase).conjugate(), factors))
+    config = spectral.DiagonalConfig(n, chains, draw(st.sampled_from([1, 2, 3])))
+    assume(not spectral._is_radial(config))  # the oracle is per multi-index
+    K = draw(st.integers(0, 24) if n == 2 else st.integers(6, 12))
+    block = draw(st.sampled_from([1, 7, 64]))
+    return n, gamma, config, K, block
+
+
+@settings(max_examples=60, deadline=None)
+@given(per_multi_index_cases())
+def test_random_per_multi_index_spectra_match_per_degree_oracle(case):
+    # degree-run blocks of 1, 7 and 64 values, so that degrees of more than
+    # 64 values (n = 3, K >= 10) form blocks of their own; float64 and
+    # complex tables against the complex per-degree loop, bit for bit
+    n, gamma, config, K, block = case
+    ctx = FockContext(n, gamma)
+    ref = per_degree_spectrum(ctx, config, K)
+    with mock.patch.object(spectral, "_BLOCK", block):
+        got = diagonal_spectrum(ctx, config, K)
+    assert got.values.tobytes() == ref.values.tobytes()
+    np.testing.assert_array_equal(got.mults, ref.mults)
+    assert (got.certified_rank, got.signed) == (ref.certified_rank, ref.signed)
 
 
 def _radial_configs():
