@@ -9,11 +9,20 @@ backend and the Python, numpy and mpmath versions that its children import,
 and the machine.
 
 A point is a label and the directory that holds the focktrace package
-(default: this checkout's src/).  With several points, every round runs
-each experiment once per point, alternating which point goes first, so
-that a drift in host speed falls on all points alike.  The points of the
-run are written to BENCH_e2e.json at the repository root, replacing what
-it held.
+(default: this checkout's src/).  Each point's package is copied into a
+temporary directory whose path has the same length for every point, and
+its children import it from there: the peak RSS of a run moves by several
+MB with the length of the import path alone.  With several points, every
+round runs each experiment once per point, alternating which point goes
+first, so that a drift in host speed falls on all points alike.  Round r
+passes `--seed r` (only calculus-check draws random numbers), so a run of
+R repeats covers calculus-check's seeds 0 to R - 1.
+
+Every run's check values (`computed` and `target`) are kept per point and
+round; any check whose values differ between points is printed, so a
+timing comparison also shows whether the points compute the same numbers.
+The points of the run are written to BENCH_e2e.json at the repository
+root, replacing what it held.
 
 Run:  python benchmarks/bench_e2e.py --point after [--repeats 5]
       python benchmarks/bench_e2e.py --point before=../parent/src --point after
@@ -23,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,29 +57,52 @@ def child_env(src: Path) -> dict:
     return env
 
 
-def run_once(name: str, env: dict, report: str):
-    """Wall seconds, peak RSS in MB and exit code of one CLI run."""
+def run_once(name: str, env: dict, report: Path, seed: int):
+    """Wall seconds, peak RSS in MB, exit code and check values of one CLI
+    run; the check values map each check's name to [computed, target], and
+    are None when the run wrote no report."""
     cmd = [sys.executable, "-m", "focktrace.cli", "--experiment", name,
-           "--out", report]
+           "--out", str(report), "--seed", str(seed)]
+    report.unlink(missing_ok=True)
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     _pid, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-    return wall, usage.ru_maxrss / 1024.0, proc.returncode  # ru_maxrss: KiB
+    checks = None
+    if report.exists():
+        checks = {c["name"]: [c["computed"], c["target"]]
+                  for c in json.loads(report.read_text())["checks"]}
+    # ru_maxrss: KiB
+    return wall, usage.ru_maxrss / 1024.0, proc.returncode, checks
 
 
 def summarize(samples) -> list:
     results = []
     for name in EXPERIMENTS:
-        walls, rss, codes = (list(x) for x in zip(*samples[name]))
+        walls, rss, codes, checks = (list(x) for x in zip(*samples[name]))
         results.append({"experiment": name,
                         "wall_s": statistics.median(walls),
                         "peak_rss_mb": statistics.median(rss),
                         "wall_samples": walls, "rss_samples": rss,
-                        "exit_codes": codes})
+                        "exit_codes": codes, "check_samples": checks})
     return results
+
+
+def differing_checks(samples, labels) -> list:
+    """(experiment, round, check, {label: [computed, target]}) for every
+    check whose values are not the same at every point; floats compare by
+    their JSON spelling, so -0.0 and 0.0 differ."""
+    out = []
+    for name in EXPERIMENTS:
+        for r, runs in enumerate(zip(*(samples[label][name] for label in labels))):
+            values = {label: run[3] or {} for label, run in zip(labels, runs)}
+            for check in sorted(set().union(*values.values())):
+                seen = {label: v.get(check) for label, v in values.items()}
+                if len({json.dumps(v) for v in seen.values()}) > 1:
+                    out.append((name, r, check, seen))
+    return out
 
 
 def main():
@@ -81,22 +114,29 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", default=str(ROOT / "BENCH_e2e.json"))
     args = parser.parse_args()
-    envs = {}
+    sources = {}
     for point in args.point:
         label, _, src = point.partition("=")
-        envs[label] = child_env(Path(src or ROOT / "src").resolve())
-
-    environments = {label: json.loads(subprocess.run(
-        [sys.executable, "-c", _ENVIRONMENT], env=env, check=True,
-        capture_output=True, text=True).stdout) for label, env in envs.items()}
-    samples = {label: {name: [] for name in EXPERIMENTS} for label in envs}
-    labels = list(envs)
+        sources[label] = Path(src or ROOT / "src").resolve()
+    labels = list(sources)
+    samples = {label: {name: [] for name in EXPERIMENTS} for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
-        report = os.path.join(tmp, "report.json")
+        envs = {}
+        for i, label in enumerate(labels):
+            # names of one width, so every copy's path has the same length
+            home = Path(tmp, f"{i:0{len(str(len(labels)))}d}")
+            shutil.copytree(sources[label] / "focktrace", home / "focktrace",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            envs[label] = child_env(home)
+        environments = {label: json.loads(subprocess.run(
+            [sys.executable, "-c", _ENVIRONMENT], env=env, check=True,
+            capture_output=True, text=True).stdout) for label, env in envs.items()}
+        report = Path(tmp, "report.json")
         for r in range(args.repeats):
             for name in EXPERIMENTS:
                 for label in labels if r % 2 == 0 else labels[::-1]:
-                    samples[label][name].append(run_once(name, envs[label], report))
+                    samples[label][name].append(
+                        run_once(name, envs[label], report, r))
 
     machine = {"processor": platform.processor() or platform.machine(),
                "cpus": os.cpu_count()}
@@ -109,8 +149,13 @@ def main():
             print(f"  {res['experiment']:<18}{res['wall_s']:>8.2f} s"
                   f"{res['peak_rss_mb']:>8.0f} MB  exit {res['exit_codes']}")
         points.append({"label": label, "repeats": args.repeats,
-                    "environment": environments[label], "machine": machine,
-                    "results": results})
+                       "environment": environments[label], "machine": machine,
+                       "results": results})
+    differing = differing_checks(samples, labels)
+    for name, r, check, seen in differing:
+        print(f"differs: {name} (seed {r}) {check}: {seen}")
+    if len(labels) > 1 and not differing:
+        print(f"check values identical at every point, seeds 0-{args.repeats - 1}")
     Path(args.out).write_text(json.dumps({"points": points}, indent=1) + "\n")
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+from functools import partial, reduce
+from operator import mul
 
 import numpy as np
 
@@ -82,97 +85,92 @@ def make_check(name: str, computed: float, target: float, tolerance: float):
     }
 
 
-def _parse_symbol(obj, n: int) -> RadialSymbol:
+def _option(cfg, key, default, read):
+    """read(cfg[key]), or default when key is absent; a KeyError, TypeError,
+    ValueError or OverflowError of read is a ConfigError naming key."""
+    if key not in cfg:
+        return default
     try:
+        return read(cfg[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
+def _number(value, whole=False, least=0):
+    """A finite JSON number >= least, with whole=True a whole one (64 or 64.0,
+    not 64.5) as an int; true, "64" and NaN are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not least <= value < math.inf or whole and value % 1):
+        raise ValueError(f"need a finite{' whole' if whole else ''} number "
+                         f">= {least}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
+_whole = partial(_number, whole=True)
+
+
+def _list(read, length=None):
+    """Reader of a JSON list, of the given length if any, of items read takes."""
+    def read_list(items):
+        if not isinstance(items, list) or length not in (None, len(items)):
+            raise ValueError(f"need a list{f' of {length}' if length else ''}, "
+                             f"got {items!r}")
+        return [read(item) for item in items]
+    return read_list
+
+
+def _symbol(n):
+    """Reader of a symbol in JSON form on C^n."""
+    def read(obj):
         sym = RadialSymbol.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid symbol JSON: {exc}") from exc
-    if sym.n != n:
-        raise ConfigError(f"symbol dimension {sym.n} does not match n={n}")
-    return sym
-
-
-def _cfg_symbol(cfg, key, n, default: RadialSymbol) -> RadialSymbol:
-    if key in cfg:
-        return _parse_symbol(cfg[key], n)
-    return default
-
-
-def _cfg_symbols(cfg, key, n) -> list:
-    """The symbols listed under key, none when it is absent."""
-    items = cfg.get(key, [])
-    if not isinstance(items, list):
-        raise ConfigError(f"{key} must be a list of symbols")
-    return [_parse_symbol(obj, n) for obj in items]
-
-
-def _cfg_symbol_pairs(cfg, key, n) -> list:
-    """The [f, g] symbol pairs listed under key, none when it is absent."""
-    items = cfg.get(key, [])
-    if not (isinstance(items, list)
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in items)):
-        raise ConfigError(f"{key} must be a list of [f, g] symbol pairs")
-    return [(_parse_symbol(f, n), _parse_symbol(g, n)) for f, g in items]
+        if sym.n != n:
+            raise ValueError(f"symbol dimension {sym.n} does not match n={n}")
+        return sym
+    return read
 
 
 def _context(cfg, default_n: int) -> FockContext:
     """The FockContext of the config's n and gamma."""
+    n = _option(cfg, "n", default_n, lambda v: _whole(v, least=1))
+    gamma = _option(cfg, "gamma", 1.0, lambda v: FockContext(n, float(v)).gamma)
+    return FockContext(n, gamma)
+
+
+def _trace_options(cfg, n, default_tol):
+    """A trace check's degree cutoff, tolerance and rank grid (None: the
+    default grid)."""
+    return (_option(cfg, "K_degree", 4000 if n > 1 else 1 << 20, _whole),
+            _option(cfg, "tolerance", default_tol, _number),
+            _option(cfg, "grid", None, _list(_whole)))
+
+
+def _extrapolated_check(name, seq, target, tol, grid, n):
+    """The check of seq's extrapolated log-Cesaro limit against target, and
+    the estimate's diagnostics.  The default grid is the spec'd one below the
+    spectrum's length at n = 1, else the certified auto grid; a grid the
+    spectrum cannot carry is a configuration error."""
+    if grid is None and n == 1:
+        grid = [k for k in DEFAULT_RANK_GRID_1D if k < seq.total]
     try:
-        return FockContext(int(cfg.get("n", default_n)),
-                           float(cfg.get("gamma", 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid n or gamma: {exc}") from exc
-
-
-def _cutoff(cfg, key, default: int) -> int:
-    try:
-        K = int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {key}: {exc}") from exc
-    if K < 0:
-        raise ConfigError(f"{key} must be >= 0, got {K}")
-    return K
-
-
-def _tolerance(cfg, key, default: float) -> float:
-    try:
-        return float(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {key}: {exc}") from exc
-
-
-def _grid_for(cfg, seq, n):
-    if "grid" in cfg:
-        return [int(k) for k in cfg["grid"]]
-    if n == 1:
-        return [k for k in DEFAULT_RANK_GRID_1D if k < seq.total]
-    return None  # certified auto grid
-
-
-def _estimate(cfg, seq, n):
-    """extrapolate over the config's rank grid; a grid the spectrum cannot
-    carry is a configuration error."""
-    try:
-        return extrapolate(seq, _grid_for(cfg, seq, n))
-    except (TypeError, ValueError) as exc:
+        est = extrapolate(seq, grid)
+    except ValueError as exc:
         raise ConfigError(
             f"cannot extrapolate over {seq.total} ranks: {exc}") from exc
+    return (make_check(name, est.value, target, tol),
+            {"estimate_method": est.method, "estimate_K": est.K_used,
+             **est.diagnostics})
 
 
-def _trace_check(ctx, config, cfg, target, default_tol, check_name,
-                 csv_label, csv_sink):
+def _trace_check(ctx, config, target, options, check_name, csv_label,
+                 csv_sink):
     """The spectral half of a trace experiment: the per-degree spectrum of
     config, its extrapolated log-Cesaro limit checked against the symbolic
-    target, and the estimate's diagnostics."""
-    n = ctx.n
-    K = _cutoff(cfg, "K_degree", 4000 if n > 1 else 1 << 20)
-    tol = _tolerance(cfg, "tolerance", default_tol)
+    target, and the estimate's diagnostics, as an experiment returns them."""
+    K, tol, grid = options
     seq = diagonal_spectrum(ctx, config, K)
-    est = _estimate(cfg, seq, n)
     csv_sink(csv_label, seq)
-    check = make_check(check_name, est.value, target, tol)
-    return check, {"estimate_method": est.method, "estimate_K": est.K_used,
-                   **est.diagnostics}
+    check, diags = _extrapolated_check(check_name, seq, target, tol, grid, ctx.n)
+    return [check], diags
 
 
 def loglog_slope(xs, ys):
@@ -188,11 +186,15 @@ def loglog_slope(xs, ys):
     return float(coef[1])
 
 
-def _leading(sym: RadialSymbol):
+def _leading(sym: RadialSymbol, order=None):
+    """(m, leading sphere part) of sym, whose order must be an integer -m <= 0;
+    with order given, a symbol of an order other than -order is refused."""
     m, lead = sym.leading_sphere_part()
     mi = int(round(-m))
     if abs(m + mi) > 1e-9 or mi < 0:
         raise ConfigError(f"symbol order {m:g} is not a nonpositive integer")
+    if order not in (None, mi):
+        raise ConfigError(f"need a symbol of order {-order}, got {-mi}")
     return mi, lead
 
 
@@ -204,42 +206,31 @@ def _exp_model_operator(cfg, seed, csv_sink):
     n, gamma = ctx.n, ctx.gamma
     S = RadialSymbol.radial_power(n, -2.0 * n)
     target = gamma**n / math.factorial(n)
-    checks = []
-    diags = {}
-    tol_extrapolated = _tolerance(cfg, "tol_extrapolated", 0.02)
+    tol_extrapolated = _option(cfg, "tol_extrapolated", 0.02, _number)
+    grid = _option(cfg, "grid", None, _list(_whole))
     if n == 1:
-        K = _cutoff(cfg, "K_ranks", 1 << 20)
-        tol_pointwise = _tolerance(cfg, "tol_pointwise", 0.005)
+        K = _option(cfg, "K_ranks", 1 << 20, _whole)
+        tol_pointwise = _option(cfg, "tol_pointwise", 0.005, _number)
+        window = _option(cfg, "window", [500_000, 1_000_000], _list(_whole, 2))
+    else:
+        K = _option(cfg, "K_degree", 10_000, _whole)
+    seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
+    if n == 1:
         try:
-            window = [int(w) for w in cfg.get("window", [500_000, 1_000_000])]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid window: {exc}") from exc
-        seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
-        try:
-            lo, hi = (min(w, seq.total - 1) for w in window)
-            med, spread = pointwise(seq, (lo, hi))
+            med, spread = pointwise(seq, [min(w, seq.total - 1) for w in window])
         except ValueError as exc:
             raise ConfigError(f"invalid window: {exc}") from exc
-        checks.append(make_check("pointwise-median", med, target, tol_pointwise))
-        est = _estimate(cfg, seq, n)
-        checks.append(make_check("extrapolated-log-mean", est.value, target,
-                                 tol_extrapolated))
-        diags = {"pointwise_spread": spread, "estimate_method": est.method,
-                 "estimate_K": est.K_used, **est.diagnostics}
+        checks = [make_check("pointwise-median", med, target, tol_pointwise)]
+        diags = {"pointwise_spread": spread}
     else:
-        K = _cutoff(cfg, "K_degree", 10_000)
-        seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
-        est = _estimate(cfg, seq, n)
-        checks.append(make_check("extrapolated-log-mean", est.value, target,
-                                 tol_extrapolated))
-        lo = max(0, (seq.certified_rank or seq.total) - 200_000)
-        hi = (seq.certified_rank or seq.total) - 1
-        med, spread = pointwise(seq, (lo, hi))
-        diags = {"pointwise_median": med, "pointwise_spread": spread,
-                 "estimate_method": est.method, "estimate_K": est.K_used,
-                 **est.diagnostics}
+        top = seq.certified_rank or seq.total
+        med, spread = pointwise(seq, (max(0, top - 200_000), top - 1))
+        checks = []
+        diags = {"pointwise_median": med, "pointwise_spread": spread}
+    check, est_diags = _extrapolated_check("extrapolated-log-mean", seq, target,
+                                           tol_extrapolated, grid, n)
     csv_sink("model-operator", seq)
-    return checks, diags
+    return checks + [check], {**diags, **est_diags}
 
 
 def _exp_toeplitz_trace(cfg, seed, csv_sink):
@@ -248,16 +239,12 @@ def _exp_toeplitz_trace(cfg, seed, csv_sink):
     default = (RadialSymbol.coordinate(n, 1)
                * RadialSymbol.coordinate(n, 1, conjugated=True)
                * RadialSymbol.radial_power(n, -2.0 * (n + 1)))
-    f = _cfg_symbol(cfg, "f", n, default)
-    m, f0 = _leading(f)
-    if m != 2 * n:
-        raise ConfigError(
-            f"trace formula needs a symbol of order -2n = {-2*n}, got {-m}")
+    f = _option(cfg, "f", default, _symbol(n))
+    options = _trace_options(cfg, n, 0.02)
+    _, f0 = _leading(f, 2 * n)
     target = gamma**n / math.factorial(n) * sphere_integral(f0).real
-    check, diags = _trace_check(ctx, toeplitz_config(f), cfg, target, 0.02,
-                                "trace-vs-boundary-integral", "toeplitz-trace",
-                                csv_sink)
-    return [check], diags
+    return _trace_check(ctx, toeplitz_config(f), target, options,
+                        "trace-vs-boundary-integral", "toeplitz-trace", csv_sink)
 
 
 def _exp_hankel_trace(cfg, seed, csv_sink):
@@ -265,84 +252,69 @@ def _exp_hankel_trace(cfg, seed, csv_sink):
     n = ctx.n
     default = (RadialSymbol.coordinate(n, 1)
                * RadialSymbol.radial_power(n, -1.0))
-    f = _cfg_symbol(cfg, "f", n, default)
-    g = _cfg_symbol(cfg, "g", n, default)
-    mf, f0 = _leading(f)
-    mg, g0 = _leading(g)
-    if mf != 0 or mg != 0:
-        raise ConfigError("hankel-trace needs order-0 symbols")
+    f = _option(cfg, "f", default, _symbol(n))
+    g = _option(cfg, "g", default, _symbol(n))
+    options = _trace_options(cfg, n, 0.01 if n == 1 else 0.05)
+    _, f0 = _leading(f, 0)
+    _, g0 = _leading(g, 0)
     bracket = tangential_bracket(f0.conj(), g0)
     target = sphere_integral(bracket**n).real / math.factorial(n)
-    check, diags = _trace_check(ctx, hankel_config(f, g) ** n, cfg, target,
-                                0.01 if n == 1 else 0.05,
-                                "hankel-trace-vs-bracket-integral",
-                                "hankel-trace", csv_sink)
-    return [check], diags
+    return _trace_check(ctx, hankel_config(f, g) ** n, target, options,
+                        "hankel-trace-vs-bracket-integral", "hankel-trace",
+                        csv_sink)
 
 
 def _exp_commutator_trace(cfg, seed, csv_sink):
     ctx = _context(cfg, 1)
     n = ctx.n
     du = RadialSymbol.radial_power(n, -1.0)
-    default_pairs = [
-        (RadialSymbol.coordinate(n, 1) * du,
-         RadialSymbol.coordinate(n, 1, conjugated=True) * du),
-    ]
-    if "pairs" in cfg:
-        pairs = _cfg_symbol_pairs(cfg, "pairs", n)
-    else:
-        pairs = default_pairs
+    default_pairs = [(RadialSymbol.coordinate(n, 1) * du,
+                      RadialSymbol.coordinate(n, 1, conjugated=True) * du)]
+    pairs = _option(cfg, "pairs", default_pairs, _list(_list(_symbol(n), 2)))
     if len(pairs) != n:
         raise ConfigError(f"need exactly n = {n} commutator pairs")
+    options = _trace_options(cfg, n, 0.05)
     integrand = SpherePolynomial.constant(n)
-    config = None
     for fj, gj in pairs:
-        mf, f0 = _leading(fj)
-        mg, g0 = _leading(gj)
-        if mf != 0 or mg != 0:
-            raise ConfigError("commutator-trace needs order-0 symbols")
+        _, f0 = _leading(fj, 0)
+        _, g0 = _leading(gj, 0)
         integrand = integrand * (tangential_bracket(g0, f0)
                                  - tangential_bracket(f0, g0))
-        cj = commutator_config(fj, gj)
-        config = cj if config is None else config * cj
+    config = reduce(mul, [commutator_config(f, g) for f, g in pairs])
     target = sphere_integral(integrand).real / math.factorial(n)
-    check, diags = _trace_check(ctx, config, cfg, target, 0.05,
-                                "commutator-trace-vs-boundary-integral",
-                                "commutator-trace", csv_sink)
-    return [check], diags
+    return _trace_check(ctx, config, target, options,
+                        "commutator-trace-vs-boundary-integral",
+                        "commutator-trace", csv_sink)
 
 
-def _mixed_case(case, csv_sink, label):
+def _mixed_case(case):
+    """The context, configuration, symbolic target and trace options of one
+    mixed-trace case."""
     ctx = _context(case, 2)
     n, gamma = ctx.n, ctx.gamma
-    pairs = _cfg_symbol_pairs(case, "hankel_pairs", n)
-    factors = _cfg_symbols(case, "toeplitz_factors", n)
-    l = len(pairs)
+    pairs = _option(case, "hankel_pairs", [], _list(_list(_symbol(n), 2)))
+    factors = _option(case, "toeplitz_factors", [], _list(_symbol(n)))
+    options = _trace_options(case, n, 0.05)
     integrand = SpherePolynomial.constant(n)
-    config = None
     homogeneity = 0
     for fj, gj in pairs:
         mf, f0 = _leading(fj)
         mg, g0 = _leading(gj)
         homogeneity += mf + mg + 2
         integrand = integrand * boundary_pairing(f0, mf, g0, mg)
-        cj = hankel_config(fj, gj)
-        config = cj if config is None else config * cj
     for h in factors:
         mh, h0 = _leading(h)
         homogeneity += mh
         integrand = integrand * h0
-        cj = toeplitz_config(h)
-        config = cj if config is None else config * cj
+    # with no factor at all the decay is 0, so this also refuses an empty case
     if homogeneity != 2 * n:
         raise ConfigError(
             f"total decay {homogeneity} must equal 2n = {2*n} for a finite trace")
-    if config is None:
-        raise ConfigError("mixed-trace needs at least one factor")
-    target = (gamma ** (n - l) / math.factorial(n)
+    config = reduce(mul, [hankel_config(f, g) for f, g in pairs]
+                    + [toeplitz_config(h) for h in factors])
+    target = (gamma ** (n - len(pairs)) / math.factorial(n)
               * sphere_integral(integrand).real)
-    name = f"mixed-trace-{label}"
-    return _trace_check(ctx, config, case, target, 0.05, name, name, csv_sink)
+    return ctx, config, target, options
 
 
 def _default_mixed_cases():
@@ -363,41 +335,51 @@ def _default_mixed_cases():
     return [case1, case2]
 
 
+def _case(obj) -> dict:
+    """A mixed-trace case: a JSON object."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"a case is a JSON object, got {obj!r}")
+    return obj
+
+
 def _exp_mixed_trace(cfg, seed, csv_sink):
-    cases = cfg.get("cases", _default_mixed_cases())
-    if not (isinstance(cases, list)
-            and all(isinstance(case, dict) for case in cases)):
-        raise ConfigError("cases must be a list of case objects")
+    cases = _option(cfg, "cases", _default_mixed_cases(), _list(_case))
+    # every case is read, and its target computed, before the first spectrum
+    runs = [_mixed_case(case) for case in cases]
     checks = []
     diags = {}
-    for i, case in enumerate(cases):
+    for i, (case, (ctx, config, target, options)) in enumerate(zip(cases, runs)):
         label = case.get("label", f"case{i}")
-        chk, d = _mixed_case(case, csv_sink, label)
-        checks.append(chk)
-        diags[label] = d
+        name = f"mixed-trace-{label}"
+        chk, diags[label] = _trace_check(ctx, config, target, options, name,
+                                         name, csv_sink)
+        checks += chk
     return checks, diags
 
 
 # --- calculus-check helpers -------------------------------------------------
 
-def _random_poly(rng, n, deg, real=False):
+def _random_sum(kind, rng, n, deg):
+    """A RadialSymbol (t = 0) or SpherePolynomial on C^n: each z^p conj(z)^q
+    with |p| + |q| <= deg is kept with probability 0.4 (0.35 on the sphere),
+    with a standard complex normal coefficient; the constant 1 when none is."""
+    radial = kind is RadialSymbol
     terms = {}
     for p in enumerate_basis(n, deg):
         for q in enumerate_basis(n, deg - sum(p)):
-            if rng.random() < 0.4:
-                c = complex(rng.normal(), 0.0 if real else rng.normal())
-                terms[(p, q, 0.0)] = c
-    sym = RadialSymbol(n, terms)
-    return sym if not sym.is_zero() else RadialSymbol.constant(n)
+            if rng.random() < (0.4 if radial else 0.35):
+                terms[(p, q, 0.0) if radial else (p, q)] = complex(
+                    rng.normal(), rng.normal())
+    out = kind(n, terms)
+    return out if out.terms else kind.constant(n)
 
 
 def _sym_rel_dev(a: RadialSymbol, b: RadialSymbol) -> float:
     keys = set(a.terms) | set(b.terms)
-    if not keys:
-        return 0.0
     scale = max(max((abs(c) for c in a.terms.values()), default=0.0),
                 max((abs(c) for c in b.terms.values()), default=0.0), 1e-300)
-    worst = max(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) for k in keys)
+    worst = max((abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) for k in keys),
+                default=0.0)
     return worst / scale
 
 
@@ -410,9 +392,14 @@ def _random_sphere_points(rng, n, count):
     return pts
 
 
-def _monomial_decaying(n, p, q, order):
-    t = order - sum(p) - sum(q)
-    return RadialSymbol.monomial(n, p, q, t)
+def _monomial_pair(n, p, q, mf, pg, qg, mg):
+    """f = z^p conj(z)^q and g = z^pg conj(z)^qg, radially weighted to the
+    orders -mf and -mg, and the boundary pairing of their leading parts."""
+    f = RadialSymbol.monomial(n, p, q, -mf - sum(p) - sum(q))
+    g = RadialSymbol.monomial(n, pg, qg, -mg - sum(pg) - sum(qg))
+    _, f0 = f.leading_sphere_part()
+    _, g0 = g.leading_sphere_part()
+    return f, g, boundary_pairing(f0, mf, g0, mg)
 
 
 def _exp_calculus_check(cfg, seed, csv_sink):
@@ -426,7 +413,7 @@ def _exp_calculus_check(cfg, seed, csv_sink):
     dev_unit = 0.0
     for n in (1, 2):
         for _ in range(3):
-            a, b, c = (_random_poly(rng, n, 3) for _ in range(3))
+            a, b, c = (_random_sum(RadialSymbol, rng, n, 3) for _ in range(3))
             dev_assoc = max(dev_assoc,
                             _sym_rel_dev(star(star(a, b, gamma), c, gamma),
                                          star(a, star(b, c, gamma), gamma)))
@@ -452,18 +439,17 @@ def _exp_calculus_check(cfg, seed, csv_sink):
 
     dev_heat = 0.0
     for n in (1, 2):
-        a = _random_poly(rng, n, 8 if n == 1 else 4)
+        a = _random_sum(RadialSymbol, rng, n, 8 if n == 1 else 4)
         dev_heat = max(dev_heat, _sym_rel_dev(
             heat_inverse(heat_transform(a, gamma), gamma), a))
     checks.append(make_check("heat-roundtrip", dev_heat, 0.0, 1e-12))
 
     # coordinate symbols quantize identically through both routes
     ctx1 = FockContext(1, gamma)
-    dev_coord = 0.0
     z = RadialSymbol.coordinate(1, 1)
     Tz = toeplitz_matrix(ctx1, z, 10)
     Wz = weyl_matrix(ctx1, z, 10)
-    dev_coord = max(dev_coord, float(np.max(np.abs(Tz.entries - Wz.entries))))
+    dev_coord = float(np.max(np.abs(Tz.entries - Wz.entries)))
     zzb = z * z.conj()
     Tzzb = toeplitz_matrix(ctx1, zzb, 10)
     Wzzb = weyl_matrix(ctx1, zzb, 10)
@@ -477,8 +463,8 @@ def _exp_calculus_check(cfg, seed, csv_sink):
         ctx = FockContext(n, gamma)
         D = 12 if n == 1 else 8
         for _ in range(2):
-            a = _random_poly(rng, n, 4)
-            b = _random_poly(rng, n, 4)
+            a = _random_sum(RadialSymbol, rng, n, 4)
+            b = _random_sum(RadialSymbol, rng, n, 4)
             Wab = buffered_product(
                 ctx, [heat_inverse(a, gamma), heat_inverse(b, gamma)], D)
             Wc = weyl_matrix(ctx, star(a, b, gamma), D)
@@ -489,11 +475,10 @@ def _exp_calculus_check(cfg, seed, csv_sink):
 
     # coherent-state symbols: toeplitz sees the double heat flow, the
     # heat-inverse quantization sees a single one
-    ctx1 = FockContext(1, gamma)
     dev_btoe = 0.0
     dev_bweyl = 0.0
     for _ in range(5):
-        a = _random_poly(rng, 1, 4)
+        a = _random_sum(RadialSymbol, rng, 1, 4)
         Ta = toeplitz_matrix(ctx1, a, 40)
         Wa = weyl_matrix(ctx1, a, 40)
         E1 = heat_transform(a, gamma)
@@ -518,15 +503,11 @@ def _exp_calculus_check(cfg, seed, csv_sink):
         (2, (1, 0), (0, 0), 1, (1, 0), (0, 0), 1),
         (2, (0, 1), (1, 0), 1, (1, 0), (0, 1), 2),
     ]:
-        f = _monomial_decaying(n, p, q, -mf)
-        g = _monomial_decaying(n, pg, qg, -mg)
+        f, g, ref = _monomial_pair(n, p, q, mf, pg, qg, mg)
         lead_sym = hankel_leading_symbol(f, g, gamma)
         if lead_sym.is_zero():
             continue
         _, lead = lead_sym.leading_sphere_part()
-        _, f0 = f.leading_sphere_part()
-        _, g0 = g.leading_sphere_part()
-        ref = boundary_pairing(f0, mf, g0, mg)
         scaled = gamma * lead
         num = sphere_norm_sq(scaled - ref)
         den = 1.0 + sphere_norm_sq(scaled) + sphere_norm_sq(ref)
@@ -537,7 +518,7 @@ def _exp_calculus_check(cfg, seed, csv_sink):
     dev_lap = 0.0
     for n in (1, 2, 3):
         for _ in range(3):
-            P = _random_sphere_poly(rng, n, 3)
+            P = _random_sum(SpherePolynomial, rng, n, 3)
             lhs = sphere_laplacian(P)
             rhs = _ambient_laplacian_on_sphere(P)
             num = sphere_norm_sq(lhs - rhs)
@@ -564,35 +545,19 @@ def _exp_calculus_check(cfg, seed, csv_sink):
     checks.append(make_check("heat-layer-decay-slope", worst_slope_gap, 0.0, 0.3))
 
     # symbolic boundary pairing against the exact radial limits
-    pairs = []
-    for mf in (0, 1, 2):
-        for mg in (0, 1, 2):
-            pairs.append(((1, 0), (0, 0), mf, (1, 0), (0, 0), mg))
+    pairs = [((1, 0), (0, 0), mf, (1, 0), (0, 0), mg)
+             for mf in (0, 1, 2) for mg in (0, 1, 2)]
     pairs.append(((0, 1), (1, 0), 1, (1, 0), (0, 1), 2))
     pts = _random_sphere_points(rng, 2, 20)
     dev_pair = 0.0
-    for p, q, mf, pg, qg, mg in pairs[:10]:
-        f = _monomial_decaying(2, p, q, -mf)
-        g = _monomial_decaying(2, pg, qg, -mg)
-        _, f0 = f.leading_sphere_part()
-        _, g0 = g.leading_sphere_part()
-        sym = boundary_pairing(f0, mf, g0, mg)
+    for p, q, mf, pg, qg, mg in pairs:
+        f, g, sym = _monomial_pair(2, p, q, mf, pg, qg, mg)
         for zeta in pts:
             num = boundary_pairing_limit(f, g, zeta, exponent=mf + mg + 2)
             dev_pair = max(dev_pair, abs(num - sym.evaluate(zeta)))
     checks.append(make_check("pairing-numeric-vs-symbolic", dev_pair, 0.0, 1e-6))
 
     return checks, {}
-
-
-def _random_sphere_poly(rng, n, deg):
-    terms = {}
-    for p in enumerate_basis(n, deg):
-        for q in enumerate_basis(n, deg - sum(p)):
-            if rng.random() < 0.35:
-                terms[(p, q)] = complex(rng.normal(), rng.normal())
-    P = SpherePolynomial(n, terms)
-    return P if P.terms else SpherePolynomial.constant(n)
 
 
 def _ambient_laplacian_on_sphere(P: SpherePolynomial) -> SpherePolynomial:
@@ -622,17 +587,17 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{name}'; choose from "
                           f"{sorted(EXPERIMENTS)}")
+    if not isinstance(config or {}, dict):
+        raise ConfigError(f"a config is a JSON object, got {config!r}")
     cfg = dict(config or {})
     written = []
 
     def csv_sink(label, seq):
-        if csv_dir is None:
-            return
-        import os
-        os.makedirs(csv_dir, exist_ok=True)
-        path = os.path.join(csv_dir, f"{label}.csv")
-        seq.to_csv(path, rle=seq.total > 2_000_000)
-        written.append(path)
+        if csv_dir is not None:
+            os.makedirs(csv_dir, exist_ok=True)
+            path = os.path.join(csv_dir, f"{label}.csv")
+            seq.to_csv(path)
+            written.append(path)
 
     t0 = time.perf_counter()
     try:

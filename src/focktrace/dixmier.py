@@ -41,7 +41,7 @@ def _check_rank(seq: SNumberSequence, K: int):
 def log_mean(seq: SNumberSequence, K: int) -> float:
     """Partial sum of the first K+1 values divided by log(K+2)."""
     _check_rank(seq, K)
-    return seq.partial_sum(K) / math.log(K + 2)
+    return float(seq.partial_sums([K])[0]) / math.log(K + 2)
 
 
 def pointwise(seq: SNumberSequence, window) -> tuple[float, float]:
@@ -113,7 +113,6 @@ def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:
         "log_mean_tail_spread": spread_tail,
         "grid": list(K_grid),
         "ill_conditioned": ill,
-        "measurable_consistent": bool(spread_tail < 0.2 and not ill),
     }
     if ill:
         diags["warning"] = "grid spans too little of 1/log(K+2); fit ill-conditioned"

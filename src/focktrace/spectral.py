@@ -136,9 +136,6 @@ class SNumberSequence:
         inv[order] = np.arange(order.size)
         return out[inv]
 
-    def partial_sum(self, K: int) -> float:
-        return float(self.partial_sums(np.array([K]))[0])
-
     def pointwise_values(self, lo: int, hi: int) -> np.ndarray:
         """(j+1) * s_j for j in [lo, hi], materialized."""
         if not 0 <= lo <= hi < self.total:
@@ -174,8 +171,8 @@ class SNumberSequence:
             T = 0.0
             for x in (self, other):
                 rank = x.certified_rank - 1
-                if x.mults.strides == (0,):  # one multiplicity for every run
-                    run = rank // int(x.mults[0])
+                if _kernels.is_unit(x.mults):  # rank j is run j
+                    run = rank
                 else:
                     run = np.searchsorted(np.cumsum(x.mults), rank, side="right")
                 T = max(T, abs(float(x.values[run])))
@@ -193,25 +190,14 @@ class SNumberSequence:
                                self.provenance, signed=self.signed,
                                certified_rank=self.certified_rank)
 
-    def to_csv(self, path, rle: bool = False):
-        """CSV export: '(rank, value)' rows, or run-length encoded
-        '(first_rank, multiplicity, value)' rows with rle=True."""
+    def to_csv(self, path):
+        """CSV export, one row per run: 'first_rank,multiplicity,value'."""
         with open(path, "w") as fh:
-            if rle:
-                fh.write("first_rank,multiplicity,value\n")
-                start = 0
-                for v, m in zip(self.values, self.mults):
-                    fh.write(f"{start},{m},{v:.17g}\n")
-                    start += m
-            else:
-                if self.total > 20_000_000:
-                    raise ValueError("sequence too large; use rle=True")
-                fh.write("rank,value\n")
-                r = 0
-                for v, m in zip(self.values, self.mults):
-                    for _ in range(m):
-                        fh.write(f"{r},{v:.17g}\n")
-                        r += 1
+            fh.write("first_rank,multiplicity,value\n")
+            start = 0
+            for v, m in zip(self.values, self.mults):
+                fh.write(f"{start},{m},{v:.17g}\n")
+                start += m
 
 
 # ---------------------------------------------------------------------------

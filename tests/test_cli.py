@@ -12,6 +12,9 @@ import pytest
 from focktrace.cli import ConfigError, main, run_experiment, write_report
 from focktrace.symbols import RadialSymbol
 
+_U = RadialSymbol.radial_power(1, -1.0).to_json_dict()
+# a mixed-trace case that passes: the Toeplitz chain T_u T_u in one variable
+_CHAIN_CASE = {"n": 1, "toeplitz_factors": [_U, _U], "K_degree": 4096}
 FAST_MODEL_CFG = {"n": 1, "gamma": 1.0, "K_ranks": 1 << 16,
                   "window": [1 << 15, (1 << 16) - 1],
                   "grid": [2**e for e in range(10, 17, 2)]}
@@ -85,8 +88,8 @@ def test_cli_main_pass_and_csv(tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["passed"] is True
     assert rep["spectra_csv"]
-    import os
-    assert os.path.exists(rep["spectra_csv"][0])
+    with open(rep["spectra_csv"][0]) as fh:
+        assert fh.readline() == "first_rank,multiplicity,value\n"
     err = capsys.readouterr().err
     assert "[PASS]" in err
 
@@ -131,6 +134,24 @@ def test_cli_main_config_error(tmp_path):
     ("mixed-trace", '{"cases": [{"hankel_pairs": 5}]}'),
     ("mixed-trace", '{"cases": [{"toeplitz_factors": 7}]}'),
     ("mixed-trace", '{"cases": [{"hankel_pairs": [[1, 2, 3]]}]}'),
+    # a config is a JSON object
+    ("model-operator", '[["n", 2]]'),
+    ("calculus-check", '"abc"'),
+    # a tolerance is a finite number >= 0
+    pytest.param("hankel-trace", '{"tolerance": 1%s}' % ("0" * 400),
+                 id="hankel-trace-tolerance-10^400"),
+    ("model-operator", '{"K_ranks": 65536, "tol_extrapolated": NaN}'),
+    ("hankel-trace", '{"tolerance": -0.5, "K_degree": 65536}'),
+    # an integer option that is not a whole number is refused, not truncated
+    ("hankel-trace", '{"n": 2.5}'),
+    ("hankel-trace", '{"n": true}'),
+    ("hankel-trace", '{"K_degree": 65536.5}'),
+    ("model-operator", '{"K_ranks": 65536.5}'),
+    ("model-operator", '{"window": [64.9, 128]}'),
+    ("hankel-trace", '{"grid": [64.9, 128, 256]}'),
+    pytest.param("mixed-trace",
+                 json.dumps({"cases": [dict(_CHAIN_CASE, K_degree=65536.5)]}),
+                 id='mixed-trace-{"cases": [{"K_degree": 65536.5, ...}]}'),
 ])
 def test_cli_bad_config_exits_2_with_one_error_line(tmp_path, capsys,
                                                     experiment, cfg):
@@ -148,6 +169,19 @@ def test_cli_bad_config_exits_2_with_one_error_line(tmp_path, capsys,
     ("model-operator", {"tol_extrapolated": "x"}),
     ("model-operator", {"n": 2, "tol_extrapolated": "x"}),
     ("model-operator", {"window": ["a", 2]}),
+    ("hankel-trace", {"grid": "x"}),
+    ("hankel-trace", {"grid": [64.9, 128, 256]}),
+    ("hankel-trace", {"K_degree": 2.9}),
+    ("hankel-trace", {"n": 2.5}),
+    ("model-operator", {"K_ranks": True}),
+    ("model-operator", {"window": [64.9, 128]}),
+    ("model-operator", {"tol_pointwise": math.nan}),
+    # a bad second case is refused before the first case's spectrum
+    ("mixed-trace", {"cases": [_CHAIN_CASE, dict(_CHAIN_CASE, tolerance="x")]}),
+    ("mixed-trace", {"cases": [_CHAIN_CASE, dict(_CHAIN_CASE, grid="x")]}),
+    ("mixed-trace", {"cases": [_CHAIN_CASE, dict(_CHAIN_CASE, K_degree=2.9)]}),
+    ("mixed-trace", {"cases": [_CHAIN_CASE,
+                               dict(_CHAIN_CASE, toeplitz_factors=[_U])]}),
 ])
 def test_bad_tolerance_or_window_refused_before_the_spectrum(monkeypatch,
                                                              experiment, cfg):

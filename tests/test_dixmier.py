@@ -55,7 +55,8 @@ def test_extrapolate_harmonic():
     est = extrapolate(seq, [10**3, 10**4, 10**5, 10**6 - 1])
     assert est.method == "extrapolated"
     assert est.value == pytest.approx(1.0, rel=5e-3)
-    assert est.diagnostics["measurable_consistent"]
+    assert not est.diagnostics["ill_conditioned"]
+    assert est.diagnostics["log_mean_tail_spread"] < 0.2
 
 
 def test_extrapolate_trace_class():

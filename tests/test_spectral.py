@@ -200,16 +200,14 @@ def test_sequence_partial_sums_and_pointwise():
     mults = np.array([1, 2, 3])
     seq = SNumberSequence(values, mults, "exact-diagonal(K_degree=2)")
     assert seq.total == 6
-    assert seq.partial_sum(0) == 4.0
-    assert seq.partial_sum(2) == 8.0
-    assert seq.partial_sum(5) == 11.0
+    assert seq.partial_sums([0, 2, 5]).tolist() == [4.0, 8.0, 11.0]
     np.testing.assert_allclose(seq.pointwise_values(1, 3),
                                [2 * 2.0, 3 * 2.0, 4 * 1.0])
     with pytest.raises(ValueError):
         seq.partial_sums([6])
     # unit multiplicities: rank j is run j
     unit = SNumberSequence.from_values([1.0, 4.0, 2.0], "x")
-    assert unit.total == 3 and unit.partial_sum(2) == 7.0
+    assert unit.total == 3 and unit.partial_sums([2]).tolist() == [7.0]
     np.testing.assert_array_equal(unit.pointwise_values(1, 2), [2 * 2.0, 3 * 1.0])
 
 
@@ -267,14 +265,15 @@ def test_sequence_merge_is_directsum_spectrum():
 
 
 def test_sequence_csv(tmp_path):
+    # one row per run, for unit multiplicities too
     seq = SNumberSequence(np.array([2.0, 1.0]), np.array([1, 2]), "x")
-    p1 = tmp_path / "plain.csv"
-    seq.to_csv(p1)
-    assert p1.read_text().splitlines() == ["rank,value", "0,2", "1,1", "2,1"]
-    p2 = tmp_path / "rle.csv"
-    seq.to_csv(p2, rle=True)
-    assert p2.read_text().splitlines() == [
+    p = tmp_path / "spectrum.csv"
+    seq.to_csv(p)
+    assert p.read_text().splitlines() == [
         "first_rank,multiplicity,value", "0,1,2", "1,2,1"]
+    SNumberSequence.from_values([1.0, 3.0], "x").to_csv(p)
+    assert p.read_text().splitlines() == [
+        "first_rank,multiplicity,value", "0,1,3", "1,1,1"]
 
 
 def test_diagonal_two_variable_matches_dense_matrix():
@@ -397,10 +396,12 @@ def _per_multi_index_configs(n):
                                   "hankel-power-2", "hankel-power-3",
                                   "signed-ties", "two-coordinate"])
 def test_blocked_spectrum_matches_per_degree_oracle(monkeypatch, block, n, K, kind):
-    # blocks of 1, 7 and 64 multi-indices end inside degrees and on their
-    # edges; the float64 blocks must reproduce the complex per-degree loop
-    # bit for bit, tie order included.  At gamma = 1 every power of gamma is
-    # exactly 1, so gamma = 0.7 is what checks the norm exponents
+    # blocks are runs of whole degrees holding at most 1, 7 or 64 values (a
+    # degree of more values is a block of its own), so a block holds one
+    # degree or a few; the float64 blocks must reproduce the complex
+    # per-degree loop bit for bit, tie order included.  At gamma = 1 every
+    # power of gamma is exactly 1, so gamma = 0.7 is what checks the norm
+    # exponents
     monkeypatch.setattr(spectral, "_BLOCK", block)
     config = _per_multi_index_configs(n)[kind]
     for gamma in (1.0, 0.7):
