@@ -5,8 +5,9 @@ subprocess, so imports and the moment-row cache are cold, N times in turn.
 For each experiment the script records the median wall time (spawn to
 exit, imports included) and the median peak resident set size (`os.wait4`),
 along with every sample and exit code.  Each point also records the kernel
-backend and the Python, numpy and mpmath versions that its children import,
-and the machine.
+backend and the Python and numpy versions that its children import (and
+mpmath's, where it is installed, though focktrace does not import it), and
+the machine.
 
 A point is a label and the directory that holds the focktrace package
 (default: this checkout's src/).  Each point's package is copied into a
@@ -22,7 +23,8 @@ Every run's check values (`computed` and `target`) are kept per point and
 round; any check whose values differ between points is printed, so a
 timing comparison also shows whether the points compute the same numbers.
 The points of the run are written to BENCH_e2e.json at the repository
-root, replacing what it held.
+root (or --out): a point replaces the one of the same label there, and the
+others are kept, so the file keeps the trajectory of earlier runs.
 
 Run:  python benchmarks/bench_e2e.py --point after [--repeats 5]
       python benchmarks/bench_e2e.py --point before=../parent/src --point after
@@ -43,11 +45,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENTS = ("model-operator", "toeplitz-trace", "hankel-trace",
                "commutator-trace", "mixed-trace", "calculus-check")
-_ENVIRONMENT = ("import json, platform, mpmath, numpy; "
-                "from focktrace import _kernels; "
-                "print(json.dumps({'backend': _kernels.ACTIVE_BACKEND, "
-                "'python': platform.python_version(), "
-                "'numpy': numpy.__version__, 'mpmath': mpmath.__version__}))")
+_ENVIRONMENT = """
+import importlib.util, json, platform, numpy
+from focktrace import _kernels
+env = {"backend": _kernels.ACTIVE_BACKEND, "python": platform.python_version(),
+       "numpy": numpy.__version__}
+if importlib.util.find_spec("mpmath"):
+    import mpmath
+    env["mpmath"] = mpmath.__version__
+print(json.dumps(env))
+"""
 
 
 def child_env(src: Path) -> dict:
@@ -156,7 +163,10 @@ def main():
         print(f"differs: {name} (seed {r}) {check}: {seen}")
     if len(labels) > 1 and not differing:
         print(f"check values identical at every point, seeds 0-{args.repeats - 1}")
-    Path(args.out).write_text(json.dumps({"points": points}, indent=1) + "\n")
+    out = Path(args.out)
+    kept = json.loads(out.read_text())["points"] if out.exists() else []
+    kept = [p for p in kept if p["label"] not in sources]
+    out.write_text(json.dumps({"points": kept + points}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ spectral path and run for up to ~10^6 steps.
 - `ladder_row` is damped (each step multiplies the carried value by
   -gamma/d), so after a short serial prefix every entry is the same
   recurrence restarted a few steps back, run for a chunk of degrees at once.
-- `pair_rows` stays a serial loop: A is a running integral of B, so that
-  recurrence is not damped and cannot be restarted.  It fills preallocated
-  rows one chunk of degrees at a time.
+- `pair_rows` keeps B in a serial loop: A is a running integral of B, so
+  that recurrence is not damped and cannot be restarted.  It fills
+  preallocated rows one chunk of degrees at a time, and each chunk of A is
+  a sequential `np.cumsum` of the loop's B, with the loop's bits.
 - `partial_sums_at` sums a run-length sequence with `math.fsum`; each
   result is the correctly rounded sum of the exact run products, up to an
   error below 2^-104 of the sums walked.  Unit multiplicities (a stride-0
@@ -85,10 +86,12 @@ def pair_rows(s_plus_one, a0, b0, gamma, dmax):
         A[d] = A[d-1] + ((s+1)/gamma) * B[d]        (integration by parts)
 
     A is a running integral of B, so errors in A are carried undamped and
-    the recurrence cannot be restarted part way like `ladder_row`: this
-    one stays serial (on Python floats, the same IEEE arithmetic).  The
-    preallocated rows are filled _CHUNK degrees at a time, so the Python
-    floats in flight never outnumber one chunk.
+    the recurrence cannot be restarted part way like `ladder_row`: B stays a
+    serial loop (on Python floats, the same IEEE arithmetic), which carries
+    A as one float.  The preallocated rows are filled _CHUNK degrees at a
+    time: B from the loop, then A as the sequential cumulative sum of
+    A[lo-1] and the products ((s+1)/gamma) * B[lo:hi], the same products and
+    the same left-to-right additions as the serial loop, so the same bits.
     """
     c = s_plus_one / gamma
     a, b = float(a0), float(b0)
@@ -97,14 +100,16 @@ def pair_rows(s_plus_one, a0, b0, gamma, dmax):
     A[0], B[0] = a, b
     for lo in range(1, dmax + 1, _CHUNK):
         hi = min(lo + _CHUNK, dmax + 1)
-        As, Bs = [], []
+        Bs = []
+        append = Bs.append
         for gd in (gamma / np.arange(lo, hi, dtype=float)).tolist():
             b = gd * (a - b)
             a = a + c * b
-            As.append(a)
-            Bs.append(b)
-        A[lo:hi] = As
+            append(b)
         B[lo:hi] = Bs
+        steps = c * B[lo:hi]
+        steps[0] += A[lo - 1]
+        np.cumsum(steps, out=A[lo:hi])
     return A, B
 
 

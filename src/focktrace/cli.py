@@ -64,20 +64,21 @@ def write_report(report: dict, path=None):
 
 def make_check(name: str, computed: float, target: float, tolerance: float):
     """Pass/fail record; relative tolerance against the target, absolute when
-    the target is (numerically) zero."""
-    deviation = abs(computed - target) / max(abs(target), 1e-12)
+    the target is (numerically) zero, where the relative deviation is None."""
     abs_deviation = abs(computed - target)
     if abs(target) > ZERO_TARGET_FLOOR:
         ok = abs_deviation <= tolerance * abs(target)
         kind = "relative"
+        deviation = float(abs_deviation / abs(target))
     else:
         ok = abs_deviation <= tolerance
         kind = "absolute-zero-target"
+        deviation = None
     return {
         "name": name,
         "computed": float(computed),
         "target": float(target),
-        "deviation": float(deviation),
+        "deviation": deviation,
         "abs_deviation": float(abs_deviation),
         "tolerance": float(tolerance),
         "tolerance_kind": kind,

@@ -16,7 +16,8 @@ comes one way: from an anchor row, by integer steps in t/2 (`raise_row` up,
 pair (m_(sigma+1), m_sigma), sigma in (-1, 0), of `pair_rows`.  The d = 0
 moments that seed the pair and the downward steps are
 gamma e^gamma E_(-t/2)(gamma), in terms of the generalized exponential
-integral (DLMF 8.19).  Entries are evaluated in a fixed term order.
+integral (DLMF 8.19), evaluated in `decimal` arithmetic and rounded to a
+float once (`_base_moment`).  Entries are evaluated in a fixed term order.
 """
 
 from __future__ import annotations
@@ -53,17 +54,59 @@ _ROW_CACHE: dict = {}
 
 
 def _base_moment(t: float, gamma: float) -> float:
-    """integral_0^inf (1+u)^(t/2) e^(-gamma u) du to double precision.
+    """integral_0^inf (1+u)^s e^(-gamma u) du, s = t/2, to double precision.
 
-    Substituting v = 1 + u gives e^gamma * E_(-t/2)(gamma), where
+    Substituting v = 1 + u gives e^gamma * E_p(gamma) with p = -s, where
     E_p(z) = integral_1^inf v^(-p) e^(-z v) dv is the generalized exponential
-    integral (DLMF 8.19); mpmath evaluates it at 30 digits."""
+    integral (DLMF 8.19).  The value is computed in 45-digit `decimal`
+    arithmetic, to about 40 digits, and rounded to a float once:
+
+    - e^z E_p(z) is the continued fraction
+      1/(z+p - 1p/(z+p+2 - 2(p+1)/(z+p+4 - ...))), summed by the modified
+      Lentz method at z = max(gamma, 1); for gamma >= 1 that is the value.
+    - For gamma < 1, v = gamma (1+u) gives gamma^(-s-1) e^gamma times
+      integral_gamma^1 v^s e^(-v) dv + e^(-1) I(s, 1).  The finite integral
+      is the termwise integral of the power series of e^(-v), whose term with
+      s + k + 1 = 0 is -ln gamma; I(s, 1) is the fraction at z = 1.
+    """
     key = (_tkey(t), float(gamma))
     if key not in _BASE_CACHE:
-        import mpmath as mp
-        with mp.workdps(30):
-            val = mp.e ** gamma * mp.expint(-t / 2.0, gamma)
-        _BASE_CACHE[key] = float(val)
+        import decimal  # here, so that runs without moment rows never load it
+        with decimal.localcontext() as context:
+            context.prec = 45
+            Dec = decimal.Decimal
+            eps, tiny = Dec("1e-40"), Dec("1e-300")
+            s, g = Dec(t / 2.0), Dec(gamma)
+            z, p = max(g, Dec(1)), -s
+            # modified Lentz: f = b_0 + a_1/(b_1 + a_2/(b_2 + ...)), with the
+            # running ratios C and D of its convergents
+            f = z + p or tiny
+            C, D, k = f, Dec(0), 0
+            while True:
+                k += 1
+                a, b = -k * (p + k - 1), z + p + 2 * k
+                D = 1 / (b + a * D or tiny)
+                C = b + a / C or tiny
+                step = C * D
+                f *= step
+                if abs(step - 1) < eps:
+                    break
+            val = 1 / f
+            if gamma < 1.0:
+                # sum_k (-1)^k/k! integral_gamma^1 v^(s+k) dv, with
+                # power = gamma^(s+k+1)
+                lift = g ** (s + 1)
+                total, coef, power, k = Dec(0), Dec(1), lift, 0
+                while True:
+                    e = s + k + 1
+                    term = coef * (-g.ln() if e == 0 else (1 - power) / e)
+                    total += term
+                    if k > -s and abs(term) <= eps * abs(total):
+                        break
+                    k += 1
+                    coef, power = -coef / k, power * g
+                val = g.exp() / lift * (total + val / Dec(1).exp())
+            _BASE_CACHE[key] = float(val)
     return _BASE_CACHE[key]
 
 

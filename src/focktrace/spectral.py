@@ -30,7 +30,7 @@ from .symbols import RadialSymbol
 # degree of more values is a block of its own); degrees per block of the
 # radial path; values per slice of the sortedness check
 _BLOCK = 1 << 16
-# most values the per-multi-index path materializes
+# most values either path materializes
 _MAX_VALUES = 60_000_000
 
 
@@ -459,12 +459,20 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     n), in blocks that are runs of whole degrees (`_degree_runs`); each
     block's tables are taken once per degree and coordinate value, and its
     values gathered from them.  Configurations with only real coefficients
-    are evaluated in float64.
+    are evaluated in float64.  More than _MAX_VALUES values are refused
+    before anything is allocated.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
     per_chain = _validate(config)
     n, gamma = ctx.n, ctx.gamma
+    radial = n == 1 or _is_radial(config)
+    # per multi-index: sum over k <= K_degree of C(k+n-1, n-1)
+    count = K_degree + 1 if radial else math.comb(K_degree + n, n)
+    if count > _MAX_VALUES:
+        raise DiagonalityError(
+            f"{'radial' if radial else 'per-multi-index'} path would "
+            f"materialize {count} values; lower K_degree")
 
     # normalized moment rows for every radial exponent that can occur
     buffer_deg = max(
@@ -479,7 +487,7 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
                         t, gamma, K_degree + buffer_deg + n + 1)
 
     dtype = float if _is_real(config) else complex
-    if n == 1 or _is_radial(config):
+    if radial:
         # the eigenvalue depends on |alpha| only: one representative per
         # degree, (k, 0, ..., 0)
         vals = np.empty(K_degree + 1, dtype=dtype)
@@ -493,12 +501,6 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
         mults = (degree_multiplicity(n, np.arange(K_degree + 1)) if n > 1
                  else None)
     else:
-        # sum over k <= K_degree of C(k+n-1, n-1)
-        count = math.comb(K_degree + n, n)
-        if count > _MAX_VALUES:
-            raise DiagonalityError(
-                f"per-multi-index path would materialize {count} values; "
-                f"lower K_degree")
         sizes = degree_multiplicity(n, np.arange(K_degree + 1))
         starts = np.concatenate(([0], np.cumsum(sizes)))
         lower = None  # the enumeration of length n - 1, for n >= 3

@@ -4,9 +4,9 @@
 
 by quadrature, independently of the recurrences behind
 `focktrace.fock_matrices.scaled_moment_row`, their d = 0 base moments by
-quadrature, independently of the closed form behind
-`focktrace.fock_matrices._base_moment`, the moment rows by their former
-three routes, the per-multi-index spectrum
+quadrature and by mpmath's generalized exponential integral, independently
+of the `decimal` evaluation in `focktrace.fock_matrices._base_moment`, the
+moment rows by their former three routes, the per-multi-index spectrum
 assembled one degree at a time, the spectrum finished with sorted copies,
 the term arithmetic of the symbol classes as plain-dict rules, and the
 symbol algebra and Toeplitz compression as they were computed term by
@@ -77,6 +77,13 @@ def base_moment_quad(t: float, gamma: float) -> float:
     with mp.workdps(30):
         return float(mp.quad(lambda u: (1 + u) ** (t / 2.0) * mp.e ** (-gamma * u),
                              [0, 1, mp.inf]))
+
+
+def base_moment_expint(t: float, gamma: float) -> float:
+    """The same integral as e^gamma E_(-t/2)(gamma) (DLMF 8.19), by 30-digit
+    mpmath, rounded to a float."""
+    with mp.workdps(30):
+        return float(mp.e ** gamma * mp.expint(-t / 2.0, gamma))
 
 
 def compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:

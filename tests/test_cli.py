@@ -276,3 +276,42 @@ def test_benchmark_tracer_hooks_resolve():
                   "fock_matrices.dense", "core.sphere_norm_sq",
                   "sphere_calculus"):
         assert calls.get(layer, 0) >= 1, layer
+
+
+def test_spectral_experiment_does_not_load_mpmath():
+    # mpmath is a test dependency: the base moments are evaluated with decimal
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    code = ("import json, sys; from focktrace.cli import run_experiment; "
+            "run_experiment('hankel-trace', json.loads(sys.argv[1])); "
+            "print('mpmath' in sys.modules)")
+    cfg = {"K_degree": 1 << 14, "grid": [2**e for e in range(8, 15)]}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_zero_target_check_has_no_relative_deviation(tmp_path):
+    rep = run_experiment("commutator-trace", {"K_degree": 1 << 14,
+                                              "grid": [2**e for e in range(8, 15)]})
+    (c,) = rep["checks"]
+    assert c["tolerance_kind"] == "absolute-zero-target"
+    assert c["target"] == 0.0 and c["pass"]
+    assert c["deviation"] is None
+    assert c["abs_deviation"] == abs(c["computed"]) > 0
+    path = tmp_path / "report.json"
+    write_report(rep, str(path))
+    assert json.loads(path.read_text())["checks"][0]["deviation"] is None
+
+
+def test_radial_spectrum_over_the_value_cap_exits_2(monkeypatch, tmp_path,
+                                                    capsys):
+    # the cap is checked before the first moment row is built
+    def no_rows(*args):
+        raise AssertionError("moment row built before the size cap")
+    monkeypatch.setattr("focktrace.spectral._MAX_VALUES", 1000)
+    monkeypatch.setattr("focktrace.spectral.scaled_moment_row", no_rows)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"K_ranks": 1000}')  # 1001 values, one per degree
+    assert main(["--experiment", "model-operator", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "radial path would materialize 1001 values" in err[0]

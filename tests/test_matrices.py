@@ -17,9 +17,9 @@ from focktrace.fock_matrices import (FockContext, berezin, buffered_product,
                                      weyl_matrix)
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import heat_inverse, heat_transform, star
-from oracles import (base_moment_quad, compute_row, hankel_product,
-                     monomial_norm_sq, radial_moment, radial_moment_hp,
-                     toeplitz_entries)
+from oracles import (base_moment_expint, base_moment_quad, compute_row,
+                     hankel_product, monomial_norm_sq, radial_moment,
+                     radial_moment_hp, toeplitz_entries)
 
 
 def gauss_hermite_norm_sq(n, gamma, alpha, nodes=120):
@@ -90,6 +90,23 @@ def test_base_moment_closed_form_equals_quadrature(monkeypatch):
     monkeypatch.setattr(fock_matrices, "_BASE_CACHE", {})
     for t, gamma in pairs:
         assert fock_matrices._base_moment(t, gamma) == base_moment_quad(t, gamma), (t, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-3, 0.99, 1.0, 2.0, 1e4])
+def test_base_moment_equals_expint_oracle(monkeypatch, gamma):
+    # the power series below gamma = 1 and the continued fraction from there
+    # on; t = -2 and t = -40 take the series' log term (s + k + 1 = 0)
+    monkeypatch.setattr(fock_matrices, "_BASE_CACHE", {})
+    for t in (-40.0, -1.0000001, -2.0, -1.0, 0.37, 1.999):
+        assert fock_matrices._base_moment(t, gamma) == base_moment_expint(t, gamma), t
+
+
+def test_base_moment_equals_expint_oracle_on_the_quadrature_grid(monkeypatch):
+    monkeypatch.setattr(fock_matrices, "_BASE_CACHE", {})
+    for t in _BASE_T:
+        for gamma in _BASE_GAMMA:
+            assert (fock_matrices._base_moment(t, gamma)
+                    == base_moment_expint(t, gamma)), (t, gamma)
 
 
 def test_scaled_rows_match_radial_moment():

@@ -528,6 +528,18 @@ def test_per_multi_index_value_cap(monkeypatch):
         diagonal_spectrum(ctx, config, 4)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_radial_value_cap(monkeypatch, n):
+    # one value per degree; refused before any moment row is built
+    ctx = FockContext(n, 1.0)
+    config = toeplitz_config(RadialSymbol.radial_power(n, -2.0 * n))
+    monkeypatch.setattr(spectral, "_MAX_VALUES", 10)
+    assert diagonal_spectrum(ctx, config, 9).values.shape == (10,)
+    monkeypatch.setattr(spectral, "scaled_moment_row", None)
+    with pytest.raises(DiagonalityError, match="radial path would materialize 11 values"):
+        diagonal_spectrum(ctx, config, 10)
+
+
 def test_complex_coefficients_take_the_complex_path():
     ctx = FockContext(2, 1.0)
     S = (RadialSymbol.coordinate(2, 1) * RadialSymbol.coordinate(2, 1, conjugated=True)
