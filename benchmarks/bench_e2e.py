@@ -1,7 +1,7 @@
 """End-to-end timing of the six CLI experiments at their default configs.
 
 Each experiment runs `python -m focktrace.cli --experiment NAME` in a fresh
-subprocess, so imports and the moment-row cache are cold, N times in turn.
+subprocess, so imports are cold, N times in turn.
 For each experiment the script records the median wall time (spawn to
 exit, imports included) and the median peak resident set size (`os.wait4`),
 along with every sample and exit code.  Each point also records the kernel

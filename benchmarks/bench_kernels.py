@@ -3,7 +3,10 @@ n = 2 eigenvalue assembly, `spectral._diagonal_values`.
 
 Times each kernel once per repeat at one row length, and the assembly of
 the toeplitz-trace and mixed-trace `hankel-toeplitz` default spectra at one
-K_degree with their moment rows cached (best of 3, after one warm-up call).
+K_degree, which builds their moment rows too: no row outlives its call.
+Each case runs once to warm up (the d = 0 base moments are kept) and then
+REPEATS times; the median and the quartiles of those times are recorded,
+since on a shared machine a best-of-few reads differently run to run.
 The run is one point, named by --label, of BENCH_kernels.json at the
 repository root, with the kernel backend and the machine it ran on; a point
 of the same label is replaced, the others are kept.  focktrace is imported
@@ -29,15 +32,19 @@ from focktrace.symbols import RadialSymbol
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def bench(fn, repeat=3, warmup=1):
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(repeat):
+REPEATS = 9
+
+
+def bench(fn):
+    """The first quartile, median and third quartile of REPEATS timed calls
+    of fn, after one untimed call."""
+    fn()
+    samples = []
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        samples.append(time.perf_counter() - t0)
+    return [float(x) for x in np.percentile(samples, [25, 50, 75])]
 
 
 def main():
@@ -80,7 +87,6 @@ def main():
          lambda: _kernels.partial_sums_at(values, mults, ranks)),
         ("partial_sums_at[mults=k+1]", L,
          lambda: _kernels.partial_sums_at(values, degree_mults, degree_ranks)),
-        # the warm-up call fills the moment-row cache
         ("_diagonal_values[toeplitz-trace]", count,
          lambda: spectral._diagonal_values(ctx, toeplitz, K)),
         ("_diagonal_values[hankel-toeplitz]", count,
@@ -88,12 +94,15 @@ def main():
     ]
 
     print(f"kernel timings, length = {L}, assembly at K_degree = {K} "
-          f"({count} values), best of 3, backend {_kernels.ACTIVE_BACKEND}")
+          f"({count} values), median [quartiles] of {REPEATS}, backend "
+          f"{_kernels.ACTIVE_BACKEND}")
     rows = []
     for name, length, fn in cases:
-        seconds = bench(fn)
-        rows.append({"kernel": name, "length": length, "seconds": seconds})
-        print(f"{name:<36}{seconds * 1e3:>10.2f} ms")
+        q1, median, q3 = bench(fn)
+        rows.append({"kernel": name, "length": length, "repeats": REPEATS,
+                     "median_s": median, "quartiles_s": [q1, q3]})
+        print(f"{name:<36}{median * 1e3:>10.2f} ms  "
+              f"[{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]")
 
     record = {
         "label": args.label,

@@ -16,8 +16,9 @@ comes one way: from an anchor row, by integer steps in t/2 (`raise_row` up,
 pair (m_(sigma+1), m_sigma), sigma in (-1, 0), of `pair_rows`.  The d = 0
 moments that seed the pair and the downward steps are
 gamma e^gamma E_(-t/2)(gamma), in terms of the generalized exponential
-integral (DLMF 8.19), evaluated in `decimal` arithmetic and rounded to a
-float once (`_base_moment`).  Entries are evaluated in a fixed term order.
+integral (DLMF 8.19), evaluated in `decimal` arithmetic, rounded to a float
+once and kept (`_base_moment`); each row is built anew for the call that
+asks for it.  Entries are evaluated in a fixed term order.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class FockContext:
 # radial moments
 
 _BASE_CACHE: dict = {}
-_ROW_CACHE: dict = {}
 
 
 def _base_moment(t: float, gamma: float) -> float:
@@ -110,10 +110,12 @@ def _base_moment(t: float, gamma: float) -> float:
     return _BASE_CACHE[key]
 
 
-def _compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
-    # k = s - sigma steps from the anchor m_sigma: m_0 = 1 for an integer s,
-    # else the member of the pair_rows pair on the side that s lies
-    s = t / 2.0
+def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:
+    """m_t[0..dmax] with m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2)
+    e^(-gamma u) du, built for this call by k = s - sigma steps from m_sigma:
+    m_0 = 1 for an integer s = t/2, else the `pair_rows` member on s's side.
+    """
+    s, gamma = _tkey(t) / 2.0, float(gamma)
     if abs(s - round(s)) < 1e-12:
         sigma, k = 0.0, int(round(s))
         row = np.ones(dmax + 1 + max(k, 0))
@@ -132,25 +134,6 @@ def _compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
     for i in range(-k):
         base = gamma * _base_moment(2.0 * (sigma - i - 1), gamma)
         row = _kernels.ladder_row(row, base, gamma)
-    return row[: dmax + 1]
-
-
-def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:
-    """m_t[0..dmax] with m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2)
-    e^(-gamma u) du.
-
-    Rows are cached per (t, gamma) and grown on demand; the returned array is
-    read-only.
-    """
-    key = (_tkey(t), float(gamma))
-    row = _ROW_CACHE.get(key)
-    if row is None or row.shape[0] <= dmax:
-        length = max(dmax + 1, 256)
-        if row is not None:
-            length = max(length, 2 * row.shape[0])
-        row = _compute_row(_tkey(t), float(gamma), length - 1)
-        row.setflags(write=False)
-        _ROW_CACHE[key] = row
     return row
 
 

@@ -35,7 +35,16 @@ _MAX_VALUES = 60_000_000
 
 
 class DiagonalityError(ValueError):
-    """Raised when an operator configuration is not monomial-diagonal."""
+    """Raised when the exact per-degree path cannot take a configuration: it
+    is not monomial-diagonal, not of the context's dimension, or has values
+    that are not real or more than _MAX_VALUES of them."""
+
+
+def _not_diagonal(why: str) -> DiagonalityError:
+    return DiagonalityError(
+        f"{why}; the exact per-degree path needs shift-cancelling (monomial-"
+        f"diagonal) configurations: dense truncations cannot reach trace "
+        f"asymptotics")
 
 
 def _modulus_order(values: np.ndarray) -> np.ndarray:
@@ -214,8 +223,7 @@ class DiagonalChain:
         for S in self.factors:
             shifts = {mi_sub(p, q) for (p, q, _t) in S.terms}
             if len(shifts) != 1:
-                raise DiagonalityError(
-                    "factor mixes monomial shifts; not diagonal")
+                raise _not_diagonal("factor mixes monomial shifts; not diagonal")
             out.append(next(iter(shifts)))
         return out
 
@@ -279,7 +287,7 @@ def _validate(config: DiagonalConfig):
         for v in shifts:
             total = mi_add(total, v)
         if total != zero:
-            raise DiagonalityError("chain total shift does not cancel")
+            raise _not_diagonal("chain total shift does not cancel")
         per_chain.append(shifts)
     return per_chain
 
@@ -472,7 +480,8 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     if count > _MAX_VALUES:
         raise DiagonalityError(
             f"{'radial' if radial else 'per-multi-index'} path would "
-            f"materialize {count} values; lower K_degree")
+            f"materialize {count} values at cutoff {K_degree}, over the cap "
+            f"of {_MAX_VALUES}")
 
     # normalized moment rows for every radial exponent that can occur
     buffer_deg = max(

@@ -18,6 +18,18 @@ from .core import (SpherePolynomial, TermSum, _tkey, degree, mi_add, mi_sub,
                    unit_index)
 
 
+def json_number(value, whole=False, least=0):
+    """A finite JSON number >= least, with whole=True a whole one (64 or 64.0,
+    not 64.5) as an int; true, "64" and NaN are refused (ValueError).  The
+    one rule for every number of a symbol's JSON form and of a config."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value >= least)
+            or whole and value % 1):
+        raise ValueError(f"need a finite{' whole' if whole else ''} number "
+                         f">= {least}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def general_binomial(x: float, i: int) -> float:
     """binomial(x, i) for real x: x(x-1)...(x-i+1)/i!."""
     out = 1.0
@@ -148,15 +160,17 @@ class RadialSymbol(TermSum):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RadialSymbol":
-        n = int(data["n"])
-        terms = {}
+        """The symbol of a `to_json_dict` object, its numbers read by
+        `json_number`: n >= 1 and the exponents whole, c's two parts and t
+        any finite numbers."""
+        n = json_number(data["n"], whole=True, least=1)
+        terms = []
         for item in data["terms"]:
-            c = complex(item["c"][0], item["c"][1])
-            p = tuple(int(x) for x in item["p"])
-            q = tuple(int(x) for x in item["q"])
-            t = float(item["t"])
-            key = (p, q, _tkey(t))
-            terms[key] = terms.get(key, 0.0) + c
+            re, im = (json_number(x, least=-math.inf) for x in item["c"])
+            p, q = (tuple(json_number(x, whole=True) for x in item[k])
+                    for k in "pq")
+            terms.append(((p, q, json_number(item["t"], least=-math.inf)),
+                          complex(re, im)))
         return cls(n, terms)
 
 

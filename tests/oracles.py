@@ -87,7 +87,7 @@ def base_moment_expint(t: float, gamma: float) -> float:
 
 
 def compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
-    """`fock_matrices._compute_row` as it was with three routes: a closed
+    """`fock_matrices.scaled_moment_row` as it was with three routes: a closed
     form sum of rising products for t = 2, 4, ..., a ladder loop from
     m_0 = 1 for t = -2, -4, ..., and the `pair_rows` anchor with raise or
     ladder steps for every other t."""

@@ -20,6 +20,27 @@ FAST_MODEL_CFG = {"n": 1, "gamma": 1.0, "K_ranks": 1 << 16,
                   "grid": [2**e for e in range(10, 17, 2)]}
 
 
+def _z_over_w(**changes):
+    """hankel-trace's default symbol z w^-1 in JSON form, one term's fields
+    (or, with n=, the symbol's n) replaced."""
+    term = dict({"c": [1, 0], "p": [1], "q": [0], "t": -1}, **changes)
+    return {"n": term.pop("n", 1), "terms": [term]}
+
+
+# numbers of a symbol's JSON form and gamma follow the config number rules;
+# each is refused with an error line that names its config key
+_NUMBER_CASES = [
+    ("hankel-trace", {"f": _z_over_w(p=[1.5]), "K_degree": 65536}, "f"),
+    ("hankel-trace", {"f": _z_over_w(p=[True]), "K_degree": 65536}, "f"),
+    ("hankel-trace", {"g": _z_over_w(n=1.7), "K_degree": 65536}, "g"),
+    ("hankel-trace", {"f": _z_over_w(t=math.nan), "K_degree": 65536}, "f"),
+    ("hankel-trace", {"f": _z_over_w(c=[math.nan, 0]), "K_degree": 65536}, "f"),
+    ("hankel-trace", {"f": _z_over_w(c=[1, 0, 5]), "K_degree": 65536}, "f"),
+    ("model-operator", {"gamma": "2", "K_ranks": 65536}, "gamma"),
+    ("model-operator", {"gamma": True, "K_ranks": 65536}, "gamma"),
+]
+
+
 def test_model_operator_report_shape():
     rep = run_experiment("model-operator", FAST_MODEL_CFG)
     assert rep["schema"] == 1
@@ -152,6 +173,7 @@ def test_cli_main_config_error(tmp_path):
     pytest.param("mixed-trace",
                  json.dumps({"cases": [dict(_CHAIN_CASE, K_degree=65536.5)]}),
                  id='mixed-trace-{"cases": [{"K_degree": 65536.5, ...}]}'),
+    *[(experiment, json.dumps(cfg)) for experiment, cfg, _key in _NUMBER_CASES],
 ])
 def test_cli_bad_config_exits_2_with_one_error_line(tmp_path, capsys,
                                                     experiment, cfg):
@@ -161,6 +183,12 @@ def test_cli_bad_config_exits_2_with_one_error_line(tmp_path, capsys,
     assert main(["--experiment", experiment, "--config", str(p)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("experiment, cfg, key", _NUMBER_CASES)
+def test_bad_symbol_or_gamma_number_names_its_key(experiment, cfg, key):
+    with pytest.raises(ConfigError, match=f"^invalid {key}: "):
+        run_experiment(experiment, cfg)
 
 
 @pytest.mark.parametrize("experiment, cfg", [
@@ -215,7 +243,7 @@ def test_non_diagonal_configuration_refused_with_guidance():
     f = (RadialSymbol.coordinate(2, 1)
          * RadialSymbol.coordinate(2, 2, conjugated=True)
          * RadialSymbol.radial_power(2, -6.0))
-    with pytest.raises(ConfigError, match="diagonal"):
+    with pytest.raises(ConfigError, match="shift-cancelling .monomial-diagonal."):
         run_experiment("toeplitz-trace", {"n": 2, "f": f.to_json_dict(),
                                           "K_degree": 50})
 
@@ -290,6 +318,14 @@ def test_spectral_experiment_does_not_load_mpmath():
     assert out.strip() == "False"
 
 
+def test_commutator_trace_default_at_n2_passes():
+    # the default pairs (z_j w, conj(z_j) w), j = 1, 2: target 1/12
+    rep = run_experiment("commutator-trace", {"n": 2, "K_degree": 1000})
+    (c,) = rep["checks"]
+    assert c["target"] == pytest.approx(1 / 12, rel=1e-12)
+    assert c["pass"] and c["tolerance_kind"] == "relative"
+
+
 def test_zero_target_check_has_no_relative_deviation(tmp_path):
     rep = run_experiment("commutator-trace", {"K_degree": 1 << 14,
                                               "grid": [2**e for e in range(8, 15)]})
@@ -315,3 +351,7 @@ def test_radial_spectrum_over_the_value_cap_exits_2(monkeypatch, tmp_path,
     assert main(["--experiment", "model-operator", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "radial path would materialize 1001 values" in err[0]
+    # the cutoff is named by its value: model-operator reads no K_degree at
+    # n = 1, and a configuration over the cap is still diagonal
+    assert "at cutoff 1000," in err[0]
+    assert "K_degree" not in err[0] and "shift-cancelling" not in err[0]

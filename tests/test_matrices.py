@@ -127,13 +127,23 @@ def test_one_anchor_rows_equal_the_three_route_rows():
         for dmax in (255, 4095, 1 << 17):
             for t in (0.0, 0.5, -0.5, 1.0, 2.0, 2.5, 3.0, -1.0, -2.0, -3.0,
                       -4.0, -5.5, -6.0, -8.0):
-                got = fock_matrices._compute_row(t, gamma, dmax)
+                got = scaled_moment_row(t, gamma, dmax)
                 assert got.tobytes() == compute_row(t, gamma, dmax).tobytes(), (
                     t, gamma, dmax)
             for t in (4.0, 6.0, 8.0):
-                got = fock_matrices._compute_row(t, gamma, dmax)
+                got = scaled_moment_row(t, gamma, dmax)
                 ref = compute_row(t, gamma, dmax)
                 assert np.max(np.abs(got - ref) / ref) <= 1e-15, (t, gamma, dmax)
+
+
+def test_a_row_has_the_entries_asked_for():
+    # built for the call: no minimum length, and nothing kept from a longer
+    # row built before
+    assert scaled_moment_row(-1.0, 1.0, 10).shape == (11,)
+    long = scaled_moment_row(-1.0, 1.0, 1 << 16)
+    short = scaled_moment_row(-1.0, 1.0, 10)
+    assert short.shape == (11,)
+    assert short.tobytes() == long[:11].tobytes()
 
 
 def test_scaled_rows_large_degree_against_high_precision():

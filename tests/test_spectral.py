@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from focktrace import _kernels, fock_matrices, spectral
+from focktrace import _kernels, spectral
 from focktrace.core import degree_multiplicity
 from focktrace.fock_matrices import (FockContext, buffered_product,
                                      toeplitz_matrix)
@@ -619,18 +619,16 @@ def test_finishing_holds_the_values_about_once(monkeypatch):
 
 
 def test_n1_spectrum_holds_values_and_rows(monkeypatch):
-    # the default hankel-trace configuration at K = 2^16, rows not cached:
-    # diagonal_spectrum then extrapolate peak at about 3.2 times the value
-    # bytes, the values and the two moment rows the cache keeps (t = -2 and
-    # -1), plus chunk scratch.  A value-length list of Python floats (32
-    # bytes a value) would break the bound
+    # the default hankel-trace configuration at K = 2^16: diagonal_spectrum
+    # then extrapolate peak at about 3.2 times the value bytes, the values
+    # and the two moment rows (t = -2 and -1), plus chunk scratch.  A
+    # value-length list of Python floats (32 bytes a value) would break the
+    # bound
     monkeypatch.setattr(spectral, "_BLOCK", 1024)
     monkeypatch.setattr(_kernels, "_CHUNK", 1024)
-    monkeypatch.setattr(fock_matrices, "_ROW_CACHE", {})
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     ctx = FockContext(1, 1.0)
     diagonal_spectrum(ctx, hankel_config(f, f), 20)  # the base moments
-    fock_matrices._ROW_CACHE.clear()
     tracemalloc.start()
     try:
         seq = diagonal_spectrum(ctx, hankel_config(f, f), 1 << 16)
@@ -640,6 +638,23 @@ def test_n1_spectrum_holds_values_and_rows(monkeypatch):
         tracemalloc.stop()
     assert seq.values.size == (1 << 16) + 1
     assert peak <= 3.3 * seq.values.nbytes + 65536, peak / seq.values.nbytes
+
+
+def test_n1_spectrum_keeps_no_moment_row():
+    # once diagonal_spectrum returns, the values are all it leaves behind:
+    # the rows were built for the call and are gone with it.  gamma = 0.9,
+    # which no other test builds rows at, so that rows kept by an earlier
+    # call could not hide rows kept by this one
+    f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
+    ctx = FockContext(1, 0.9)
+    diagonal_spectrum(ctx, hankel_config(f, f), 20)  # the base moments
+    tracemalloc.start()
+    try:
+        seq = diagonal_spectrum(ctx, hankel_config(f, f), 1 << 16)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= seq.values.nbytes + 65536, current / seq.values.nbytes
 
 
 def test_from_values_leaves_its_input_alone():
