@@ -1,9 +1,13 @@
-"""Layer timing of the numeric kernels in `focktrace._kernels` and of the
-n = 2 eigenvalue assembly, `spectral._diagonal_values`.
+"""Layer timing of the numeric kernels in `focktrace._kernels`, of the
+n = 2 eigenvalue assembly, `spectral._diagonal_values`, and of the dense
+assembly, `fock_matrices.toeplitz_matrix`.
 
 Times each kernel once per repeat at one row length, and the assembly of
 the toeplitz-trace and mixed-trace `hankel-toeplitz` default spectra at one
 K_degree, which builds their moment rows too: no row outlives its call.
+The dense cases assemble calculus-check's composition-vs-star shape, the
+n = 2, D = 8 Weyl matrix of a fixed star product of about 400 terms, and a
+three-term n = 1 symbol at D = 2048; their length is the symbol's term count.
 Each case runs once to warm up (the d = 0 base moments are kept) and then
 REPEATS times; the median and the quartiles of those times are recorded,
 since on a shared machine a best-of-few reads differently run to run.
@@ -26,8 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from focktrace import _kernels, spectral
-from focktrace.fock_matrices import FockContext
+from focktrace.cli import _random_sum
+from focktrace.fock_matrices import FockContext, toeplitz_matrix
 from focktrace.symbols import RadialSymbol
+from focktrace.weyl_calculus import heat_inverse, star
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,6 +85,15 @@ def main():
     ctx = FockContext(2, 1.0)
     count = (K + 1) * (K + 2) // 2
 
+    # dense assembly: the heat-inverse symbol of a star product of two
+    # n = 2, degree-4 draws, and three radial terms at a large degree
+    draws = np.random.default_rng(0)
+    a, b = (_random_sum(RadialSymbol, draws, 2, 4) for _ in range(2))
+    weyl = heat_inverse(star(a, b, 1.0), 1.0)
+    ctx1 = FockContext(1, 1.0)
+    few = RadialSymbol(1, [(((1,), (1,), -2.0), 1.0), (((1,), (0,), -1.0), 0.5j),
+                           (((0,), (2,), 0.0), 0.25)])
+
     cases = [
         ("ladder_row", L, lambda: _kernels.ladder_row(ones, 0.59634736, 1.0)),
         ("pair_rows", L, lambda: _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, L - 1)),
@@ -91,6 +106,10 @@ def main():
          lambda: spectral._diagonal_values(ctx, toeplitz, K)),
         ("_diagonal_values[hankel-toeplitz]", count,
          lambda: spectral._diagonal_values(ctx, mixed, K)),
+        ("toeplitz_matrix[weyl n=2 D=8]", len(weyl.terms),
+         lambda: toeplitz_matrix(ctx, weyl, 8)),
+        ("toeplitz_matrix[n=1 D=2048]", len(few.terms),
+         lambda: toeplitz_matrix(ctx1, few, 2048)),
     ]
 
     print(f"kernel timings, length = {L}, assembly at K_degree = {K} "

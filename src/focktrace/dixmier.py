@@ -45,10 +45,17 @@ def log_mean(seq: SNumberSequence, K: int) -> float:
 
 
 def pointwise(seq: SNumberSequence, window) -> tuple[float, float]:
-    """Median and relative spread of (j+1) s_j over a rank window [lo, hi]."""
+    """Median and relative spread of (j+1) s_j over a rank window [lo, hi].
+
+    The median is the mean of the one or two middle values of a partition,
+    as `np.median` takes it on finite values, without `np.median`'s NaN
+    check, which imports `numpy.ma`.
+    """
     lo, hi = int(window[0]), int(window[1])
     vals = seq.pointwise_values(lo, hi)
-    med = float(np.median(vals))
+    k = vals.shape[0] // 2
+    kth = [k - 1, k] if vals.shape[0] % 2 == 0 else [k]
+    med = float(np.partition(vals, kth)[kth[0]:k + 1].mean())
     spread = float((vals.max() - vals.min()) / max(abs(med), 1e-300))
     return med, spread
 

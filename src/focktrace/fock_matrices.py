@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _tkey, degree, enumerate_basis, graded_rank, mi_sub
+from .core import _tkey, degree, enumerate_basis, graded_rank
 from .symbols import RadialSymbol
 from .weyl_calculus import _require_gamma, heat_inverse
 
@@ -162,11 +162,22 @@ def toeplitz_matrix(ctx: FockContext, S: RadialSymbol, D: int) -> OperatorMatrix
 
         c * m_t[|a|+n-1] * sqrt((a!/alpha!) (a!/beta!)) * gamma^(-(|p|+|q|)/2),
 
-    with a = alpha + p.  Each term is evaluated at once over every basis
-    column alpha whose beta stays in the cone and below degree D, as
-    ((c * m_t) * gamma^(...)) * sqrt(r_alpha * r_beta), where the rising
-    products r_alpha = a!/alpha! and r_beta = a!/beta! are multiplied up
-    factor by factor; the terms are added in their stored order.
+    with a = alpha + p.  All terms are evaluated in one array pass:
+
+    - one moment row per distinct t, at the length the longest term needs
+      (no entry depends on a row's length);
+    - the (term, column alpha) pairs whose beta stays in the cone and below
+      degree D, from one term-by-column mask, in term-major order;
+    - per pair, the rising products r_alpha = a!/alpha! and r_beta = a!/beta!
+      multiplied up factor by factor, with an exact 1 past the pair's own
+      exponent, and the value ((c * m_t) * gamma^(...)) * sqrt(r_alpha * r_beta);
+    - one unbuffered `np.add.at`, which adds the pairs in order, so each
+      entry sums its terms in their stored order.
+
+    Every multiply has a real operand (a moment, a power of gamma, a square
+    root), so no value depends on where it falls in an array, as a product
+    of two complex numbers may; the entries are those of evaluating each
+    term on its own.
     """
     if S.n != ctx.n:
         raise ValueError("symbol dimension does not match context")
@@ -174,25 +185,37 @@ def toeplitz_matrix(ctx: FockContext, S: RadialSymbol, D: int) -> OperatorMatrix
     basis = np.array(enumerate_basis(n, D), dtype=np.int64).reshape(-1, n)
     deg = basis.sum(axis=1)
     M = np.zeros((basis.shape[0], basis.shape[0]), dtype=complex)
-    for (p, q, t), c in S.terms.items():
-        dp, dq = degree(p), degree(q)
-        row = scaled_moment_row(t, gamma, D + dp + n)
-        gfac = gamma ** (-(dp + dq) / 2.0)
-        beta = basis + np.array(mi_sub(p, q), dtype=np.int64)
-        cols = np.flatnonzero((beta >= 0).all(axis=1) & (deg + (dp - dq) <= D))
-        alpha, beta = basis[cols], beta[cols]
-        r_alpha = np.ones(cols.shape[0])
-        r_beta = np.ones(cols.shape[0])
-        for i in range(n):
-            for l in range(1, p[i] + 1):
-                r_alpha *= alpha[:, i] + l
-            for l in range(1, q[i] + 1):
-                r_beta *= beta[:, i] + l
-        val = c * row[deg[cols] + (dp + n - 1)]
-        val *= gfac
-        val *= np.sqrt(r_alpha * r_beta)
-        # beta is injective in alpha, so no entry repeats within a term
-        M[graded_rank(beta), cols] += val
+    P = np.array([p for p, _q, _t in S.terms], dtype=np.int64).reshape(-1, n)
+    Q = np.array([q for _p, q, _t in S.terms], dtype=np.int64).reshape(-1, n)
+    coef = np.array(list(S.terms.values()), dtype=complex)
+    dp, dq = P.sum(axis=1), Q.sum(axis=1)
+    gfac = np.array([gamma ** (-(a + b) / 2.0)
+                     for a, b in zip(dp.tolist(), dq.tolist())])
+    ts = {}
+    tidx = np.array([ts.setdefault(t, len(ts)) for _p, _q, t in S.terms],
+                    dtype=np.intp)
+    dmax = D + int(dp.max(initial=0)) + n
+    rows = np.array([scaled_moment_row(t, gamma, dmax) for t in ts]
+                    ).reshape(len(ts), dmax + 1)
+    shift = P - Q
+    fits = deg + (dp - dq)[:, None] <= D
+    for i in range(n):
+        fits &= basis[:, i] + shift[:, i, None] >= 0
+    k, cols = np.nonzero(fits)
+    alpha = basis[cols]
+    beta = alpha + shift[k]
+    Pk, Qk = P[k], Q[k]
+    r_alpha = np.ones(k.shape[0])
+    r_beta = np.ones(k.shape[0])
+    for i in range(n):
+        for l in range(1, int(P[:, i].max(initial=0)) + 1):
+            r_alpha *= np.where(Pk[:, i] >= l, alpha[:, i] + l, 1)
+        for l in range(1, int(Q[:, i].max(initial=0)) + 1):
+            r_beta *= np.where(Qk[:, i] >= l, beta[:, i] + l, 1)
+    val = coef[k] * rows[tidx[k], deg[cols] + (dp[k] + (n - 1))]
+    val *= gfac[k]
+    val *= np.sqrt(r_alpha * r_beta)
+    np.add.at(M, (graded_rank(beta), cols), val)
     return OperatorMatrix(D, M)
 
 

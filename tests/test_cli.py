@@ -318,6 +318,20 @@ def test_spectral_experiment_does_not_load_mpmath():
     assert out.strip() == "False"
 
 
+def test_model_operator_does_not_load_numpy_ma():
+    # the pointwise median is taken without np.median, whose NaN check
+    # imports numpy.ma
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    code = ("import json, sys; from focktrace.cli import run_experiment; "
+            "run_experiment('model-operator', json.loads(sys.argv[1])); "
+            "print('numpy.ma' in sys.modules)")
+    cfg = {"K_ranks": 1 << 14, "window": [1 << 12, 1 << 13],
+           "grid": [2**e for e in range(8, 15, 2)]}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_commutator_trace_default_at_n2_passes():
     # the default pairs (z_j w, conj(z_j) w), j = 1, 2: target 1/12
     rep = run_experiment("commutator-trace", {"n": 2, "K_degree": 1000})

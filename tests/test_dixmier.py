@@ -50,6 +50,25 @@ def test_pointwise_examples():
     assert med2 < 2e-4
 
 
+def test_pointwise_median_equals_np_median_bitwise():
+    # odd and even windows, ties, signed zeros and non-unit multiplicities
+    rng = np.random.default_rng(7)
+    pool = np.array([-0.0, 0.0, 0.25, -0.25, 1.0, -1.0, 3e-300, -7.5])
+    for draw in range(300):
+        size = int(rng.integers(1, 80))
+        vals = (rng.choice(pool, size) if draw % 2
+                else rng.normal(size=size) * 10.0 ** rng.integers(-5, 6, size))
+        seq = SNumberSequence.from_values(vals, "synthetic", signed=True)
+        if draw % 3 == 0:
+            seq = SNumberSequence(seq.values, rng.integers(1, 4, size),
+                                  "synthetic", signed=True)
+        lo = int(rng.integers(0, seq.total))
+        hi = int(rng.integers(lo, seq.total))
+        med, _ = pointwise(seq, (lo, hi))
+        ref = float(np.median(seq.pointwise_values(lo, hi)))
+        assert med.hex() == ref.hex(), (draw, lo, hi)
+
+
 def test_extrapolate_harmonic():
     seq = harmonic_sequence(10**6)
     est = extrapolate(seq, [10**3, 10**4, 10**5, 10**6 - 1])

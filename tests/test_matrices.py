@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from focktrace import fock_matrices
+from focktrace.cli import _random_sum
 from focktrace.fock_matrices import (FockContext, berezin, buffered_product,
                                      scaled_moment_row, toeplitz_matrix,
                                      weyl_matrix)
@@ -399,3 +400,41 @@ def test_toeplitz_matrix_equals_basis_loop_bitwise(inputs):
     M = toeplitz_matrix(ctx, S, D)
     np.testing.assert_array_equal(M.entries.view(np.uint64),
                                   toeplitz_entries(ctx, S, D).view(np.uint64))
+
+
+def _star_of_random_sums():
+    # composition-vs-star's shape: the star product of two n = 2, degree-4
+    # draws, 409 terms on 105 shifts p - q, so many terms share an entry
+    rng = np.random.default_rng(0)
+    a, b = (_random_sum(RadialSymbol, rng, 2, 4) for _ in range(2))
+    return star(a, b, 1.0)
+
+
+@pytest.mark.parametrize("ctx, S, D", [
+    (FockContext(1, 1.0), RadialSymbol(1, []), 5),
+    (FockContext(2, 0.7), RadialSymbol(2, []), 3),
+    (FockContext(2, 0.7), RadialSymbol(2, [(((1, 0), (1, 0), -2.0), 0.5j),
+                                           (((0, 0), (0, 0), 1.5), 2.0)]), 0),
+    # every shift passes degree D or leaves the cone
+    (FockContext(1, 1.0), RadialSymbol(1, [(((3,), (0,), 0.0), 1.0),
+                                           (((0,), (3,), -1.0), 1j)]), 2),
+    (FockContext(2, 1.0), _star_of_random_sums(), 8),
+], ids=["empty-n1", "empty-n2", "D0", "no-pair", "star-product-n2-D8"])
+def test_toeplitz_matrix_edge_cases_equal_basis_loop_bitwise(ctx, S, D):
+    M = toeplitz_matrix(ctx, S, D)
+    np.testing.assert_array_equal(M.entries.view(np.uint64),
+                                  toeplitz_entries(ctx, S, D).view(np.uint64))
+
+
+def test_toeplitz_matrix_builds_one_row_per_radial_exponent(monkeypatch):
+    asked = []
+
+    def counted(t, gamma, dmax):
+        asked.append(t)
+        return scaled_moment_row(t, gamma, dmax)
+
+    monkeypatch.setattr(fock_matrices, "scaled_moment_row", counted)
+    S = RadialSymbol(1, [(((1,), (0,), -1.0), 1.0), (((0,), (1,), -1.0), 2.0),
+                         (((1,), (1,), -2.0), 0.5)])
+    toeplitz_matrix(FockContext(1, 1.0), S, 6)
+    assert sorted(asked) == [-2.0, -1.0]
