@@ -1,5 +1,5 @@
-"""Hot numeric kernels: scaled-moment recurrences and correctly rounded
-partial sums, written with numpy and `math.fsum`.
+"""Hot numeric kernels: scaled-moment recurrences and exact partial sums,
+written with numpy.
 
 The recurrences advance the normalized radial moments
 
@@ -17,11 +17,13 @@ spectral path and run for up to ~10^6 steps.
   that recurrence is not damped and cannot be restarted.  It fills
   preallocated rows one chunk of degrees at a time, and each chunk of A is
   a sequential `np.cumsum` of the loop's B, with the loop's bits.
-- `partial_sums_at` sums a run-length sequence with `math.fsum`; each
-  result is the correctly rounded sum of the exact run products, up to an
-  error below 2^-104 of the sums walked.  Unit multiplicities (a stride-0
-  view of ones) take a path where rank r is run r and the values are the
-  products, with the same bits.
+- `partial_sums_at` sums a run-length sequence exactly, by the error-free
+  extraction of Rump, Ogita & Oishi ("Accurate floating-point summation,
+  part I", SIAM J. Sci. Comput. 31(1), 2008) over chunks of runs, with no
+  Python float per value; each result is the exact partial sum, rounded
+  once to the nearest float.  Unit multiplicities (a stride-0 view of ones)
+  take a path where rank r is run r and the values are the products, with
+  the same bits.
 
 The serial loops these kernels replace are kept in ``tests/`` as oracles.
 """
@@ -29,7 +31,7 @@ The serial loops these kernels replace are kept in ``tests/`` as oracles.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
@@ -43,11 +45,18 @@ _LADDER_SERIAL_PER_GAMMA = 40
 _LADDER_SERIAL_MIN = 64
 _LADDER_TERMS = 12
 
-# ladder_row, pair_rows: degrees per chunk; partial_sums_at: runs summed per
-# fsum call (each bounds the scratch memory)
+# ladder_row, pair_rows: degrees per chunk; partial_sums_at: runs per
+# extraction, through two scratch buffers of _CHUNK floats (each bounds the
+# scratch memory; a pass over 2^15 terms takes 53 - 16 bits off the top of
+# each, and a chunk of one sign whose moduli span less than 2^19 is used up
+# in two)
 _CHUNK = 1 << 15
-# _two_product: above this modulus 134217729 * x can overflow
-_SPLIT_MAX = 2.0 ** 995
+# partial_sums_at: sums are carried exactly as integer counts of 2^-_UNIT;
+# values at or above _BIG in modulus are summed scaled by 2^-_SHIFT
+_UNIT = 1074
+_ONE = 1 << _UNIT
+_BIG = 2.0 ** 900
+_SHIFT = 256
 
 
 def ladder_row(prev, out0, gamma):
@@ -126,22 +135,89 @@ def _split(x):
 
 
 def _two_product(a, b):
-    """p, e with p = fl(a*b) and p + e == a*b exactly (Dekker; barring
-    overflow of p, and underflow of e).
-
-    Factors b above _SPLIT_MAX in modulus, whose split would overflow, are
-    scaled by 2^-64 first and both results scaled back; at that size the
-    power-of-two scalings are exact, and the other entries are untouched."""
-    big = np.abs(b) > _SPLIT_MAX
-    if big.any():
-        scale = np.where(big, 2.0 ** 64, 1.0)
-        p, e = _two_product(a, b / scale)
-        return p * scale, e * scale
+    """p, e with p = fl(a*b) and p + e == a*b exactly (Dekker), for
+    |a*b| and 134217729 * |a|, |b| below the float limit.  With a whole, as
+    multiplicities are, a*b is a whole multiple of 2^-1074, and e is exact
+    where it is subnormal too."""
     p = a * b
     ah, al = _split(a)
     bh, bl = _split(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
+
+
+def _units(x):
+    """The float x as an exact integer count of 2^-1074, the spacing of the
+    subnormals, of which every finite float is a whole multiple."""
+    n, d = x.as_integer_ratio()
+    return n << (_UNIT + 1 - d.bit_length())
+
+
+def _span(x):
+    """(min, max) of x, without an |x| temporary."""
+    return x.min(), x.max()
+
+
+def _extract(x, span, p, q):
+    """The exact sum of x, with span = _span(x), max |x| < 2^(1021-M) and
+    2^M >= len(x) + 2, as a count of 2^-1074; p and q are scratch of at
+    least len(x).
+
+    Error-free extraction (Rump, Ogita & Oishi 2008, ExtractVector): with
+    |x| < 2^(e-M) and sigma = 2^e, q = (sigma + x) - sigma is x rounded to
+    a multiple of 2^(e-53) (of 2^(e-52) where x > 0), exactly, and x - q is
+    exact.  No partial sum of those multiples reaches sigma, so `q.sum()`
+    is exact in any order.  Each pass leaves |x - q| <= 2^(e-53), and x is
+    used up once it is a multiple of 2^(e-52): at the subnormal spacing,
+    or, for x of one sign, at the spacing below its smallest modulus.
+    """
+    n = x.shape[0]
+    p, q = p[:n], q[:n]
+    M = (n + 1).bit_length()
+    lo, hi = span
+    # x is a whole multiple of 2^low: of the subnormal spacing or, when x
+    # has one sign, of the spacing below its least modulus
+    least = lo if lo > 0 else -hi if hi < 0 else 0.0
+    low = max(math.frexp(least)[1] - 53, -1074) if least else -1074
+    top = max(hi, -lo)
+    total = 0
+    while top:
+        e = math.frexp(top)[1] + M
+        sigma = math.ldexp(1.0, e)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        total += _units(q.sum())
+        if e - 52 <= low:
+            break
+        # the residual overwrites q, and the next pass extracts into p
+        np.subtract(x, q, out=q)
+        x, p, q = q, q, p
+        # |x| <= 2^(e-53) now; with a least bit known, the loop ends at it
+        # without looking for the new top
+        top = math.ldexp(1.0, e - 53) if low > -1074 else max(x.max(), -x.min())
+    return total
+
+
+def _run_units(values, mults, p, q):
+    """The exact sum of mults[j] * values[j] (mults None: of the values) as
+    a count of 2^-1074, with p and q as scratch of at least len(values).
+
+    Values at or above _BIG in modulus are summed apart, times 2^-_SHIFT,
+    which is exact at that size and keeps every product and sigma finite;
+    their count is scaled back as an integer."""
+    if not values.size:
+        return 0
+    span = _span(values)
+    if max(span[1], -span[0]) >= _BIG:
+        big = np.abs(values) >= _BIG
+        rest = ~big
+        m_big, m_rest = (None, None) if mults is None else (mults[big], mults[rest])
+        return ((_run_units(values[big] * 2.0 ** -_SHIFT, m_big, p, q) << _SHIFT)
+                + _run_units(values[rest], m_rest, p, q))
+    if mults is None:
+        return _extract(values, span, p, q)
+    hi, lo = _two_product(mults.astype(float), values)
+    return _extract(hi, _span(hi), p, q) + _extract(lo, _span(lo), p, q)
 
 
 def is_unit(mults) -> bool:
@@ -150,53 +226,51 @@ def is_unit(mults) -> bool:
 
 
 def partial_sums_at(values, mults, ranks):
-    """Partial sums of a run-length sequence at sorted ranks.
+    """Correctly rounded partial sums of a run-length sequence at sorted
+    ranks.
 
     ranks are 0-based inclusive and nondecreasing: result[i] = sum of the
     first ranks[i]+1 sequence elements, where run j contributes mults[j]
-    copies of values[j] (mults < 2^53); ranks past the end give the total.
+    copies of values[j] (values finite, mults < 2^53); ranks past the end
+    give the total.  Each result is the exact partial sum rounded once to
+    the nearest float (ties to even); one that rounds beyond the float
+    range raises OverflowError.
 
-    One walk over the runs up to the last rank: the runs between
-    consecutive ranks are summed by `math.fsum` in chunks of 2^15, each
-    product mults[j]*values[j] fed exactly as two floats, and the running
-    total is carried as a float pair (fsum of the carry and the chunk, then
-    fsum of the same terms minus that sum).  At each rank the carry and the
-    exact product of the partial run are summed once more.  Each result is
-    therefore the correctly rounded exact partial sum, up to an error at
-    most 2^-104 times the sum of the running totals carried, one per chunk.
+    One walk over the runs up to the last rank, _CHUNK runs at a time: each
+    chunk's products mults[j]*values[j], fed exactly as Dekker's two halves,
+    are summed exactly by vectorized extraction (`_extract`), and the
+    running total is carried as an integer count of 2^-1074.  At each rank
+    the exact product of the partial run is added to that integer, and one
+    correctly rounded integer division gives the float.
 
     Unit multiplicities (`is_unit`) take the same walk with the values as
     the products: rank r is run r, with no cumulative sum or splitting.
     """
     out = np.empty(ranks.shape[0])
+    n = values.shape[0]
     unit = is_unit(mults)
     if unit:
-        runs = np.minimum(ranks, values.shape[0])
-        inside = runs < values.shape[0]
-        part = ((v,) for v in values[runs[inside]].tolist())
+        runs = np.minimum(ranks, n)
+        inside = runs < n
+        counts = repeat(1)
     else:
         ends = np.cumsum(mults)
         runs = np.searchsorted(ends, ranks, side="right")
-        inside = runs < values.shape[0]
+        inside = runs < n
         part_runs = runs[inside]
-        counts = ranks[inside] - (ends[part_runs] - mults[part_runs]) + 1
-        part_hi, part_lo = _two_product(counts.astype(float), values[part_runs])
-        part = zip(part_hi.tolist(), part_lo.tolist())
+        counts = (ranks[inside] - (ends[part_runs] - mults[part_runs]) + 1).tolist()
+    parts = iter([c * _units(v) for c, v in
+                  zip(counts, values[runs[inside]].tolist())])
 
-    carry = [0.0, 0.0]
+    p = np.empty(min(n, _CHUNK))
+    q = np.empty_like(p)
+    total = 0
     walked = 0
     for i, (run, has_part) in enumerate(zip(runs.tolist(), inside.tolist())):
         while walked < run:
             stop = min(run, walked + _CHUNK)
-            if unit:
-                terms = (memoryview(values[walked:stop]),)
-            else:
-                hi, lo = _two_product(mults[walked:stop].astype(float),
-                                      values[walked:stop])
-                terms = (memoryview(hi), memoryview(lo[lo != 0]))
-            total = math.fsum(chain(carry, *terms))
-            rest = math.fsum(chain(carry, *terms, (-total,)))
-            carry = [total, rest]
+            total += _run_units(values[walked:stop],
+                                None if unit else mults[walked:stop], p, q)
             walked = stop
-        out[i] = math.fsum(chain(carry, next(part))) if has_part else carry[0]
+        out[i] = (total + next(parts) if has_part else total) / _ONE
     return out

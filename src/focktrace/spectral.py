@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .symbols import RadialSymbol
 
 # values per block of the per-multi-index path, a run of whole degrees (a
 # degree of more values is a block of its own); degrees per block of the
-# radial path; values per slice of the sortedness check
+# radial path; values per slice of the sortedness check; runs per write of
+# the CSV export
 _BLOCK = 1 << 16
 # most values either path materializes
 _MAX_VALUES = 60_000_000
@@ -134,8 +136,9 @@ class SNumberSequence:
         return int(self.mults.sum())
 
     def partial_sums(self, ranks) -> np.ndarray:
-        """Correctly rounded sums of the first K+1 values, for each K in
-        ranks (one walk; see `_kernels.partial_sums_at`)."""
+        """The exact sum of the first K+1 values, rounded once to the
+        nearest float, for each K in ranks (one walk, by error-free
+        extraction; see `_kernels.partial_sums_at`)."""
         ranks = np.asarray(ranks, dtype=np.int64)
         if np.any(ranks < 0) or np.any(ranks >= self.total):
             raise ValueError("rank out of range")
@@ -200,13 +203,18 @@ class SNumberSequence:
                                certified_rank=self.certified_rank)
 
     def to_csv(self, path):
-        """CSV export, one row per run: 'first_rank,multiplicity,value'."""
+        """CSV export, one row per run: 'first_rank,multiplicity,value',
+        formatted _BLOCK runs at a time by one %-format."""
         with open(path, "w") as fh:
             fh.write("first_rank,multiplicity,value\n")
             start = 0
-            for v, m in zip(self.values, self.mults):
-                fh.write(f"{start},{m},{v:.17g}\n")
-                start += m
+            for lo in range(0, self.values.size, _BLOCK):
+                m = self.mults[lo:lo + _BLOCK]
+                ends = np.cumsum(m) + start
+                rows = zip((ends - m).tolist(), m.tolist(),
+                           self.values[lo:lo + _BLOCK].tolist())
+                fh.write("%d,%d,%.17g\n" * m.size % tuple(chain.from_iterable(rows)))
+                start = int(ends[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,17 @@ def finish_with_copies(vals, starts, degree_mults, K_degree: int):
         signed=bool(np.any(values < 0)), certified_rank=certified)
 
 
+def csv_by_rows(seq, path):
+    """`SNumberSequence.to_csv` as it was before the block writer: one
+    f-string per run, from numpy scalars."""
+    with open(path, "w") as fh:
+        fh.write("first_rank,multiplicity,value\n")
+        start = 0
+        for v, m in zip(seq.values, seq.mults):
+            fh.write(f"{start},{m},{v:.17g}\n")
+            start += m
+
+
 def _rising_product(alpha, p) -> float:
     """(alpha+p)! / alpha! as a float, computed without large factorials."""
     out = 1.0

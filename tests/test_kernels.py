@@ -2,7 +2,9 @@
 values and against the serial loops they replace (kept here as oracles)."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -39,6 +41,80 @@ def serial_raise_row(row, gamma):
     for d in range(out.shape[0]):
         out[d] = row[d] + ((d + 1) / gamma) * row[d + 1]
     return out
+
+
+def fsum_partial_sums_at(values, mults, ranks):
+    """The `math.fsum` walk that `_kernels.partial_sums_at` replaced: the
+    runs between consecutive ranks summed in chunks of _CHUNK runs, each
+    product fed exactly as two floats, and the running total carried as a
+    float pair (fsum of the carry and the chunk, then fsum of the same
+    terms minus that sum).  Correctly rounded up to 2^-104 of the totals
+    carried; for values below 2^900."""
+    out = np.empty(ranks.shape[0])
+    unit = _kernels.is_unit(mults)
+    if unit:
+        runs = np.minimum(ranks, values.shape[0])
+        inside = runs < values.shape[0]
+        part = ((v,) for v in values[runs[inside]].tolist())
+    else:
+        ends = np.cumsum(mults)
+        runs = np.searchsorted(ends, ranks, side="right")
+        inside = runs < values.shape[0]
+        part_runs = runs[inside]
+        counts = ranks[inside] - (ends[part_runs] - mults[part_runs]) + 1
+        part_hi, part_lo = _kernels._two_product(counts.astype(float),
+                                                 values[part_runs])
+        part = zip(part_hi.tolist(), part_lo.tolist())
+    carry = [0.0, 0.0]
+    walked = 0
+    for i, (run, has_part) in enumerate(zip(runs.tolist(), inside.tolist())):
+        while walked < run:
+            stop = min(run, walked + _kernels._CHUNK)
+            if unit:
+                terms = (memoryview(values[walked:stop]),)
+            else:
+                hi, lo = _kernels._two_product(
+                    mults[walked:stop].astype(float), values[walked:stop])
+                terms = (memoryview(hi), memoryview(lo[lo != 0]))
+            total = math.fsum(chain(carry, *terms))
+            rest = math.fsum(chain(carry, *terms, (-total,)))
+            carry = [total, rest]
+            walked = stop
+        out[i] = math.fsum(chain(carry, next(part))) if has_part else carry[0]
+    return out
+
+
+def exact_partial_sums(values, mults, ranks):
+    """The partial sums at ranks as Fractions, from exact run products."""
+    mults = np.broadcast_to(mults, values.shape).tolist()
+    ends = np.cumsum(mults)
+    runs = np.searchsorted(ends, ranks, side="right")
+    prefix = [Fraction(0)]
+    for m, v in zip(mults, values.tolist()):
+        prefix.append(prefix[-1] + m * Fraction(v))
+    out = []
+    for r, run in zip(ranks.tolist(), runs.tolist()):
+        if run == len(mults):
+            out.append(prefix[-1])
+        else:
+            start = int(ends[run]) - mults[run]
+            out.append(prefix[run] + (r - start + 1) * Fraction(values[run]))
+    return out
+
+
+def assert_rounds_exact_sums(values, mults, ranks):
+    """partial_sums_at gives float(exact sum) at every rank, and raises
+    OverflowError at the first rank whose sum rounds beyond the floats."""
+    want = []
+    for x in exact_partial_sums(values, mults, ranks):
+        try:
+            want.append(float(x))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _kernels.partial_sums_at(values, mults, ranks[:len(want) + 1])
+            break
+    got = _kernels.partial_sums_at(values, mults, ranks[:len(want)])
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 def normalized_oracle(d, t, gamma):
@@ -181,11 +257,8 @@ def run_length_data(draw):
 @given(run_length_data())
 def test_partial_sums_at_is_correctly_rounded(data):
     values, mults, ranks = data
-    expanded = np.repeat(values, mults)
     out = _kernels.partial_sums_at(values, mults, ranks)
-    for r, got in zip(ranks, out):
-        ref = math.fsum(expanded[: r + 1])
-        assert abs(got - ref) <= 1e-15 * (1 + abs(ref))
+    assert out.tolist() == [float(x) for x in exact_partial_sums(values, mults, ranks)]
 
 
 def test_partial_sums_at_spans_chunks():
@@ -232,12 +305,7 @@ def test_unit_multiplicities_sum_like_an_array_of_ones(data, chunk):
     assert _kernels.is_unit(unit) and (values.size <= 1 or not _kernels.is_unit(ones))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_CHUNK", chunk)
-        try:
-            got = _kernels.partial_sums_at(values, unit, ranks)
-        except OverflowError:  # an intermediate fsum overflow, on both paths
-            with pytest.raises(OverflowError):
-                _kernels.partial_sums_at(values, ones, ranks)
-            return
+        got = _kernels.partial_sums_at(values, unit, ranks)
         ref = _kernels.partial_sums_at(values, ones, ranks)
     assert got.tobytes() == ref.tobytes()
 
@@ -263,3 +331,111 @@ def test_partial_sums_at_of_values_near_the_float_limit():
     # a rank inside the run of 1e300
     got = _kernels.partial_sums_at(values, mults, np.array([ends[1] + 400]))
     assert got[0] == float(exact[1] + 400 * Fraction(1e300))
+
+
+# values that cancel, underflow and approach the float limit
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-300, 1.0, -1.0, 2.0 ** 900, -(2.0 ** 900), 1e301,
+                1.7e308, -1.7e308, 1.7976931348623157e308]
+
+
+@st.composite
+def exact_sum_data(draw):
+    """Signed values over the whole float range, with some values negated
+    elsewhere in the sequence, unit or large multiplicities, and ranks
+    anywhere up to past the end."""
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(_EDGE_VALUES))
+    values = draw(st.lists(value, min_size=1, max_size=40))
+    values += [-x for x in draw(st.lists(st.sampled_from(values), max_size=10))]
+    values = draw(st.permutations(values))
+    if draw(st.booleans()):
+        mults = np.broadcast_to(np.int64(1), (len(values),))
+    else:
+        mults = np.array(draw(st.lists(
+            st.one_of(st.integers(1, 5), st.integers(1, 2 ** 52)),
+            min_size=len(values), max_size=len(values))), dtype=np.int64)
+    total = int(mults.sum())
+    ends = np.cumsum(mults).tolist()
+    pool = st.one_of(st.integers(0, total + 3),
+                     st.sampled_from([e - 1 for e in ends] + ends))
+    ranks = sorted(draw(st.lists(pool, min_size=1, max_size=12)))
+    return np.array(values), mults, np.array(ranks, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_sum_data(), st.sampled_from([1, 3, 16, 1 << 15]))
+def test_partial_sums_at_rounds_the_exact_sum(data, chunk):
+    values, mults, ranks = data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_CHUNK", chunk)
+        assert_rounds_exact_sums(values, mults, ranks)
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_partial_sums_at_of_one_chunk_spanning_every_exponent(unit):
+    # one unsorted chunk holding every binary exponent, subnormal to the
+    # float limit, both signs: the extraction skips the empty exponent
+    # ranges, finishes, and is exact
+    rng = np.random.default_rng(11)
+    exps = np.arange(-1074, 1024)
+    values = np.ldexp(rng.uniform(1, 2, exps.size), exps)
+    values = rng.permutation(values * rng.choice([-1.0, 1.0], exps.size))
+    mults = (np.broadcast_to(np.int64(1), values.shape) if unit
+             else rng.integers(1, 2 ** 40, values.size))
+    total = int(mults.sum())
+    ranks = np.sort(rng.integers(0, total, 40))
+    ranks = np.concatenate([ranks, [total - 1]])
+    assert values.size < _kernels._CHUNK
+    assert_rounds_exact_sums(values, mults, ranks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 1000])
+def test_extract_is_exact_at_every_span(n):
+    # the unrounded integer, so a single lost bit shows: a chunk of one sign
+    # ends at the least bit of its least modulus without a scan, at every
+    # spread of exponents over several passes; the least value has its last
+    # mantissa bit set
+    rng = np.random.default_rng(n)
+    p, q = np.empty(n), np.empty(n)
+    for spread in range(160):
+        x = np.ldexp(rng.uniform(1, 2, n), -rng.integers(0, spread + 1, n))
+        x[0] = 1.75
+        x[-1] = np.ldexp(1 + 2.0 ** -52, -spread)
+        for signed in (x, -x, x * rng.choice([-1.0, 1.0], n)):
+            want = sum(_kernels._units(v) for v in signed.tolist())
+            got = _kernels._extract(signed, _kernels._span(signed), p, q)
+            assert got == want, spread
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_partial_sums_at_matches_the_fsum_walk(monkeypatch, unit):
+    # sorted spectra, as the estimators read them, across chunk edges: the
+    # replaced walk and the extraction give the same bits
+    monkeypatch.setattr(_kernels, "_CHUNK", 1024)
+    rng = np.random.default_rng(12)
+    n = 5 * 1024 + 37
+    values = np.sort(rng.random(n) / np.arange(1, n + 1))[::-1].copy()
+    mults = (np.broadcast_to(np.int64(1), values.shape) if unit
+             else np.arange(1, n + 1, dtype=np.int64))
+    total = int(mults.sum())
+    ranks = np.unique(np.concatenate([[0, total - 1, total + 5],
+                                      rng.integers(0, total, 30)]))
+    got = _kernels.partial_sums_at(values, mults, ranks)
+    assert got.tobytes() == fsum_partial_sums_at(values, mults, ranks).tobytes()
+
+
+def test_partial_sums_at_scratch_is_a_few_chunks():
+    # a 2^20-value unit spectrum (8 MB) is summed through O(_CHUNK) scratch:
+    # one value-length temporary would break the bound
+    rng = np.random.default_rng(13)
+    values = np.sort(rng.random(1 << 20))[::-1].copy()
+    unit = np.broadcast_to(np.int64(1), values.shape)
+    ranks = np.array([2 ** e - 1 for e in range(10, 21)], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _kernels.partial_sums_at(values, unit, ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * _kernels._CHUNK * values.itemsize, peak

@@ -20,7 +20,7 @@ from focktrace.spectral import (DiagonalityError, SNumberSequence,
                                 commutator_config, diagonal_spectrum,
                                 hankel_config, toeplitz_config)
 from focktrace.symbols import RadialSymbol
-from oracles import (finish_with_copies, hankel_product, hermitian_spectrum,
+from oracles import (csv_by_rows, finish_with_copies, hankel_product, hermitian_spectrum,
                      per_degree_spectrum, radial_moment, singular_values)
 
 
@@ -274,6 +274,26 @@ def test_sequence_csv(tmp_path):
     SNumberSequence.from_values([1.0, 3.0], "x").to_csv(p)
     assert p.read_text().splitlines() == [
         "first_rank,multiplicity,value", "0,1,3", "1,1,1"]
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_sequence_csv_matches_the_row_writer(tmp_path, monkeypatch, unit):
+    # blocks of runs across block edges, signed values, -0.0 and the
+    # smallest subnormal: the same bytes as one f-string per run
+    monkeypatch.setattr(spectral, "_BLOCK", 7)
+    rng = np.random.default_rng(4)
+    values = np.concatenate([[-3e300, 2.5, -1.0 / 3], rng.normal(size=40),
+                             [5e-324, -0.0]])
+    values = values[np.argsort(-np.abs(values), kind="stable")]
+    mults = (np.broadcast_to(np.int64(1), values.shape) if unit
+             else rng.integers(1, 10 ** 12, values.size))
+    seq = SNumberSequence(values, mults, "x", signed=True)
+    seq.to_csv(tmp_path / "blocks.csv")
+    csv_by_rows(seq, tmp_path / "rows.csv")
+    got = (tmp_path / "blocks.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    tail = [row.split(b",")[2] for row in got.splitlines()[-2:]]
+    assert tail == [b"4.9406564584124654e-324", b"-0"]
 
 
 def test_diagonal_two_variable_matches_dense_matrix():
