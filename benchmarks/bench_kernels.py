@@ -1,16 +1,23 @@
 """Layer timing of the numeric kernels in `focktrace._kernels`, of the
-n = 2 eigenvalue assembly, `spectral._diagonal_values`, and of the dense
+eigenvalue assembly, `spectral._diagonal_values`, and of the dense
 assembly, `fock_matrices.toeplitz_matrix`.
 
-Times each kernel once per repeat at one row length, and the assembly of
-the toeplitz-trace and mixed-trace `hankel-toeplitz` default spectra at one
-K_degree, which builds their moment rows too: no row outlives its call.
+Times each kernel once per repeat at one row length, the assembly of the
+toeplitz-trace and mixed-trace `hankel-toeplitz` default spectra (n = 2)
+at one K_degree, and of the hankel-trace default spectrum (n = 1, one
+value per degree) at the row length; each assembly builds its moment rows
+too: no row outlives its call.  `partial_sums_at` sums a spectrum with
+unit multiplicities as the spectra hold them, a stride-0 view, and one
+with multiplicities k + 1.
 The dense cases assemble calculus-check's composition-vs-star shape, the
 n = 2, D = 8 Weyl matrix of a fixed star product of about 400 terms, and a
 three-term n = 1 symbol at D = 2048; their length is the symbol's term count.
 Each case runs once to warm up (the d = 0 base moments are kept) and then
 REPEATS times; the median and the quartiles of those times are recorded,
 since on a shared machine a best-of-few reads differently run to run.
+The moment-row kernels and the n = 1 assembly also record `peak_bytes`,
+the tracemalloc peak of one more, untimed call: the bytes it allocates,
+its result included.
 The run is one point, named by --label, of BENCH_kernels.json at the
 repository root, with the kernel backend and the machine it ran on; a point
 of the same label is replaced, the others are kept.  focktrace is imported
@@ -21,10 +28,12 @@ Run:  PYTHONPATH=src python benchmarks/bench_kernels.py --label after
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +62,16 @@ def bench(fn):
     return [float(x) for x in np.percentile(samples, [25, 50, 75])]
 
 
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--label", required=True)
@@ -65,7 +84,7 @@ def main():
     ones = np.ones(L)
     rng = np.random.default_rng(0)
     values = np.sort(rng.random(L))[::-1].copy()
-    mults = np.ones(L, dtype=np.int64)
+    mults = np.broadcast_to(np.int64(1), (L,))
     ranks = np.array([2**e for e in range(10, int(np.log2(L)) + 1)],
                      dtype=np.int64) - 1
     # n = 2 multiplicities k+1: inexact products, ranks up to the last run
@@ -84,6 +103,13 @@ def main():
              * spectral.toeplitz_config(z1 * z1b * w2))
     ctx = FockContext(2, 1.0)
     count = (K + 1) * (K + 2) // 2
+    # the n = 1 default spectrum of hankel-trace, one value per degree
+    f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
+    hankel = spectral.hankel_config(f, f)
+    # pair_rows fills the row asked for; one of five parameters fills both
+    pair_args = (0.5, 1.2, 0.82, 1.0, L - 1)
+    if len(inspect.signature(_kernels.pair_rows).parameters) > 5:
+        pair_args += (True,)
 
     # dense assembly: the heat-inverse symbol of a star product of two
     # n = 2, degree-4 draws, and three radial terms at a large degree
@@ -94,34 +120,43 @@ def main():
     few = RadialSymbol(1, [(((1,), (1,), -2.0), 1.0), (((1,), (0,), -1.0), 0.5j),
                            (((0,), (2,), 0.0), 0.25)])
 
+    # (name, length, call, whether to record its tracemalloc peak)
     cases = [
-        ("ladder_row", L, lambda: _kernels.ladder_row(ones, 0.59634736, 1.0)),
-        ("pair_rows", L, lambda: _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, L - 1)),
-        ("raise_row", L, lambda: _kernels.raise_row(ones, 1.0)),
+        ("ladder_row", L, lambda: _kernels.ladder_row(ones, 0.59634736, 1.0),
+         True),
+        ("pair_rows", L, lambda: _kernels.pair_rows(*pair_args), True),
+        ("raise_row", L, lambda: _kernels.raise_row(ones, 1.0), False),
         ("partial_sums_at", L,
-         lambda: _kernels.partial_sums_at(values, mults, ranks)),
+         lambda: _kernels.partial_sums_at(values, mults, ranks), False),
         ("partial_sums_at[mults=k+1]", L,
-         lambda: _kernels.partial_sums_at(values, degree_mults, degree_ranks)),
+         lambda: _kernels.partial_sums_at(values, degree_mults, degree_ranks),
+         False),
         ("_diagonal_values[toeplitz-trace]", count,
-         lambda: spectral._diagonal_values(ctx, toeplitz, K)),
+         lambda: spectral._diagonal_values(ctx, toeplitz, K), False),
         ("_diagonal_values[hankel-toeplitz]", count,
-         lambda: spectral._diagonal_values(ctx, mixed, K)),
+         lambda: spectral._diagonal_values(ctx, mixed, K), False),
+        ("_diagonal_values[hankel-trace n=1]", L,
+         lambda: spectral._diagonal_values(ctx1, hankel, L - 1), True),
         ("toeplitz_matrix[weyl n=2 D=8]", len(weyl.terms),
-         lambda: toeplitz_matrix(ctx, weyl, 8)),
+         lambda: toeplitz_matrix(ctx, weyl, 8), False),
         ("toeplitz_matrix[n=1 D=2048]", len(few.terms),
-         lambda: toeplitz_matrix(ctx1, few, 2048)),
+         lambda: toeplitz_matrix(ctx1, few, 2048), False),
     ]
 
     print(f"kernel timings, length = {L}, assembly at K_degree = {K} "
           f"({count} values), median [quartiles] of {REPEATS}, backend "
           f"{_kernels.ACTIVE_BACKEND}")
     rows = []
-    for name, length, fn in cases:
+    for name, length, fn, traced in cases:
         q1, median, q3 = bench(fn)
-        rows.append({"kernel": name, "length": length, "repeats": REPEATS,
-                     "median_s": median, "quartiles_s": [q1, q3]})
-        print(f"{name:<36}{median * 1e3:>10.2f} ms  "
-              f"[{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]")
+        row = {"kernel": name, "length": length, "repeats": REPEATS,
+               "median_s": median, "quartiles_s": [q1, q3]}
+        line = f"{name:<36}{median * 1e3:>10.2f} ms  [{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]"
+        if traced:
+            row["peak_bytes"] = traced_peak(fn)
+            line += f"  peak {row['peak_bytes'] / 2**20:.2f} MiB"
+        rows.append(row)
+        print(line)
 
     record = {
         "label": args.label,

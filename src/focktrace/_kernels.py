@@ -12,11 +12,13 @@ spectral path and run for up to ~10^6 steps.
   the serial loop.
 - `ladder_row` is damped (each step multiplies the carried value by
   -gamma/d), so after a short serial prefix every entry is the same
-  recurrence restarted a few steps back, run for a chunk of degrees at once.
+  recurrence restarted a few steps back, run for a chunk of degrees at once
+  in place in the output, through one table of gamma/d per chunk.
 - `pair_rows` keeps B in a serial loop: A is a running integral of B, so
-  that recurrence is not damped and cannot be restarted.  It fills
-  preallocated rows one chunk of degrees at a time, and each chunk of A is
-  a sequential `np.cumsum` of the loop's B, with the loop's bits.
+  that recurrence is not damped and cannot be restarted.  It allocates only
+  the row asked for, A or B, and fills it one chunk of degrees at a time;
+  a chunk of A is a sequential `np.cumsum` of the loop's B, with the loop's
+  bits.
 - `partial_sums_at` sums a run-length sequence exactly, by the error-free
   extraction of Rump, Ogita & Oishi ("Accurate floating-point summation,
   part I", SIAM J. Sci. Comput. 31(1), 2008) over chunks of runs, with no
@@ -25,7 +27,8 @@ spectral path and run for up to ~10^6 steps.
   take a path where rank r is run r and the values are the products, with
   the same bits.
 
-The serial loops these kernels replace are kept in ``tests/`` as oracles.
+Beside its result, each kernel holds only chunk-sized scratch.  The serial
+loops these kernels replace are kept in ``tests/`` as oracles.
 """
 
 from __future__ import annotations
@@ -45,12 +48,15 @@ _LADDER_SERIAL_PER_GAMMA = 40
 _LADDER_SERIAL_MIN = 64
 _LADDER_TERMS = 12
 
-# ladder_row, pair_rows: degrees per chunk; partial_sums_at: runs per
-# extraction, through two scratch buffers of _CHUNK floats (each bounds the
-# scratch memory; a pass over 2^15 terms takes 53 - 16 bits off the top of
-# each, and a chunk of one sign whose moduli span less than 2^19 is used up
-# in two)
+# ladder_row: degrees per chunk, through one table of _CHUNK + 11 floats;
+# partial_sums_at: runs per extraction, through two scratch buffers of
+# _CHUNK floats (each bounds the scratch memory; a pass over 2^15 terms
+# takes 53 - 16 bits off the top of each, and a chunk of one sign whose
+# moduli span less than 2^19 is used up in two)
 _CHUNK = 1 << 15
+# pair_rows: degrees per chunk of the serial loop, whose two lists of Python
+# floats take 64 bytes a degree
+_SERIAL_CHUNK = 1 << 12
 # partial_sums_at: sums are carried exactly as integer counts of 2^-_UNIT;
 # values at or above _BIG in modulus are summed scaled by 2^-_SHIFT
 _UNIT = 1074
@@ -63,9 +69,10 @@ def ladder_row(prev, out0, gamma):
     """m_{s-1}[d] = (gamma/d) * (m_s[d-1] - m_{s-1}[d-1]); damped, stable.
 
     Degrees d >= 40 gamma + 64 run the recurrence from zero at d - 12, for
-    _CHUNK degrees at once; the dropped start is damped by
-    prod gamma/(d-i) < 40^-12, so the result matches the serial loop to
-    rounding.
+    _CHUNK degrees at once, in place in the output: one table of gamma/j
+    over the chunk's degrees and the 11 below them serves all 12 passes.
+    The dropped start is damped by prod gamma/(d-i) < 40^-12, so the result
+    matches the serial loop to rounding.
     """
     L = prev.shape[0]
     out = np.empty(L)
@@ -78,18 +85,23 @@ def ladder_row(prev, out0, gamma):
         serial.append(acc)
     out[:head] = serial
     # each degree is restarted on its own, so _CHUNK degrees at a time
+    back = _LADDER_TERMS - 1
     for lo in range(head, L, _CHUNK):
         hi = min(lo + _CHUNK, L)
-        d = np.arange(lo, hi)
-        h = np.zeros(hi - lo)
-        for k in range(_LADDER_TERMS - 1, -1, -1):
-            h = (gamma / (d - k)) * (prev[lo - 1 - k:hi - 1 - k] - h)
-        out[lo:hi] = h
+        g = np.arange(lo - back, hi, dtype=float)
+        np.divide(gamma, g, out=g)
+        h = out[lo:hi]
+        h.fill(0.0)
+        for k in range(back, -1, -1):
+            # h = (gamma / (d - k)) * (prev[d - 1 - k] - h)
+            np.subtract(prev[lo - 1 - k:hi - 1 - k], h, out=h)
+            h *= g[back - k:back - k + hi - lo]
     return out
 
 
-def pair_rows(s_plus_one, a0, b0, gamma, dmax):
-    """Coupled advance of (A, B) = (m_{s+1}, m_s) for non-integer s in (-1, 0):
+def pair_rows(s_plus_one, a0, b0, gamma, dmax, upper):
+    """One row of the coupled advance of (A, B) = (m_{s+1}, m_s) for
+    non-integer s in (-1, 0): A when upper, else B.
 
         B[d] = (gamma/d) * (A[d-1] - B[d-1])        (algebraic identity)
         A[d] = A[d-1] + ((s+1)/gamma) * B[d]        (integration by parts)
@@ -97,29 +109,32 @@ def pair_rows(s_plus_one, a0, b0, gamma, dmax):
     A is a running integral of B, so errors in A are carried undamped and
     the recurrence cannot be restarted part way like `ladder_row`: B stays a
     serial loop (on Python floats, the same IEEE arithmetic), which carries
-    A as one float.  The preallocated rows are filled _CHUNK degrees at a
-    time: B from the loop, then A as the sequential cumulative sum of
-    A[lo-1] and the products ((s+1)/gamma) * B[lo:hi], the same products and
+    A as one float.  Only the row asked for is allocated, and filled
+    _SERIAL_CHUNK degrees at a time from the loop's chunk of B: B as it is,
+    A as the sequential cumulative sum of A[lo-1] and the products
+    ((s+1)/gamma) * B[lo:hi] in one chunk of scratch, the same products and
     the same left-to-right additions as the serial loop, so the same bits.
     """
     c = s_plus_one / gamma
     a, b = float(a0), float(b0)
-    A = np.empty(dmax + 1)
-    B = np.empty(dmax + 1)
-    A[0], B[0] = a, b
-    for lo in range(1, dmax + 1, _CHUNK):
-        hi = min(lo + _CHUNK, dmax + 1)
+    row = np.empty(dmax + 1)
+    row[0] = a if upper else b
+    for lo in range(1, dmax + 1, _SERIAL_CHUNK):
+        hi = min(lo + _SERIAL_CHUNK, dmax + 1)
         Bs = []
         append = Bs.append
         for gd in (gamma / np.arange(lo, hi, dtype=float)).tolist():
             b = gd * (a - b)
             a = a + c * b
             append(b)
-        B[lo:hi] = Bs
-        steps = c * B[lo:hi]
-        steps[0] += A[lo - 1]
-        np.cumsum(steps, out=A[lo:hi])
-    return A, B
+        if upper:
+            steps = np.array(Bs)
+            steps *= c
+            steps[0] += row[lo - 1]
+            np.cumsum(steps, out=row[lo:hi])
+        else:
+            row[lo:hi] = Bs
+    return row
 
 
 def raise_row(row, gamma):

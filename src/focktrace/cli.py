@@ -408,12 +408,12 @@ def _exp_calculus_check(cfg, seed, csv_sink):
     for n in (1, 2):
         for _ in range(3):
             a, b, c = (_random_sum(RadialSymbol, rng, n, 3) for _ in range(3))
+            ab = star(a, b, gamma)
             dev_assoc = max(dev_assoc,
-                            _sym_rel_dev(star(star(a, b, gamma), c, gamma),
+                            _sym_rel_dev(star(ab, c, gamma),
                                          star(a, star(b, c, gamma), gamma)))
             dev_conj = max(dev_conj,
-                           _sym_rel_dev(star(a, b, gamma).conj(),
-                                        star(b.conj(), a.conj(), gamma)))
+                           _sym_rel_dev(ab.conj(), star(b.conj(), a.conj(), gamma)))
             dev_unit = max(dev_unit,
                            _sym_rel_dev(star(a, RadialSymbol.constant(n), gamma), a))
     checks.append(make_check("star-associativity", dev_assoc, 0.0, 1e-12))

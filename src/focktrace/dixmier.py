@@ -49,13 +49,15 @@ def pointwise(seq: SNumberSequence, window) -> tuple[float, float]:
 
     The median is the mean of the one or two middle values of a partition,
     as `np.median` takes it on finite values, without `np.median`'s NaN
-    check, which imports `numpy.ma`.
+    check, which imports `numpy.ma`.  The window's values are partitioned
+    in place: they are this call's own.
     """
     lo, hi = int(window[0]), int(window[1])
     vals = seq.pointwise_values(lo, hi)
     k = vals.shape[0] // 2
     kth = [k - 1, k] if vals.shape[0] % 2 == 0 else [k]
-    med = float(np.partition(vals, kth)[kth[0]:k + 1].mean())
+    vals.partition(kth)
+    med = float(vals[kth[0]:k + 1].mean())
     spread = float((vals.max() - vals.min()) / max(abs(med), 1e-300))
     return med, spread
 

@@ -118,17 +118,22 @@ def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:
     s, gamma = _tkey(t) / 2.0, float(gamma)
     if abs(s - round(s)) < 1e-12:
         sigma, k = 0.0, int(round(s))
-        row = np.ones(dmax + 1 + max(k, 0))
+        if k == 0:
+            return np.ones(dmax + 1)
+        # m_0 = 1: a stride-0 view, which the first step reads
+        row = np.broadcast_to(1.0, (dmax + 1 + max(k, 0),))
     else:
         sigma0 = (s - math.floor(s)) - 1.0
         k = int(round(s - sigma0)) - 1
         a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
         b0 = gamma * _base_moment(2.0 * sigma0, gamma)
-        A, B = _kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, dmax + max(k, 0))
-        if k >= 0:
-            sigma, row = sigma0 + 1.0, A
+        upper = k >= 0
+        row = _kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, dmax + max(k, 0),
+                                 upper)
+        if upper:
+            sigma = sigma0 + 1.0
         else:
-            sigma, row, k = sigma0, B, k + 1
+            sigma, k = sigma0, k + 1
     for _ in range(k):
         row = _kernels.raise_row(row, gamma)
     for i in range(-k):

@@ -28,10 +28,13 @@ from .symbols import RadialSymbol
 
 
 # values per block of the per-multi-index path, a run of whole degrees (a
-# degree of more values is a block of its own); degrees per block of the
-# radial path; values per slice of the sortedness check; runs per write of
-# the CSV export
+# degree of more values is a block of its own); values per slice of the
+# sortedness check; runs per write of the CSV export
 _BLOCK = 1 << 16
+# degrees per block of the radial path, at most _BLOCK: one value per
+# degree, so each table of a block is as long as the block, and the tables
+# of 2^13 degrees (64 KB each) stay in cache
+_DEGREES = 1 << 13
 # most values either path materializes
 _MAX_VALUES = 60_000_000
 
@@ -55,17 +58,33 @@ def _modulus_order(values: np.ndarray) -> np.ndarray:
 
 
 def _sorted_by_modulus(values: np.ndarray) -> np.ndarray:
-    """values[_modulus_order(values)]; values is a buffer the caller owns.
+    """values[_modulus_order(values)], in place in values, a buffer the
+    caller owns, which is returned.
 
-    When no value has its sign bit set (-0.0 counts as signed), equal keys
-    hold equal bits, so the stable modulus order is the values themselves
-    sorted descending: they are negated, sorted and negated back in place,
-    with no argsort, gather or copy, and returned."""
-    if np.signbit(values).any():
-        return values[_modulus_order(values)]
-    np.negative(values, out=values)
+    The keys -|v| hold equal bits where they are equal (every zero is
+    -0.0), so sorting them gives them in the stable modulus order, with no
+    argsort or gather.  When every value has its sign bit set (-0.0 counts
+    as signed), the values are their own keys.  Otherwise the keys
+    overwrite the values and are negated back to moduli once sorted; where
+    the sign bits differ, they are gathered in the keys' stable argsort and
+    given back to the moduli: one index array beside the buffer, rather
+    than a key array, an index array and a sorted copy."""
+    signs = np.signbit(values)
+    if signs.all():
+        values.sort()
+        return values
+    if signs.any():
+        np.abs(values, out=values)
+        np.negative(values, out=values)
+        signs = signs[np.argsort(values, kind="stable")]
+    else:
+        signs = None
+        np.negative(values, out=values)
     values.sort()
-    return np.negative(values, out=values)
+    np.negative(values, out=values)
+    if signs is not None:
+        np.negative(values, out=values, where=signs)
+    return values
 
 
 def _leading_count(values: np.ndarray, bound: float, inclusive=False) -> int:
@@ -154,9 +173,12 @@ class SNumberSequence:
             raise ValueError("window out of range")
         if hi - lo > 20_000_000:
             raise ValueError("window too large to materialize")
-        j = np.arange(lo, hi + 1, dtype=np.int64)
         if _kernels.is_unit(self.mults):  # rank j is run j
-            return (j + 1.0) * self.values[lo:hi + 1]
+            # j + 1.0 for every j, exactly, and times the values in place
+            out = np.arange(lo + 1.0, hi + 2.0)
+            out *= self.values[lo:hi + 1]
+            return out
+        j = np.arange(lo, hi + 1, dtype=np.int64)
         runs = np.searchsorted(np.cumsum(self.mults), j, side="right")
         return (j + 1.0) * self.values[runs]
 
@@ -437,11 +459,16 @@ def _config_values(config: DiagonalConfig, per_chain, comps: np.ndarray,
         v += _chain_values(ch, shifts, m, degs, sizes, coords, gamma, rows,
                            dtype)
     if config.power != 1:
-        # a complex integer power is a chain of products, a float one a
-        # single rounded pow: raise in complex so both dtypes agree exactly
-        p = v.astype(complex) ** config.power
-        v = p.real if dtype is float else p
+        v = _raised(v, config.power, dtype)
     return v
+
+
+def _raised(v: np.ndarray, power: int, dtype) -> np.ndarray:
+    """v ** power in dtype.  A complex integer power is a chain of products,
+    a float one a single rounded pow: v is raised in complex so that both
+    dtypes agree exactly."""
+    p = v.astype(complex) ** power
+    return p.real if dtype is float else p
 
 
 def _degree_runs(k0: int, sizes: np.ndarray, lower) -> np.ndarray:
@@ -469,12 +496,14 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
 
     Radial configurations (n = 1, or all factors free of monomial parts)
     produce one value per degree with the full degree multiplicity attached
-    (1 at n = 1), in blocks of `_BLOCK` degrees, each block's tables taken at
-    its degrees.  Otherwise one value per multi-index is computed, degree by
-    degree (alpha_1 ascending at n = 2, `core.compositions` order at higher
-    n), in blocks that are runs of whole degrees (`_degree_runs`); each
-    block's tables are taken once per degree and coordinate value, and its
-    values gathered from them.  Configurations with only real coefficients
+    (1 at n = 1), chain by chain, each over blocks of `_DEGREES` degrees (at
+    most `_BLOCK`) whose tables are taken at its degrees; a moment row is
+    held only from the first chain that reads it to the last.  Otherwise
+    one value per multi-index is computed, degree by degree (alpha_1
+    ascending at n = 2, `core.compositions` order at higher n), in blocks
+    that are runs of whole degrees (`_degree_runs`); each block's tables
+    are taken once per degree and coordinate value, and its values gathered
+    from them.  Configurations with only real coefficients
     are evaluated in float64.  More than _MAX_VALUES values are refused
     before anything is allocated.
     """
@@ -491,33 +520,47 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
             f"materialize {count} values at cutoff {K_degree}, over the cap "
             f"of {_MAX_VALUES}")
 
-    # normalized moment rows for every radial exponent that can occur
+    # normalized moment rows, one per radial exponent, long enough for the
+    # deepest chain; each chain's exponents in order of first use
     buffer_deg = max(
         (sum(max(degree(p) for (p, q, _t) in S.terms) for S in ch.factors)
          for ch in config.chains), default=0)
-    rows = {}
-    for ch in config.chains:
-        for S in ch.factors:
-            for (_p, _q, t) in S.terms:
-                if t not in rows:
-                    rows[t] = scaled_moment_row(
-                        t, gamma, K_degree + buffer_deg + n + 1)
+    length = K_degree + buffer_deg + n + 1
+    exponents = [dict.fromkeys(t for S in ch.factors for (_p, _q, t) in S.terms)
+                 for ch in config.chains]
 
     dtype = float if _is_real(config) else complex
     if radial:
         # the eigenvalue depends on |alpha| only: one representative per
-        # degree, (k, 0, ..., 0)
-        vals = np.empty(K_degree + 1, dtype=dtype)
-        for lo in range(0, K_degree + 1, _BLOCK):
-            hi = min(lo + _BLOCK, K_degree + 1)
-            comps = np.zeros((n, hi - lo), dtype=np.int64)
-            comps[0] = np.arange(lo, hi)
-            vals[lo:hi] = _config_values(config, per_chain, comps, gamma, rows,
-                                         dtype)
+        # degree, (k, 0, ..., 0).  Chain by chain, each over every block and
+        # added to +0.0 as `_config_values` adds it, so that a moment row is
+        # built for the first chain that reads it and dropped after the last
+        vals = np.zeros(K_degree + 1, dtype=dtype)
+        step = min(_DEGREES, _BLOCK)
+        blocks = [(lo, min(lo + step, K_degree + 1))
+                  for lo in range(0, K_degree + 1, step)]
+        rows = {}
+        for i, (ch, shifts) in enumerate(zip(config.chains, per_chain)):
+            for t in exponents[i]:
+                if t not in rows:
+                    rows[t] = scaled_moment_row(t, gamma, length)
+            for lo, hi in blocks:
+                comps = np.zeros((n, hi - lo), dtype=np.int64)
+                comps[0] = np.arange(lo, hi)
+                vals[lo:hi] += _chain_values(
+                    ch, shifts, hi - lo, comps[0], None,
+                    [(a, slice(None)) for a in comps], gamma, rows, dtype)
+            later = set().union(*exponents[i + 1:])
+            rows = {t: row for t, row in rows.items() if t in later}
+        if config.power != 1:
+            for lo, hi in blocks:
+                vals[lo:hi] = _raised(vals[lo:hi], config.power, dtype)
         starts = range(K_degree + 2)
         mults = (degree_multiplicity(n, np.arange(K_degree + 1)) if n > 1
                  else None)
     else:
+        rows = {t: scaled_moment_row(t, gamma, length)
+                for t in dict.fromkeys(chain.from_iterable(exponents))}
         sizes = degree_multiplicity(n, np.arange(K_degree + 1))
         starts = np.concatenate(([0], np.cumsum(sizes)))
         lower = None  # the enumeration of length n - 1, for n >= 3
@@ -547,9 +590,8 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     the values of `_diagonal_values`, with their multiplicities, in the
     stable order of decreasing modulus.
 
-    The values are held once.  When every multiplicity is 1 and no value has
-    its sign bit set, they are sorted in place (`_sorted_by_modulus`),
-    otherwise gathered in `_modulus_order`; unit multiplicities are a
+    The values are held once.  When every multiplicity is 1 they are sorted
+    in place (`_sorted_by_modulus`), otherwise gathered in `_modulus_order`; unit multiplicities are a
     stride-0 view, not an array.  certified_rank marks how far the sorted
     values are guaranteed to be the operator's true leading s-numbers: the
     prefix of moduli above the tail bound, found by bisection.
@@ -577,7 +619,8 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
         values = vals[order]
         mults = degree_mults[order]
     signed = bool(values.min() < 0)
-    certified = int(mults[:_leading_count(values, tail_bound * (1 + 1e-12))].sum())
+    lead = _leading_count(values, tail_bound * (1 + 1e-12))
+    certified = lead if degree_mults is None else int(mults[:lead].sum())
     return SNumberSequence(values, mults,
                            f"exact-diagonal(K_degree={K_degree})",
                            signed=signed, certified_rank=certified)

@@ -117,7 +117,8 @@ def compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
     length = dmax + 1 + max(ups, 0)
     a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
     b0 = gamma * _base_moment(2.0 * sigma0, gamma)
-    A, B = _kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, length - 1)
+    A, B = (_kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, length - 1, upper)
+            for upper in (True, False))
     if abs(s - sigma0) < 1e-12:
         return B[: dmax + 1]
     if ups >= 0:

@@ -140,7 +140,8 @@ def test_pair_rows_matches_high_precision_oracle():
     gamma = 1.7
     a0 = normalized_oracle(0, 1.0, gamma)
     b0 = normalized_oracle(0, -1.0, gamma)
-    A, B = _kernels.pair_rows(0.5, a0, b0, gamma, 1500)
+    A, B = (_kernels.pair_rows(0.5, a0, b0, gamma, 1500, upper)
+            for upper in (True, False))
     for d in [0, 3, 33, 400, 1500]:
         assert abs(B[d] - normalized_oracle(d, -1.0, gamma)) <= 5e-12 * abs(
             normalized_oracle(d, -1.0, gamma))
@@ -154,7 +155,7 @@ def test_raise_row_consistency():
     gamma = 1.0
     a0 = normalized_oracle(0, 1.0, gamma)
     b0 = normalized_oracle(0, -1.0, gamma)
-    A, B = _kernels.pair_rows(0.5, a0, b0, gamma, 300)
+    A = _kernels.pair_rows(0.5, a0, b0, gamma, 300, True)
     raised = _kernels.raise_row(A, gamma)  # should be m_{3/2}
     for d in [0, 5, 100, 299]:
         ref = normalized_oracle(d, 3.0, gamma)
@@ -198,15 +199,15 @@ def test_ladder_row_matches_serial(gamma):
 
 
 def test_pair_rows_bit_identical_to_serial(monkeypatch):
-    # the rows are filled chunk by chunk: dmax below, on and across the
+    # either row is filled chunk by chunk: dmax below, on and across the
     # chunk edges gives the serial loop's bits
-    for chunk in (1, 7, 1000, _kernels._CHUNK):
-        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-        for dmax in (0, 1, 6, 7, 8, 999, 1000, 1001, 4000):
-            got = _kernels.pair_rows(0.5, 1.2, 0.7, 1.1, dmax)
+    for chunk in (1, 7, 1000, _kernels._SERIAL_CHUNK, _kernels._CHUNK):
+        monkeypatch.setattr(_kernels, "_SERIAL_CHUNK", chunk)
+        for dmax in (0, 1, 6, 7, 8, 999, 1000, 1001, 4000, 4096, 4097, 9000):
             ref = serial_pair_rows(0.5, 1.2, 0.7, 1.1, dmax)
-            assert got[0].tobytes() == ref[0].tobytes()
-            assert got[1].tobytes() == ref[1].tobytes()
+            for upper, row in zip((True, False), ref):
+                got = _kernels.pair_rows(0.5, 1.2, 0.7, 1.1, dmax, upper)
+                assert got.tobytes() == row.tobytes()
 
 
 def restarted_ladder_row(prev, out0, gamma):
@@ -439,3 +440,37 @@ def test_partial_sums_at_scratch_is_a_few_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * _kernels._CHUNK * values.itemsize, peak
+
+
+def test_ladder_row_scratch_is_one_table_a_chunk():
+    # at 2^18 degrees ladder_row allocates its output and a table of
+    # _CHUNK + 11 floats a chunk (two while one replaces the other): the
+    # passes run in place, so a chunk-length temporary per pass, or a second
+    # row, would break the bound
+    prev = np.ones((1 << 18) + 5)
+    tracemalloc.start()
+    try:
+        out = _kernels.ladder_row(prev, 0.59634736, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = (_kernels._CHUNK + _kernels._LADDER_TERMS) * out.itemsize
+    assert peak <= out.nbytes + 2 * table + 65536, (peak - out.nbytes) / table
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_pair_rows_scratch_is_one_chunk(upper):
+    # at 2^18 degrees pair_rows allocates the row asked for and, a chunk of
+    # _SERIAL_CHUNK degrees at a time, the loop's gamma/d array and two lists
+    # of Python floats (8 + 2 * 32 bytes a degree), and for A a chunk of
+    # products (8 bytes): 80 bytes a degree of the chunk.  The other row, or
+    # lists as long as _CHUNK, would break the bound
+    tracemalloc.start()
+    try:
+        row = _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, 1 << 18, upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == ((1 << 18) + 1,)
+    assert peak <= row.nbytes + 80 * _kernels._SERIAL_CHUNK + 65536, \
+        (peak - row.nbytes) / _kernels._SERIAL_CHUNK

@@ -3,6 +3,7 @@ path against the dense route, sequence bookkeeping."""
 
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -677,6 +678,87 @@ def test_n1_spectrum_keeps_no_moment_row():
     assert current <= seq.values.nbytes + 65536, current / seq.values.nbytes
 
 
+def test_n1_spectrum_at_default_sizes_holds_values_and_one_row():
+    # the default hankel-trace configuration at K = 2^16 with the module's
+    # own block and chunk sizes: diagonal_spectrum then extrapolate peak at
+    # the values and one moment row, plus block and chunk scratch of at
+    # most 1 MiB whatever K is.  Blocks of 2^16 degrees, a second live row
+    # or lists of Python floats as long as _CHUNK would break the bound
+    f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
+    ctx = FockContext(1, 1.0)
+    diagonal_spectrum(ctx, hankel_config(f, f), 20)  # the base moments
+    tracemalloc.start()
+    try:
+        seq = diagonal_spectrum(ctx, hankel_config(f, f), 1 << 16)
+        extrapolate(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * seq.values.nbytes + (1 << 20), peak / seq.values.nbytes
+
+
+def test_radial_rows_are_dropped_after_their_last_chain(monkeypatch):
+    # hankel: the first chain reads only m_(-1) (t = -2), the second only
+    # m_(-1/2) (t = -1), so the first row is gone before the second is
+    # built; a row two chains read lives until the second of them is done
+    build = spectral.scaled_moment_row
+    built = {}
+
+    def recording(t, gamma, dmax):
+        alive = sorted(u for u, ref in built.items() if ref() is not None)
+        row = build(t, gamma, dmax)
+        built[t] = weakref.ref(row)
+        calls.append((t, alive))
+        return row
+
+    monkeypatch.setattr(spectral, "scaled_moment_row", recording)
+    z = RadialSymbol.coordinate(1, 1)
+    u = RadialSymbol.radial_power(1, -1.0)
+    ctx = FockContext(1, 0.7)
+    calls = []
+    ref = diagonal_spectrum(ctx, hankel_config(z * u, z * u), 300)
+    assert calls == [(-2.0, []), (-1.0, [])]
+    # t = -2 in the first and third chain: kept through the second
+    config = spectral.DiagonalConfig(1, [
+        spectral.DiagonalChain(1.0, [z.conj() * z * u * u]),
+        spectral.DiagonalChain(-1.0, [z.conj() * u, z * u]),
+        spectral.DiagonalChain(0.5, [u * u])])
+    calls = []
+    diagonal_spectrum(ctx, config, 300)
+    assert calls == [(-2.0, []), (-1.0, [-2.0])]
+    monkeypatch.undo()
+    assert ref.values.tobytes() == diagonal_spectrum(
+        ctx, hankel_config(z * u, z * u), 300).values.tobytes()
+
+
+def _complex_radial_configs():
+    z = RadialSymbol.coordinate(1, 1)
+    u = RadialSymbol.radial_power(1, -1.0)
+    return {
+        "hankel": hankel_config(1j * z * u, 1j * z * u),
+        "commutator": commutator_config(1j * z * u, 1j * z.conj() * u),
+        "hankel-power-3": hankel_config(1j * z * u, 1j * z * u) ** 3,
+    }
+
+
+@pytest.mark.parametrize("degrees", [spectral._DEGREES, 1000])
+@pytest.mark.parametrize("kind", list(_complex_radial_configs()))
+def test_complex_radial_values_at_any_block_size(monkeypatch, degrees, kind):
+    # complex products round by where a value falls in its array (numpy's
+    # vector loop against its remainder loop), so the radial blocks' size is
+    # part of the arithmetic: blocks of _DEGREES and of 1000 degrees give the
+    # bytes of the 2^16-degree blocks the radial path used before
+    config = _complex_radial_configs()[kind]
+    assert not spectral._is_real(config)
+    ctx = FockContext(1, 0.7)
+    K = 3 * (1 << 13) + 5
+    monkeypatch.setattr(spectral, "_DEGREES", 1 << 16)
+    ref = spectral._diagonal_values(ctx, config, K)[0]
+    monkeypatch.setattr(spectral, "_DEGREES", degrees)
+    got = spectral._diagonal_values(ctx, config, K)[0]
+    assert got.dtype == complex and got.tobytes() == ref.tobytes()
+
+
 def test_from_values_leaves_its_input_alone():
     a = np.array([1.0, 3.0, 2.0])
     seq = SNumberSequence.from_values(a, "x")
@@ -768,25 +850,23 @@ def test_merge_of_unit_sequences_keeps_stride_0_multiplicities(a, b, data):
 @given(tie_heavy_values())
 def test_sorted_by_modulus_sorts_unsigned_values_directly(a):
     # with unit multiplicities the sorted values are the stable modulus order
-    # gathered, bit for bit; values with a sign bit (-0.0 included) go
-    # through _modulus_order, values without one never do
-    for v in (a, np.abs(a)):
+    # gathered, bit for bit; values whose sign bits differ (-0.0 counts as
+    # signed) take an argsort for their signs, values of one sign never do
+    for v in (a, np.abs(a), -np.abs(a)):
         stable = v[np.argsort(-np.abs(v), kind="stable")]
-        signed = bool(np.signbit(v).any())
-        with mock.patch.object(spectral, "_modulus_order",
-                               wraps=spectral._modulus_order) as order:
+        mixed = len(set(np.signbit(v).tolist())) == 2
+        with mock.patch.object(spectral.np, "argsort", wraps=np.argsort) as order:
             got = spectral._sorted_by_modulus(v)
-        assert order.called == signed
+        assert order.called == mixed
         np.testing.assert_array_equal(got.view(np.uint64), stable.view(np.uint64))
 
 
 def test_sorted_by_modulus_sends_signed_zeros_and_negatives_to_modulus_order():
     for v in (np.array([1.0, -0.0, 0.0, 2.0]), np.array([1.0, -2.0, 2.0, -1.0])):
-        with mock.patch.object(spectral, "_modulus_order",
-                               wraps=spectral._modulus_order) as order:
+        stable = v[np.argsort(-np.abs(v), kind="stable")]
+        with mock.patch.object(spectral.np, "argsort", wraps=np.argsort) as order:
             got = spectral._sorted_by_modulus(v)
         order.assert_called_once()
-        stable = v[np.argsort(-np.abs(v), kind="stable")]
         assert got.tobytes() == stable.tobytes()
     # the order of +0.0 and -0.0 is the index order, which a sort of the
     # values themselves would not keep
