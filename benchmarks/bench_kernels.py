@@ -15,7 +15,7 @@ three-term n = 1 symbol at D = 2048; their length is the symbol's term count.
 Each case runs once to warm up (the d = 0 base moments are kept) and then
 REPEATS times; the median and the quartiles of those times are recorded,
 since on a shared machine a best-of-few reads differently run to run.
-The moment-row kernels and the n = 1 assembly also record `peak_bytes`,
+The moment-row kernels and the three assemblies also record `peak_bytes`,
 the tracemalloc peak of one more, untimed call: the bytes it allocates,
 its result included.
 The run is one point, named by --label, of BENCH_kernels.json at the
@@ -132,9 +132,9 @@ def main():
          lambda: _kernels.partial_sums_at(values, degree_mults, degree_ranks),
          False),
         ("_diagonal_values[toeplitz-trace]", count,
-         lambda: spectral._diagonal_values(ctx, toeplitz, K), False),
+         lambda: spectral._diagonal_values(ctx, toeplitz, K), True),
         ("_diagonal_values[hankel-toeplitz]", count,
-         lambda: spectral._diagonal_values(ctx, mixed, K), False),
+         lambda: spectral._diagonal_values(ctx, mixed, K), True),
         ("_diagonal_values[hankel-trace n=1]", L,
          lambda: spectral._diagonal_values(ctx1, hankel, L - 1), True),
         ("toeplitz_matrix[weyl n=2 D=8]", len(weyl.terms),

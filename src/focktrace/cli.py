@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (SpherePolynomial, enumerate_basis, sphere_integral,
                    sphere_norm_sq)
-from .dixmier import DEFAULT_RANK_GRID_1D, extrapolate, pointwise
+from .dixmier import DEFAULT_RANK_GRID_1D, _line_fit, extrapolate, pointwise
 from .fock_matrices import (FockContext, berezin, buffered_product,
                             toeplitz_matrix, weyl_matrix)
 from .sphere_calculus import (boundary_pairing, boundary_pairing_limit,
@@ -167,15 +167,10 @@ def _trace_check(ctx, config, target, options, check_name, csv_label,
 
 def loglog_slope(xs, ys):
     """Least-squares slope of log|y| against log x."""
-    xs = np.asarray(xs, dtype=float)
     ys = np.abs(np.asarray(ys, dtype=float))
     if np.any(ys == 0):
         raise ValueError("zero values have no log-log slope")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    A = np.vstack([np.ones_like(lx), lx]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    return float(coef[1])
+    return _line_fit(np.log(xs), np.log(ys))[1]
 
 
 def _leading(sym: RadialSymbol, order=None):

@@ -79,21 +79,27 @@ def default_rank_grid(seq: SNumberSequence):
     return [2**e for e in range(lo, hi + 1)]
 
 
+def _line_fit(x, y):
+    """(intercept, slope) of the least-squares line y = intercept + slope * x,
+    in closed form about the means; an x with no spread is a ValueError."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.min() == x.max():
+        raise ValueError("x has no spread: it determines no line")
+    mx, my = x.mean(), y.mean()
+    dx = x - mx
+    slope = float(dx @ (y - my) / (dx @ dx))
+    return float(my - slope * mx), slope
+
+
 def fit_inverse_log(Ks, values):
     """Least-squares fit values[i] = c + b / log(Ks[i] + 2).
 
     Returns (c, b, rms_residual).
     """
-    Ks = np.asarray(Ks, dtype=float)
+    x = 1.0 / np.log(np.asarray(Ks, dtype=float) + 2.0)
     y = np.asarray(values, dtype=float)
-    if Ks.size < 2:
-        raise ValueError("need at least two grid points")
-    x = 1.0 / np.log(Ks + 2.0)
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return float(coef[0]), float(coef[1]), rms
+    c, b = _line_fit(x, y)
+    return c, b, float(np.sqrt(np.mean((y - (c + b * x)) ** 2)))
 
 
 def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:

@@ -9,7 +9,9 @@ evaluated for every degree up to a cap, with multiplicities attached.  Each
 factor term is a moment-row entry at the degree of alpha times a rising
 factorial in its coordinates, so it is tabulated once per degree and once
 per coordinate value, over blocks of whole degrees, and every eigenvalue is
-formed from gathers of those tables.
+formed from gathers of those tables.  One walk over (chain, block) pairs
+adds up the chains: chain-major for radial configurations, whose moment
+rows outweigh a block, and block-major otherwise.
 """
 
 from __future__ import annotations
@@ -94,9 +96,28 @@ def _leading_count(values: np.ndarray, bound: float, inclusive=False) -> int:
     return find(values, -bound, key=lambda x: -abs(x))
 
 
-def _unit_mults(size: int) -> np.ndarray:
-    """size multiplicities of 1: a read-only view with stride 0."""
-    return np.broadcast_to(np.int64(1), (size,))
+def _sorted_runs(values: np.ndarray, mults):
+    """values, a buffer the caller owns, and their multiplicities (None for
+    all 1) in the stable order of decreasing modulus: sorted in place
+    (`_sorted_by_modulus`) with a stride-0 view of 1 for multiplicities, or
+    gathered with their multiplicities in `_modulus_order`."""
+    if mults is None:
+        values = _sorted_by_modulus(values)
+        return values, np.broadcast_to(np.int64(1), values.shape)
+    order = _modulus_order(values)
+    return values[order], mults[order]
+
+
+def _runs_of(mults: np.ndarray, ranks):
+    """The run that holds each rank: the rank itself when every run is one."""
+    if _kernels.is_unit(mults):
+        return ranks
+    return np.searchsorted(np.cumsum(mults), ranks, side="right")
+
+
+def _ranks_in(mults: np.ndarray, lead: int) -> int:
+    """The number of ranks that the first lead runs hold."""
+    return lead if _kernels.is_unit(mults) else int(mults[:lead].sum())
 
 
 @dataclass
@@ -144,15 +165,13 @@ class SNumberSequence:
 
     @classmethod
     def from_values(cls, values, provenance, signed=False, certified_rank=None):
-        v = _sorted_by_modulus(np.array(values, dtype=float))
-        return cls(v, _unit_mults(v.shape[0]), provenance,
-                   signed=signed, certified_rank=certified_rank)
+        v, m = _sorted_runs(np.array(values, dtype=float), None)
+        return cls(v, m, provenance, signed=signed,
+                   certified_rank=certified_rank)
 
     @property
     def total(self) -> int:
-        if _kernels.is_unit(self.mults):
-            return self.values.size
-        return int(self.mults.sum())
+        return _ranks_in(self.mults, self.values.size)
 
     def partial_sums(self, ranks) -> np.ndarray:
         """The exact sum of the first K+1 values, rounded once to the
@@ -179,21 +198,15 @@ class SNumberSequence:
             out *= self.values[lo:hi + 1]
             return out
         j = np.arange(lo, hi + 1, dtype=np.int64)
-        runs = np.searchsorted(np.cumsum(self.mults), j, side="right")
-        return (j + 1.0) * self.values[runs]
+        return (j + 1.0) * self.values[_runs_of(self.mults, j)]
 
     def merge(self, other: "SNumberSequence") -> "SNumberSequence":
         """Spectrum of the direct sum: sorted union with multiplicities.
         Unit multiplicities on both sides stay a stride-0 view."""
-        v = np.concatenate([self.values, other.values])
         unit = _kernels.is_unit(self.mults) and _kernels.is_unit(other.mults)
-        if unit:
-            v = _sorted_by_modulus(v)
-            m = _unit_mults(v.size)
-        else:
-            m = np.concatenate([self.mults, other.mults])
-            order = _modulus_order(v)
-            v, m = v[order], m[order]
+        v, m = _sorted_runs(
+            np.concatenate([self.values, other.values]),
+            None if unit else np.concatenate([self.mults, other.mults]))
         ranks = (self.certified_rank, other.certified_rank)
         if None in ranks:
             cert = None
@@ -202,16 +215,9 @@ class SNumberSequence:
         else:
             # a dropped eigenvalue of either part is smaller in modulus than
             # that part's last certified value, so all of them are below T
-            T = 0.0
-            for x in (self, other):
-                rank = x.certified_rank - 1
-                if _kernels.is_unit(x.mults):  # rank j is run j
-                    run = rank
-                else:
-                    run = np.searchsorted(np.cumsum(x.mults), rank, side="right")
-                T = max(T, abs(float(x.values[run])))
-            lead = _leading_count(v, T, inclusive=True)
-            cert = lead if unit else int(m[:lead].sum())
+            T = max(abs(float(x.values[_runs_of(x.mults, x.certified_rank - 1)]))
+                    for x in (self, other))
+            cert = _ranks_in(m, _leading_count(v, T, inclusive=True))
         return SNumberSequence(v, m,
                                f"merge({self.provenance},{other.provenance})",
                                signed=self.signed or other.signed,
@@ -357,9 +363,9 @@ def _rising(a: np.ndarray, p: int, q: int, v: int) -> np.ndarray:
 def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
                   sizes, coords: list, gamma: float, rows: dict,
                   dtype) -> np.ndarray:
-    """Eigenvalue contribution of one chain at m multi-indices, described as
-    in `_config_values`: degs are the distinct degrees, repeated sizes times
-    (once each when sizes is None), and coords[i] = (a, index) holds the
+    """Eigenvalue contribution of one chain at m multi-indices, the columns
+    of a block: degs are their distinct degrees, repeated sizes times (once
+    each when sizes is None), and coords[i] = (a, index) holds the
     distinct values a of coordinate i and the position of each column's
     value in a.  dtype float drops the (zero) imaginary parts of every
     coefficient: a complex product of operands with zero imaginary part has
@@ -374,7 +380,7 @@ def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
     term carries one coordinate.  Every column then sees the operations of
     the per-column product in its order, except multiplications by an exact 1
     and additions to an initial 0, which are skipped: that can change only
-    the sign of a zero, and `_config_values` adds each chain to +0.0.  A
+    the sign of a zero, and `_diagonal_values` adds each chain to +0.0.  A
     ratio over several coordinates is the product of their parts, the same
     float while the product of integers stays below 2^53.  Tables of indices
     outside the cone are taken at 0, and those columns are set to 0 at the
@@ -433,36 +439,6 @@ def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
     return out
 
 
-def _config_values(config: DiagonalConfig, per_chain, comps: np.ndarray,
-                   gamma: float, rows: dict, dtype, sizes=None) -> np.ndarray:
-    """Eigenvalues of config at the columns of comps, an (n, m) array of
-    multi-indices.  With sizes None, every table is taken at the columns
-    themselves.  Otherwise the columns are runs of whole consecutive
-    degrees, sizes[d] of them of degree k0 + d, where k0 is the degree of
-    the first column: the degree tables are taken over the run's degrees and
-    repeated, and the coordinate tables over 0, ..., the run's last degree
-    and gathered."""
-    n, m = comps.shape
-    if sizes is None:
-        degs = comps.sum(axis=0)
-        coords = [(a, slice(None)) for a in comps]
-    else:
-        end = int(comps[:, 0].sum()) + len(sizes)
-        degs = np.arange(end - len(sizes), end)
-        coords = [(np.arange(end), a) for a in comps]
-    # _chain_values skips multiplications by an exact 1 and additions to an
-    # initial 0, which can leave -0.0 where the full products give +0.0.
-    # Adding every chain to +0.0 turns both into +0.0: its bit-identity
-    # depends on this start.
-    v = np.zeros(m, dtype=dtype)
-    for ch, shifts in zip(config.chains, per_chain):
-        v += _chain_values(ch, shifts, m, degs, sizes, coords, gamma, rows,
-                           dtype)
-    if config.power != 1:
-        v = _raised(v, config.power, dtype)
-    return v
-
-
 def _raised(v: np.ndarray, power: int, dtype) -> np.ndarray:
     """v ** power in dtype.  A complex integer power is a chain of products,
     a float one a single rounded pow: v is raised in complex so that both
@@ -495,17 +471,21 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     value; and the values' multiplicities, None when every one is 1.
 
     Radial configurations (n = 1, or all factors free of monomial parts)
-    produce one value per degree with the full degree multiplicity attached
-    (1 at n = 1), chain by chain, each over blocks of `_DEGREES` degrees (at
-    most `_BLOCK`) whose tables are taken at its degrees; a moment row is
-    held only from the first chain that reads it to the last.  Otherwise
-    one value per multi-index is computed, degree by degree (alpha_1
-    ascending at n = 2, `core.compositions` order at higher n), in blocks
-    that are runs of whole degrees (`_degree_runs`); each block's tables
-    are taken once per degree and coordinate value, and its values gathered
-    from them.  Configurations with only real coefficients
-    are evaluated in float64.  More than _MAX_VALUES values are refused
-    before anything is allocated.
+    give one value per degree, with the full degree multiplicity attached
+    (1 at n = 1); the others one value per multi-index, degree by degree
+    (alpha_1 ascending at n = 2, `core.compositions` order at higher n).
+    Blocks of whole degrees, of at most min(`_DEGREES`, `_BLOCK`) values
+    when radial and `_BLOCK` otherwise (or one degree), take their tables
+    once per degree and coordinate value.  One walk over (chain, block)
+    pairs adds each chain to its block, which starts at +0.0 and is raised
+    to the power after the last chain; a moment row is built at the first
+    pair that reads it and dropped after the last.  The walk is chain-major
+    when radial, where a row (K_degree + 4 floats) outweighs a block, so
+    that only the rows of one chain and those later chains share are held;
+    block-major otherwise, where rows are short and a block's columns and
+    values serve every chain while in cache.  Configurations with only real
+    coefficients are evaluated in float64.  More than _MAX_VALUES values
+    are refused before anything is allocated.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
@@ -530,57 +510,63 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
                  for ch in config.chains]
 
     dtype = float if _is_real(config) else complex
+    # the number of multi-indices of each degree (n = 1 is radial)
+    sizes = degree_multiplicity(n, np.arange(K_degree + 1)) if n > 1 else None
     if radial:
         # the eigenvalue depends on |alpha| only: one representative per
-        # degree, (k, 0, ..., 0).  Chain by chain, each over every block and
-        # added to +0.0 as `_config_values` adds it, so that a moment row is
-        # built for the first chain that reads it and dropped after the last
-        vals = np.zeros(K_degree + 1, dtype=dtype)
-        step = min(_DEGREES, _BLOCK)
-        blocks = [(lo, min(lo + step, K_degree + 1))
-                  for lo in range(0, K_degree + 1, step)]
-        rows = {}
-        for i, (ch, shifts) in enumerate(zip(config.chains, per_chain)):
-            for t in exponents[i]:
-                if t not in rows:
-                    rows[t] = scaled_moment_row(t, gamma, length)
-            for lo, hi in blocks:
-                comps = np.zeros((n, hi - lo), dtype=np.int64)
-                comps[0] = np.arange(lo, hi)
-                vals[lo:hi] += _chain_values(
-                    ch, shifts, hi - lo, comps[0], None,
-                    [(a, slice(None)) for a in comps], gamma, rows, dtype)
-            later = set().union(*exponents[i + 1:])
-            rows = {t: row for t, row in rows.items() if t in later}
-        if config.power != 1:
-            for lo, hi in blocks:
-                vals[lo:hi] = _raised(vals[lo:hi], config.power, dtype)
-        starts = range(K_degree + 2)
-        mults = (degree_multiplicity(n, np.arange(K_degree + 1)) if n > 1
-                 else None)
+        # degree, (k, 0, ..., 0), which carries the degree's multiplicity
+        starts, mults = range(K_degree + 2), sizes
+
+        def columns(k, end):
+            comps = np.zeros((n, end - k), dtype=np.int64)
+            comps[0] = np.arange(k, end)
+            return comps[0], None, [(a, slice(None)) for a in comps]
     else:
-        rows = {t: scaled_moment_row(t, gamma, length)
-                for t in dict.fromkeys(chain.from_iterable(exponents))}
-        sizes = degree_multiplicity(n, np.arange(K_degree + 1))
-        starts = np.concatenate(([0], np.cumsum(sizes)))
+        starts, mults = np.concatenate(([0], np.cumsum(sizes))), None
         lower = None  # the enumeration of length n - 1, for n >= 3
-        for length in range(2, n):
+        for d in range(2, n):
             lower = _degree_runs(
-                0, degree_multiplicity(length, np.arange(K_degree + 1)), lower)
-        vals = np.empty(count, dtype=dtype)
-        k = 0
-        while k <= K_degree:
-            # the longest run of whole degrees from k that holds at most
-            # _BLOCK values, or degree k alone
-            end = max(k + 1, int(np.searchsorted(
-                starts, starts[k] + _BLOCK, side="right")) - 1)
+                0, degree_multiplicity(d, np.arange(K_degree + 1)), lower)
+
+        def columns(k, end):
             comps = _degree_runs(k, sizes[k:end], lower)
             if n == 2:  # alpha_1 ascending: the reverse of compositions order
                 comps = comps[::-1]
-            vals[starts[k]:starts[end]] = _config_values(
-                config, per_chain, comps, gamma, rows, dtype, sizes[k:end])
-            k = end
-        mults = None
+            return (np.arange(k, end), sizes[k:end],
+                    [(np.arange(end), a) for a in comps])
+
+    # blocks: from each degree k, the longest run of whole degrees that holds
+    # at most cap values, or degree k alone
+    cap = min(_DEGREES, _BLOCK) if radial else _BLOCK
+    blocks, k = [], 0
+    while k <= K_degree:
+        end = max(k + 1, bisect.bisect_right(starts, starts[k] + cap) - 1)
+        blocks.append((k, end))
+        k = end
+    nc = len(config.chains)
+    pairs = ([(i, b) for i in range(nc) for b in blocks] if radial
+             else [(i, b) for b in blocks for i in range(nc)])
+    last = {t: j for j, (i, _b) in enumerate(pairs) for t in exponents[i]}
+    # _chain_values skips multiplications by an exact 1 and additions to an
+    # initial 0, which can leave -0.0 where the full products give +0.0.
+    # Adding every chain to +0.0 turns both into +0.0: its bit-identity
+    # depends on this start.
+    vals = np.zeros(count, dtype=dtype)
+    rows, block = {}, None
+    for j, (i, (k, end)) in enumerate(pairs):
+        for t in exponents[i]:
+            if t not in rows:
+                rows[t] = scaled_moment_row(t, gamma, length)
+        if block != (k, end):
+            block, cols = (k, end), columns(k, end)
+        lo, hi = starts[k], starts[end]
+        vals[lo:hi] += _chain_values(config.chains[i], per_chain[i], hi - lo,
+                                     *cols, gamma, rows, dtype)
+        if i == nc - 1 and config.power != 1:
+            vals[lo:hi] = _raised(vals[lo:hi], config.power, dtype)
+        for t in exponents[i]:
+            if last[t] == j:
+                del rows[t]
     return vals, starts, mults
 
 
@@ -590,11 +576,12 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     the values of `_diagonal_values`, with their multiplicities, in the
     stable order of decreasing modulus.
 
-    The values are held once.  When every multiplicity is 1 they are sorted
-    in place (`_sorted_by_modulus`), otherwise gathered in `_modulus_order`; unit multiplicities are a
-    stride-0 view, not an array.  certified_rank marks how far the sorted
-    values are guaranteed to be the operator's true leading s-numbers: the
-    prefix of moduli above the tail bound, found by bisection.
+    The values are held once: `_sorted_runs` sorts them in place when every
+    multiplicity is 1, which is then a stride-0 view, not an array, and
+    gathers them with their multiplicities otherwise.  certified_rank marks
+    how far the sorted values are guaranteed to be the operator's true
+    leading s-numbers: the ranks of the prefix of moduli above the tail
+    bound, found by bisection.
     """
     vals, starts, degree_mults = _diagonal_values(ctx, config, K_degree)
     if vals.dtype == complex:
@@ -611,16 +598,9 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     # only those are copied
     vals = np.ascontiguousarray(vals.real)
 
-    if degree_mults is None:
-        values = _sorted_by_modulus(vals)
-        mults = _unit_mults(values.shape[0])
-    else:
-        order = _modulus_order(vals)
-        values = vals[order]
-        mults = degree_mults[order]
+    values, mults = _sorted_runs(vals, degree_mults)
     signed = bool(values.min() < 0)
-    lead = _leading_count(values, tail_bound * (1 + 1e-12))
-    certified = lead if degree_mults is None else int(mults[:lead].sum())
+    certified = _ranks_in(mults, _leading_count(values, tail_bound * (1 + 1e-12)))
     return SNumberSequence(values, mults,
                            f"exact-diagonal(K_degree={K_degree})",
                            signed=signed, certified_rank=certified)

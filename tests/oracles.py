@@ -6,12 +6,14 @@ by quadrature, independently of the recurrences behind
 `focktrace.fock_matrices.scaled_moment_row`, their d = 0 base moments by
 quadrature and by mpmath's generalized exponential integral, independently
 of the `decimal` evaluation in `focktrace.fock_matrices._base_moment`, the
-moment rows by their former three routes, the per-multi-index spectrum
-assembled one degree at a time, the spectrum finished with sorted copies,
-the term arithmetic of the symbol classes as plain-dict rules, and the
-symbol algebra and Toeplitz compression as they were computed term by
-term: `star` on that term arithmetic, `sphere_norm_sq` from the full
-product P * P.conj(), and `toeplitz_entries` looping over the basis.
+moment rows by their former three routes, least-squares lines by LAPACK,
+the values of a configuration evaluated as one unblocked block, the
+per-multi-index spectrum assembled one degree at a time, the spectrum
+finished with sorted copies, the term arithmetic of the symbol classes as
+plain-dict rules, and the symbol algebra and Toeplitz compression as they
+were computed term by term: `star` on that term arithmetic,
+`sphere_norm_sq` from the full product P * P.conj(), and
+`toeplitz_entries` looping over the basis.
 Dense truncations: the Hankel product matrix, and the Hermitian eigensolve
 and SVD (with their residual and adjoint-symmetry contracts) that the
 per-degree spectra are checked against.
@@ -164,6 +166,36 @@ def chain_values(ch, shifts, comps: np.ndarray, gamma: float, rows: dict,
         cur = np.where(alive, nxt, 0)
         deg_cur = cur.sum(axis=0)
     return out
+
+
+def unblocked_values(config, comps: np.ndarray, gamma: float, rows: dict,
+                     dtype) -> np.ndarray:
+    """The eigenvalues of config at the columns of comps, an (n, m) array of
+    multi-indices, as one block: one `spectral._chain_values` call per chain
+    with every table taken at the columns themselves, each added to +0.0,
+    then raised to the power.  This is how `spectral._config_values`
+    evaluated columns before the pair walk of `spectral._diagonal_values`
+    replaced it."""
+    n, m = comps.shape
+    degs = comps.sum(axis=0)
+    coords = [(a, slice(None)) for a in comps]
+    v = np.zeros(m, dtype=dtype)
+    for ch, shifts in zip(config.chains, spectral._validate(config)):
+        v += spectral._chain_values(ch, shifts, m, degs, None, coords, gamma,
+                                    rows, dtype)
+    if config.power != 1:
+        v = spectral._raised(v, config.power, dtype)
+    return v
+
+
+def line_by_lstsq(x, y):
+    """(intercept, slope) of the least-squares line through (x, y) by
+    `np.linalg.lstsq` on the design matrix [1, x], as `dixmier` fitted its
+    lines before the closed form."""
+    x = np.asarray(x, dtype=float)
+    A = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(A, np.asarray(y, dtype=float), rcond=None)
+    return float(coef[0]), float(coef[1])
 
 
 def per_degree_spectrum(ctx, config, K_degree: int):

@@ -1,13 +1,16 @@
 """Trace estimators on sequences with known limits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from focktrace.dixmier import (DEFAULT_RANK_GRID_1D, extrapolate,
+from focktrace.cli import loglog_slope
+from focktrace.dixmier import (DEFAULT_RANK_GRID_1D, _line_fit, extrapolate,
                                fit_inverse_log, log_mean, pointwise)
 from focktrace.spectral import SNumberSequence
+from oracles import line_by_lstsq
 
 
 def harmonic_sequence(K):
@@ -115,6 +118,73 @@ def test_extrapolate_one_walk_matches_per_rank_log_means():
     for bad in ([1, 100, 1000], [100, 1000, seq.total]):
         with pytest.raises(ValueError):
             extrapolate(seq, bad)
+
+
+def _line_cases():
+    rng = np.random.default_rng(5)
+    for trial in range(120):
+        n = int(rng.integers(2, 12))
+        if trial % 3 == 0:
+            x, y = rng.uniform(-3, 3, n), rng.normal(size=n)
+        elif trial % 3 == 1:  # narrowly spread about a far centre
+            x = 1.0 + rng.uniform(0, 1e-6, n)
+            y = 0.25 + 3.0 * x + rng.normal(scale=1e-9, size=n)
+        else:  # extrapolate's own abscissae, 1/log(K+2) on a dyadic grid
+            x = 1.0 / np.log(2.0 ** np.arange(int(rng.integers(4, 12)), 21) + 2.0)
+            y = 0.25 + 0.3 * x + rng.normal(scale=1e-6, size=x.size)
+        yield x, y
+
+
+def test_line_fit_is_the_exact_least_squares_line_to_a_few_ulps():
+    # against the normal equations of the same floats in exact rationals;
+    # the slope's error is measured on the scale sum|dx||y| / sum dx^2 of
+    # the rounding in y - mean(y), the intercept's on |a| + |b * mean(x)|
+    eps = 2.0 ** -52
+    for x, y in _line_cases():
+        n = x.size
+        X, Y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        mx, my = sum(X) / n, sum(Y) / n
+        sxx = sum((u - mx) ** 2 for u in X)
+        b = sum((u - mx) * (v - my) for u, v in zip(X, Y)) / sxx
+        a = my - b * mx
+        got_a, got_b = _line_fit(x, y)
+        scale_b = sum(abs(u - mx) * abs(v) for u, v in zip(X, Y)) / sxx
+        assert abs(Fraction(got_b) - b) <= 4 * n * eps * scale_b
+        assert abs(Fraction(got_a) - a) <= 4 * n * eps * (abs(a) + abs(b * mx))
+
+
+def test_line_fit_agrees_with_lstsq():
+    # the two lines agree where the data fix them: the slope on the scale of
+    # the test above, the fitted values at the data to rounding
+    for x, y in _line_cases():
+        a, b = _line_fit(x, y)
+        ref_a, ref_b = line_by_lstsq(x, y)
+        dx = x - x.mean()
+        assert abs(b - ref_b) <= 1e-12 * (np.abs(dx) @ np.abs(y)) / (dx @ dx)
+        np.testing.assert_allclose(a + b * x, ref_a + ref_b * x,
+                                   rtol=1e-13, atol=1e-13 * np.abs(y).max())
+
+
+def test_line_fit_refuses_x_without_spread():
+    for x in ([0.1, 0.1, 0.1], [2.0], []):
+        with pytest.raises(ValueError):
+            _line_fit(x, np.arange(len(x), dtype=float))
+    with pytest.raises(ValueError):
+        fit_inverse_log([1000, 1000, 1000], [1.0, 2.0, 3.0])
+
+
+def test_fits_run_without_lapack(monkeypatch):
+    seq = harmonic_sequence(100_000)
+    ref = extrapolate(seq, [2**10, 2**12, 2**14, 2**16])
+    xs, ys = [1.0, 2.0, 4.0, 8.0], [3.0, 0.75, 0.1875, 0.046875]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    est = extrapolate(seq, [2**10, 2**12, 2**14, 2**16])
+    assert est.value == ref.value and est.diagnostics == ref.diagnostics
+    assert loglog_slope(xs, ys) == pytest.approx(-2.0, rel=1e-15)
 
 
 def test_extrapolate_needs_three_points():

@@ -22,7 +22,8 @@ from focktrace.spectral import (DiagonalityError, SNumberSequence,
                                 hankel_config, toeplitz_config)
 from focktrace.symbols import RadialSymbol
 from oracles import (csv_by_rows, finish_with_copies, hankel_product, hermitian_spectrum,
-                     per_degree_spectrum, radial_moment, singular_values)
+                     per_degree_spectrum, radial_moment, singular_values,
+                     unblocked_values)
 
 
 def random_matrix(rng, n, hermitian=False):
@@ -518,7 +519,7 @@ def _radial_configs():
 @pytest.mark.parametrize("kind", list(_radial_configs()))
 def test_radial_blocks_match_one_unblocked_evaluation(monkeypatch, block, kind):
     # one value per degree, assembled in blocks of degrees, is the values of
-    # one _config_values call over every degree, bit for bit
+    # one unblocked evaluation over every degree, bit for bit
     n, config = _radial_configs()[kind]
     K = 200
     ctx = FockContext(n, 0.7)
@@ -530,8 +531,7 @@ def test_radial_blocks_match_one_unblocked_evaluation(monkeypatch, block, kind):
     rows = {t: spectral.scaled_moment_row(t, ctx.gamma, K + 8)
             for ch in config.chains for S in ch.factors for (_p, _q, t) in S.terms}
     dtype = complex if np.iscomplexobj(vals) else float
-    ref = spectral._config_values(config, spectral._validate(config), comps,
-                                  ctx.gamma, rows, dtype)
+    ref = unblocked_values(config, comps, ctx.gamma, rows, dtype)
     assert got.tobytes() == ref.tobytes() == vals.tobytes()
     assert list(got_starts) == list(range(K + 2))
     if n == 1:
@@ -641,10 +641,11 @@ def test_finishing_holds_the_values_about_once(monkeypatch):
 
 def test_n1_spectrum_holds_values_and_rows(monkeypatch):
     # the default hankel-trace configuration at K = 2^16: diagonal_spectrum
-    # then extrapolate peak at about 3.2 times the value bytes, the values
-    # and the two moment rows (t = -2 and -1), plus chunk scratch.  A
-    # value-length list of Python floats (32 bytes a value) would break the
-    # bound
+    # then extrapolate peak at about 2.5 times the value bytes, the values
+    # and the one moment row held at a time (t = -2, then -1), plus chunk
+    # scratch.  One more value-length array, such as a second live row,
+    # would break the bound, as would a value-length list of Python floats
+    # (32 bytes a value)
     monkeypatch.setattr(spectral, "_BLOCK", 1024)
     monkeypatch.setattr(_kernels, "_CHUNK", 1024)
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
@@ -658,7 +659,7 @@ def test_n1_spectrum_holds_values_and_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     assert seq.values.size == (1 << 16) + 1
-    assert peak <= 3.3 * seq.values.nbytes + 65536, peak / seq.values.nbytes
+    assert peak <= 2.8 * seq.values.nbytes + 65536, peak / seq.values.nbytes
 
 
 def test_n1_spectrum_keeps_no_moment_row():
@@ -729,6 +730,45 @@ def test_radial_rows_are_dropped_after_their_last_chain(monkeypatch):
     monkeypatch.undo()
     assert ref.values.tobytes() == diagonal_spectrum(
         ctx, hankel_config(z * u, z * u), 300).values.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_per_multi_index_blocks_are_visited_once(monkeypatch, n):
+    # the per-multi-index walk is block-major: each block's multi-indices
+    # are enumerated once for all chains, and each moment row is built once
+    config = _per_multi_index_configs(n)["mixed"]
+    assert len(config.chains) > 1
+    K, block = (40, 64) if n == 2 else (12, 50)
+    rows, runs = [], []
+    build, enumerate_runs = spectral.scaled_moment_row, spectral._degree_runs
+
+    def recording_row(t, gamma, dmax):
+        rows.append(t)
+        return build(t, gamma, dmax)
+
+    def recording_runs(k0, sizes, lower):
+        runs.append((k0, len(sizes)))
+        return enumerate_runs(k0, sizes, lower)
+
+    monkeypatch.setattr(spectral, "scaled_moment_row", recording_row)
+    monkeypatch.setattr(spectral, "_degree_runs", recording_runs)
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    spectral._diagonal_values(FockContext(n, 0.7), config, K)
+    exponents = {t for ch in config.chains for S in ch.factors
+                 for (_p, _q, t) in S.terms}
+    assert sorted(rows) == sorted(exponents)
+    # the longest runs of whole degrees of at most `block` values, or one
+    # degree alone, after the n - 2 enumerations of shorter multi-indices
+    blocks, k = [], 0
+    while k <= K:
+        end, held = k + 1, math.comb(k + n - 1, n - 1)
+        while end <= K and held + math.comb(end + n - 1, n - 1) <= block:
+            held += math.comb(end + n - 1, n - 1)
+            end += 1
+        blocks.append((k, end - k))
+        k = end
+    assert len(blocks) > 2
+    assert runs == [(0, K + 1)] * (n - 2) + blocks
 
 
 def _complex_radial_configs():
