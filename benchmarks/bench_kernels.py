@@ -21,28 +21,35 @@ its result included.
 The run is one point, named by --label, of BENCH_kernels.json at the
 repository root, with the kernel backend and the machine it ran on; a point
 of the same label is replaced, the others are kept.  focktrace is imported
-from PYTHONPATH, so two checkouts' src/ give two points.
+from PYTHONPATH.
+
+With --against LABEL=DIR, DIR holding another focktrace package (say a
+checkout's src/), that package is loaded beside this one under another
+name, and each case alternates between the two trees call by call (which
+goes first alternates too), so that a drift in host speed falls on both
+alike; points from separate runs cannot resolve changes below about 50 %
+on a shared machine.  Both trees' medians and quartiles are recorded, as
+two points that name each other in "paired_with".
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py --label after
-          [--length 1048576] [--K-degree 2000]
+          [--against "before=../parent/src"] [--length 1048576]
+          [--K-degree 2000]
 """
 
 import argparse
+import importlib
+import importlib.util
 import inspect
 import json
 import os
 import platform
+import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-
-from focktrace import _kernels, spectral
-from focktrace.cli import _random_sum
-from focktrace.fock_matrices import FockContext, toeplitz_matrix
-from focktrace.symbols import RadialSymbol
-from focktrace.weyl_calculus import heat_inverse, star
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,16 +57,42 @@ ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 9
 
 
-def bench(fn):
-    """The first quartile, median and third quartile of REPEATS timed calls
-    of fn, after one untimed call."""
+def load(name, path=None):
+    """The focktrace modules the cases use, from the package on PYTHONPATH,
+    or from the package in the directory `path` imported as `name`."""
+    if path is not None:
+        init = Path(path) / "focktrace" / "__init__.py"
+        spec = importlib.util.spec_from_file_location(
+            name, init, submodule_search_locations=[str(init.parent)])
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[name] = package
+        spec.loader.exec_module(package)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in (
+        "_kernels", "spectral", "cli", "fock_matrices", "symbols", "weyl_calculus")})
+
+
+def timed(fn):
+    t0 = time.perf_counter()
     fn()
-    samples = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
+    return time.perf_counter() - t0
+
+
+def quartiles(samples):
     return [float(x) for x in np.percentile(samples, [25, 50, 75])]
+
+
+def bench(*fns):
+    """For each of fns, the first quartile, median and third quartile of
+    REPEATS timed calls, after one untimed call of each; the calls of
+    several fns alternate, and so does which goes first."""
+    for fn in fns:
+        fn()
+    samples = [[] for _ in fns]
+    for r in range(REPEATS):
+        order = range(len(fns)) if r % 2 == 0 else reversed(range(len(fns)))
+        for i in order:
+            samples[i].append(timed(fns[i]))
+    return [quartiles(x) for x in samples]
 
 
 def traced_peak(fn):
@@ -72,14 +105,14 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--length", type=int, default=1 << 20)
-    parser.add_argument("--K-degree", type=int, default=2000)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
-    args = parser.parse_args()
-    L, K = args.length, args.K_degree
+def cases(ft, L, K):
+    """(name, length, call, whether to record its tracemalloc peak) for
+    each case, with the focktrace modules ft."""
+    _kernels, spectral = ft._kernels, ft.spectral
+    RadialSymbol, FockContext = ft.symbols.RadialSymbol, ft.fock_matrices.FockContext
+    toeplitz_matrix = ft.fock_matrices.toeplitz_matrix
+    heat_inverse, star = ft.weyl_calculus.heat_inverse, ft.weyl_calculus.star
+    _random_sum = ft.cli._random_sum
 
     ones = np.ones(L)
     rng = np.random.default_rng(0)
@@ -120,8 +153,7 @@ def main():
     few = RadialSymbol(1, [(((1,), (1,), -2.0), 1.0), (((1,), (0,), -1.0), 0.5j),
                            (((0,), (2,), 0.0), 0.25)])
 
-    # (name, length, call, whether to record its tracemalloc peak)
-    cases = [
+    return [
         ("ladder_row", L, lambda: _kernels.ladder_row(ones, 0.59634736, 1.0),
          True),
         ("pair_rows", L, lambda: _kernels.pair_rows(*pair_args), True),
@@ -143,33 +175,57 @@ def main():
          lambda: toeplitz_matrix(ctx1, few, 2048), False),
     ]
 
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--against", metavar="LABEL=DIR")
+    parser.add_argument("--length", type=int, default=1 << 20)
+    parser.add_argument("--K-degree", type=int, default=2000)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
+    args = parser.parse_args()
+    L, K = args.length, args.K_degree
+    packages = [(args.label, load("focktrace"))]
+    if args.against:
+        label, _, path = args.against.partition("=")
+        if not path:
+            parser.error("--against takes LABEL=DIR")
+        packages.append((label, load("focktrace_against", path)))
+    trees = [(label, cases(ft, L, K)) for label, ft in packages]
+    backends = [(label, ft._kernels.ACTIVE_BACKEND) for label, ft in packages]
+    count = (K + 1) * (K + 2) // 2
     print(f"kernel timings, length = {L}, assembly at K_degree = {K} "
-          f"({count} values), median [quartiles] of {REPEATS}, backend "
-          f"{_kernels.ACTIVE_BACKEND}")
-    rows = []
-    for name, length, fn, traced in cases:
-        q1, median, q3 = bench(fn)
-        row = {"kernel": name, "length": length, "repeats": REPEATS,
-               "median_s": median, "quartiles_s": [q1, q3]}
-        line = f"{name:<36}{median * 1e3:>10.2f} ms  [{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]"
-        if traced:
-            row["peak_bytes"] = traced_peak(fn)
-            line += f"  peak {row['peak_bytes'] / 2**20:.2f} MiB"
-        rows.append(row)
+          f"({count} values), median [quartiles] of {REPEATS}, "
+          + ", ".join(f"{label}: backend {backend}" for label, backend in backends))
+    results = [[] for _ in trees]
+    for per_tree in zip(*(tree_cases for _, tree_cases in trees)):
+        name, length, _, traced = per_tree[0]
+        stats = bench(*(fn for _, _, fn, _ in per_tree))
+        line = f"{name:<36}"
+        for rows, (_, _, fn, _), (q1, median, q3) in zip(results, per_tree, stats):
+            row = {"kernel": name, "length": length, "repeats": REPEATS,
+                   "median_s": median, "quartiles_s": [q1, q3]}
+            line += f"{median * 1e3:>10.2f} ms [{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]"
+            if traced:
+                row["peak_bytes"] = traced_peak(fn)
+                line += f" peak {row['peak_bytes'] / 2**20:.2f} MiB"
+            rows.append(row)
         print(line)
 
-    record = {
-        "label": args.label,
-        "backend": _kernels.ACTIVE_BACKEND,
-        "machine": {"processor": platform.processor() or platform.machine(),
-                    "cpus": os.cpu_count(),
-                    "python": platform.python_version(),
-                    "numpy": np.__version__},
-        "results": rows,
-    }
+    machine = {"processor": platform.processor() or platform.machine(),
+               "cpus": os.cpu_count(), "python": platform.python_version(),
+               "numpy": np.__version__}
+    records = []
+    for (label, backend), rows in zip(backends, results):
+        record = {"label": label, "backend": backend, "machine": machine,
+                  "results": rows}
+        if len(trees) > 1:
+            record["paired_with"] = [other for other, _ in backends if other != label]
+        records.append(record)
     out = Path(args.out)
     points = json.loads(out.read_text()).get("points", []) if out.exists() else []
-    points = [p for p in points if p.get("label") != args.label] + [record]
+    labels = {record["label"] for record in records}
+    points = [p for p in points if p.get("label") not in labels] + records
     out.write_text(json.dumps({"points": points}, indent=1) + "\n")
 
 

@@ -6,19 +6,27 @@ The recurrences advance the normalized radial moments
     m_s[d] = gamma^(d+1) / d! * integral_0^inf u^d (1+u)^s e^(-gamma u) du
 
 degree by degree.  They are the per-degree workhorse of the diagonal
-spectral path and run for up to ~10^6 steps.
+spectral path and run for up to ~10^6 steps.  Each is a stream: a
+generator over the consecutive chunks of the row below it (or, for the
+anchor, of nothing) that yields the consecutive chunks of its own row and
+carries between chunks only the state its recurrence needs, so a row is
+never held whole unless its reader joins the chunks (`joined`).  Every
+entry gets the same operations in the same order whatever the chunks, so
+the bits do not depend on them.  `raise_row`, `ladder_row` and
+`pair_rows` are the streams joined into one array.
 
-- `raise_row` is not a recurrence: one slice expression, bit-identical to
-  the serial loop.
-- `ladder_row` is damped (each step multiplies the carried value by
-  -gamma/d), so after a short serial prefix every entry is the same
+- `raise_chunks` is not a recurrence: one slice expression a chunk,
+  bit-identical to the serial loop; it carries one entry.
+- `ladder_chunks` is damped (each step multiplies the carried value by
+  -gamma/d), so after a short serial head every entry is the same
   recurrence restarted a few steps back, run for a chunk of degrees at once
-  in place in the output, through one table of gamma/d per chunk.
-- `pair_rows` keeps B in a serial loop: A is a running integral of B, so
-  that recurrence is not damped and cannot be restarted.  It allocates only
-  the row asked for, A or B, and fills it one chunk of degrees at a time;
-  a chunk of A is a sequential `np.cumsum` of the loop's B, with the loop's
-  bits.
+  through one table of gamma/d; it carries its head and the 12 entries
+  before each chunk.
+- `pair_chunks` keeps B in a serial loop: A is a running integral of B, so
+  that recurrence is not damped and cannot be restarted.  It yields only
+  the row asked for, A or B, _SERIAL_CHUNK degrees at a time; a chunk of A
+  is a sequential `np.cumsum` of the loop's B, with the loop's bits.  It
+  carries the floats (a, b), and the last A.
 - `partial_sums_at` sums a run-length sequence exactly, by the error-free
   extraction of Rump, Ogita & Oishi ("Accurate floating-point summation,
   part I", SIAM J. Sci. Comput. 31(1), 2008) over chunks of runs, with no
@@ -34,13 +42,13 @@ loops these kernels replace are kept in ``tests/`` as oracles.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
 ACTIVE_BACKEND = "numpy"
 
-# ladder_row: serial steps before the restarted form takes over are
+# ladder_chunks: serial steps before the restarted form takes over are
 # _LADDER_SERIAL_PER_GAMMA * gamma + _LADDER_SERIAL_MIN; from there each
 # step damps by gamma/d < 1/40, and _LADDER_TERMS steps damp the dropped
 # start below 40^-12 of the result
@@ -48,14 +56,14 @@ _LADDER_SERIAL_PER_GAMMA = 40
 _LADDER_SERIAL_MIN = 64
 _LADDER_TERMS = 12
 
-# ladder_row: degrees per chunk, through one table of _CHUNK + 11 floats;
 # partial_sums_at: runs per extraction, through two scratch buffers of
 # _CHUNK floats (each bounds the scratch memory; a pass over 2^15 terms
 # takes 53 - 16 bits off the top of each, and a chunk of one sign whose
 # moduli span less than 2^19 is used up in two)
 _CHUNK = 1 << 15
-# pair_rows: degrees per chunk of the serial loop, whose two lists of Python
-# floats take 64 bytes a degree
+# degrees per chunk of the sources of streamed rows, which the steps above
+# a source keep: of pair_chunks' serial loop, whose two lists of Python
+# floats take 64 bytes a degree, of ones_chunks, and of `pieces`
 _SERIAL_CHUNK = 1 << 12
 # partial_sums_at: sums are carried exactly as integer counts of 2^-_UNIT;
 # values at or above _BIG in modulus are summed scaled by 2^-_SHIFT
@@ -65,60 +73,112 @@ _BIG = 2.0 ** 900
 _SHIFT = 256
 
 
-def ladder_row(prev, out0, gamma):
-    """m_{s-1}[d] = (gamma/d) * (m_s[d-1] - m_{s-1}[d-1]); damped, stable.
+def joined(chunks, length):
+    """The row of `length` entries that chunks gives in order, in one array."""
+    row = np.empty(length)
+    lo = 0
+    for x in chunks:
+        row[lo:lo + x.shape[0]] = x
+        lo += x.shape[0]
+    return row
 
-    Degrees d >= 40 gamma + 64 run the recurrence from zero at d - 12, for
-    _CHUNK degrees at once, in place in the output: one table of gamma/j
-    over the chunk's degrees and the 11 below them serves all 12 passes.
-    The dropped start is damped by prod gamma/(d-i) < 40^-12, so the result
-    matches the serial loop to rounding.
+
+def pieces(row):
+    """row as consecutive views of at most _SERIAL_CHUNK entries."""
+    return (row[lo:lo + _SERIAL_CHUNK]
+            for lo in range(0, row.shape[0], _SERIAL_CHUNK))
+
+
+def ones_chunks(length):
+    """m_0 = 1 over `length` degrees, as stride-0 views of at most
+    _SERIAL_CHUNK."""
+    ones = np.broadcast_to(1.0, (_SERIAL_CHUNK,))
+    for lo in range(0, length, _SERIAL_CHUNK):
+        yield ones[:length - lo]
+
+
+def _restarted(prev, lo, gamma):
+    """m_{s-1}[lo:lo + m] from prev = m_s[lo - 12:lo + m], each degree d run
+    from zero at d - 12: one table of gamma/j over the degrees and the 11
+    below them serves all 12 passes, which run in place.  The first pass,
+    from zero, is a product: prev - 0.0 is prev, bit for bit."""
+    back = _LADDER_TERMS - 1
+    m = prev.shape[0] - _LADDER_TERMS
+    g = np.arange(lo - back, lo + m, dtype=float)
+    np.divide(gamma, g, out=g)
+    h = prev[:m] * g[:m]
+    for k in range(back - 1, -1, -1):
+        # h = (gamma / (d - k)) * (prev[d - 1 - k] - h)
+        np.subtract(prev[back - k:back - k + m], h, out=h)
+        h *= g[back - k:back - k + m]
+    return h
+
+
+def ladder_chunks(chunks, out0, gamma):
+    """m_{s-1}[d] = (gamma/d) * (m_s[d-1] - m_{s-1}[d-1]); damped, stable.
+    The row of m_{s-1}, as long as that of m_s, from the chunks of m_s.
+
+    The first 40 gamma + 64 degrees (its serial head) run the recurrence
+    serially.  Every later degree d runs it from zero at d - 12, a chunk
+    of degrees at once for each chunk of m_s, read with the 12 entries
+    before it: the dropped start is damped by prod gamma/(d-i) < 40^-12,
+    so the result matches the serial loop to rounding.  Each degree is
+    restarted on its own, so the bits do not depend on the chunks; beside
+    the head, only those 12 entries are carried.
     """
-    L = prev.shape[0]
-    out = np.empty(L)
-    head = min(L, int(_LADDER_SERIAL_PER_GAMMA * gamma) + _LADDER_SERIAL_MIN)
-    p = prev[:head].tolist()
+    chunks = iter(chunks)
+    want = int(_LADDER_SERIAL_PER_GAMMA * gamma) + _LADDER_SERIAL_MIN
+    head, rest = [], None
+    for x in chunks:
+        take = want - len(head)
+        head.extend(x[:take].tolist())
+        if x.shape[0] > take:
+            rest = x[take:]
+            break
     acc = float(out0)
     serial = [acc]
-    for d in range(1, head):
-        acc = (gamma / d) * (p[d - 1] - acc)
+    for d in range(1, len(head)):
+        acc = (gamma / d) * (head[d - 1] - acc)
         serial.append(acc)
-    out[:head] = serial
-    # each degree is restarted on its own, so _CHUNK degrees at a time
-    back = _LADDER_TERMS - 1
-    for lo in range(head, L, _CHUNK):
-        hi = min(lo + _CHUNK, L)
-        g = np.arange(lo - back, hi, dtype=float)
-        np.divide(gamma, g, out=g)
-        h = out[lo:hi]
-        h.fill(0.0)
-        for k in range(back, -1, -1):
-            # h = (gamma / (d - k)) * (prev[d - 1 - k] - h)
-            np.subtract(prev[lo - 1 - k:hi - 1 - k], h, out=h)
-            h *= g[back - k:back - k + hi - lo]
-    return out
+    part = np.empty(len(head))
+    part[:] = serial
+    yield part
+    if rest is None:
+        return
+    tail, lo = np.array(head[-_LADDER_TERMS:]), len(head)
+    for x in chain((rest,), chunks):
+        yield _restarted(np.concatenate((tail, x)), lo, gamma)
+        tail = np.concatenate((tail, x[-_LADDER_TERMS:]))[-_LADDER_TERMS:]
+        lo += x.shape[0]
 
 
-def pair_rows(s_plus_one, a0, b0, gamma, dmax, upper):
+def ladder_row(prev, out0, gamma):
+    """`ladder_chunks` of the row prev, in one array."""
+    return joined(ladder_chunks(pieces(prev), out0, gamma), prev.shape[0])
+
+
+def pair_chunks(s_plus_one, a0, b0, gamma, dmax, upper):
     """One row of the coupled advance of (A, B) = (m_{s+1}, m_s) for
-    non-integer s in (-1, 0): A when upper, else B.
+    non-integer s in (-1, 0), degrees 0..dmax: A when upper, else B.
 
         B[d] = (gamma/d) * (A[d-1] - B[d-1])        (algebraic identity)
         A[d] = A[d-1] + ((s+1)/gamma) * B[d]        (integration by parts)
 
     A is a running integral of B, so errors in A are carried undamped and
-    the recurrence cannot be restarted part way like `ladder_row`: B stays a
-    serial loop (on Python floats, the same IEEE arithmetic), which carries
-    A as one float.  Only the row asked for is allocated, and filled
-    _SERIAL_CHUNK degrees at a time from the loop's chunk of B: B as it is,
-    A as the sequential cumulative sum of A[lo-1] and the products
+    the recurrence cannot be restarted part way like `ladder_chunks`: B
+    stays a serial loop (on Python floats, the same IEEE arithmetic), which
+    carries A as one float.  The row comes as its degree 0, then chunks of
+    _SERIAL_CHUNK degrees written from the loop's chunk of B: B as it is, A
+    as the sequential cumulative sum of the row's last A and the products
     ((s+1)/gamma) * B[lo:hi] in one chunk of scratch, the same products and
     the same left-to-right additions as the serial loop, so the same bits.
+    Between chunks only (a, b) and, for A, the last entry are carried.
     """
     c = s_plus_one / gamma
     a, b = float(a0), float(b0)
-    row = np.empty(dmax + 1)
-    row[0] = a if upper else b
+    last = a if upper else b
+    yield np.array([last])
+    steps = np.empty(min(_SERIAL_CHUNK, dmax)) if upper else None
     for lo in range(1, dmax + 1, _SERIAL_CHUNK):
         hi = min(lo + _SERIAL_CHUNK, dmax + 1)
         Bs = []
@@ -127,19 +187,50 @@ def pair_rows(s_plus_one, a0, b0, gamma, dmax, upper):
             b = gd * (a - b)
             a = a + c * b
             append(b)
+        part = np.empty(hi - lo)
         if upper:
-            steps = np.array(Bs)
-            steps *= c
-            steps[0] += row[lo - 1]
-            np.cumsum(steps, out=row[lo:hi])
+            s = steps[:hi - lo]
+            s[:] = Bs
+            s *= c
+            s[0] += last
+            np.cumsum(s, out=part)
+            last = float(part[-1])
         else:
-            row[lo:hi] = Bs
-    return row
+            part[:] = Bs
+        # the loop's floats are let go before the chunk is read, and the
+        # chunk before the next is built
+        del Bs, append
+        yield part
+        del part
+
+
+def pair_rows(s_plus_one, a0, b0, gamma, dmax, upper):
+    """`pair_chunks`, degrees 0..dmax, in one array."""
+    return joined(pair_chunks(s_plus_one, a0, b0, gamma, dmax, upper), dmax + 1)
+
+
+def raise_chunks(chunks, gamma):
+    """m_{s+1}[d] = m_s[d] + ((d+1)/gamma) * m_s[d+1], from the chunks of
+    m_s: a row one shorter, one entry carried between chunks."""
+    d, carry = 0, None
+    for x in chunks:
+        if carry is None:
+            carry, x = x[:1], x[1:]
+        m = x.shape[0]
+        if not m:
+            continue
+        out = np.arange(d + 1, d + 1 + m) / gamma
+        out *= x
+        out[0] += carry[0]
+        out[1:] += x[:-1]
+        carry = x[-1:]
+        d += m
+        yield out
 
 
 def raise_row(row, gamma):
-    """m_{s+1}[d] = m_s[d] + ((d+1)/gamma) * m_s[d+1]; output one shorter."""
-    return row[:-1] + (np.arange(1, row.shape[0]) / gamma) * row[1:]
+    """`raise_chunks` of the row, in one array, one shorter."""
+    return joined(raise_chunks(pieces(row), gamma), row.shape[0] - 1)
 
 
 def _split(x):

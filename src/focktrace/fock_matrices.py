@@ -2,7 +2,7 @@
 space over C^n: Toeplitz compressions of the symbol algebra, buffered
 products, heat-inverse (Weyl-type) quantization, and coherent-state
 (Berezin) symbols.  The dense matrices serve the Weyl-calculus check; the
-trace experiments read only the moment rows.
+trace experiments read only the moment rows, as streams of chunks.
 
 Matrix elements come from the angular x radial factorization: the angular
 sphere integral is exact in closed form, and the radial piece is carried by
@@ -11,14 +11,17 @@ the normalized moments
     m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2) e^(-gamma u) du,
 
 which stay O(1) at every degree, so assembly never overflows.  Every row
-comes one way: from an anchor row, by integer steps in t/2 (`raise_row` up,
-`ladder_row` down).  An integer t/2 anchors at m_0 = 1, any other at the
-pair (m_(sigma+1), m_sigma), sigma in (-1, 0), of `pair_rows`.  The d = 0
-moments that seed the pair and the downward steps are
+comes one way (`moment_chunks`): from an anchor row, by integer steps in
+t/2 (`raise_chunks` up, `ladder_chunks` down), each a stream of chunks
+over the one below it.  An integer t/2 anchors at m_0 = 1, any other at
+the pair (m_(sigma+1), m_sigma), sigma in (-1, 0), of `pair_chunks`.  The
+d = 0 moments that seed the pair and the downward steps are
 gamma e^gamma E_(-t/2)(gamma), in terms of the generalized exponential
 integral (DLMF 8.19), evaluated in `decimal` arithmetic, rounded to a float
-once and kept (`_base_moment`); each row is built anew for the call that
-asks for it.  Entries are evaluated in a fixed term order.
+once and kept (`_base_moment`); each stream is started for the call that
+asks for it, and only the spectral path reads it chunk by chunk:
+`scaled_moment_row` joins it into one array for the dense matrices.
+Entries are evaluated in a fixed term order.
 """
 
 from __future__ import annotations
@@ -110,36 +113,42 @@ def _base_moment(t: float, gamma: float) -> float:
     return _BASE_CACHE[key]
 
 
-def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:
-    """m_t[0..dmax] with m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2)
-    e^(-gamma u) du, built for this call by k = s - sigma steps from m_sigma:
-    m_0 = 1 for an integer s = t/2, else the `pair_rows` member on s's side.
+def moment_chunks(t: float, gamma: float, dmax: int):
+    """m_t[0..dmax], with m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2)
+    e^(-gamma u) du, as consecutive chunks, built by k = s - sigma steps
+    from m_sigma: m_0 = 1 for an integer s = t/2, else the `pair_chunks`
+    member on s's side.  Each step is a stream of chunks over the one
+    below it, so only chunk-sized scratch and the state each recurrence
+    carries are held while the chunks are read; the base moments are
+    evaluated at this call, the chunks as they are read.
     """
     s, gamma = _tkey(t) / 2.0, float(gamma)
     if abs(s - round(s)) < 1e-12:
         sigma, k = 0.0, int(round(s))
-        if k == 0:
-            return np.ones(dmax + 1)
-        # m_0 = 1: a stride-0 view, which the first step reads
-        row = np.broadcast_to(1.0, (dmax + 1 + max(k, 0),))
+        chunks = _kernels.ones_chunks(dmax + 1 + max(k, 0))
     else:
         sigma0 = (s - math.floor(s)) - 1.0
         k = int(round(s - sigma0)) - 1
         a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
         b0 = gamma * _base_moment(2.0 * sigma0, gamma)
         upper = k >= 0
-        row = _kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, dmax + max(k, 0),
-                                 upper)
+        chunks = _kernels.pair_chunks(sigma0 + 1.0, a0, b0, gamma,
+                                      dmax + max(k, 0), upper)
         if upper:
             sigma = sigma0 + 1.0
         else:
             sigma, k = sigma0, k + 1
     for _ in range(k):
-        row = _kernels.raise_row(row, gamma)
+        chunks = _kernels.raise_chunks(chunks, gamma)
     for i in range(-k):
         base = gamma * _base_moment(2.0 * (sigma - i - 1), gamma)
-        row = _kernels.ladder_row(row, base, gamma)
-    return row
+        chunks = _kernels.ladder_chunks(chunks, base, gamma)
+    return chunks
+
+
+def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:
+    """m_t[0..dmax]: the chunks of `moment_chunks` in one array."""
+    return _kernels.joined(moment_chunks(t, gamma, dmax), dmax + 1)
 
 
 # ---------------------------------------------------------------------------

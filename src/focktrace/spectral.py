@@ -9,9 +9,9 @@ evaluated for every degree up to a cap, with multiplicities attached.  Each
 factor term is a moment-row entry at the degree of alpha times a rising
 factorial in its coordinates, so it is tabulated once per degree and once
 per coordinate value, over blocks of whole degrees, and every eigenvalue is
-formed from gathers of those tables.  One walk over (chain, block) pairs
-adds up the chains: chain-major for radial configurations, whose moment
-rows outweigh a block, and block-major otherwise.
+formed from gathers of those tables.  One block-major walk adds up the
+chains, reading each moment row through a window that advances with the
+block, from a stream of chunks: no row is held whole.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from . import _kernels
 from .core import degree, degree_multiplicity, mi_add, mi_sub
-from .fock_matrices import FockContext, scaled_moment_row
+# perfbench's tracer wraps scaled_moment_row where spectral imports it
+from .fock_matrices import FockContext, moment_chunks, scaled_moment_row  # noqa: F401
 from .symbols import RadialSymbol
 
 
@@ -361,15 +362,15 @@ def _rising(a: np.ndarray, p: int, q: int, v: int) -> np.ndarray:
 
 
 def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
-                  sizes, coords: list, gamma: float, rows: dict,
+                  sizes, coords: list, gamma: float, rows: dict, origin: int,
                   dtype) -> np.ndarray:
     """Eigenvalue contribution of one chain at m multi-indices, the columns
     of a block: degs are their distinct degrees, repeated sizes times (once
     each when sizes is None), and coords[i] = (a, index) holds the
     distinct values a of coordinate i and the position of each column's
-    value in a.  dtype float drops the (zero) imaginary parts of every
-    coefficient: a complex product of operands with zero imaginary part has
-    the same real part.
+    value in a; rows[t][j] is m_t at degree origin + j.  dtype float drops
+    the (zero) imaginary parts of every coefficient: a complex product of
+    operands with zero imaginary part has the same real part.
 
     Each value is the product, over the factors from the right, of
     sum_terms c * m_t[|alpha| + |p| + n - 1] * sqrt(ratio) * gamma^(-(|p|+|q|)/2),
@@ -397,7 +398,8 @@ def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
         fac = None
         for (p, q, t), c in S.terms.items():
             dp, dq = degree(p), degree(q)
-            table = rows[t][np.maximum(degs + deg_shift, 0) + (dp + n - 1)]
+            table = rows[t][np.maximum(degs + deg_shift, 0)
+                            + (dp + n - 1 - origin)]
             if dtype is complex:
                 table = coef(c) * table
             elif coef(c) != 1:
@@ -465,6 +467,25 @@ def _degree_runs(k0: int, sizes: np.ndarray, lower) -> np.ndarray:
     return np.vstack([first, rest])
 
 
+def _windows(chunks, spans):
+    """For each (lo, hi) of spans, both nondecreasing and each span
+    overlapping or touching the next, entries lo..hi-1 of the row that
+    chunks gives in order.  Each chunk is read once, when a window first
+    reaches it; entries below a window's lo are let go."""
+    buf, start = np.empty(0), 0
+    for lo, hi in spans:
+        end = start + buf.shape[0]
+        if end < hi:
+            parts = [buf[lo - start:]]
+            while end < hi:
+                x = next(chunks)
+                parts.append(x)
+                end += x.shape[0]
+            buf, start = np.concatenate(parts), lo
+            del parts, x
+        yield buf[lo - start:hi - start]
+
+
 def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     """The unsorted eigenvalues of a diagonal configuration for all degrees
     <= K_degree, in a buffer of their own; the index of each degree's first
@@ -476,16 +497,16 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     (alpha_1 ascending at n = 2, `core.compositions` order at higher n).
     Blocks of whole degrees, of at most min(`_DEGREES`, `_BLOCK`) values
     when radial and `_BLOCK` otherwise (or one degree), take their tables
-    once per degree and coordinate value.  One walk over (chain, block)
-    pairs adds each chain to its block, which starts at +0.0 and is raised
-    to the power after the last chain; a moment row is built at the first
-    pair that reads it and dropped after the last.  The walk is chain-major
-    when radial, where a row (K_degree + 4 floats) outweighs a block, so
-    that only the rows of one chain and those later chains share are held;
-    block-major otherwise, where rows are short and a block's columns and
-    values serve every chain while in cache.  Configurations with only real
-    coefficients are evaluated in float64.  More than _MAX_VALUES values
-    are refused before anything is allocated.
+    once per degree and coordinate value.  One walk over the blocks adds
+    each chain to its block, which starts at +0.0 and is raised to the
+    power after the last chain, so a block's columns and values serve every
+    chain while in cache.  Each exponent's moment row is streamed once
+    (`moment_chunks`) and read through a window from k - reach to
+    end + reach (`_windows`), reach being as far as the factors' shifts and
+    a term's |p| + n - 1 move an index, so beside the values only block and
+    chunk scratch is held.  Configurations with only real coefficients are
+    evaluated in float64.  More than _MAX_VALUES values are refused before
+    anything is allocated.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
@@ -499,15 +520,6 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
             f"{'radial' if radial else 'per-multi-index'} path would "
             f"materialize {count} values at cutoff {K_degree}, over the cap "
             f"of {_MAX_VALUES}")
-
-    # normalized moment rows, one per radial exponent, long enough for the
-    # deepest chain; each chain's exponents in order of first use
-    buffer_deg = max(
-        (sum(max(degree(p) for (p, q, _t) in S.terms) for S in ch.factors)
-         for ch in config.chains), default=0)
-    length = K_degree + buffer_deg + n + 1
-    exponents = [dict.fromkeys(t for S in ch.factors for (_p, _q, t) in S.terms)
-                 for ch in config.chains]
 
     dtype = float if _is_real(config) else complex
     # the number of multi-indices of each degree (n = 1 is radial)
@@ -543,30 +555,33 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
         end = max(k + 1, bisect.bisect_right(starts, starts[k] + cap) - 1)
         blocks.append((k, end))
         k = end
-    nc = len(config.chains)
-    pairs = ([(i, b) for i in range(nc) for b in blocks] if radial
-             else [(i, b) for b in blocks for i in range(nc)])
-    last = {t: j for j, (i, _b) in enumerate(pairs) for t in exponents[i]}
+    # normalized moment rows, one stream per radial exponent in order of
+    # first use, each read within reach of a block's degrees: the factors
+    # shift a degree by at most buffer_deg, and a term's index adds
+    # |p| + n - 1
+    buffer_deg = max(
+        (sum(max(degree(p) for (p, q, _t) in S.terms) for S in ch.factors)
+         for ch in config.chains), default=0)
+    reach = buffer_deg + n + 1
+    spans = [(max(k - reach, 0), end + reach) for k, end in blocks]
+    exponents = dict.fromkeys(t for ch in config.chains for S in ch.factors
+                              for (_p, _q, t) in S.terms)
+    windows = {t: _windows(moment_chunks(t, gamma, K_degree + reach), spans)
+               for t in exponents}
     # _chain_values skips multiplications by an exact 1 and additions to an
     # initial 0, which can leave -0.0 where the full products give +0.0.
     # Adding every chain to +0.0 turns both into +0.0: its bit-identity
     # depends on this start.
     vals = np.zeros(count, dtype=dtype)
-    rows, block = {}, None
-    for j, (i, (k, end)) in enumerate(pairs):
-        for t in exponents[i]:
-            if t not in rows:
-                rows[t] = scaled_moment_row(t, gamma, length)
-        if block != (k, end):
-            block, cols = (k, end), columns(k, end)
+    for (k, end), (origin, _hi) in zip(blocks, spans):
+        rows = {t: next(w) for t, w in windows.items()}
+        cols = columns(k, end)
         lo, hi = starts[k], starts[end]
-        vals[lo:hi] += _chain_values(config.chains[i], per_chain[i], hi - lo,
-                                     *cols, gamma, rows, dtype)
-        if i == nc - 1 and config.power != 1:
+        for ch, shifts in zip(config.chains, per_chain):
+            vals[lo:hi] += _chain_values(ch, shifts, hi - lo, *cols, gamma,
+                                         rows, origin, dtype)
+        if config.power != 1:
             vals[lo:hi] = _raised(vals[lo:hi], config.power, dtype)
-        for t in exponents[i]:
-            if last[t] == j:
-                del rows[t]
     return vals, starts, mults
 
 

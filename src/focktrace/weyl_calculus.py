@@ -9,6 +9,7 @@ parameter is tied to it throughout (no independent rescaling is representable).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -250,6 +251,16 @@ def hankel_leading_symbol(f: RadialSymbol, g: RadialSymbol, gamma: float) -> Rad
     return (1.0 / gamma) * out
 
 
+@functools.cache
+def _hermite_rule(nodes: int):
+    """The Gauss-Hermite nodes and weights of `nodes` points, computed once
+    per node count and read-only, since every caller shares them."""
+    rule = np.polynomial.hermite.hermgauss(nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def heat_quadrature(S: RadialSymbol, z: complex, gamma: float, nodes: int = 80) -> complex:
     """Numeric heat transform by Gauss-Hermite product quadrature (n = 1):
 
@@ -259,7 +270,7 @@ def heat_quadrature(S: RadialSymbol, z: complex, gamma: float, nodes: int = 80) 
     """
     if S.n != 1:
         raise NotImplementedError("quadrature oracle implemented for n = 1 only")
-    s, w = np.polynomial.hermite.hermgauss(nodes)
+    s, w = _hermite_rule(nodes)
     scale = 1.0 / math.sqrt(2.0 * gamma)
     U = scale * (s[:, None] + 1j * s[None, :])
     Z = complex(z) + U

@@ -182,7 +182,7 @@ def unblocked_values(config, comps: np.ndarray, gamma: float, rows: dict,
     v = np.zeros(m, dtype=dtype)
     for ch, shifts in zip(config.chains, spectral._validate(config)):
         v += spectral._chain_values(ch, shifts, m, degs, None, coords, gamma,
-                                    rows, dtype)
+                                    rows, 0, dtype)
     if config.power != 1:
         v = spectral._raised(v, config.power, dtype)
     return v

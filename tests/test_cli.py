@@ -359,7 +359,7 @@ def test_radial_spectrum_over_the_value_cap_exits_2(monkeypatch, tmp_path,
     def no_rows(*args):
         raise AssertionError("moment row built before the size cap")
     monkeypatch.setattr("focktrace.spectral._MAX_VALUES", 1000)
-    monkeypatch.setattr("focktrace.spectral.scaled_moment_row", no_rows)
+    monkeypatch.setattr("focktrace.spectral.moment_chunks", no_rows)
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"K_ranks": 1000}')  # 1001 values, one per degree
     assert main(["--experiment", "model-operator", "--config", str(cfg)]) == 2

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focktrace import _kernels
+from focktrace.fock_matrices import _base_moment, moment_chunks
 from oracles import radial_moment_hp
 
 
@@ -226,7 +227,8 @@ def restarted_ladder_row(prev, out0, gamma):
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000, _kernels._CHUNK])
 def test_ladder_row_chunks_are_bit_identical(monkeypatch, chunk):
-    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    # the row is read in chunks of _SERIAL_CHUNK, each restarted at once
+    monkeypatch.setattr(_kernels, "_SERIAL_CHUNK", chunk)
     rng = np.random.default_rng(13)
     for gamma in (0.3, 1.0, 2.5):
         for L in (20, 200, 1105, 5000):
@@ -443,10 +445,11 @@ def test_partial_sums_at_scratch_is_a_few_chunks():
 
 
 def test_ladder_row_scratch_is_one_table_a_chunk():
-    # at 2^18 degrees ladder_row allocates its output and a table of
-    # _CHUNK + 11 floats a chunk (two while one replaces the other): the
-    # passes run in place, so a chunk-length temporary per pass, or a second
-    # row, would break the bound
+    # at 2^18 degrees ladder_row allocates its output and, a chunk of
+    # _SERIAL_CHUNK degrees at a time, the chunk read with the 12 entries
+    # before it, a table of gamma/d and the chunk's result (about 140 KiB
+    # in all), inside two tables of _CHUNK + 11 floats: a second row would
+    # break the bound
     prev = np.ones((1 << 18) + 5)
     tracemalloc.start()
     try:
@@ -462,9 +465,10 @@ def test_ladder_row_scratch_is_one_table_a_chunk():
 def test_pair_rows_scratch_is_one_chunk(upper):
     # at 2^18 degrees pair_rows allocates the row asked for and, a chunk of
     # _SERIAL_CHUNK degrees at a time, the loop's gamma/d array and two lists
-    # of Python floats (8 + 2 * 32 bytes a degree), and for A a chunk of
-    # products (8 bytes): 80 bytes a degree of the chunk.  The other row, or
-    # lists as long as _CHUNK, would break the bound
+    # of Python floats (8 + 2 * 32 bytes a degree), the chunk it yields and
+    # for A a chunk of products (8 bytes each): about 80 bytes a degree of
+    # the chunk.  The other row, or lists as long as _CHUNK, would break the
+    # bound
     tracemalloc.start()
     try:
         row = _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, 1 << 18, upper)
@@ -474,3 +478,49 @@ def test_pair_rows_scratch_is_one_chunk(upper):
     assert row.shape == ((1 << 18) + 1,)
     assert peak <= row.nbytes + 80 * _kernels._SERIAL_CHUNK + 65536, \
         (peak - row.nbytes) / _kernels._SERIAL_CHUNK
+
+
+def whole_row(t, gamma, dmax):
+    """m_t[0..dmax] by whole-row recurrences: the serial pair loop, the
+    serial raise loop and the unchunked restarted ladder, with the anchor
+    and the steps of `fock_matrices.moment_chunks`."""
+    s = t / 2.0
+    if abs(s - round(s)) < 1e-12:
+        sigma, k = 0.0, int(round(s))
+        row = np.ones(dmax + 1 + max(k, 0))
+    else:
+        sigma0 = (s - math.floor(s)) - 1.0
+        k = int(round(s - sigma0)) - 1
+        a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
+        b0 = gamma * _base_moment(2.0 * sigma0, gamma)
+        A, B = serial_pair_rows(sigma0 + 1.0, a0, b0, gamma, dmax + max(k, 0))
+        row, sigma = (A, sigma0 + 1.0) if k >= 0 else (B, sigma0)
+        k = k if k >= 0 else k + 1
+    for _ in range(k):
+        row = serial_raise_row(row, gamma)
+    for i in range(-k):
+        base = gamma * _base_moment(2.0 * (sigma - i - 1), gamma)
+        row = restarted_ladder_row(row, base, gamma)
+    return row
+
+
+@pytest.mark.parametrize("chunk", [7, 100, _kernels._SERIAL_CHUNK])
+def test_streamed_rows_are_the_whole_row_recurrences(monkeypatch, chunk):
+    # the chunks of every kind of row (m_0 = 1 raised and laddered, the
+    # upper pair member A raised, the lower B laddered) are the whole-row
+    # recurrences' entries bit for bit, ending before, on and after the
+    # ladder's serial head and the chunk edges; no chunk is longer than the
+    # source's chunks or the head, and a row asked for up to dmax gives
+    # the longer row's first entries
+    monkeypatch.setattr(_kernels, "_SERIAL_CHUNK", chunk)
+    top = 2 * _kernels._SERIAL_CHUNK + 200
+    for gamma in (0.3, 2.5):
+        head = int(_kernels._LADDER_SERIAL_PER_GAMMA * gamma) + _kernels._LADDER_SERIAL_MIN
+        for t in (0.0, 4.0, -2.0, -4.0, 1.0, 5.0, -1.0, -5.0, -5.3, 0.7):
+            ref = whole_row(t, gamma, top)
+            for dmax in sorted({0, 11, 12, head - 1, head, head + 12, chunk - 1,
+                                chunk, chunk + 1, 2 * chunk + 1, top}):
+                chunks = list(moment_chunks(t, gamma, dmax))
+                assert max(x.shape[0] for x in chunks) <= max(chunk, head)
+                got = np.concatenate(chunks)
+                assert got.tobytes() == ref[:dmax + 1].tobytes(), (t, gamma, dmax)

@@ -3,7 +3,6 @@ path against the dense route, sequence bookkeeping."""
 
 import math
 import tracemalloc
-import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -556,7 +555,7 @@ def test_radial_value_cap(monkeypatch, n):
     config = toeplitz_config(RadialSymbol.radial_power(n, -2.0 * n))
     monkeypatch.setattr(spectral, "_MAX_VALUES", 10)
     assert diagonal_spectrum(ctx, config, 9).values.shape == (10,)
-    monkeypatch.setattr(spectral, "scaled_moment_row", None)
+    monkeypatch.setattr(spectral, "moment_chunks", None)
     with pytest.raises(DiagonalityError, match="radial path would materialize 11 values"):
         diagonal_spectrum(ctx, config, 10)
 
@@ -640,12 +639,13 @@ def test_finishing_holds_the_values_about_once(monkeypatch):
 
 
 def test_n1_spectrum_holds_values_and_rows(monkeypatch):
-    # the default hankel-trace configuration at K = 2^16: diagonal_spectrum
-    # then extrapolate peak at about 2.5 times the value bytes, the values
-    # and the one moment row held at a time (t = -2, then -1), plus chunk
-    # scratch.  One more value-length array, such as a second live row,
-    # would break the bound, as would a value-length list of Python floats
-    # (32 bytes a value)
+    # the default hankel-trace configuration at K = 2^16 with small blocks
+    # and chunks: diagonal_spectrum then extrapolate peak at about the value
+    # bytes plus 350 KiB, mostly the serial loop's chunk of Python floats
+    # (64 bytes a degree of _SERIAL_CHUNK); the rows are read through
+    # windows a block wide.  A whole moment row (the value bytes again), or
+    # a value-length list of Python floats (32 bytes a value), would break
+    # the bound
     monkeypatch.setattr(spectral, "_BLOCK", 1024)
     monkeypatch.setattr(_kernels, "_CHUNK", 1024)
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
@@ -659,7 +659,8 @@ def test_n1_spectrum_holds_values_and_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     assert seq.values.size == (1 << 16) + 1
-    assert peak <= 2.8 * seq.values.nbytes + 65536, peak / seq.values.nbytes
+    assert peak <= seq.values.nbytes + (512 << 10), \
+        (peak - seq.values.nbytes) / 1024
 
 
 def test_n1_spectrum_keeps_no_moment_row():
@@ -682,9 +683,11 @@ def test_n1_spectrum_keeps_no_moment_row():
 def test_n1_spectrum_at_default_sizes_holds_values_and_one_row():
     # the default hankel-trace configuration at K = 2^16 with the module's
     # own block and chunk sizes: diagonal_spectrum then extrapolate peak at
-    # the values and one moment row, plus block and chunk scratch of at
-    # most 1 MiB whatever K is.  Blocks of 2^16 degrees, a second live row
-    # or lists of Python floats as long as _CHUNK would break the bound
+    # the values plus block and chunk scratch, about 750 KiB whatever K is:
+    # some ten arrays a block long (tables, rising products, columns, a
+    # window per row) and the serial loop's chunk.  No moment row is held
+    # whole: one (the value bytes again) would break the bound, as would
+    # blocks of 2^16 degrees or lists of Python floats as long as _CHUNK
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     ctx = FockContext(1, 1.0)
     diagonal_spectrum(ctx, hankel_config(f, f), 20)  # the base moments
@@ -695,62 +698,75 @@ def test_n1_spectrum_at_default_sizes_holds_values_and_one_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * seq.values.nbytes + (1 << 20), peak / seq.values.nbytes
+    scratch = 14 * spectral._DEGREES * seq.values.itemsize
+    assert peak <= seq.values.nbytes + scratch, (peak - seq.values.nbytes) / scratch
 
 
-def test_radial_rows_are_dropped_after_their_last_chain(monkeypatch):
-    # hankel: the first chain reads only m_(-1) (t = -2), the second only
-    # m_(-1/2) (t = -1), so the first row is gone before the second is
-    # built; a row two chains read lives until the second of them is done
-    build = spectral.scaled_moment_row
-    built = {}
+def test_radial_streams_are_started_once_per_exponent(monkeypatch):
+    # the walk is block-major: each exponent's stream of moment chunks is
+    # started once, however many chains read it, and no whole row is built
+    start = spectral.moment_chunks
+    started = []
 
     def recording(t, gamma, dmax):
-        alive = sorted(u for u, ref in built.items() if ref() is not None)
-        row = build(t, gamma, dmax)
-        built[t] = weakref.ref(row)
-        calls.append((t, alive))
-        return row
+        started.append(t)
+        return start(t, gamma, dmax)
 
-    monkeypatch.setattr(spectral, "scaled_moment_row", recording)
     z = RadialSymbol.coordinate(1, 1)
     u = RadialSymbol.radial_power(1, -1.0)
     ctx = FockContext(1, 0.7)
-    calls = []
     ref = diagonal_spectrum(ctx, hankel_config(z * u, z * u), 300)
-    assert calls == [(-2.0, []), (-1.0, [])]
-    # t = -2 in the first and third chain: kept through the second
+    monkeypatch.setattr(spectral, "moment_chunks", recording)
+    monkeypatch.setattr(spectral, "scaled_moment_row", None)
+    got = diagonal_spectrum(ctx, hankel_config(z * u, z * u), 300)
+    assert started == [-2.0, -1.0]
+    assert got.values.tobytes() == ref.values.tobytes()
+    # t = -2 in the first and third chain
     config = spectral.DiagonalConfig(1, [
         spectral.DiagonalChain(1.0, [z.conj() * z * u * u]),
         spectral.DiagonalChain(-1.0, [z.conj() * u, z * u]),
         spectral.DiagonalChain(0.5, [u * u])])
-    calls = []
+    started = []
     diagonal_spectrum(ctx, config, 300)
-    assert calls == [(-2.0, []), (-1.0, [-2.0])]
-    monkeypatch.undo()
-    assert ref.values.tobytes() == diagonal_spectrum(
-        ctx, hankel_config(z * u, z * u), 300).values.tobytes()
+    assert started == [-2.0, -1.0]
+
+
+@pytest.mark.parametrize("degrees", [1, 7, 1000])
+def test_row_windows_are_the_row_across_block_edges(degrees):
+    # each window the walk reads is the slice of the whole row over its
+    # span, for blocks that end on, before and past the stream's chunk
+    # edges
+    K, reach = 3 * _kernels._SERIAL_CHUNK + 5, 3
+    for t, gamma in ((-2.0, 1.0), (-1.0, 0.7), (3.0, 2.5), (-5.3, 0.3)):
+        row = spectral.scaled_moment_row(t, gamma, K + reach)
+        spans = [(max(k - reach, 0), min(k + degrees, K + 1) + reach)
+                 for k in range(0, K + 1, degrees)]
+        windows = spectral._windows(spectral.moment_chunks(t, gamma, K + reach),
+                                    spans)
+        for (lo, hi), window in zip(spans, windows):
+            assert window.tobytes() == row[lo:hi].tobytes(), (t, lo, hi)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_per_multi_index_blocks_are_visited_once(monkeypatch, n):
-    # the per-multi-index walk is block-major: each block's multi-indices
-    # are enumerated once for all chains, and each moment row is built once
+    # the walk is block-major: each block's multi-indices are enumerated
+    # once for all chains, and each exponent's stream of moment chunks is
+    # started once
     config = _per_multi_index_configs(n)["mixed"]
     assert len(config.chains) > 1
     K, block = (40, 64) if n == 2 else (12, 50)
     rows, runs = [], []
-    build, enumerate_runs = spectral.scaled_moment_row, spectral._degree_runs
+    start, enumerate_runs = spectral.moment_chunks, spectral._degree_runs
 
     def recording_row(t, gamma, dmax):
         rows.append(t)
-        return build(t, gamma, dmax)
+        return start(t, gamma, dmax)
 
     def recording_runs(k0, sizes, lower):
         runs.append((k0, len(sizes)))
         return enumerate_runs(k0, sizes, lower)
 
-    monkeypatch.setattr(spectral, "scaled_moment_row", recording_row)
+    monkeypatch.setattr(spectral, "moment_chunks", recording_row)
     monkeypatch.setattr(spectral, "_degree_runs", recording_runs)
     monkeypatch.setattr(spectral, "_BLOCK", block)
     spectral._diagonal_values(FockContext(n, 0.7), config, K)

@@ -10,6 +10,7 @@ import oracles
 from focktrace.cli import loglog_slope
 from focktrace.core import enumerate_basis, mi_factorial, sphere_equal
 from focktrace.sphere_calculus import boundary_pairing
+from focktrace import weyl_calculus
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import (hankel_leading_symbol, heat_inverse,
                                      heat_layers, heat_quadrature,
@@ -170,6 +171,29 @@ def test_heat_quadrature_matches_exact_on_polynomials():
     for w in (0.3 + 0.1j, -1.2 + 0.8j):
         assert heat_quadrature(a, w, gamma, nodes=60) == pytest.approx(
             exact.evaluate([w]), rel=1e-11)
+
+
+def test_heat_quadrature_computes_each_rule_once(monkeypatch):
+    # one Gauss-Hermite rule per node count, shared read-only by every call,
+    # with the bits of a rule computed afresh for each call
+    S = RadialSymbol.radial_power(1, -1.0) + RadialSymbol.monomial(1, (1,), (1,), c=0.3)
+    radii = [10.0, 30.0, 100.0]
+    fresh = []
+    for r in radii:
+        weyl_calculus._hermite_rule.cache_clear()
+        fresh.append(heat_quadrature(S, r, 1.0, nodes=120))
+    weyl_calculus._hermite_rule.cache_clear()
+    calls = []
+    hermgauss = np.polynomial.hermite.hermgauss
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                        lambda n: calls.append(n) or hermgauss(n))
+    got = [heat_quadrature(S, r, 1.0, nodes=120) for r in radii]
+    got.append(heat_quadrature(S, 3.0, 1.0, nodes=60))
+    assert calls == [120, 60]
+    assert got[:3] == fresh
+    for a in weyl_calculus._hermite_rule(120):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_heat_layers_generic_decay_slopes():
