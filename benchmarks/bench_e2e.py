@@ -1,7 +1,9 @@
 """End-to-end timing of the six CLI experiments at their default configs.
 
 Each experiment runs `python -m focktrace.cli --experiment NAME` in a fresh
-subprocess, so imports are cold, N times in turn.
+subprocess, so imports are cold, N times in turn.  A first row, `--help`,
+runs `python -m focktrace.cli --help` the same way: the import, argument
+parsing and exit that every CLI run pays, its per-process floor.
 For each experiment the script records the median wall time (spawn to
 exit, imports included) and the median peak resident set size (`os.wait4`),
 along with every sample and exit code.  Each point also records the kernel
@@ -13,9 +15,11 @@ A point is a label and the directory that holds the focktrace package
 (default: this checkout's src/).  Each point's package is copied into a
 temporary directory whose path has the same length for every point, and
 its children import it from there: the peak RSS of a run moves by several
-MB with the length of the import path alone.  With several points, every
-round runs each experiment once per point, alternating which point goes
-first, so that a drift in host speed falls on all points alike.  Round r
+MB with the length of the import path alone.  The copy is compiled to
+bytecode first, as an install would leave it, so no run pays for
+compiling the package.  With several points, every round runs each
+experiment once per point, alternating which point goes first, so that
+a drift in host speed falls on all points alike.  Round r
 passes `--seed r` (only calculus-check draws random numbers), so a run of
 R repeats covers calculus-check's seeds 0 to R - 1.
 
@@ -31,6 +35,7 @@ Run:  python benchmarks/bench_e2e.py --point after [--repeats 5]
 """
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -45,6 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENTS = ("model-operator", "toeplitz-trace", "hankel-trace",
                "commutator-trace", "mixed-trace", "calculus-check")
+# the row of the per-process floor, then one row per experiment
+FLOOR = "--help"
+ROWS = (FLOOR,) + EXPERIMENTS
 _ENVIRONMENT = """
 import importlib.util, json, platform, numpy
 from focktrace import _kernels
@@ -66,10 +74,11 @@ def child_env(src: Path) -> dict:
 
 def run_once(name: str, env: dict, report: Path, seed: int):
     """Wall seconds, peak RSS in MB, exit code and check values of one CLI
-    run; the check values map each check's name to [computed, target], and
-    are None when the run wrote no report."""
-    cmd = [sys.executable, "-m", "focktrace.cli", "--experiment", name,
-           "--out", str(report), "--seed", str(seed)]
+    run of a row; the check values map each check's name to [computed,
+    target], and are None when the run wrote no report."""
+    args = [FLOOR] if name == FLOOR else [
+        "--experiment", name, "--out", str(report), "--seed", str(seed)]
+    cmd = [sys.executable, "-m", "focktrace.cli", *args]
     report.unlink(missing_ok=True)
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
@@ -87,7 +96,7 @@ def run_once(name: str, env: dict, report: Path, seed: int):
 
 def summarize(samples) -> list:
     results = []
-    for name in EXPERIMENTS:
+    for name in ROWS:
         walls, rss, codes, checks = (list(x) for x in zip(*samples[name]))
         results.append({"experiment": name,
                         "wall_s": statistics.median(walls),
@@ -102,7 +111,7 @@ def differing_checks(samples, labels) -> list:
     check whose values are not the same at every point; floats compare by
     their JSON spelling, so -0.0 and 0.0 differ."""
     out = []
-    for name in EXPERIMENTS:
+    for name in ROWS:
         for r, runs in enumerate(zip(*(samples[label][name] for label in labels))):
             values = {label: run[3] or {} for label, run in zip(labels, runs)}
             for check in sorted(set().union(*values.values())):
@@ -126,7 +135,7 @@ def main():
         label, _, src = point.partition("=")
         sources[label] = Path(src or ROOT / "src").resolve()
     labels = list(sources)
-    samples = {label: {name: [] for name in EXPERIMENTS} for label in labels}
+    samples = {label: {name: [] for name in ROWS} for label in labels}
     with tempfile.TemporaryDirectory() as tmp:
         envs = {}
         for i, label in enumerate(labels):
@@ -134,13 +143,14 @@ def main():
             home = Path(tmp, f"{i:0{len(str(len(labels)))}d}")
             shutil.copytree(sources[label] / "focktrace", home / "focktrace",
                             ignore=shutil.ignore_patterns("__pycache__"))
+            compileall.compile_dir(home / "focktrace", quiet=1)
             envs[label] = child_env(home)
         environments = {label: json.loads(subprocess.run(
             [sys.executable, "-c", _ENVIRONMENT], env=env, check=True,
             capture_output=True, text=True).stdout) for label, env in envs.items()}
         report = Path(tmp, "report.json")
         for r in range(args.repeats):
-            for name in EXPERIMENTS:
+            for name in ROWS:
                 for label in labels if r % 2 == 0 else labels[::-1]:
                     samples[label][name].append(
                         run_once(name, envs[label], report, r))

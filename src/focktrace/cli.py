@@ -10,6 +10,7 @@ quantitative failure, 2 a configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -608,6 +609,8 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
 
 
 def main(argv=None) -> int:
+    # what the imports built lives until exit: frozen, exit's collection skips it
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="focktrace",
         description="Numerical and symbolic verification of trace formulas "

@@ -13,7 +13,6 @@ least-squares fit of  c + b / log(K+2)  over a dyadic rank grid, returning c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +22,13 @@ from .spectral import SNumberSequence
 DEFAULT_RANK_GRID_1D = tuple(2**e for e in range(10, 21, 2))
 
 
-@dataclass
 class DixmierEstimate:
-    value: float
-    method: str  # "extrapolated", the only estimator
-    K_used: int
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, value: float, method: str, K_used: int,
+                 diagnostics: dict | None = None):
+        self.value = value
+        self.method = method  # "extrapolated", the only estimator
+        self.K_used = K_used
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def _check_rank(seq: SNumberSequence, K: int):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +37,15 @@ from .symbols import RadialSymbol
 from .weyl_calculus import _require_gamma, heat_inverse
 
 
-@dataclass(frozen=True)
 class FockContext:
     """Ambient dimension n and Gaussian weight exp(-gamma |z|^2)."""
-    n: int
-    gamma: float
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, gamma: float):
+        if n < 1:
             raise ValueError("need n >= 1")
-        _require_gamma(self.gamma, "FockContext")
+        _require_gamma(gamma, "FockContext")
+        self.n = n
+        self.gamma = gamma
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +152,14 @@ def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operator matrices
 
-@dataclass
 class OperatorMatrix:
     """Dense matrix of an operator compressed to span{z^alpha : |alpha| <= D},
     rows/columns in the global graded basis order.  entries[i_beta, i_alpha]
     is the coefficient of e_beta in (T e_alpha)."""
 
-    D: int
-    entries: np.ndarray
+    def __init__(self, D: int, entries: np.ndarray):
+        self.D = D
+        self.entries = entries
 
     @property
     def size(self) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -32,7 +31,8 @@ from .symbols import RadialSymbol
 
 # values per block of the per-multi-index path, a run of whole degrees (a
 # degree of more values is a block of its own); values per slice of the
-# sortedness check; runs per write of the CSV export
+# sortedness check and of the sort's sign-bit reads; runs per write of the
+# CSV export
 _BLOCK = 1 << 16
 # degrees per block of the radial path, at most _BLOCK: one value per
 # degree, so each table of a block is as long as the block, and the tables
@@ -71,12 +71,15 @@ def _sorted_by_modulus(values: np.ndarray) -> np.ndarray:
     overwrite the values and are negated back to moduli once sorted; where
     the sign bits differ, they are gathered in the keys' stable argsort and
     given back to the moduli: one index array beside the buffer, rather
-    than a key array, an index array and a sorted copy."""
-    signs = np.signbit(values)
-    if signs.all():
+    than a key array, an index array and a sorted copy.  The sign bits are
+    read a block at a time; a mask of them all is made only where they
+    differ."""
+    blocks = [values[i:i + _BLOCK] for i in range(0, values.size, _BLOCK)]
+    if all(np.signbit(b).all() for b in blocks):
         values.sort()
         return values
-    if signs.any():
+    if any(np.signbit(b).any() for b in blocks):
+        signs = np.signbit(values)
         np.abs(values, out=values)
         np.negative(values, out=values)
         signs = signs[np.argsort(values, kind="stable")]
@@ -121,7 +124,6 @@ def _ranks_in(mults: np.ndarray, lead: int) -> int:
     return lead if _kernels.is_unit(mults) else int(mults[:lead].sum())
 
 
-@dataclass
 class SNumberSequence:
     """Run-length-compressed spectrum sorted by decreasing |value|.
 
@@ -132,15 +134,13 @@ class SNumberSequence:
     untruncated operator: every dropped eigenvalue is smaller in modulus.
     """
 
-    values: np.ndarray
-    mults: np.ndarray
-    provenance: str
-    signed: bool = False
-    certified_rank: int | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.mults = np.asarray(self.mults, dtype=np.int64)
+    def __init__(self, values: np.ndarray, mults: np.ndarray, provenance: str,
+                 signed: bool = False, certified_rank: int | None = None):
+        self.values = np.asarray(values, dtype=float)
+        self.mults = np.asarray(mults, dtype=np.int64)
+        self.provenance = provenance
+        self.signed = signed
+        self.certified_rank = certified_rank
         v = self.values
         if v.shape != self.mults.shape or v.ndim != 1:
             raise ValueError("values and mults must be equal-length 1-D")
@@ -149,13 +149,16 @@ class SNumberSequence:
         lo, hi = v.min(), v.max()  # NaN and +-inf reach one of them
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("values must be finite")
-        # in blocks that overlap by one value, so the scratch stays bounded
+        # in blocks that overlap by one value, each bound built in one
+        # scratch buffer, so the scratch stays one block at any length
+        scratch = np.empty(min(v.size - 1, _BLOCK))
         for start in range(0, v.size - 1, _BLOCK):
             a = v[start:start + _BLOCK + 1]
             if lo < 0:
                 a = np.abs(a)
+            bound = scratch[:a.size - 1]
             with np.errstate(over="ignore"):  # an infinite bound is the right one
-                bound = a[:-1] * (1 + 1e-15)
+                np.multiply(a[:-1], 1 + 1e-15, out=bound)
             bound += 1e-300
             if np.any(a[1:] > bound):
                 raise ValueError("values must be sorted by nonincreasing modulus")
@@ -249,11 +252,12 @@ class SNumberSequence:
 # ---------------------------------------------------------------------------
 # diagonal fast path
 
-@dataclass
 class DiagonalChain:
     """coeff * T_{S_1} ... T_{S_m}, rightmost factor applied first."""
-    coeff: complex
-    factors: list
+
+    def __init__(self, coeff: complex, factors: list):
+        self.coeff = coeff
+        self.factors = factors
 
     def shifts(self):
         out = []
@@ -265,7 +269,6 @@ class DiagonalChain:
         return out
 
 
-@dataclass
 class DiagonalConfig:
     """Linear combination of diagonal chains, raised to an integer power.
 
@@ -273,9 +276,11 @@ class DiagonalConfig:
     the configuration is then diagonal in the monomial basis and its
     eigenvalue at alpha is (sum_c coeff_c * prod of factor elements)^power.
     """
-    n: int
-    chains: list
-    power: int = 1
+
+    def __init__(self, n: int, chains: list, power: int = 1):
+        self.n = n
+        self.chains = chains
+        self.power = power
 
     def __mul__(self, other: "DiagonalConfig") -> "DiagonalConfig":
         if self.power != 1 or other.power != 1:
@@ -608,7 +613,11 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     # truncation certificate: everything beyond K_degree is bounded by the
     # largest modulus seen over the last 5% of degrees
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
-    tail_bound = float(np.max(np.abs(vals[starts[tail_lo]:])))
+    tail = vals[starts[tail_lo]:]
+    if vals.dtype == complex:
+        tail_bound = float(np.max(np.abs(tail)))
+    else:  # the largest modulus, without a modulus array
+        tail_bound = float(max(tail.max(), -tail.min()))
     # the real parts of a complex buffer, or of a power, are a strided view:
     # only those are copied
     vals = np.ascontiguousarray(vals.real)

@@ -263,6 +263,38 @@ def test_cli_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_does_not_load_dataclasses():
+    # the package's classes are plain classes: generating dataclass methods
+    # was most of the import's own time
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    code = "import sys, focktrace.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_only_main_freezes_the_heap(tmp_path):
+    # the CLI entry point freezes the import-time heap, so exit and full
+    # collections skip it; importing the package or running an experiment
+    # as a library leaves the collector alone
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(FAST_MODEL_CFG))
+    code = ("import gc, json, sys; from focktrace import cli; "
+            "counts = [gc.get_freeze_count()]; "
+            "cli.run_experiment('model-operator', json.loads(sys.argv[1])); "
+            "counts.append(gc.get_freeze_count()); "
+            "cli.main(['--experiment', 'model-operator', '--config', sys.argv[2], "
+            "'--out', sys.argv[3]]); "
+            "counts.append(gc.get_freeze_count()); print(json.dumps(counts))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(FAST_MODEL_CFG),
+                          str(cfgp), str(tmp_path / "report.json")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    after_import, after_run, after_main = json.loads(out)
+    assert after_import == 0 and after_run == 0
+    assert after_main > 0
+
+
 def test_spectral_experiment_does_not_load_numpy_random():
     # only calculus-check draws random numbers, so only it builds a generator
     env = dict(os.environ, PYTHONPATH=_src_dir())

@@ -702,6 +702,34 @@ def test_n1_spectrum_at_default_sizes_holds_values_and_one_row():
     assert peak <= seq.values.nbytes + scratch, (peak - seq.values.nbytes) / scratch
 
 
+def test_n1_spectrum_finishing_scratch_does_not_grow_with_K(monkeypatch):
+    # from the assembled values on (sort, tail bound, the sortedness check
+    # of SNumberSequence), diagonal_spectrum holds one block of scratch
+    # beside the values at any K: the check builds each block's bound in
+    # one buffer, the tail bound of real values takes no modulus array and
+    # the sort reads the sign bits a block at a time.  Tracing starts once
+    # the values are assembled, so the peak is that scratch; the allowance
+    # is Python bookkeeping, far below a block
+    assemble = spectral._diagonal_values
+
+    def assembled(*args):
+        out = assemble(*args)
+        tracemalloc.start()
+        return out
+
+    monkeypatch.setattr(spectral, "_diagonal_values", assembled)
+    f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
+    ctx = FockContext(1, 1.0)
+    peaks = []
+    for K in (1 << 16, 1 << 18):
+        try:
+            diagonal_spectrum(ctx, hankel_config(f, f), K)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096, peaks
+
+
 def test_radial_streams_are_started_once_per_exponent(monkeypatch):
     # the walk is block-major: each exponent's stream of moment chunks is
     # started once, however many chains read it, and no whole row is built
@@ -915,6 +943,26 @@ def test_sorted_by_modulus_sorts_unsigned_values_directly(a):
             got = spectral._sorted_by_modulus(v)
         assert order.called == mixed
         np.testing.assert_array_equal(got.view(np.uint64), stable.view(np.uint64))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+def test_sorted_by_modulus_reads_sign_bits_by_block(monkeypatch, block):
+    # the sign bits are read a block at a time: one value whose sign bit
+    # differs from the rest, in any block, takes the argsort; one sign
+    # throughout takes none
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    base = np.array([3.0, 1.0, 0.0, 2.0, 5.0, 4.0, 0.5])
+    cases = [(base, False), (-base, False)]
+    for i in range(base.size):
+        for v in (base.copy(), -base):
+            v[i] = -v[i]
+            cases.append((v, True))
+    for v, mixed in cases:
+        stable = v[np.argsort(-np.abs(v), kind="stable")]
+        with mock.patch.object(spectral.np, "argsort", wraps=np.argsort) as order:
+            got = spectral._sorted_by_modulus(v.copy())
+        assert order.called == mixed
+        assert got.tobytes() == stable.tobytes()
 
 
 def test_sorted_by_modulus_sends_signed_zeros_and_negatives_to_modulus_order():
