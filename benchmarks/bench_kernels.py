@@ -139,10 +139,11 @@ def cases(ft, L, K):
     # the n = 1 default spectrum of hankel-trace, one value per degree
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     hankel = spectral.hankel_config(f, f)
-    # pair_rows fills the row asked for; one of five parameters fills both
+    # pair_rows' row B, the anchor of every row with non-integer t/2; a
+    # tree whose pair_rows still takes `upper` is asked for B by False
     pair_args = (0.5, 1.2, 0.82, 1.0, L - 1)
     if len(inspect.signature(_kernels.pair_rows).parameters) > 5:
-        pair_args += (True,)
+        pair_args += (False,)
 
     # dense assembly: the heat-inverse symbol of a star product of two
     # n = 2, degree-4 draws, and three radial terms at a large degree

@@ -7,26 +7,26 @@ The recurrences advance the normalized radial moments
 
 degree by degree.  They are the per-degree workhorse of the diagonal
 spectral path and run for up to ~10^6 steps.  Each is a stream: a
-generator over the consecutive chunks of the row below it (or, for the
-anchor, of nothing) that yields the consecutive chunks of its own row and
+generator over the consecutive chunks of the row it steps from (or, for
+the anchor, of nothing) that yields the consecutive chunks of its own row and
 carries between chunks only the state its recurrence needs, so a row is
 never held whole unless its reader joins the chunks (`joined`).  Every
 entry gets the same operations in the same order whatever the chunks, so
-the bits do not depend on them.  `raise_row`, `ladder_row` and
-`pair_rows` are the streams joined into one array.
+the bits do not depend on them.  `ladder_row` and `pair_rows` are the
+streams joined into one array.  Streams step s down only: the decaying
+symbols of the experiments never ask for a row with s > 0.
 
-- `raise_chunks` is not a recurrence: one slice expression a chunk,
-  bit-identical to the serial loop; it carries one entry.
 - `ladder_chunks` is damped (each step multiplies the carried value by
   -gamma/d), so after a short serial head every entry is the same
   recurrence restarted a few steps back, run for a chunk of degrees at once
   through one table of gamma/d; it carries its head and the 12 entries
   before each chunk.
-- `pair_chunks` keeps B in a serial loop: A is a running integral of B, so
-  that recurrence is not damped and cannot be restarted.  It yields only
-  the row asked for, A or B, _SERIAL_CHUNK degrees at a time; a chunk of A
-  is a sequential `np.cumsum` of the loop's B, with the loop's bits.  It
-  carries the floats (a, b), and the last A.
+- `pair_chunks` yields the row B of a serial loop over (A, B): A is a
+  running integral of B, so that recurrence is not damped and cannot be
+  restarted.  It yields B _SERIAL_CHUNK degrees at a time, and carries the
+  floats (a, b).
+- `raise_row` steps s up, one slice expression over a whole row; it serves
+  the rows with s > 0 that only a direct library call asks for.
 - `partial_sums_at` sums a run-length sequence exactly, by the error-free
   extraction of Rump, Ogita & Oishi ("Accurate floating-point summation,
   part I", SIAM J. Sci. Comput. 31(1), 2008) over chunks of runs, with no
@@ -61,8 +61,8 @@ _LADDER_TERMS = 12
 # takes 53 - 16 bits off the top of each, and a chunk of one sign whose
 # moduli span less than 2^19 is used up in two)
 _CHUNK = 1 << 15
-# degrees per chunk of the sources of streamed rows, which the steps above
-# a source keep: of pair_chunks' serial loop, whose two lists of Python
+# degrees per chunk of the sources of streamed rows, which the steps down
+# from a source keep: of pair_chunks' serial loop, whose two lists of Python
 # floats take 64 bytes a degree, of ones_chunks, and of `pieces`
 _SERIAL_CHUNK = 1 << 12
 # partial_sums_at: sums are carried exactly as integer counts of 2^-_UNIT;
@@ -157,28 +157,23 @@ def ladder_row(prev, out0, gamma):
     return joined(ladder_chunks(pieces(prev), out0, gamma), prev.shape[0])
 
 
-def pair_chunks(s_plus_one, a0, b0, gamma, dmax, upper):
-    """One row of the coupled advance of (A, B) = (m_{s+1}, m_s) for
-    non-integer s in (-1, 0), degrees 0..dmax: A when upper, else B.
+def pair_chunks(s_plus_one, a0, b0, gamma, dmax):
+    """The row B = m_s, degrees 0..dmax, of the coupled advance of
+    (A, B) = (m_{s+1}, m_s) for non-integer s in (-1, 0):
 
         B[d] = (gamma/d) * (A[d-1] - B[d-1])        (algebraic identity)
         A[d] = A[d-1] + ((s+1)/gamma) * B[d]        (integration by parts)
 
     A is a running integral of B, so errors in A are carried undamped and
-    the recurrence cannot be restarted part way like `ladder_chunks`: B
+    the recurrence cannot be restarted part way like `ladder_chunks`: it
     stays a serial loop (on Python floats, the same IEEE arithmetic), which
-    carries A as one float.  The row comes as its degree 0, then chunks of
-    _SERIAL_CHUNK degrees written from the loop's chunk of B: B as it is, A
-    as the sequential cumulative sum of the row's last A and the products
-    ((s+1)/gamma) * B[lo:hi] in one chunk of scratch, the same products and
-    the same left-to-right additions as the serial loop, so the same bits.
-    Between chunks only (a, b) and, for A, the last entry are carried.
+    carries A as one float.  The row comes as its degree 0, then the loop's
+    B in chunks of _SERIAL_CHUNK degrees; between chunks only (a, b) are
+    carried.
     """
     c = s_plus_one / gamma
     a, b = float(a0), float(b0)
-    last = a if upper else b
-    yield np.array([last])
-    steps = np.empty(min(_SERIAL_CHUNK, dmax)) if upper else None
+    yield np.array([b])
     for lo in range(1, dmax + 1, _SERIAL_CHUNK):
         hi = min(lo + _SERIAL_CHUNK, dmax + 1)
         Bs = []
@@ -187,16 +182,9 @@ def pair_chunks(s_plus_one, a0, b0, gamma, dmax, upper):
             b = gd * (a - b)
             a = a + c * b
             append(b)
+        # filled in place: np.array(Bs) first scans the list for a dtype
         part = np.empty(hi - lo)
-        if upper:
-            s = steps[:hi - lo]
-            s[:] = Bs
-            s *= c
-            s[0] += last
-            np.cumsum(s, out=part)
-            last = float(part[-1])
-        else:
-            part[:] = Bs
+        part[:] = Bs
         # the loop's floats are let go before the chunk is read, and the
         # chunk before the next is built
         del Bs, append
@@ -204,33 +192,19 @@ def pair_chunks(s_plus_one, a0, b0, gamma, dmax, upper):
         del part
 
 
-def pair_rows(s_plus_one, a0, b0, gamma, dmax, upper):
+def pair_rows(s_plus_one, a0, b0, gamma, dmax):
     """`pair_chunks`, degrees 0..dmax, in one array."""
-    return joined(pair_chunks(s_plus_one, a0, b0, gamma, dmax, upper), dmax + 1)
-
-
-def raise_chunks(chunks, gamma):
-    """m_{s+1}[d] = m_s[d] + ((d+1)/gamma) * m_s[d+1], from the chunks of
-    m_s: a row one shorter, one entry carried between chunks."""
-    d, carry = 0, None
-    for x in chunks:
-        if carry is None:
-            carry, x = x[:1], x[1:]
-        m = x.shape[0]
-        if not m:
-            continue
-        out = np.arange(d + 1, d + 1 + m) / gamma
-        out *= x
-        out[0] += carry[0]
-        out[1:] += x[:-1]
-        carry = x[-1:]
-        d += m
-        yield out
+    return joined(pair_chunks(s_plus_one, a0, b0, gamma, dmax), dmax + 1)
 
 
 def raise_row(row, gamma):
-    """`raise_chunks` of the row, in one array, one shorter."""
-    return joined(raise_chunks(pieces(row), gamma), row.shape[0] - 1)
+    """m_{s+1}[d] = m_s[d] + ((d+1)/gamma) * m_s[d+1] from the whole row
+    m_s: a row one shorter, in one slice expression."""
+    out = np.arange(1, row.shape[0], dtype=float)
+    out /= gamma
+    out *= row[1:]
+    out += row[:-1]
+    return out
 
 
 def _split(x):

@@ -175,11 +175,12 @@ def loglog_slope(xs, ys):
 
 
 def _leading(sym: RadialSymbol, order=None):
-    """(m, leading sphere part) of sym, whose order must be an integer -m <= 0;
-    with order given, a symbol of an order other than -order is refused."""
+    """(m, leading sphere part) of sym, whose order must be an integer -m <= 0
+    (to 1e-9, from below: every term then has t <= 0); with order given, a
+    symbol of an order other than -order is refused."""
     m, lead = sym.leading_sphere_part()
     mi = int(round(-m))
-    if abs(m + mi) > 1e-9 or mi < 0:
+    if abs(m + mi) > 1e-9 or m > 0:
         raise ConfigError(f"symbol order {m:g} is not a nonpositive integer")
     if order not in (None, mi):
         raise ConfigError(f"need a symbol of order {-order}, got {-mi}")

@@ -91,17 +91,6 @@ def _line_fit(x, y):
     return float(my - slope * mx), slope
 
 
-def fit_inverse_log(Ks, values):
-    """Least-squares fit values[i] = c + b / log(Ks[i] + 2).
-
-    Returns (c, b, rms_residual).
-    """
-    x = 1.0 / np.log(np.asarray(Ks, dtype=float) + 2.0)
-    y = np.asarray(values, dtype=float)
-    c, b = _line_fit(x, y)
-    return c, b, float(np.sqrt(np.mean((y - (c + b * x)) ** 2)))
-
-
 def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:
     """Fit log_mean(K) = c + b / log(K+2) over a dyadic grid; the constant c
     estimates the trace.  Diagnostics carry the fit residual and the spread of
@@ -116,8 +105,10 @@ def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:
     # the whole grid in one walk; each entry equals log_mean(seq, K)
     sums = seq.partial_sums(K_grid).tolist()
     lms = [s / math.log(K + 2) for s, K in zip(sums, K_grid)]
-    c, b, rms = fit_inverse_log(K_grid, lms)
     xs = 1.0 / np.log(np.asarray(K_grid, dtype=float) + 2.0)
+    ys = np.array(lms)
+    c, b = _line_fit(xs, ys)
+    rms = float(np.sqrt(np.mean((ys - (c + b * xs)) ** 2)))
     ill = bool(xs.max() - xs.min() < 1e-3)
     tail = lms[-3:]
     spread_tail = (max(tail) - min(tail)) / max(abs(c), 1e-300)

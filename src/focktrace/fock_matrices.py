@@ -11,16 +11,19 @@ the normalized moments
     m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2) e^(-gamma u) du,
 
 which stay O(1) at every degree, so assembly never overflows.  Every row
-comes one way (`moment_chunks`): from an anchor row, by integer steps in
-t/2 (`raise_chunks` up, `ladder_chunks` down), each a stream of chunks
-over the one below it.  An integer t/2 anchors at m_0 = 1, any other at
-the pair (m_(sigma+1), m_sigma), sigma in (-1, 0), of `pair_chunks`.  The
-d = 0 moments that seed the pair and the downward steps are
-gamma e^gamma E_(-t/2)(gamma), in terms of the generalized exponential
-integral (DLMF 8.19), evaluated in `decimal` arithmetic, rounded to a float
-once and kept (`_base_moment`); each stream is started for the call that
-asks for it, and only the spectral path reads it chunk by chunk:
-`scaled_moment_row` joins it into one array for the dense matrices.
+comes one way (`moment_chunks`): from one anchor row, by integer steps in
+t/2.  An integer t/2 anchors at m_0 = 1, any other at m_sigma, sigma in
+(-1, 0), the lower row of the pair recurrence (`pair_chunks`).  A row with
+t <= 0 steps down from its anchor (`ladder_chunks`), each step a stream of
+chunks over the one it steps from; only a direct library call asks for a
+row with t > 0 (the experiments' symbols decay), and that row is raised
+whole (`raise_row`).  The d = 0 moments that seed the pair and the
+downward steps are gamma e^gamma E_(-t/2)(gamma), in terms of the
+generalized exponential integral (DLMF 8.19), evaluated in `decimal`
+arithmetic, rounded to a float once and kept (`_base_moment`); each
+stream is started for the call that asks for it, and only the spectral
+path reads it chunk by chunk: `scaled_moment_row` joins it into one array
+for the dense matrices.
 Entries are evaluated in a fixed term order.
 """
 
@@ -113,31 +116,32 @@ def _base_moment(t: float, gamma: float) -> float:
 
 def moment_chunks(t: float, gamma: float, dmax: int):
     """m_t[0..dmax], with m_t[d] = gamma^(d+1)/d! * integral u^d (1+u)^(t/2)
-    e^(-gamma u) du, as consecutive chunks, built by k = s - sigma steps
-    from m_sigma: m_0 = 1 for an integer s = t/2, else the `pair_chunks`
-    member on s's side.  Each step is a stream of chunks over the one
-    below it, so only chunk-sized scratch and the state each recurrence
-    carries are held while the chunks are read; the base moments are
-    evaluated at this call, the chunks as they are read.
+    e^(-gamma u) du, as consecutive chunks, built by k = s - sigma integer
+    steps from one anchor m_sigma: m_0 = 1 for an integer s = t/2, else the
+    `pair_chunks` row with sigma = s - floor(s) - 1 in (-1, 0).
+
+    A row with t <= 0 steps down only (k <= 0), each step a stream of
+    chunks over the one it steps from, so only chunk-sized scratch and the
+    state each recurrence carries are held while the chunks are read.  The
+    experiments' symbols decay, so only a direct library call asks for a
+    row with t > 0: its anchor is joined and raised whole, k times.  The
+    base moments are evaluated at this call, the chunks as they are read.
     """
     s, gamma = _tkey(t) / 2.0, float(gamma)
-    if abs(s - round(s)) < 1e-12:
-        sigma, k = 0.0, int(round(s))
-        chunks = _kernels.ones_chunks(dmax + 1 + max(k, 0))
+    sigma = 0.0 if abs(s - round(s)) < 1e-12 else (s - math.floor(s)) - 1.0
+    k = int(round(s - sigma))
+    length = dmax + 1 + max(k, 0)
+    if sigma == 0.0:
+        chunks = _kernels.ones_chunks(length)
     else:
-        sigma0 = (s - math.floor(s)) - 1.0
-        k = int(round(s - sigma0)) - 1
-        a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
-        b0 = gamma * _base_moment(2.0 * sigma0, gamma)
-        upper = k >= 0
-        chunks = _kernels.pair_chunks(sigma0 + 1.0, a0, b0, gamma,
-                                      dmax + max(k, 0), upper)
-        if upper:
-            sigma = sigma0 + 1.0
-        else:
-            sigma, k = sigma0, k + 1
-    for _ in range(k):
-        chunks = _kernels.raise_chunks(chunks, gamma)
+        a0 = gamma * _base_moment(2.0 * (sigma + 1.0), gamma)
+        b0 = gamma * _base_moment(2.0 * sigma, gamma)
+        chunks = _kernels.pair_chunks(sigma + 1.0, a0, b0, gamma, length - 1)
+    if k > 0:
+        row = _kernels.joined(chunks, length)
+        for _ in range(k):
+            row = _kernels.raise_row(row, gamma)
+        return _kernels.pieces(row)
     for i in range(-k):
         base = gamma * _base_moment(2.0 * (sigma - i - 1), gamma)
         chunks = _kernels.ladder_chunks(chunks, base, gamma)

@@ -127,18 +127,15 @@ def _ranks_in(mults: np.ndarray, lead: int) -> int:
 class SNumberSequence:
     """Run-length-compressed spectrum sorted by decreasing |value|.
 
-    For s-number data (signed=False) all values are >= 0.  provenance records
-    where the values come from, e.g. 'exact-diagonal(...)' for the exact
-    eigenvalues of the full operator cut at a degree.  Ranks below
+    For s-number data (signed=False) all values are >= 0.  Ranks below
     certified_rank are guaranteed to be the true leading s-numbers of the
     untruncated operator: every dropped eigenvalue is smaller in modulus.
     """
 
-    def __init__(self, values: np.ndarray, mults: np.ndarray, provenance: str,
+    def __init__(self, values: np.ndarray, mults: np.ndarray,
                  signed: bool = False, certified_rank: int | None = None):
         self.values = np.asarray(values, dtype=float)
         self.mults = np.asarray(mults, dtype=np.int64)
-        self.provenance = provenance
         self.signed = signed
         self.certified_rank = certified_rank
         v = self.values
@@ -168,10 +165,9 @@ class SNumberSequence:
             raise ValueError("multiplicities must be positive")
 
     @classmethod
-    def from_values(cls, values, provenance, signed=False, certified_rank=None):
+    def from_values(cls, values, signed=False, certified_rank=None):
         v, m = _sorted_runs(np.array(values, dtype=float), None)
-        return cls(v, m, provenance, signed=signed,
-                   certified_rank=certified_rank)
+        return cls(v, m, signed=signed, certified_rank=certified_rank)
 
     @property
     def total(self) -> int:
@@ -222,16 +218,14 @@ class SNumberSequence:
             T = max(abs(float(x.values[_runs_of(x.mults, x.certified_rank - 1)]))
                     for x in (self, other))
             cert = _ranks_in(m, _leading_count(v, T, inclusive=True))
-        return SNumberSequence(v, m,
-                               f"merge({self.provenance},{other.provenance})",
-                               signed=self.signed or other.signed,
+        return SNumberSequence(v, m, signed=self.signed or other.signed,
                                certified_rank=cert)
 
     def scaled(self, factor: float) -> "SNumberSequence":
         if factor < 0 and not self.signed:
             raise ValueError("negative scaling of s-numbers")
         return SNumberSequence(self.values * factor, self.mults,
-                               self.provenance, signed=self.signed,
+                               signed=self.signed,
                                certified_rank=self.certified_rank)
 
     def to_csv(self, path):
@@ -288,11 +282,6 @@ class DiagonalConfig:
         chains = [DiagonalChain(c1.coeff * c2.coeff, c1.factors + c2.factors)
                   for c1 in self.chains for c2 in other.chains]
         return DiagonalConfig(self.n, chains)
-
-    def scaled(self, c) -> "DiagonalConfig":
-        return DiagonalConfig(
-            self.n, [DiagonalChain(ch.coeff * c, ch.factors) for ch in self.chains],
-            self.power)
 
     def __pow__(self, k: int) -> "DiagonalConfig":
         if self.power != 1:
@@ -625,6 +614,5 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     values, mults = _sorted_runs(vals, degree_mults)
     signed = bool(values.min() < 0)
     certified = _ranks_in(mults, _leading_count(values, tail_bound * (1 + 1e-12)))
-    return SNumberSequence(values, mults,
-                           f"exact-diagonal(K_degree={K_degree})",
-                           signed=signed, certified_rank=certified)
+    return SNumberSequence(values, mults, signed=signed,
+                           certified_rank=certified)

@@ -88,11 +88,26 @@ def base_moment_expint(t: float, gamma: float) -> float:
         return float(mp.e ** gamma * mp.expint(-t / 2.0, gamma))
 
 
+def serial_pair_rows(s_plus_one, a0, b0, gamma, dmax):
+    """The rows (A, B) = (m_{s+1}, m_s), degrees 0..dmax, of the serial loop
+    B[d] = (gamma/d) (A[d-1] - B[d-1]), A[d] = A[d-1] + ((s+1)/gamma) B[d]
+    on Python floats."""
+    c = s_plus_one / gamma
+    a, b = float(a0), float(b0)
+    A, B = [a], [b]
+    for d in range(1, dmax + 1):
+        b = (gamma / d) * (a - b)
+        a = a + c * b
+        A.append(a)
+        B.append(b)
+    return np.array(A), np.array(B)
+
+
 def compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
     """`fock_matrices.scaled_moment_row` as it was with three routes: a closed
     form sum of rising products for t = 2, 4, ..., a ladder loop from
-    m_0 = 1 for t = -2, -4, ..., and the `pair_rows` anchor with raise or
-    ladder steps for every other t."""
+    m_0 = 1 for t = -2, -4, ..., and the pair anchor (`serial_pair_rows`),
+    its upper row A raised or its lower row B laddered, for every other t."""
     s = t / 2.0
     si = int(round(s))
     if abs(s - si) < 1e-12:
@@ -119,8 +134,7 @@ def compute_row(t: float, gamma: float, dmax: int) -> np.ndarray:
     length = dmax + 1 + max(ups, 0)
     a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
     b0 = gamma * _base_moment(2.0 * sigma0, gamma)
-    A, B = (_kernels.pair_rows(sigma0 + 1.0, a0, b0, gamma, length - 1, upper)
-            for upper in (True, False))
+    A, B = serial_pair_rows(sigma0 + 1.0, a0, b0, gamma, length - 1)
     if abs(s - sigma0) < 1e-12:
         return B[: dmax + 1]
     if ups >= 0:
@@ -234,7 +248,6 @@ def per_degree_spectrum(ctx, config, K_degree: int):
     certified = int(np.sum(np.abs(values) > tail_bound * (1 + 1e-12)))
     return spectral.SNumberSequence(
         values, np.ones(values.shape[0], dtype=np.int64),
-        f"exact-diagonal(K_degree={K_degree})",
         signed=bool(np.any(values < 0)), certified_rank=certified)
 
 
@@ -259,8 +272,8 @@ def finish_with_copies(vals, starts, degree_mults, K_degree: int):
         mults = np.ones(values.shape[0], dtype=np.int64)
     certified = int(np.sum(mults[np.abs(values) > tail_bound * (1 + 1e-12)]))
     return spectral.SNumberSequence(
-        values, mults, f"exact-diagonal(K_degree={K_degree})",
-        signed=bool(np.any(values < 0)), certified_rank=certified)
+        values, mults, signed=bool(np.any(values < 0)),
+        certified_rank=certified)
 
 
 def csv_by_rows(seq, path):

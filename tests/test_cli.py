@@ -8,8 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from focktrace import _kernels, cli
 from focktrace.cli import ConfigError, main, run_experiment, write_report
+from focktrace.spectral import commutator_config, hankel_config
 from focktrace.symbols import RadialSymbol
 
 _U = RadialSymbol.radial_power(1, -1.0).to_json_dict()
@@ -401,3 +405,76 @@ def test_radial_spectrum_over_the_value_cap_exits_2(monkeypatch, tmp_path,
     # n = 1, and a configuration over the cap is still diagonal
     assert "at cutoff 1000," in err[0]
     assert "K_degree" not in err[0] and "shift-cancelling" not in err[0]
+
+
+# the trace experiments at a cutoff where each passes: n = 2 at K_degree
+# 1500, n = 1 at 2^14 ranks
+_MIXED_CASES = [dict(case, K_degree=K) for case, K
+                in zip(cli._default_mixed_cases(), (1500, 1 << 14))]
+
+
+@pytest.mark.parametrize("experiment, cfg", [
+    ("model-operator", FAST_MODEL_CFG),
+    ("model-operator", {"n": 2, "K_degree": 1500}),
+    ("toeplitz-trace", {"n": 2, "K_degree": 1500}),
+    ("hankel-trace", {"n": 1, "K_degree": 1 << 14}),
+    ("hankel-trace", {"n": 2, "K_degree": 1500}),
+    ("commutator-trace", {"n": 1, "K_degree": 1 << 14}),
+    ("commutator-trace", {"n": 2, "K_degree": 1500}),
+    ("mixed-trace", {"cases": _MIXED_CASES}),
+], ids=["model-operator-n1", "model-operator-n2", "toeplitz-trace-n2",
+        "hankel-trace-n1", "hankel-trace-n2", "commutator-trace-n1",
+        "commutator-trace-n2", "mixed-trace"])
+def test_trace_experiments_stream_every_row_downward(monkeypatch, experiment,
+                                                     cfg):
+    # a row with t > 0 is joined and raised whole (fock_matrices.moment_chunks);
+    # no experiment asks for one, so both routes can fail here
+    def whole_row(*args):
+        raise AssertionError("a moment row was joined or raised whole")
+    monkeypatch.setattr(_kernels, "raise_row", whole_row)
+    monkeypatch.setattr(_kernels, "joined", whole_row)
+    assert run_experiment(experiment, cfg)["passed"]
+
+
+@st.composite
+def radial_symbols(draw, n):
+    """Symbols of a few terms, each of order |p| + |q| + t near 0 or below:
+    whole and half steps, arbitrary shifts and the edge of `_leading`'s
+    1e-9 tolerance."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        q = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        order = draw(st.one_of(
+            st.sampled_from([0.0, -0.5, -1.0, -2.0, 1e-9, 5e-10, -1e-10, 0.5]),
+            st.floats(-4.0, 1.0)))
+        # coefficients no sum of which is 0, so no drawn key cancels
+        terms.append(((p, q, order - sum(p) - sum(q)),
+                      draw(st.sampled_from([1.0, 2j, 0.3 - 0.7j]))))
+    return RadialSymbol(n, terms)
+
+
+def _accepted(sym):
+    try:
+        cli._leading(sym)
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@example((RadialSymbol.constant(1), RadialSymbol.radial_power(1, 1e-9)))
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(radial_symbols(n),
+                                                      radial_symbols(n))))
+def test_accepted_symbols_and_their_products_have_no_positive_exponent(fg):
+    # every symbol an experiment accepts decays, and so does every factor of
+    # the configurations built from them: each moment row they ask for has
+    # t <= 0, and is streamed downward from its anchor
+    f, g = fg
+    for sym in (f, g):
+        if _accepted(sym):
+            assert all(t <= 0 for (_p, _q, t) in sym.terms)
+    if _accepted(f) and _accepted(g):
+        for config in (hankel_config(f, g), commutator_config(f, g)):
+            assert all(t <= 0 for ch in config.chains for S in ch.factors
+                       for (_p, _q, t) in S.terms)

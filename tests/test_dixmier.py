@@ -8,14 +8,14 @@ import pytest
 
 from focktrace.cli import loglog_slope
 from focktrace.dixmier import (DEFAULT_RANK_GRID_1D, _line_fit, extrapolate,
-                               fit_inverse_log, log_mean, pointwise)
+                               log_mean, pointwise)
 from focktrace.spectral import SNumberSequence
 from oracles import line_by_lstsq
 
 
 def harmonic_sequence(K):
     vals = 1.0 / (np.arange(K + 1) + 1.0)
-    return SNumberSequence(vals, np.ones(K + 1, dtype=np.int64), "synthetic")
+    return SNumberSequence(vals, np.ones(K + 1, dtype=np.int64))
 
 
 def test_log_mean_harmonic():
@@ -29,7 +29,7 @@ def test_log_mean_harmonic():
 
 def test_log_mean_trace_class_vanishes():
     vals = 0.5 ** np.arange(4000)
-    seq = SNumberSequence(vals, np.ones(4000, dtype=np.int64), "synthetic")
+    seq = SNumberSequence(vals, np.ones(4000, dtype=np.int64))
     assert log_mean(seq, 3999) < log_mean(seq, 100) < log_mean(seq, 10)
     assert log_mean(seq, 3999) < 0.25
 
@@ -48,7 +48,7 @@ def test_pointwise_examples():
     assert med == pytest.approx(1.0, abs=1e-15)
     assert spread <= 1e-15  # exact up to one ulp of (j+1)*(1/(j+1))
     vals = 1.0 / (np.arange(10_001) + 1.0) ** 2
-    seq2 = SNumberSequence(vals, np.ones(10_001, dtype=np.int64), "synthetic")
+    seq2 = SNumberSequence(vals, np.ones(10_001, dtype=np.int64))
     med2, _ = pointwise(seq2, (5000, 10_000))
     assert med2 < 2e-4
 
@@ -61,10 +61,10 @@ def test_pointwise_median_equals_np_median_bitwise():
         size = int(rng.integers(1, 80))
         vals = (rng.choice(pool, size) if draw % 2
                 else rng.normal(size=size) * 10.0 ** rng.integers(-5, 6, size))
-        seq = SNumberSequence.from_values(vals, "synthetic", signed=True)
+        seq = SNumberSequence.from_values(vals, signed=True)
         if draw % 3 == 0:
             seq = SNumberSequence(seq.values, rng.integers(1, 4, size),
-                                  "synthetic", signed=True)
+                                  signed=True)
         lo = int(rng.integers(0, seq.total))
         hi = int(rng.integers(lo, seq.total))
         med, _ = pointwise(seq, (lo, hi))
@@ -83,14 +83,14 @@ def test_extrapolate_harmonic():
 
 def test_extrapolate_trace_class():
     vals = 0.5 ** np.arange(60_000)
-    seq = SNumberSequence(vals, np.ones(60_000, dtype=np.int64), "synthetic")
+    seq = SNumberSequence(vals, np.ones(60_000, dtype=np.int64))
     est = extrapolate(seq, [2**12, 2**13, 2**14, 2**15])
     assert abs(est.value) <= 1e-3
 
 
 def test_extrapolate_default_grid_respects_certificate():
     vals = 1.0 / (np.arange(1 << 16) + 1.0)
-    seq = SNumberSequence(vals, np.ones(1 << 16, dtype=np.int64), "synthetic",
+    seq = SNumberSequence(vals, np.ones(1 << 16, dtype=np.int64),
                           certified_rank=1 << 12)
     est = extrapolate(seq)
     assert max(est.diagnostics["grid"]) <= (1 << 12) - 1
@@ -106,9 +106,12 @@ def test_extrapolate_one_walk_matches_per_rank_log_means():
                             1 << 14)
     grid = [2**e for e in range(6, 14)]
     est = extrapolate(seq, grid)
-    # the per-rank path extrapolate replaced: one log_mean walk per rank
+    # the per-rank path extrapolate replaced: one log_mean walk per rank,
+    # fitted against 1/log(K+2)
     lms = [log_mean(seq, K) for K in grid]
-    c, b, rms = fit_inverse_log(grid, lms)
+    x = 1.0 / np.log(np.asarray(grid, dtype=float) + 2.0)
+    c, b = _line_fit(x, lms)
+    rms = float(np.sqrt(np.mean((np.array(lms) - (c + b * x)) ** 2)))
     assert est.value == c
     assert est.diagnostics["fit_b"] == b
     assert est.diagnostics["fit_residual_rms"] == rms
@@ -170,7 +173,7 @@ def test_line_fit_refuses_x_without_spread():
         with pytest.raises(ValueError):
             _line_fit(x, np.arange(len(x), dtype=float))
     with pytest.raises(ValueError):
-        fit_inverse_log([1000, 1000, 1000], [1.0, 2.0, 3.0])
+        extrapolate(harmonic_sequence(2000), [1000, 1000, 1000])
 
 
 def test_fits_run_without_lapack(monkeypatch):

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focktrace import _kernels
-from focktrace.fock_matrices import _base_moment, moment_chunks
-from oracles import radial_moment_hp
+from focktrace.fock_matrices import (_base_moment, moment_chunks,
+                                     scaled_moment_row)
+from oracles import radial_moment_hp, serial_pair_rows
 
 
 # -- serial oracles ---------------------------------------------------------
@@ -24,17 +25,6 @@ def serial_ladder_row(prev, out0, gamma):
     for d in range(1, prev.shape[0]):
         out[d] = (gamma / d) * (prev[d - 1] - out[d - 1])
     return out
-
-
-def serial_pair_rows(s_plus_one, a0, b0, gamma, dmax):
-    A = np.empty(dmax + 1)
-    B = np.empty(dmax + 1)
-    A[0] = a0
-    B[0] = b0
-    for d in range(1, dmax + 1):
-        B[d] = (gamma / d) * (A[d - 1] - B[d - 1])
-        A[d] = A[d - 1] + (s_plus_one / gamma) * B[d]
-    return A, B
 
 
 def serial_raise_row(row, gamma):
@@ -138,11 +128,12 @@ def test_ladder_row_matches_high_precision_oracle():
 
 
 def test_pair_rows_matches_high_precision_oracle():
+    # the pair's row B, and the row m_{1/2} raised from it
     gamma = 1.7
     a0 = normalized_oracle(0, 1.0, gamma)
     b0 = normalized_oracle(0, -1.0, gamma)
-    A, B = (_kernels.pair_rows(0.5, a0, b0, gamma, 1500, upper)
-            for upper in (True, False))
+    B = _kernels.pair_rows(0.5, a0, b0, gamma, 1500)
+    A = scaled_moment_row(1.0, gamma, 1500)
     for d in [0, 3, 33, 400, 1500]:
         assert abs(B[d] - normalized_oracle(d, -1.0, gamma)) <= 5e-12 * abs(
             normalized_oracle(d, -1.0, gamma))
@@ -152,12 +143,10 @@ def test_pair_rows_matches_high_precision_oracle():
 
 def test_raise_row_consistency():
     # m_{s+1}[d] = m_s[d] + (d+1)/gamma * m_s[d+1], checked against the
-    # independent pair construction at s+1
+    # independent quadrature at s+1
     gamma = 1.0
-    a0 = normalized_oracle(0, 1.0, gamma)
-    b0 = normalized_oracle(0, -1.0, gamma)
-    A = _kernels.pair_rows(0.5, a0, b0, gamma, 300, True)
-    raised = _kernels.raise_row(A, gamma)  # should be m_{3/2}
+    row = scaled_moment_row(1.0, gamma, 300)
+    raised = _kernels.raise_row(row, gamma)  # should be m_{3/2}
     for d in [0, 5, 100, 299]:
         ref = normalized_oracle(d, 3.0, gamma)
         assert abs(raised[d] - ref) <= 1e-11 * abs(ref)
@@ -200,15 +189,14 @@ def test_ladder_row_matches_serial(gamma):
 
 
 def test_pair_rows_bit_identical_to_serial(monkeypatch):
-    # either row is filled chunk by chunk: dmax below, on and across the
+    # the row B is filled chunk by chunk: dmax below, on and across the
     # chunk edges gives the serial loop's bits
     for chunk in (1, 7, 1000, _kernels._SERIAL_CHUNK, _kernels._CHUNK):
         monkeypatch.setattr(_kernels, "_SERIAL_CHUNK", chunk)
         for dmax in (0, 1, 6, 7, 8, 999, 1000, 1001, 4000, 4096, 4097, 9000):
-            ref = serial_pair_rows(0.5, 1.2, 0.7, 1.1, dmax)
-            for upper, row in zip((True, False), ref):
-                got = _kernels.pair_rows(0.5, 1.2, 0.7, 1.1, dmax, upper)
-                assert got.tobytes() == row.tobytes()
+            _, ref = serial_pair_rows(0.5, 1.2, 0.7, 1.1, dmax)
+            got = _kernels.pair_rows(0.5, 1.2, 0.7, 1.1, dmax)
+            assert got.tobytes() == ref.tobytes()
 
 
 def restarted_ladder_row(prev, out0, gamma):
@@ -461,17 +449,15 @@ def test_ladder_row_scratch_is_one_table_a_chunk():
     assert peak <= out.nbytes + 2 * table + 65536, (peak - out.nbytes) / table
 
 
-@pytest.mark.parametrize("upper", [True, False])
-def test_pair_rows_scratch_is_one_chunk(upper):
-    # at 2^18 degrees pair_rows allocates the row asked for and, a chunk of
+def test_pair_rows_scratch_is_one_chunk():
+    # at 2^18 degrees pair_rows allocates the row B and, a chunk of
     # _SERIAL_CHUNK degrees at a time, the loop's gamma/d array and two lists
-    # of Python floats (8 + 2 * 32 bytes a degree), the chunk it yields and
-    # for A a chunk of products (8 bytes each): about 80 bytes a degree of
-    # the chunk.  The other row, or lists as long as _CHUNK, would break the
-    # bound
+    # of Python floats (8 + 2 * 32 bytes a degree) and the chunk it yields:
+    # about 80 bytes a degree of the chunk.  A second row, or lists as long
+    # as _CHUNK, would break the bound
     tracemalloc.start()
     try:
-        row = _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, 1 << 18, upper)
+        row = _kernels.pair_rows(0.5, 1.2, 0.82, 1.0, 1 << 18)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -482,20 +468,20 @@ def test_pair_rows_scratch_is_one_chunk(upper):
 
 def whole_row(t, gamma, dmax):
     """m_t[0..dmax] by whole-row recurrences: the serial pair loop, the
-    serial raise loop and the unchunked restarted ladder, with the anchor
-    and the steps of `fock_matrices.moment_chunks`."""
+    serial raise loop and the unchunked restarted ladder, from the anchor
+    and by the steps of `fock_matrices.moment_chunks`: k = s - sigma steps
+    from m_0 = 1 for an integer s = t/2, else from the pair's row B at
+    sigma = s - floor(s) - 1."""
     s = t / 2.0
-    if abs(s - round(s)) < 1e-12:
-        sigma, k = 0.0, int(round(s))
-        row = np.ones(dmax + 1 + max(k, 0))
+    sigma = 0.0 if abs(s - round(s)) < 1e-12 else (s - math.floor(s)) - 1.0
+    k = int(round(s - sigma))
+    length = dmax + 1 + max(k, 0)
+    if sigma == 0.0:
+        row = np.ones(length)
     else:
-        sigma0 = (s - math.floor(s)) - 1.0
-        k = int(round(s - sigma0)) - 1
-        a0 = gamma * _base_moment(2.0 * (sigma0 + 1.0), gamma)
-        b0 = gamma * _base_moment(2.0 * sigma0, gamma)
-        A, B = serial_pair_rows(sigma0 + 1.0, a0, b0, gamma, dmax + max(k, 0))
-        row, sigma = (A, sigma0 + 1.0) if k >= 0 else (B, sigma0)
-        k = k if k >= 0 else k + 1
+        a0 = gamma * _base_moment(2.0 * (sigma + 1.0), gamma)
+        b0 = gamma * _base_moment(2.0 * sigma, gamma)
+        _, row = serial_pair_rows(sigma + 1.0, a0, b0, gamma, length - 1)
     for _ in range(k):
         row = serial_raise_row(row, gamma)
     for i in range(-k):
@@ -506,12 +492,11 @@ def whole_row(t, gamma, dmax):
 
 @pytest.mark.parametrize("chunk", [7, 100, _kernels._SERIAL_CHUNK])
 def test_streamed_rows_are_the_whole_row_recurrences(monkeypatch, chunk):
-    # the chunks of every kind of row (m_0 = 1 raised and laddered, the
-    # upper pair member A raised, the lower B laddered) are the whole-row
-    # recurrences' entries bit for bit, ending before, on and after the
-    # ladder's serial head and the chunk edges; no chunk is longer than the
-    # source's chunks or the head, and a row asked for up to dmax gives
-    # the longer row's first entries
+    # the chunks of every kind of row (m_0 = 1 and the pair's row B, each
+    # raised and laddered) are the whole-row recurrences' entries bit for
+    # bit, ending before, on and after the ladder's serial head and the
+    # chunk edges; no chunk is longer than the source's chunks or the head,
+    # and a row asked for up to dmax gives the longer row's first entries
     monkeypatch.setattr(_kernels, "_SERIAL_CHUNK", chunk)
     top = 2 * _kernels._SERIAL_CHUNK + 200
     for gamma in (0.3, 2.5):

@@ -16,7 +16,8 @@ from focktrace.core import degree_multiplicity
 from focktrace.fock_matrices import (FockContext, buffered_product,
                                      toeplitz_matrix)
 from focktrace.dixmier import extrapolate
-from focktrace.spectral import (DiagonalityError, SNumberSequence,
+from focktrace.spectral import (DiagonalChain, DiagonalConfig,
+                                DiagonalityError, SNumberSequence,
                                 commutator_config, diagonal_spectrum,
                                 hankel_config, toeplitz_config)
 from focktrace.symbols import RadialSymbol
@@ -199,7 +200,7 @@ def test_schatten_sum_cauchy():
 def test_sequence_partial_sums_and_pointwise():
     values = np.array([4.0, 2.0, 1.0])
     mults = np.array([1, 2, 3])
-    seq = SNumberSequence(values, mults, "exact-diagonal(K_degree=2)")
+    seq = SNumberSequence(values, mults)
     assert seq.total == 6
     assert seq.partial_sums([0, 2, 5]).tolist() == [4.0, 8.0, 11.0]
     np.testing.assert_allclose(seq.pointwise_values(1, 3),
@@ -207,7 +208,7 @@ def test_sequence_partial_sums_and_pointwise():
     with pytest.raises(ValueError):
         seq.partial_sums([6])
     # unit multiplicities: rank j is run j
-    unit = SNumberSequence.from_values([1.0, 4.0, 2.0], "x")
+    unit = SNumberSequence.from_values([1.0, 4.0, 2.0])
     assert unit.total == 3 and unit.partial_sums([2]).tolist() == [7.0]
     np.testing.assert_array_equal(unit.pointwise_values(1, 2), [2 * 2.0, 3 * 1.0])
 
@@ -215,9 +216,9 @@ def test_sequence_partial_sums_and_pointwise():
 def test_partial_sums_of_values_near_the_float_limit():
     # both paths; the split of a value above ~1.3e300 used to overflow into NaN
     values = np.array([1e301, 1e300])
-    for seq in (SNumberSequence(values, np.array([1, 1]), "x"),
-                SNumberSequence(values, np.array([2, 1]), "x"),
-                SNumberSequence.from_values(values, "x")):
+    for seq in (SNumberSequence(values, np.array([1, 1])),
+                SNumberSequence(values, np.array([2, 1])),
+                SNumberSequence.from_values(values)):
         want = [1e301, (seq.mults[0] * Fraction(1e301)) + Fraction(1e300)]
         assert seq.partial_sums([0, seq.total - 1]).tolist() == \
             [float(w) for w in want]
@@ -225,21 +226,21 @@ def test_partial_sums_of_values_near_the_float_limit():
 
 def test_sequence_validation():
     with pytest.raises(ValueError):
-        SNumberSequence(np.array([1.0, 2.0]), np.array([1, 1]), "x")
+        SNumberSequence(np.array([1.0, 2.0]), np.array([1, 1]))
     with pytest.raises(ValueError):
-        SNumberSequence(np.array([1.0, -0.5]), np.array([1, 1]), "x")
+        SNumberSequence(np.array([1.0, -0.5]), np.array([1, 1]))
     # signed sequences may carry negative values, ordered by modulus
-    seq = SNumberSequence(np.array([-1.0, 0.5]), np.array([1, 1]), "x", signed=True)
+    seq = SNumberSequence(np.array([-1.0, 0.5]), np.array([1, 1]), signed=True)
     assert seq.signed
     for bad in ([2.0, np.nan, 1.0], [np.inf, 1.0], [-np.inf]):
         with pytest.raises(ValueError, match="finite"):
             SNumberSequence(np.array(bad), np.ones(len(bad), dtype=np.int64),
-                            "x", signed=True)
+                            signed=True)
     with pytest.raises(ValueError, match="finite"):
-        SNumberSequence.from_values([2.0, np.nan, 1.0], "x")
+        SNumberSequence.from_values([2.0, np.nan, 1.0])
     # moduli near the largest float: the sortedness bound overflows to inf
     with np.errstate(over="raise"):
-        SNumberSequence(np.array([np.finfo(float).max, 1.0]), np.array([1, 1]), "x")
+        SNumberSequence(np.array([np.finfo(float).max, 1.0]), np.array([1, 1]))
 
 
 @pytest.mark.parametrize("block", [1, 2, 5])
@@ -249,17 +250,17 @@ def test_sortedness_is_checked_across_block_edges(monkeypatch, block):
     v = np.arange(12.0, 0.0, -1.0)
     for signed in (False, True):
         w = v * np.where(np.arange(12) % 3, 1.0, -1.0) if signed else v
-        SNumberSequence(w, np.ones(12, dtype=np.int64), "x", signed=signed)
+        SNumberSequence(w, np.ones(12, dtype=np.int64), signed=signed)
         for i in range(11):
             bad = w.copy()
             bad[i], bad[i + 1] = bad[i + 1], bad[i]
             with pytest.raises(ValueError, match="sorted"):
-                SNumberSequence(bad, np.ones(12, dtype=np.int64), "x", signed=signed)
+                SNumberSequence(bad, np.ones(12, dtype=np.int64), signed=signed)
 
 
 def test_sequence_merge_is_directsum_spectrum():
-    a = SNumberSequence(np.array([3.0, 1.0]), np.array([1, 2]), "a")
-    b = SNumberSequence(np.array([2.0, 1.5]), np.array([2, 1]), "b")
+    a = SNumberSequence(np.array([3.0, 1.0]), np.array([1, 2]))
+    b = SNumberSequence(np.array([2.0, 1.5]), np.array([2, 1]))
     m = a.merge(b)
     expanded = np.repeat(m.values, m.mults)
     np.testing.assert_allclose(expanded, [3.0, 2.0, 2.0, 1.5, 1.0, 1.0])
@@ -267,12 +268,12 @@ def test_sequence_merge_is_directsum_spectrum():
 
 def test_sequence_csv(tmp_path):
     # one row per run, for unit multiplicities too
-    seq = SNumberSequence(np.array([2.0, 1.0]), np.array([1, 2]), "x")
+    seq = SNumberSequence(np.array([2.0, 1.0]), np.array([1, 2]))
     p = tmp_path / "spectrum.csv"
     seq.to_csv(p)
     assert p.read_text().splitlines() == [
         "first_rank,multiplicity,value", "0,1,2", "1,2,1"]
-    SNumberSequence.from_values([1.0, 3.0], "x").to_csv(p)
+    SNumberSequence.from_values([1.0, 3.0]).to_csv(p)
     assert p.read_text().splitlines() == [
         "first_rank,multiplicity,value", "0,1,3", "1,1,1"]
 
@@ -288,7 +289,7 @@ def test_sequence_csv_matches_the_row_writer(tmp_path, monkeypatch, unit):
     values = values[np.argsort(-np.abs(values), kind="stable")]
     mults = (np.broadcast_to(np.int64(1), values.shape) if unit
              else rng.integers(1, 10 ** 12, values.size))
-    seq = SNumberSequence(values, mults, "x", signed=True)
+    seq = SNumberSequence(values, mults, signed=True)
     seq.to_csv(tmp_path / "blocks.csv")
     csv_by_rows(seq, tmp_path / "rows.csv")
     got = (tmp_path / "blocks.csv").read_bytes()
@@ -338,7 +339,7 @@ def test_dense_pipeline_agrees_with_diagonal_engine():
     dense = hermitian_spectrum(hankel_product(ctx, f, f, 600))
     diag = diagonal_spectrum(ctx, hankel_config(f, f), 1200)
     np.testing.assert_allclose(dense[:400], diag.values[:400], rtol=1e-12)
-    dense_seq = SNumberSequence.from_values(dense, "truncated(D=600)")
+    dense_seq = SNumberSequence.from_values(dense)
     assert log_mean(dense_seq, 400) == pytest.approx(log_mean(diag, 400),
                                                      rel=1e-12)
 
@@ -565,7 +566,7 @@ def test_complex_coefficients_take_the_complex_path():
     S = (RadialSymbol.coordinate(2, 1) * RadialSymbol.coordinate(2, 1, conjugated=True)
          * RadialSymbol.radial_power(2, -6.0))
     with pytest.raises(DiagonalityError, match="non-real"):
-        diagonal_spectrum(ctx, toeplitz_config(S).scaled(1j), 20)
+        diagonal_spectrum(ctx, DiagonalConfig(2, [DiagonalChain(1j, [S])]), 20)
     # i*f has non-real chain coefficients but the same Hankel product
     f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
     assert not spectral._is_real(hankel_config(1j * f, 1j * f))
@@ -845,7 +846,7 @@ def test_complex_radial_values_at_any_block_size(monkeypatch, degrees, kind):
 
 def test_from_values_leaves_its_input_alone():
     a = np.array([1.0, 3.0, 2.0])
-    seq = SNumberSequence.from_values(a, "x")
+    seq = SNumberSequence.from_values(a)
     np.testing.assert_array_equal(a, [1.0, 3.0, 2.0])
     np.testing.assert_array_equal(seq.values, [3.0, 2.0, 1.0])
     assert seq.total == 3 and seq.mults.strides == (0,)
@@ -856,26 +857,26 @@ def test_merge_certifies_only_what_both_certificates_cover():
     # reach about 1: only the ranks at or above 9, a's last certified
     # modulus, stay certified
     a = SNumberSequence(np.array([10.0, 9.0, 1.0, 0.5]), np.ones(4, dtype=np.int64),
-                        "a", certified_rank=2)
+                        certified_rank=2)
     b = SNumberSequence(np.array([0.8, 0.7, 0.6]), np.ones(3, dtype=np.int64),
-                        "b", certified_rank=3)
+                        certified_rank=3)
     assert a.merge(b).certified_rank == 2
     assert b.merge(a).certified_rank == 2
     # multiplicities count, and a certificate may end inside a run
-    c = SNumberSequence(np.array([5.0, 2.0, 1.0]), np.array([2, 3, 1]), "c",
+    c = SNumberSequence(np.array([5.0, 2.0, 1.0]), np.array([2, 3, 1]),
                         certified_rank=3)
-    d = SNumberSequence(np.array([3.0, 0.1]), np.array([4, 1]), "d",
+    d = SNumberSequence(np.array([3.0, 0.1]), np.array([4, 1]),
                         certified_rank=5)
     assert c.merge(d).certified_rank == 2 + 4 + 3
     # stride-0 multiplicities: unit ones, and one multiplicity 2 for all runs
-    e = SNumberSequence.from_values([0.8, 0.7, 0.6], "e", certified_rank=3)
+    e = SNumberSequence.from_values([0.8, 0.7, 0.6], certified_rank=3)
     assert a.merge(e).certified_rank == 2
     f = SNumberSequence(np.array([4.0, 3.0, 0.2]),
-                        np.broadcast_to(np.int64(2), (3,)), "f", certified_rank=3)
+                        np.broadcast_to(np.int64(2), (3,)), certified_rank=3)
     assert c.merge(f).certified_rank == 2 + 2 + 2
-    assert a.merge(SNumberSequence(a.values, a.mults, "z", certified_rank=0)) \
+    assert a.merge(SNumberSequence(a.values, a.mults, certified_rank=0)) \
         .certified_rank == 0
-    assert a.merge(SNumberSequence(a.values, a.mults, "u")).certified_rank is None
+    assert a.merge(SNumberSequence(a.values, a.mults)).certified_rank is None
 
 
 _TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e-300, 7.0]
@@ -897,10 +898,10 @@ def tie_heavy_values(draw):
 @given(tie_heavy_values(), tie_heavy_values())
 def test_from_values_and_merge_keep_the_stable_order(a, b):
     stable = np.argsort(-np.abs(a), kind="stable")
-    seq = SNumberSequence.from_values(a, "x", signed=True)
+    seq = SNumberSequence.from_values(a, signed=True)
     assert seq.values.tobytes() == a[stable].tobytes()
-    sa = SNumberSequence(a[stable], np.arange(1, a.size + 1), "a", signed=True)
-    sb = SNumberSequence.from_values(b, "b", signed=True)
+    sa = SNumberSequence(a[stable], np.arange(1, a.size + 1), signed=True)
+    sb = SNumberSequence.from_values(b, signed=True)
     m = sa.merge(sb)
     v = np.concatenate([sa.values, sb.values])
     old = np.argsort(-np.abs(v), kind="stable")
@@ -917,10 +918,10 @@ def test_merge_of_unit_sequences_keeps_stride_0_multiplicities(a, b, data):
     if data.draw(st.booleans()):
         a, b = np.abs(a), np.abs(b)
     cert = [data.draw(st.none() | st.integers(0, v.size)) for v in (a, b)]
-    sa, sb = (SNumberSequence.from_values(v, "x", signed=True, certified_rank=c)
+    sa, sb = (SNumberSequence.from_values(v, signed=True, certified_rank=c)
               for v, c in zip((a, b), cert))
     ones = [SNumberSequence(s.values, np.ones(s.values.size, dtype=np.int64),
-                            "x", signed=True, certified_rank=c)
+                            signed=True, certified_rank=c)
             for s, c in zip((sa, sb), cert)]
     got = sa.merge(sb)
     ref = ones[0].merge(ones[1])
