@@ -44,18 +44,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return str(obj)
-
-
 def write_report(report: dict, path=None):
-    """The report as indented JSON; every float is written by repr, so it
-    reads back bit for bit, and a non-finite float raises ValueError."""
-    text = json.dumps(report, indent=2, allow_nan=False, default=_json_default)
+    """The report as indented JSON: floats by repr, which read back bit for
+    bit; a non-finite float raises ValueError, any non-JSON value TypeError."""
+    text = json.dumps(report, indent=2, allow_nan=False)
     if path is None:
         sys.stdout.write(text + "\n")
     else:
@@ -333,14 +325,25 @@ def _case(obj) -> dict:
     return obj
 
 
+def _label(value) -> str:
+    """A mixed-trace case's label, which names its check and its CSV file: a
+    non-empty string with no /, \\ or NUL, other than . and .."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or any(c in value for c in "/\\\0")):
+        raise ValueError(f"need a file name, got {value!r}")
+    return value
+
+
 def _exp_mixed_trace(cfg, seed, csv_sink):
     cases = _option(cfg, "cases", _default_mixed_cases(), _list(_case))
     # every case is read, and its target computed, before the first spectrum
+    labels = [_option(c, "label", f"case{i}", _label) for i, c in enumerate(cases)]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"invalid label: two cases share one in {labels}")
     runs = [_mixed_case(case) for case in cases]
     checks = []
     diags = {}
-    for i, (case, (ctx, config, target, options)) in enumerate(zip(cases, runs)):
-        label = case.get("label", f"case{i}")
+    for label, (ctx, config, target, options) in zip(labels, runs):
         name = f"mixed-trace-{label}"
         chk, diags[label] = _trace_check(ctx, config, target, options, name,
                                          name, csv_sink)

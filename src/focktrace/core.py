@@ -10,9 +10,7 @@ Multi-indices are plain tuples of nonnegative ints.  The global basis order
 is graded: total degree first, then descending lexicographic within a degree.
 Every matrix in the package indexes rows/columns this way.
 
-Integrals are taken against the *normalized* surface measure (total mass 1);
-`sphere_surface_area` supplies the single conversion constant to the
-unnormalized measure.
+Integrals are taken against the *normalized* surface measure (total mass 1).
 """
 
 from __future__ import annotations
@@ -30,13 +28,6 @@ def factorial(k: int) -> float:
     """k! correctly rounded; OverflowError above k = 170, where k! leaves the
     float range."""
     return float(math.factorial(k))
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact C(a, b) at every size; 0 outside 0 <= b <= a."""
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def degree(alpha) -> int:
@@ -114,9 +105,9 @@ def degree_multiplicity(n: int, k):
     if n < 1 or np.any(np.asarray(k) < 0):
         raise ValueError("need n >= 1 and k >= 0")
     if np.ndim(k) == 0:
-        return binomial(int(k) + n - 1, n - 1)
+        return math.comb(int(k) + n - 1, n - 1)
     k = np.asarray(k, dtype=np.int64)
-    if k.size and binomial(int(k.max()) + n - 1, n - 1) > _INT64_MAX:
+    if k.size and math.comb(int(k.max()) + n - 1, n - 1) > _INT64_MAX:
         raise ValueError(f"C(k+{n - 1}, {n - 1}) overflows int64 at k = {k.max()}")
     # C(k+i, i) = C(k+i-1, i-1) * (k+i) / i; dividing by i before the
     # product (split by the gcd) keeps every intermediate below the result
@@ -125,11 +116,6 @@ def degree_multiplicity(n: int, k):
         g = np.gcd(out, i)
         out = (out // g) * ((k + i) // (i // g))
     return out
-
-
-def sphere_surface_area(n: int) -> float:
-    """Surface area of the unit sphere in C^n (real dimension 2n-1)."""
-    return 2.0 * math.pi**n / factorial(n - 1)
 
 
 def _tkey(t: float) -> float:
@@ -296,8 +282,8 @@ class SpherePolynomial(TermSum):
     """Finite sum of monomials zeta^p conj(zeta)^q restricted to the unit
     sphere of C^n, keyed (p, q).
 
-    The representation is not unique on the sphere (|zeta|^2 = 1); use
-    `sphere_equal` for semantic comparison.
+    The representation is not unique on the sphere (|zeta|^2 = 1): two
+    sums may differ and agree as functions there.
     """
 
     __slots__ = ()
@@ -312,11 +298,9 @@ class SpherePolynomial(TermSum):
         return cls(n, {(z, z): c})
 
 
-def _monomial_integral(n: int, p, q) -> float:
-    # normalized measure: vanishes unless p == q, else (n-1)! p! / (n-1+|p|)!,
-    # a ratio of exact integers and so correctly rounded at every degree
-    if p != q:
-        return 0.0
+def _monomial_integral(n: int, p) -> float:
+    # the integral of |zeta^p|^2, (n-1)! p! / (n-1+|p|)!: a ratio of exact
+    # integers, and so correctly rounded at every degree
     num = math.factorial(n - 1)
     for a in p:
         num *= math.factorial(a)
@@ -328,7 +312,7 @@ def sphere_integral(P: SpherePolynomial) -> complex:
     out = 0.0 + 0.0j
     for (p, q), c in P.terms.items():
         if p == q:
-            out += c * _monomial_integral(P.n, p, q)
+            out += c * _monomial_integral(P.n, p)
     return complex(out)
 
 
@@ -354,14 +338,6 @@ def sphere_norm_sq(P: SpherePolynomial) -> float:
     out = 0.0 + 0.0j
     for p, c in diag.items():
         if c != 0:
-            out += (0.0 + complex(c)) * _monomial_integral(P.n, p, p)
+            out += (0.0 + complex(c)) * _monomial_integral(P.n, p)
     return complex(out).real
 
-
-def sphere_equal(P: SpherePolynomial, Q: SpherePolynomial,
-                 tol: float = 1e-10) -> bool:
-    """Semantic equality modulo the relation |zeta|^2 = 1, via the Gram form."""
-    if P.n != Q.n:
-        raise ValueError("dimension mismatch")
-    diff = P - Q
-    return sphere_norm_sq(diff) <= tol * (1.0 + sphere_norm_sq(P) + sphere_norm_sq(Q))

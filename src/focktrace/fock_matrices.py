@@ -122,7 +122,8 @@ def moment_chunks(t: float, gamma: float, dmax: int):
 
     A row with t <= 0 steps down only (k <= 0), each step a stream of
     chunks over the one it steps from, so only chunk-sized scratch and the
-    state each recurrence carries are held while the chunks are read.  The
+    state each recurrence carries are held while the chunks are read; each
+    of its chunks is checked to lie in [0, 1] (`_in_unit_range`).  The
     experiments' symbols decay, so only a direct library call asks for a
     row with t > 0: its anchor is joined and raised whole, k times.  The
     base moments are evaluated at this call, the chunks as they are read.
@@ -145,7 +146,19 @@ def moment_chunks(t: float, gamma: float, dmax: int):
     for i in range(-k):
         base = gamma * _base_moment(2.0 * (sigma - i - 1), gamma)
         chunks = _kernels.ladder_chunks(chunks, base, gamma)
-    return chunks
+    return _in_unit_range(chunks, t, gamma)
+
+
+def _in_unit_range(chunks, t, gamma):
+    """chunks, each refused (ValueError) by its min and max if it leaves
+    [0, 1 + 1e-12], where m_t lies for t <= 0: the mean of (1+X)^(t/2),
+    X ~ Gamma(d+1, gamma).  Rows leave it at large gamma: the serial heads
+    run through d < gamma, and each step there scales the error by gamma/d."""
+    for x in chunks:
+        if not (x.min() >= 0 and x.max() <= 1 + 1e-12):
+            raise ValueError(f"moment row t = {t:g} at gamma = {gamma:g} leaves "
+                             f"[0, 1]: the recurrences lose it at this gamma")
+        yield x
 
 
 def scaled_moment_row(t: float, gamma: float, dmax: int) -> np.ndarray:

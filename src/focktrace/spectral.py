@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from . import _kernels
-from .core import degree, degree_multiplicity, mi_add, mi_sub
+from .core import degree, degree_multiplicity, mi_sub
 # perfbench's tracer wraps scaled_moment_row where spectral imports it
 from .fock_matrices import FockContext, moment_chunks, scaled_moment_row  # noqa: F401
 from .symbols import RadialSymbol
@@ -45,7 +45,8 @@ _MAX_VALUES = 60_000_000
 class DiagonalityError(ValueError):
     """Raised when the exact per-degree path cannot take a configuration: it
     is not monomial-diagonal, not of the context's dimension, or has values
-    that are not real or more than _MAX_VALUES of them."""
+    that are not real or more than _MAX_VALUES of them, or a moment row it
+    reads leaves [0, 1], which happens at large gamma (`moment_chunks`)."""
 
 
 def _not_diagonal(why: str) -> DiagonalityError:
@@ -55,14 +56,9 @@ def _not_diagonal(why: str) -> DiagonalityError:
         f"asymptotics")
 
 
-def _modulus_order(values: np.ndarray) -> np.ndarray:
-    """Indices that sort values by decreasing modulus, ties in index order."""
-    return np.argsort(-np.abs(values), kind="stable")
-
-
 def _sorted_by_modulus(values: np.ndarray) -> np.ndarray:
-    """values[_modulus_order(values)], in place in values, a buffer the
-    caller owns, which is returned.
+    """values in the stable order of decreasing modulus (ties in index
+    order), in place in values, a buffer the caller owns, which is returned.
 
     The keys -|v| hold equal bits where they are equal (every zero is
     -0.0), so sorting them gives them in the stable modulus order, with no
@@ -104,11 +100,11 @@ def _sorted_runs(values: np.ndarray, mults):
     """values, a buffer the caller owns, and their multiplicities (None for
     all 1) in the stable order of decreasing modulus: sorted in place
     (`_sorted_by_modulus`) with a stride-0 view of 1 for multiplicities, or
-    gathered with their multiplicities in `_modulus_order`."""
+    gathered with their multiplicities in that order, by a stable argsort."""
     if mults is None:
         values = _sorted_by_modulus(values)
         return values, np.broadcast_to(np.int64(1), values.shape)
-    order = _modulus_order(values)
+    order = np.argsort(-np.abs(values), kind="stable")
     return values[order], mults[order]
 
 
@@ -253,15 +249,6 @@ class DiagonalChain:
         self.coeff = coeff
         self.factors = factors
 
-    def shifts(self):
-        out = []
-        for S in self.factors:
-            shifts = {mi_sub(p, q) for (p, q, _t) in S.terms}
-            if len(shifts) != 1:
-                raise _not_diagonal("factor mixes monomial shifts; not diagonal")
-            out.append(next(iter(shifts)))
-        return out
-
 
 class DiagonalConfig:
     """Linear combination of diagonal chains, raised to an integer power.
@@ -309,35 +296,37 @@ def commutator_config(f: RadialSymbol, g: RadialSymbol) -> DiagonalConfig:
     ])
 
 
-def _validate(config: DiagonalConfig):
+def _plan(config: DiagonalConfig):
+    """One walk over config's chains, factors and terms: each chain's factor
+    shifts; the reach of a block's row windows, buffer_deg + n + 1 (a chain
+    shifts a degree by at most the sum of its factors' largest |p|, and a
+    term's index adds |p| + n - 1); the radial exponents in order of first
+    use; whether every term has p = q = 0; whether every coefficient is
+    real.  Refuses, in walk order, a factor of mixed shifts and a chain
+    whose shifts do not cancel."""
     zero = (0,) * config.n
-    per_chain = []
+    per_chain, exponents = [], {}
+    buffer_deg, radial, real = 0, True, True
     for ch in config.chains:
-        shifts = ch.shifts()
-        total = zero
-        for v in shifts:
-            total = mi_add(total, v)
-        if total != zero:
+        shifts, lift = [], 0
+        real = real and complex(ch.coeff).imag == 0
+        for S in ch.factors:
+            moves, top = set(), 0
+            for (p, q, t), c in S.terms.items():
+                moves.add(mi_sub(p, q))
+                top = max(top, degree(p))
+                exponents[t] = None
+                radial = radial and p == q == zero
+                real = real and complex(c).imag == 0
+            if len(moves) != 1:
+                raise _not_diagonal("factor mixes monomial shifts; not diagonal")
+            shifts.append(moves.pop())
+            lift += top
+        if tuple(map(sum, zip(zero, *shifts))) != zero:
             raise _not_diagonal("chain total shift does not cancel")
         per_chain.append(shifts)
-    return per_chain
-
-
-def _is_radial(config: DiagonalConfig) -> bool:
-    zero = (0,) * config.n
-    for ch in config.chains:
-        for S in ch.factors:
-            for (p, q, _t) in S.terms:
-                if p != zero or q != zero:
-                    return False
-    return True
-
-
-def _is_real(config: DiagonalConfig) -> bool:
-    coeffs = [ch.coeff for ch in config.chains]
-    coeffs += [c for ch in config.chains for S in ch.factors
-               for c in S.terms.values()]
-    return all(complex(c).imag == 0 for c in coeffs)
+        buffer_deg = max(buffer_deg, lift)
+    return per_chain, buffer_deg + config.n + 1, list(exponents), radial, real
 
 
 def _rising(a: np.ndarray, p: int, q: int, v: int) -> np.ndarray:
@@ -496,17 +485,16 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     power after the last chain, so a block's columns and values serve every
     chain while in cache.  Each exponent's moment row is streamed once
     (`moment_chunks`) and read through a window from k - reach to
-    end + reach (`_windows`), reach being as far as the factors' shifts and
-    a term's |p| + n - 1 move an index, so beside the values only block and
-    chunk scratch is held.  Configurations with only real coefficients are
-    evaluated in float64.  More than _MAX_VALUES values are refused before
-    anything is allocated.
+    end + reach (`_windows`; reach from `_plan`), so beside the values only
+    block and chunk scratch is held.  Configurations with only real
+    coefficients are evaluated in float64.  More than _MAX_VALUES values are
+    refused before anything is allocated; a row out of [0, 1], as it is read.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
-    per_chain = _validate(config)
+    per_chain, reach, exponents, radial, real = _plan(config)
     n, gamma = ctx.n, ctx.gamma
-    radial = n == 1 or _is_radial(config)
+    radial = radial or n == 1
     # per multi-index: sum over k <= K_degree of C(k+n-1, n-1)
     count = K_degree + 1 if radial else math.comb(K_degree + n, n)
     if count > _MAX_VALUES:
@@ -515,7 +503,7 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
             f"materialize {count} values at cutoff {K_degree}, over the cap "
             f"of {_MAX_VALUES}")
 
-    dtype = float if _is_real(config) else complex
+    dtype = float if real else complex
     # the number of multi-indices of each degree (n = 1 is radial)
     sizes = degree_multiplicity(n, np.arange(K_degree + 1)) if n > 1 else None
     if radial:
@@ -550,16 +538,8 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
         blocks.append((k, end))
         k = end
     # normalized moment rows, one stream per radial exponent in order of
-    # first use, each read within reach of a block's degrees: the factors
-    # shift a degree by at most buffer_deg, and a term's index adds
-    # |p| + n - 1
-    buffer_deg = max(
-        (sum(max(degree(p) for (p, q, _t) in S.terms) for S in ch.factors)
-         for ch in config.chains), default=0)
-    reach = buffer_deg + n + 1
+    # first use, each read within reach of a block's degrees (`_plan`)
     spans = [(max(k - reach, 0), end + reach) for k, end in blocks]
-    exponents = dict.fromkeys(t for ch in config.chains for S in ch.factors
-                              for (_p, _q, t) in S.terms)
     windows = {t: _windows(moment_chunks(t, gamma, K_degree + reach), spans)
                for t in exponents}
     # _chain_values skips multiplications by an exact 1 and additions to an
@@ -568,7 +548,10 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     # depends on this start.
     vals = np.zeros(count, dtype=dtype)
     for (k, end), (origin, _hi) in zip(blocks, spans):
-        rows = {t: next(w) for t, w in windows.items()}
+        try:
+            rows = {t: next(w) for t, w in windows.items()}
+        except ValueError as exc:  # a row out of [0, 1] (`moment_chunks`)
+            raise DiagonalityError(str(exc)) from exc
         cols = columns(k, end)
         lo, hi = starts[k], starts[end]
         for ch, shifts in zip(config.chains, per_chain):

@@ -92,17 +92,6 @@ def _unpack(key: int, n: int, base: int):
     return tuple(digits[:n]), tuple(digits[n:]), 0.0
 
 
-def poly_deriv(a: RadialSymbol, alpha, beta) -> RadialSymbol:
-    """d^alpha/dz^alpha d^beta/dconj(z)^beta of a polynomial symbol: the
-    (alpha, beta) entry of a's derivative table."""
-    _require_polynomial(a, "poly_deriv")
-    max_p, max_q = _max_exponents(a)
-    base = max(max_p + max_q) + 1
-    wp, wq = _packing(a.n, base)
-    terms = _deriv_table(a, alpha, beta, wp, wq).get((tuple(alpha), tuple(beta)), [])
-    return RadialSymbol(a.n, [(_unpack(k, a.n, base), c) for k, c in terms])
-
-
 def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
     """Star product of polynomial symbols: the symbol of the composition of
     their quantized operators,
@@ -129,8 +118,9 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
     every step as the RadialSymbol arithmetic would round it, and summed
     into one accumulator that drops a key whose sum is exactly zero; the
     result is bit for bit, key order included, the sum of RadialSymbols
-    `out + coeff * (poly_deriv(a, alpha, beta) * poly_deriv(b, beta, alpha))`
-    over the pairs in graded order.
+    `out + coeff * (d^alpha dbar^beta a * d^beta dbar^alpha b)` over the
+    pairs in graded order, each derivative the RadialSymbol of its table
+    entry.
     """
     _require_gamma(gamma, "star")
     if a.n != b.n:

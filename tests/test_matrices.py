@@ -19,8 +19,8 @@ from focktrace.fock_matrices import (FockContext, berezin, buffered_product,
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import heat_inverse, heat_transform, star
 from oracles import (base_moment_expint, base_moment_quad, compute_row,
-                     hankel_product, monomial_norm_sq, radial_moment,
-                     radial_moment_hp, toeplitz_entries)
+                     hankel_product, monomial_norm_sq, normalized_moment_hp,
+                     radial_moment, radial_moment_hp, toeplitz_entries)
 
 
 def gauss_hermite_norm_sq(n, gamma, alpha, nodes=120):
@@ -159,6 +159,40 @@ def test_scaled_rows_large_degree_against_high_precision():
                 ref = float(radial_moment_hp(d, t, gamma, dps=40)
                             * mp.mpf(gamma) ** (d + 1) / mp.factorial(d))
             assert row[d] == pytest.approx(ref, rel=1e-10)
+
+
+def test_rows_at_small_gamma_are_accurate_to_1e_12():
+    # the region that is accurate: each serial step below d = gamma
+    # multiplies the error by gamma/d, so it grows with gamma and |t| (1e-7
+    # at gamma = 8, t = -20; such rows leave [0, 1] from about gamma = 50,
+    # and `moment_chunks` refuses them); the degrees below 12 and every 36th
+    # to 400, against U, which agrees with the quadrature oracle
+    import mpmath as mp
+    for d, t, gamma in [(0, -9.0, 4.0), (300, -12.0, 4.0)]:
+        with mp.workdps(30):
+            ref = float(radial_moment_hp(d, t, gamma)
+                        * mp.mpf(gamma) ** (d + 1) / mp.factorial(d))
+        assert normalized_moment_hp(d, t, gamma) == pytest.approx(ref, rel=1e-15)
+    degrees = sorted(set(range(12)) | set(range(12, 401, 36)) | {400})
+    for gamma in (2.0, 4.0):
+        for t in (-1.0, -2.0, -4.0, -6.0, -9.0, -12.0):
+            row = scaled_moment_row(t, gamma, 400)
+            for d in degrees:
+                ref = normalized_moment_hp(d, t, gamma)
+                assert row[d] == pytest.approx(ref, rel=1e-12), (gamma, t, d)
+
+
+def test_rows_out_of_the_unit_interval_are_refused():
+    # m_t[d] for t <= 0 is a mean of (1+X)^(t/2) <= 1: at gamma = 50 the
+    # recurrences leave [0, 1] and the row is refused, naming t and gamma;
+    # a t > 0 row is not bounded by 1
+    with pytest.raises(ValueError, match="t = -2 at gamma = 50 leaves"):
+        scaled_moment_row(-2.0, 50.0, 400)
+    assert scaled_moment_row(0.0, 50.0, 400).tobytes() == np.ones(401).tobytes()
+    assert scaled_moment_row(2.0, 4.0, 400).max() > 1
+    for t in (-1.0, -2.0, -6.0, -12.0, -20.0):
+        row = scaled_moment_row(t, 16.0, 400)
+        assert 0 <= row.min() and row.max() <= 1
 
 
 def test_toeplitz_identity_symbol():

@@ -480,7 +480,8 @@ def per_multi_index_cases(draw):
         chains.append(spectral.DiagonalChain(
             scale * complex(phase).conjugate(), factors))
     config = spectral.DiagonalConfig(n, chains, draw(st.sampled_from([1, 2, 3])))
-    assume(not spectral._is_radial(config))  # the oracle is per multi-index
+    _shifts, _reach, _exponents, radial, _real = spectral._plan(config)
+    assume(not radial)  # the oracle is per multi-index
     K = draw(st.integers(0, 24) if n == 2 else st.integers(6, 12))
     block = draw(st.sampled_from([1, 7, 64]))
     return n, gamma, config, K, block
@@ -569,7 +570,7 @@ def test_complex_coefficients_take_the_complex_path():
         diagonal_spectrum(ctx, DiagonalConfig(2, [DiagonalChain(1j, [S])]), 20)
     # i*f has non-real chain coefficients but the same Hankel product
     f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
-    assert not spectral._is_real(hankel_config(1j * f, 1j * f))
+    assert not spectral._plan(hankel_config(1j * f, 1j * f))[4]  # not real
     got = diagonal_spectrum(ctx, hankel_config(1j * f, 1j * f), 40)
     ref = diagonal_spectrum(ctx, hankel_config(f, f), 40)
     np.testing.assert_array_equal(got.mults, ref.mults)
@@ -834,7 +835,7 @@ def test_complex_radial_values_at_any_block_size(monkeypatch, degrees, kind):
     # part of the arithmetic: blocks of _DEGREES and of 1000 degrees give the
     # bytes of the 2^16-degree blocks the radial path used before
     config = _complex_radial_configs()[kind]
-    assert not spectral._is_real(config)
+    assert not spectral._plan(config)[4]  # not real
     ctx = FockContext(1, 0.7)
     K = 3 * (1 << 13) + 5
     monkeypatch.setattr(spectral, "_DEGREES", 1 << 16)
@@ -980,10 +981,12 @@ def test_sorted_by_modulus_sends_signed_zeros_and_negatives_to_modulus_order():
 
 
 def test_modulus_order_on_long_tied_runs():
-    # checked against the definition, not against another argsort: a
-    # permutation, moduli non-increasing, equal moduli in index order
+    # the order in which _sorted_runs gathers values with multiplicities,
+    # read off multiplicities that number the values, checked against the
+    # definition, not against another argsort: a permutation, moduli
+    # non-increasing, equal moduli in index order
     v = _LONG_TIED_RUNS
-    order = spectral._modulus_order(v)
+    order = spectral._sorted_runs(v.copy(), np.arange(v.size))[1]
     np.testing.assert_array_equal(np.sort(order), np.arange(v.size))
     mod = np.abs(v)[order]
     assert (mod[:-1] >= mod[1:]).all()
@@ -992,7 +995,7 @@ def test_modulus_order_on_long_tied_runs():
     # both paths of _sorted_by_modulus gather that order, bit for bit; the
     # unsigned path sorts its argument in place, so it is given a copy
     for w in (v, np.abs(v)):
-        expected = w[spectral._modulus_order(w)]
+        expected = w[spectral._sorted_runs(w.copy(), np.arange(w.size))[1]]
         got = spectral._sorted_by_modulus(w.copy())
         np.testing.assert_array_equal(got.view(np.uint64),
                                       expected.view(np.uint64))

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from focktrace.core import SpherePolynomial, sphere_equal
+from focktrace.core import SpherePolynomial
 from focktrace.sphere_calculus import tangential_dbar
 from focktrace.symbols import HomogeneousSymbol, RadialSymbol
 from focktrace.weyl_calculus import heat_inverse
+from oracles import sphere_equal
 
 # exact parts, their negatives and both zeros: coefficient sums cancel to
 # exactly zero and products meet signed zeros
