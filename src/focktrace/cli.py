@@ -358,9 +358,10 @@ def _random_sum(kind, rng, n, deg):
     with |p| + |q| <= deg is kept with probability 0.4 (0.35 on the sphere),
     with a standard complex normal coefficient; the constant 1 when none is."""
     radial = kind is RadialSymbol
+    bases = [enumerate_basis(n, d) for d in range(deg + 1)]
     terms = {}
-    for p in enumerate_basis(n, deg):
-        for q in enumerate_basis(n, deg - sum(p)):
+    for p in bases[deg]:
+        for q in bases[deg - sum(p)]:
             if rng.random() < (0.4 if radial else 0.35):
                 terms[(p, q, 0.0) if radial else (p, q)] = complex(
                     rng.normal(), rng.normal())
@@ -482,10 +483,9 @@ def _exp_calculus_check(cfg, seed, csv_sink):
             w /= max(1.0, abs(w))
             ref2 = E2.evaluate([w])
             ref1 = E1.evaluate([w])
-            dev_btoe = max(dev_btoe, abs(berezin(ctx1, Ta, [w]) - ref2)
-                           / max(abs(ref2), 1e-300))
-            dev_bweyl = max(dev_bweyl, abs(berezin(ctx1, Wa, [w]) - ref1)
-                            / max(abs(ref1), 1e-300))
+            bt, bw = berezin(ctx1, [Ta, Wa], [w])
+            dev_btoe = max(dev_btoe, abs(bt - ref2) / max(abs(ref2), 1e-300))
+            dev_bweyl = max(dev_bweyl, abs(bw - ref1) / max(abs(ref1), 1e-300))
     checks.append(make_check("berezin-toeplitz", dev_btoe, 0.0, 1e-6))
     checks.append(make_check("berezin-weyl", dev_bweyl, 0.0, 1e-6))
 
@@ -546,8 +546,8 @@ def _exp_calculus_check(cfg, seed, csv_sink):
     dev_pair = 0.0
     for p, q, mf, pg, qg, mg in pairs:
         f, g, sym = _monomial_pair(2, p, q, mf, pg, qg, mg)
-        for zeta in pts:
-            num = boundary_pairing_limit(f, g, zeta, exponent=mf + mg + 2)
+        nums = boundary_pairing_limit(f, g, pts, exponent=mf + mg + 2)
+        for zeta, num in zip(pts, nums):
             dev_pair = max(dev_pair, abs(num - sym.evaluate(zeta)))
     checks.append(make_check("pairing-numeric-vs-symbolic", dev_pair, 0.0, 1e-6))
 
@@ -612,6 +612,16 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
     }
 
 
+def _finite(text: str) -> float:
+    """The float of a JSON number or constant (NaN, Infinity, -Infinity) as
+    json reads it, refused (ValueError) unless finite: a config holds no
+    non-finite number, and a report could not carry one."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def main(argv=None) -> int:
     # what the imports built lives until exit: frozen, exit's collection skips it
     gc.freeze()
@@ -632,8 +642,9 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                config = json.load(fh, parse_float=_finite,
+                                   parse_constant=_finite)
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
     try:

@@ -255,18 +255,26 @@ class TermSum:
         return not self.terms
 
     def evaluate(self, z) -> complex:
+        """The sum at the point z, in Python complex arithmetic.  Each power
+        rounds as numpy's complex128 power does, up to the sign of a zero
+        part, which the sum, started at +0, drops; a power that overflows is
+        outside the domain (Python raises OverflowError for some).  |z|^2 is
+        numpy's sum of np.abs(z)**2, whose abs and summation order Python's
+        abs and sum do not share."""
         z = np.asarray(z, dtype=complex)
-        r2 = float(np.sum(np.abs(z) ** 2))
+        r2 = float(np.add.reduce(np.abs(z) ** 2))
+        zs = z.tolist()
+        zbs = [x.conjugate() for x in zs]
         out = 0.0 + 0.0j
         for (p, q, *t), c in self.terms.items():
             val = c * self._factor(r2, *t) if t else c
             for i in range(self.n):
                 if p[i]:
-                    val *= z[i] ** p[i]
+                    val *= zs[i] ** p[i]
                 if q[i]:
-                    val *= np.conj(z[i]) ** q[i]
+                    val *= zbs[i] ** q[i]
             out += val
-        return complex(out)
+        return out
 
     def __repr__(self):
         head = f"{type(self).__name__}(n={self.n}"

@@ -276,40 +276,52 @@ def weyl_matrix(ctx: FockContext, a: RadialSymbol, D: int) -> OperatorMatrix:
     return toeplitz_matrix(ctx, heat_inverse(a, ctx.gamma), D)
 
 
-def berezin(ctx: FockContext, M: OperatorMatrix, w) -> complex:
+def berezin(ctx: FockContext, M, w):
     """Coherent-state expectation of M at w, from the truncated kernel.
+
+    M is one OperatorMatrix, whose expectation is returned as a complex, or
+    a sequence of them of one truncation degree (ValueError otherwise),
+    whose expectations are returned as a list of complex in that order: the
+    coherent vector is built once for all of them.
 
     The truncation carries >= 1 - 1e-10 of the kernel mass when
     D >= gamma |w|^2 + 10 sqrt(gamma |w|^2) + 20 (Poisson tail profile of the
     kernel coefficients in total degree); a warning is issued otherwise.
     """
     n, gamma = ctx.n, ctx.gamma
+    single = isinstance(M, OperatorMatrix)
+    mats = [M] if single else list(M)
+    D = mats[0].D
+    if any(m.D != D for m in mats):
+        raise ValueError("matrices of different truncation degrees")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     if w.shape != (n,):
         raise ValueError("point dimension does not match context")
     lam = gamma * float(np.sum(np.abs(w) ** 2))
-    if M.D < lam + 10.0 * math.sqrt(lam) + 20.0:
+    if D < lam + 10.0 * math.sqrt(lam) + 20.0:
         warnings.warn(
-            f"truncation degree D={M.D} may not capture the kernel mass at "
+            f"truncation degree D={D} may not capture the kernel mass at "
             f"|w|^2={lam / gamma:g} (needs ~{lam + 10 * math.sqrt(lam) + 20:.0f})",
             RuntimeWarning, stacklevel=2)
     # the normalized coherent vector w^alpha sqrt(gamma^|alpha| / alpha!)
     # e^(-lam/2) is a product of one-variable factors
-    factors = [_coherent_factors(wj, gamma, M.D) for wj in w]
+    factors = [_coherent_factors(wj, gamma, D).tolist() for wj in w.tolist()]
     e = np.array([math.prod(f[a] for f, a in zip(factors, alpha))
-                  for alpha in enumerate_basis(n, M.D)])
-    return complex(e @ M.entries @ e.conj())
+                  for alpha in enumerate_basis(n, D)])
+    values = [complex(e @ m.entries @ e.conj()) for m in mats]
+    return values[0] if single else values
 
 
 def _coherent_factors(wj: complex, gamma: float, D: int) -> np.ndarray:
     """wj^a sqrt(gamma^a / a!) e^(-gamma |wj|^2 / 2) for a = 0..D, by a ratio
-    recurrence in a (no factorial).  The Gaussian is spread over the first
-    m = ceil(gamma |wj|^2) steps, so no partial product under- or overflows
-    below gamma |wj|^2 ~ 3800; the part still owed below step m comes last."""
+    recurrence in a (no factorial), in Python complex arithmetic.  The
+    Gaussian is spread over the first m = ceil(gamma |wj|^2) steps, so no
+    partial product under- or overflows below gamma |wj|^2 ~ 3800; the part
+    still owed below step m comes last."""
     lam = gamma * abs(wj) ** 2
     m = max(math.ceil(lam), 1)
     damp = math.exp(-lam / (2 * m))
-    out = np.ones(D + 1, dtype=complex)
+    out = [1.0 + 0.0j]
     for a in range(1, D + 1):
-        out[a] = out[a - 1] * wj * (math.sqrt(gamma / a) * (damp if a <= m else 1.0))
-    return out * damp ** np.maximum(m - np.arange(D + 1), 0)
+        out.append(out[-1] * wj * (math.sqrt(gamma / a) * (damp if a <= m else 1.0)))
+    return np.array(out) * damp ** np.maximum(m - np.arange(D + 1), 0)

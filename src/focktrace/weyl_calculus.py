@@ -64,16 +64,24 @@ def _deriv_table(a: RadialSymbol, cap_p, cap_q, wp, wq) -> dict:
     every u <= cap_p and v <= cap_q componentwise that leaves one, in a's
     term order, each coefficient 0.0 + c * f1 * f2 (the falling factorials
     of `_fallings`) as the RadialSymbol constructor rounds it; (p, q) is
-    packed as sum_i p_i wp_i + q_i wq_i."""
+    packed as sum_i p_i wp_i + q_i wq_i.  Each exponent's fallings are
+    built once per table."""
     table = {}
+    falls_p, falls_q = {}, {}
     for (p, q, _t), c in a.terms.items():
+        us = falls_p.get(p)
+        if us is None:
+            us = falls_p[p] = _fallings(p, cap_p, wp)
+        vs = falls_q.get(q)
+        if vs is None:
+            vs = falls_q[q] = _fallings(q, cap_q, wq)
         key = sum(map(operator.mul, p, wp)) + sum(map(operator.mul, q, wq))
-        vs = _fallings(q, cap_q, wq)
-        for u, f1, o1 in _fallings(p, cap_p, wp):
+        for u, f1, o1 in us:
+            cf, k1 = c * f1, key - o1
             for v, f2, o2 in vs:
-                d = 0.0 + c * f1 * f2
+                d = 0.0 + cf * f2
                 if d != 0:
-                    table.setdefault((u, v), []).append((key - o1 - o2, d))
+                    table.setdefault((u, v), []).append((k1 - o2, d))
     return table
 
 
@@ -82,14 +90,13 @@ def _packing(n: int, base: int):
     return [base**i for i in range(n)], [base**(n + i) for i in range(n)]
 
 
-def _unpack(key: int, n: int, base: int):
-    """The RadialSymbol key (p, q, 0.0) of a packed key whose digits are
-    all below base."""
-    digits = []
-    for _ in range(2 * n):
-        key, d = divmod(key, base)
-        digits.append(d)
-    return tuple(digits[:n]), tuple(digits[n:]), 0.0
+def _digits(x: int, n: int, base: int):
+    """The n lowest digits of x in base `base`, lowest first."""
+    out = []
+    for _ in range(n):
+        x, d = divmod(x, base)
+        out.append(d)
+    return tuple(out)
 
 
 def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
@@ -112,7 +119,7 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
     packed as integers in base B = 2E + 1, E the largest exponent of either
     operand: a product's exponents are at most 2E < B, so adding two packed
     keys never carries and adds the exponents; keys are decoded once at the
-    end.
+    end, each distinct half (p or q) once.
 
     Each pair's product is formed and scaled on plain dicts, rounded at
     every step as the RadialSymbol arithmetic would round it, and summed
@@ -159,7 +166,12 @@ def star(a: RadialSymbol, b: RadialSymbol, gamma: float) -> RadialSymbol:
                 out.pop(key, None)
             else:
                 out[key] = c
-    return a._new({_unpack(key, n, base): c for key, c in out.items()})
+    # decode each key's halves, q * B^n + p, each distinct half once
+    splits = [divmod(key, base**n) for key in out]
+    halves = {x for pair in splits for x in pair}
+    digits = {x: _digits(x, n, base) for x in halves}
+    return a._new({(digits[p], digits[q], 0.0): c
+                   for (q, p), c in zip(splits, out.values())})
 
 
 def _heat_series(a: RadialSymbol, t: float) -> RadialSymbol:

@@ -14,7 +14,9 @@ plain-dict rules, and the symbol algebra and Toeplitz compression as they
 were computed term by term: `star` on that term arithmetic,
 `sphere_norm_sq` from the full product P * P.conj(), and
 `toeplitz_entries` looping over the basis; semantic equality of sphere
-polynomials (`sphere_equal`) and the sphere's surface area.
+polynomials (`sphere_equal`) and the sphere's surface area; `evaluate`,
+the coherent vector, `berezin` and `boundary_pairing_limit` one point and
+one matrix at a time in numpy complex arithmetic.
 Dense truncations: the Hankel product matrix, and the Hermitian eigensolve
 and SVD (with their residual and adjoint-symmetry contracts) that the
 per-degree spectra are checked against.
@@ -32,6 +34,7 @@ from focktrace.core import (SpherePolynomial, compositions, degree,
                             sphere_integral)
 from focktrace.fock_matrices import (_base_moment, buffered_product,
                                      scaled_moment_row, toeplitz_matrix)
+from focktrace.sphere_calculus import ConvergenceError
 
 
 def monomial_norm_sq(ctx, alpha) -> float:
@@ -562,3 +565,69 @@ def sphere_equal(P, Q, tol: float = 1e-10) -> bool:
 def sphere_surface_area(n: int) -> float:
     """Surface area of the unit sphere in C^n (real dimension 2n-1)."""
     return 2.0 * math.pi**n / math.factorial(n - 1)
+
+
+# --- per-point evaluation in numpy complex arithmetic -----------------------
+# `TermSum.evaluate`, the coherent vector, `berezin` and
+# `boundary_pairing_limit` as they were computed one point and one matrix
+# at a time, on numpy complex128 scalars.
+
+
+def evaluate(P, z) -> complex:
+    """`TermSum.evaluate` on numpy complex128 scalars."""
+    z = np.asarray(z, dtype=complex)
+    r2 = float(np.sum(np.abs(z) ** 2))
+    out = 0.0 + 0.0j
+    for (p, q, *t), c in P.terms.items():
+        val = c * P._factor(r2, *t) if t else c
+        for i in range(P.n):
+            if p[i]:
+                val *= z[i] ** p[i]
+            if q[i]:
+                val *= np.conj(z[i]) ** q[i]
+        out += val
+    return complex(out)
+
+
+def coherent_factors(wj, gamma: float, D: int) -> np.ndarray:
+    """`fock_matrices._coherent_factors` with its recurrence on an array."""
+    lam = gamma * abs(wj) ** 2
+    m = max(math.ceil(lam), 1)
+    damp = math.exp(-lam / (2 * m))
+    out = np.ones(D + 1, dtype=complex)
+    for a in range(1, D + 1):
+        out[a] = out[a - 1] * wj * (math.sqrt(gamma / a) * (damp if a <= m else 1.0))
+    return out * damp ** np.maximum(m - np.arange(D + 1), 0)
+
+
+def berezin(ctx, M, w) -> complex:
+    """`fock_matrices.berezin` of one matrix, its coherent vector built from
+    `coherent_factors`, without the truncation warning."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    factors = [coherent_factors(wj, ctx.gamma, M.D) for wj in w]
+    e = np.array([math.prod(f[a] for f, a in zip(factors, alpha))
+                  for alpha in enumerate_basis(ctx.n, M.D)])
+    return complex(e @ M.entries @ e.conj())
+
+
+def boundary_pairing_limit(f, g, zeta, exponent: int = 2) -> complex:
+    """`sphere_calculus.boundary_pairing_limit` at one point, the
+    derivatives built for it and evaluated by `evaluate`."""
+    zeta = np.asarray(zeta, dtype=complex)
+    if abs(float(np.sum(np.abs(zeta) ** 2)) - 1.0) > 1e-12:
+        raise ValueError("zeta must lie on the unit sphere")
+    fbar = f.conj()
+    dfs = [fbar.wirtinger(j, "holo") for j in range(1, f.n + 1)]
+    dgs = [g.wirtinger(j, "anti") for j in range(1, f.n + 1)]
+    values = []
+    for r in (1e2, 1e3):
+        z = r * zeta
+        acc = sum(evaluate(df, z) * evaluate(dg, z) for df, dg in zip(dfs, dgs))
+        values.append(complex(r**exponent * acc))
+    v0, v1 = values
+    gap = abs(v1 - v0)
+    if gap > 1e-3 * (1.0 + abs(v1)):
+        raise ConvergenceError(
+            f"radial limit not Cauchy: |v1-v0| = {gap:.3e} at radii 1e2, 1e3")
+    x0, x1 = 1e2**-2, 1e3**-2
+    return (x0 * v1 - x1 * v0) / (x0 - x1)

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from focktrace import _kernels, cli
 from focktrace.cli import ConfigError, main, run_experiment, write_report
+from focktrace.core import TermSum
 from focktrace.spectral import commutator_config, hankel_config
 from focktrace.symbols import RadialSymbol
 
@@ -166,6 +168,10 @@ def test_cli_main_config_error(tmp_path):
     pytest.param("hankel-trace", '{"tolerance": 1%s}' % ("0" * 400),
                  id="hankel-trace-tolerance-10^400"),
     ("model-operator", '{"K_ranks": 65536, "tol_extrapolated": NaN}'),
+    # a non-finite number is refused where the config is read, in any key
+    ("model-operator", '{"K_ranks": 65536, "note": NaN}'),
+    ("model-operator", '{"K_ranks": 65536, "note": -Infinity}'),
+    ("model-operator", '{"K_ranks": 65536, "note": [1e400]}'),
     ("hankel-trace", '{"tolerance": -0.5, "K_degree": 65536}'),
     # an integer option that is not a whole number is refused, not truncated
     ("hankel-trace", '{"n": 2.5}'),
@@ -240,6 +246,28 @@ def test_reports_deterministic():
     repb = run_experiment("calculus-check", None, seed=5)
     for c1, c2 in zip(repa["checks"], repb["checks"]):
         assert c1["computed"] == c2["computed"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_calculus_check_computes_the_bits_of_the_per_point_forms(monkeypatch,
+                                                                  seed):
+    # evaluation, Berezin symbols and pairing limits as they were computed,
+    # one point and one matrix at a time in numpy complex arithmetic
+    def bits(report):
+        return [c["computed"].hex() for c in report["checks"]]
+
+    def berezin(ctx, mats, w):
+        return [oracles.berezin(ctx, M, w) for M in mats]
+
+    def limits(f, g, pts, exponent):
+        return [oracles.boundary_pairing_limit(f, g, zeta, exponent)
+                for zeta in pts]
+
+    fast = bits(run_experiment("calculus-check", seed=seed))
+    monkeypatch.setattr(TermSum, "evaluate", oracles.evaluate)
+    monkeypatch.setattr(cli, "berezin", berezin)
+    monkeypatch.setattr(cli, "boundary_pairing_limit", limits)
+    assert bits(run_experiment("calculus-check", seed=seed)) == fast
 
 
 def test_non_diagonal_configuration_refused_with_guidance():

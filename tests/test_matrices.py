@@ -4,6 +4,7 @@ coherent-state symbols against the heat flow, moment evaluation against
 special-function oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import oracles
 from focktrace import fock_matrices
 from focktrace.cli import _random_sum
 from focktrace.fock_matrices import (FockContext, berezin, buffered_product,
@@ -372,6 +374,64 @@ def test_berezin_truncation_warning():
     I = toeplitz_matrix(ctx, RadialSymbol.constant(1), 10)
     with pytest.warns(RuntimeWarning):
         berezin(ctx, I, [3.0])
+
+
+def test_berezin_refuses_matrices_of_different_degrees():
+    ctx = FockContext(1, 1.0)
+    I = RadialSymbol.constant(1)
+    mats = [toeplitz_matrix(ctx, I, 30), toeplitz_matrix(ctx, I, 31)]
+    with pytest.raises(ValueError, match="truncation degrees"):
+        berezin(ctx, mats, [0.1])
+
+
+_FINITE = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                             allow_infinity=False)
+
+
+@st.composite
+def berezin_inputs(draw):
+    """Two Toeplitz matrices of one degree D at n in {1, 2, 3}, of symbols
+    with radial factors t <= 0, and a point with signed zeros among its
+    coordinates; D may be too small for the point."""
+    n = draw(st.integers(1, 3))
+    ctx = FockContext(n, draw(st.sampled_from([1.0, 0.7, 2.5])))
+    D = draw(st.integers(0, {1: 16, 2: 6, 3: 4}[n]))
+    mats = []
+    for _ in range(2):
+        terms = draw(st.lists(st.tuples(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+            st.sampled_from([0.0, -1.0, -2.0, -2.5]), _FINITE),
+            min_size=1, max_size=4))
+        S = RadialSymbol(n, [((p, q, t), c) for p, q, t, c in terms])
+        mats.append(toeplitz_matrix(ctx, S, D))
+    w = draw(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -0.5j, complex(-0.0, 0.5)]),
+        st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                           allow_infinity=False)), min_size=n, max_size=n))
+    return ctx, mats, w
+
+
+def _hex(c):
+    return c.real.hex(), c.imag.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(berezin_inputs())
+def test_berezin_equals_the_per_matrix_numpy_form_bitwise(inputs):
+    ctx, mats, w = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = berezin(ctx, mats, w)
+        single = berezin(ctx, mats[0], w)
+    ref = [oracles.berezin(ctx, M, w) for M in mats]
+    assert [_hex(c) for c in got] == [_hex(c) for c in ref]
+    assert type(single) is complex and _hex(single) == _hex(ref[0])
+    D = mats[0].D
+    for wj in w:
+        got = fock_matrices._coherent_factors(complex(wj), ctx.gamma, D)
+        ref = oracles.coherent_factors(np.complex128(wj), ctx.gamma, D)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_real_symbol_gives_hermitian_entries():

@@ -3,7 +3,10 @@ degree-0 extension, bracket identities, and the radial-limit pairing."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from focktrace.core import SpherePolynomial, enumerate_basis, sphere_integral
 from focktrace.sphere_calculus import (ConvergenceError, boundary_pairing,
                                        boundary_pairing_limit, reeb,
@@ -247,6 +250,57 @@ def test_pairing_numeric_input_validation():
     f = RadialSymbol.coordinate(1, 1)
     with pytest.raises(ValueError):
         boundary_pairing_limit(f, f, [1.1])
+
+
+def test_pairing_numeric_refuses_a_batch_with_one_point_off_the_sphere():
+    f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
+    pts = np.array([[1.0, 0.0], [0.6, 0.8j], [0.6, 0.8 + 1e-9]])
+    with pytest.raises(ValueError, match="unit sphere"):
+        boundary_pairing_limit(f, f, pts)
+
+
+@st.composite
+def pairing_inputs(draw):
+    """z^p conj(z)^q (1+|z|^2)^(t/2) of orders -mf and -mg (t <= 0) at n in
+    {1, 2, 3}, the exponent mf + mg + 2 of their pairing, and 1 to 4 points
+    on the sphere."""
+    n = draw(st.integers(1, 3))
+    syms = []
+    for _ in "fg":
+        p, q = (tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+                for _ in "pq")
+        m = draw(st.integers(0, 2))
+        syms.append((RadialSymbol.monomial(n, p, q, -m - sum(p) - sum(q)), m))
+    (f, mf), (g, mg) = syms
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n,
+                                   max_size=2 * n)))
+        assume(np.linalg.norm(v) > 0.1)
+        v /= np.linalg.norm(v)
+        pts.append(v[:n] + 1j * v[n:])
+    return f, g, mf + mg + 2, np.array(pts)
+
+
+def _hex(c):
+    return c.real.hex(), c.imag.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairing_inputs())
+def test_pairing_numeric_of_a_batch_equals_the_per_point_form_bitwise(inputs):
+    f, g, exponent, pts = inputs
+    try:
+        ref = [oracles.boundary_pairing_limit(f, g, zeta, exponent)
+               for zeta in pts]
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            boundary_pairing_limit(f, g, pts, exponent)
+        return
+    got = boundary_pairing_limit(f, g, pts, exponent)
+    assert [_hex(c) for c in got] == [_hex(c) for c in ref]
+    single = boundary_pairing_limit(f, g, pts[0], exponent)
+    assert type(single) is complex and _hex(single) == _hex(ref[0])
 
 
 def test_pairing_numeric_matches_symbolic_pointwise():

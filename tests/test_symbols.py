@@ -106,6 +106,52 @@ def test_heat_inverse_matches_its_alternating_series_bitwise(items, gamma):
     _same(heat_inverse(a, gamma), oracles.heat_inverse(2, a.terms, gamma))
 
 
+# point coordinates: signed zeros, exact values and arbitrary finite ones
+_FINITE = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                             allow_infinity=False)
+_COORDS = st.one_of(_COEFFS, _FINITE)
+
+
+@st.composite
+def evaluations(draw):
+    """A term sum of any kind at n in {1, 2, 3}, with exponents up to 5 (so
+    that powers past the cube are taken) and radial factors t <= 0, and a
+    point."""
+    kind = draw(st.sampled_from(["sphere", "radial", "layer"]))
+    n = draw(st.integers(1, 3))
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        p, q = (tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+                for _ in "pq")
+        t = {"sphere": (), "layer": (-1.0 - sum(p) - sum(q),),
+             "radial": (draw(st.sampled_from([0.0, -0.5, -1.0, -2.0, -3.0])),)}
+        items.append(((p, q, *t[kind]), draw(st.one_of(_COEFFS, _FINITE))))
+    P = {"sphere": lambda: SpherePolynomial(n, items),
+         "radial": lambda: RadialSymbol(n, items),
+         "layer": lambda: HomogeneousSymbol(n, -1.0, items)}[kind]()
+    return P, draw(st.lists(_COORDS, min_size=n, max_size=n))
+
+
+def _hex(c):
+    return c.real.hex(), c.imag.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluations())
+def test_evaluate_equals_the_numpy_form_bitwise(case):
+    P, z = case
+    try:
+        ref = oracles.evaluate(P, z)
+    except ValueError:
+        # a layer at the origin
+        with pytest.raises(ValueError, match="singular"):
+            P.evaluate(z)
+        return
+    got = P.evaluate(z)
+    assert type(got) is complex
+    assert _hex(got) == _hex(ref)
+
+
 def test_powers_refuse_negative_exponents():
     for S in (RadialSymbol.coordinate(2, 1),
               SpherePolynomial.monomial(2, (1, 0), (0, 0))):
