@@ -39,8 +39,9 @@ from focktrace.spectral import (DiagonalChain, DiagonalConfig, _diagonal_values,
 from focktrace.symbols import RadialSymbol
 
 GAMMAS = (0.7, 1.0, 2.0)
-# two cutoffs per dimension: n = 1 across the 8192-degree radial block, n = 2
-# and 3 across the 65536-value per-multi-index block
+# two cutoffs per dimension, one inside the first block and one past it: n = 1
+# across the 8192-degree radial block (9001 values), n = 2 and 3 across the
+# 16384-value per-multi-index block (80,601 and 76,076 values)
 CUTOFFS = {1: (3000, 9000), 2: (60, 400), 3: (20, 75)}
 
 

@@ -44,6 +44,16 @@ class ConfigError(ValueError):
     pass
 
 
+class _Config(dict):
+    """A config object, or a mixed-trace case, and the keys read from it so
+    far (`_option`), so that a key nothing reads can be refused
+    (`_all_read`)."""
+
+    def __init__(self, obj):
+        super().__init__(obj)
+        self.read = set()
+
+
 def write_report(report: dict, path=None):
     """The report as indented JSON: floats by repr, which read back bit for
     bit; a non-finite float raises ValueError, any non-JSON value TypeError."""
@@ -79,15 +89,28 @@ def make_check(name: str, computed: float, target: float, tolerance: float):
     }
 
 
-def _option(cfg, key, default, read):
+def _option(cfg: _Config, key, default, read):
     """read(cfg[key]), or default when key is absent; a KeyError, TypeError,
     ValueError or OverflowError of read is a ConfigError naming key."""
+    cfg.read.add(key)
     if key not in cfg:
         return default
     try:
         return read(cfg[key])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
+def _all_read(cfg: _Config, where=""):
+    """Refuses the keys of cfg that no `_option` has read, before any
+    spectrum is built: a misspelt key would run the default without a
+    word."""
+    unread = [key for key in cfg if key not in cfg.read]
+    if unread:
+        raise ConfigError(
+            f"unknown config key{'s' * (len(unread) > 1)} "
+            f"{', '.join(map(repr, unread))}{where}; this experiment reads "
+            f"{', '.join(map(repr, sorted(cfg.read)))}")
 
 
 _whole = partial(json_number, whole=True)
@@ -195,6 +218,7 @@ def _exp_model_operator(cfg, seed, csv_sink):
         window = _option(cfg, "window", [500_000, 1_000_000], _list(_whole, 2))
     else:
         K = _option(cfg, "K_degree", 10_000, _whole)
+    _all_read(cfg)
     seq = diagonal_spectrum(ctx, toeplitz_config(S), K)
     if n == 1:
         try:
@@ -224,6 +248,7 @@ def _exp_toeplitz_trace(cfg, seed, csv_sink):
     options = _trace_options(cfg, n, 0.02)
     _, f0 = _leading(f, 2 * n)
     target = gamma**n / math.factorial(n) * sphere_integral(f0).real
+    _all_read(cfg)
     return _trace_check(ctx, toeplitz_config(f), target, options,
                         "trace-vs-boundary-integral", "toeplitz-trace", csv_sink)
 
@@ -240,6 +265,7 @@ def _exp_hankel_trace(cfg, seed, csv_sink):
     _, g0 = _leading(g, 0)
     bracket = tangential_bracket(f0.conj(), g0)
     target = sphere_integral(bracket**n).real / math.factorial(n)
+    _all_read(cfg)
     return _trace_check(ctx, hankel_config(f, g) ** n, target, options,
                         "hankel-trace-vs-bracket-integral", "hankel-trace",
                         csv_sink)
@@ -265,6 +291,7 @@ def _exp_commutator_trace(cfg, seed, csv_sink):
                                  - tangential_bracket(f0, g0))
     config = reduce(mul, [commutator_config(f, g) for f, g in pairs])
     target = sphere_integral(integrand).real / math.factorial(n)
+    _all_read(cfg)
     return _trace_check(ctx, config, target, options,
                         "commutator-trace-vs-boundary-integral",
                         "commutator-trace", csv_sink)
@@ -318,11 +345,11 @@ def _default_mixed_cases():
     return [case1, case2]
 
 
-def _case(obj) -> dict:
+def _case(obj) -> _Config:
     """A mixed-trace case: a JSON object."""
     if not isinstance(obj, dict):
         raise TypeError(f"a case is a JSON object, got {obj!r}")
-    return obj
+    return _Config(obj)
 
 
 def _label(value) -> str:
@@ -335,12 +362,17 @@ def _label(value) -> str:
 
 
 def _exp_mixed_trace(cfg, seed, csv_sink):
-    cases = _option(cfg, "cases", _default_mixed_cases(), _list(_case))
+    cases = _option(cfg, "cases", None, _list(_case))
+    if cases is None:
+        cases = _list(_case)(_default_mixed_cases())
     # every case is read, and its target computed, before the first spectrum
     labels = [_option(c, "label", f"case{i}", _label) for i, c in enumerate(cases)]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"invalid label: two cases share one in {labels}")
     runs = [_mixed_case(case) for case in cases]
+    _all_read(cfg)
+    for label, case in zip(labels, cases):
+        _all_read(case, f" in case {label!r}")
     checks = []
     diags = {}
     for label, (ctx, config, target, options) in zip(labels, runs):
@@ -401,6 +433,7 @@ def _exp_calculus_check(cfg, seed, csv_sink):
     rng = np.random.default_rng(seed)
     checks = []
     gamma = _context(cfg, 1).gamma
+    _all_read(cfg)
 
     # star product: associativity, conjugation, unit, generators
     dev_assoc = 0.0
@@ -583,7 +616,7 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
                           f"{sorted(EXPERIMENTS)}")
     if not isinstance(config or {}, dict):
         raise ConfigError(f"a config is a JSON object, got {config!r}")
-    cfg = dict(config or {})
+    cfg = _Config(config or {})
     written = []
 
     def csv_sink(label, seq):
@@ -602,7 +635,7 @@ def run_experiment(name: str, config: dict | None = None, seed: int = 0,
     return {
         "schema": REPORT_SCHEMA,
         "experiment": name,
-        "config": cfg,
+        "config": dict(cfg),
         "seed": seed,
         "checks": checks,
         "diagnostics": diagnostics,

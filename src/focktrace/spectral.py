@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -30,10 +31,13 @@ from .symbols import RadialSymbol
 
 
 # values per block of the per-multi-index path, a run of whole degrees (a
-# degree of more values is a block of its own); values per slice of the
+# degree of more values is a block of its own), whose buffers, up to ten
+# arrays of 128 KB, are made once per spectrum (`_MultiIndexColumns`):
+# temporaries of that size made per block would have glibc trim and fault
+# in the top of its heap again on every block; values per slice of the
 # sortedness check and of the sort's sign-bit reads; runs per write of the
 # CSV export
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 # degrees per block of the radial path, at most _BLOCK: one value per
 # degree, so each table of a block is as long as the block, and the tables
 # of 2^13 degrees (64 KB each) stay in cache
@@ -142,22 +146,27 @@ class SNumberSequence:
         lo, hi = v.min(), v.max()  # NaN and +-inf reach one of them
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("values must be finite")
-        # in blocks that overlap by one value, each bound built in one
-        # scratch buffer, so the scratch stays one block at any length
-        scratch = np.empty(min(v.size - 1, _BLOCK))
+        # each modulus may exceed the one before by at most the tolerant
+        # bound (1 + 1e-15) * a + 1e-300, which exact order always meets: in
+        # blocks that overlap by one value, order is tested exactly, in one
+        # scratch mask, and the bound is built only where it fails
+        rises = np.empty(min(v.size - 1, _BLOCK), dtype=bool)
+        moduli = np.empty(min(v.size, _BLOCK + 1)) if lo < 0 else None
         for start in range(0, v.size - 1, _BLOCK):
             a = v[start:start + _BLOCK + 1]
-            if lo < 0:
-                a = np.abs(a)
-            bound = scratch[:a.size - 1]
-            with np.errstate(over="ignore"):  # an infinite bound is the right one
-                np.multiply(a[:-1], 1 + 1e-15, out=bound)
-            bound += 1e-300
-            if np.any(a[1:] > bound):
-                raise ValueError("values must be sorted by nonincreasing modulus")
+            if moduli is not None:
+                a = np.abs(a, out=moduli[:a.size])
+            up = np.greater(a[1:], a[:-1], out=rises[:a.size - 1])
+            if up.any():
+                i = np.flatnonzero(up)
+                with np.errstate(over="ignore"):  # an infinite bound is the right one
+                    bound = a[i] * (1 + 1e-15)
+                bound += 1e-300
+                if np.any(a[i + 1] > bound):
+                    raise ValueError("values must be sorted by nonincreasing modulus")
         if not self.signed and lo < 0:
             raise ValueError("s-numbers must be nonnegative")
-        if self.mults.min() <= 0:
+        if not _kernels.is_unit(self.mults) and self.mults.min() <= 0:
             raise ValueError("multiplicities must be positive")
 
     @classmethod
@@ -301,12 +310,13 @@ def _plan(config: DiagonalConfig):
     shifts; the reach of a block's row windows, buffer_deg + n + 1 (a chain
     shifts a degree by at most the sum of its factors' largest |p|, and a
     term's index adds |p| + n - 1); the radial exponents in order of first
-    use; whether every term has p = q = 0; whether every coefficient is
+    use; the coordinates that some term reads (p_i or q_i nonzero), in
+    order, none when every term has p = q = 0; whether every coefficient is
     real.  Refuses, in walk order, a factor of mixed shifts and a chain
     whose shifts do not cancel."""
     zero = (0,) * config.n
-    per_chain, exponents = [], {}
-    buffer_deg, radial, real = 0, True, True
+    per_chain, exponents, read = [], {}, set()
+    buffer_deg, real = 0, True
     for ch in config.chains:
         shifts, lift = [], 0
         real = real and complex(ch.coeff).imag == 0
@@ -316,7 +326,7 @@ def _plan(config: DiagonalConfig):
                 moves.add(mi_sub(p, q))
                 top = max(top, degree(p))
                 exponents[t] = None
-                radial = radial and p == q == zero
+                read.update(i for i in range(config.n) if p[i] or q[i])
                 real = real and complex(c).imag == 0
             if len(moves) != 1:
                 raise _not_diagonal("factor mixes monomial shifts; not diagonal")
@@ -326,7 +336,7 @@ def _plan(config: DiagonalConfig):
             raise _not_diagonal("chain total shift does not cancel")
         per_chain.append(shifts)
         buffer_deg = max(buffer_deg, lift)
-    return per_chain, buffer_deg + config.n + 1, list(exponents), radial, real
+    return per_chain, buffer_deg + config.n + 1, list(exponents), sorted(read), real
 
 
 def _rising(a: np.ndarray, p: int, q: int, v: int) -> np.ndarray:
@@ -344,36 +354,44 @@ def _rising(a: np.ndarray, p: int, q: int, v: int) -> np.ndarray:
     return r
 
 
-def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
-                  sizes, coords: list, gamma: float, rows: dict, origin: int,
-                  dtype) -> np.ndarray:
-    """Eigenvalue contribution of one chain at m multi-indices, the columns
-    of a block: degs are their distinct degrees, repeated sizes times (once
-    each when sizes is None), and coords[i] = (a, index) holds the
-    distinct values a of coordinate i and the position of each column's
-    value in a; rows[t][j] is m_t at degree origin + j.  dtype float drops
-    the (zero) imaginary parts of every coefficient: a complex product of
-    operands with zero imaginary part has the same real part.
+def _chain_values(ch: DiagonalChain, shifts, cols, gamma: float, rows: dict,
+                  origin: int, dtype) -> np.ndarray:
+    """Eigenvalue contribution of one chain at the columns of a block, cols
+    (`_DegreeColumns` or `_MultiIndexColumns`): cols.degs are their distinct
+    degrees and cols.coords[i] the value of coordinate i at each column, for
+    the coordinates that some term reads; rows[t][j] is m_t at degree
+    origin + j.  dtype float drops the (zero) imaginary parts of every
+    coefficient: a complex product of operands with zero imaginary part has
+    the same real part.
 
     Each value is the product, over the factors from the right, of
     sum_terms c * m_t[|alpha| + |p| + n - 1] * sqrt(ratio) * gamma^(-(|p|+|q|)/2),
     where ratio is the rising-factorial quotient of the monomial norms, and
     0 once a shift leaves the multi-index cone.  A term is evaluated once per
-    distinct index: c * m_t[...] over degs, and each coordinate's part of
-    ratio (`_rising`) over that coordinate's values, with its sqrt when the
-    term carries one coordinate.  Every column then sees the operations of
-    the per-column product in its order, except multiplications by an exact 1
-    and additions to an initial 0, which are skipped: that can change only
-    the sign of a zero, and `_diagonal_values` adds each chain to +0.0.  A
-    ratio over several coordinates is the product of their parts, the same
-    float while the product of integers stays below 2^53.  Tables of indices
-    outside the cone are taken at 0, and those columns are set to 0 at the
-    end."""
-    n = len(coords)
+    distinct index: c * m_t[...] over degs, spread over the columns
+    (cols.spread), and each coordinate's part of ratio (`_rising`) over
+    that coordinate's values, with its sqrt when the term carries one
+    coordinate, read at the columns (cols.rising).  Every column then sees
+    the operations of the per-column product in its order, except
+    multiplications by an exact 1 and additions to an initial 0, which are
+    skipped: that can change only the sign of a zero, and `_diagonal_values`
+    adds each chain to +0.0.  A ratio over several coordinates is the
+    product of their parts, the same float while the product of integers
+    stays below 2^53.  Tables of indices outside the cone are taken at 0,
+    and those columns are set to 0 at the end.
+
+    The chain is built in cols' buffers (cols.buffer): its product in
+    "out", each later factor's sum in "fac", each later term in "term", the
+    parts of ratio in "part" and "ratio"; the first factor of a float chain
+    is summed in "out" itself."""
+    n = cols.n
     coef = complex if dtype is complex else (lambda c: complex(c).real)
     c0 = coef(ch.coeff)
     # a float chain starts from its first factor, times c0 unless that is 1
-    out = np.full(m, c0, dtype=dtype) if dtype is complex or not ch.factors else None
+    out = None
+    if dtype is complex or not ch.factors:
+        out = cols.spread(np.full(cols.degs.size, c0, dtype=dtype),
+                          cols.buffer("out", dtype))
     deg_shift = 0
     sigma = [0] * n  # the shift of each coordinate before the factor
     need = [0] * n  # alpha_i >= need[i] keeps every column inside the cone
@@ -381,24 +399,24 @@ def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
         fac = None
         for (p, q, t), c in S.terms.items():
             dp, dq = degree(p), degree(q)
-            table = rows[t][np.maximum(degs + deg_shift, 0)
+            table = rows[t][np.maximum(cols.degs + deg_shift, 0)
                             + (dp + n - 1 - origin)]
             if dtype is complex:
                 table = coef(c) * table
             elif coef(c) != 1:
                 table *= coef(c)
-            term = table if sizes is None else np.repeat(table, sizes)
-            parts = [(_rising(np.maximum(coords[i][0] + sigma[i], 0),
-                              p[i], q[i], v[i]), coords[i][1])
-                     for i in range(n) if p[i] or q[i]]
+            into = ("term" if fac is not None else "fac" if out is not None
+                    else "out")
+            term = cols.spread(table, cols.buffer(into, dtype))
+            parts = [(i, (sigma[i], p[i], q[i], v[i])) for i in range(n)
+                     if p[i] or q[i]]
             if len(parts) == 1:
-                r, index = parts[0]
-                term *= np.sqrt(r, out=r)[index]
+                term *= cols.rising(*parts[0], True, cols.buffer("part"))
             elif parts:
-                (r, index), *rest = parts
-                ratio = r[index]
-                for r, index in rest:
-                    ratio *= r[index]
+                (i, key), *rest = parts
+                ratio = cols.rising(i, key, False, cols.buffer("ratio"))
+                for i, key in rest:
+                    ratio *= cols.rising(i, key, False, cols.buffer("part"))
                 term *= np.sqrt(ratio, out=ratio)
             g = gamma ** (-(dp + dq) / 2.0)
             if g != 1:
@@ -419,35 +437,153 @@ def _chain_values(ch: DiagonalChain, shifts, m: int, degs: np.ndarray,
             need[i] = max(need[i], -sigma[i])
     for i in range(n):
         if need[i]:
-            a, index = coords[i]
-            out[(a < need[i])[index]] = 0.0
+            outside = np.less(cols.coords[i], need[i],
+                              out=cols.buffer("mask", bool))
+            out[outside] = 0.0
     return out
 
 
-def _raised(v: np.ndarray, power: int, dtype) -> np.ndarray:
-    """v ** power in dtype.  A complex integer power is a chain of products,
-    a float one a single rounded pow: v is raised in complex so that both
+def _raised(v: np.ndarray, power: int, scratch=None):
+    """v ** power, written into v.  A complex integer power is a chain of
+    products, a float one a single rounded pow: v is raised in complex, in
+    scratch (a complex buffer as long as v) or a new array, so that both
     dtypes agree exactly."""
-    p = v.astype(complex) ** power
-    return p.real if dtype is float else p
+    p = np.empty(v.shape, complex) if scratch is None else scratch
+    np.copyto(p, v)
+    p **= power
+    v[...] = p.real if v.dtype == float else p
 
 
-def _degree_runs(k0: int, sizes: np.ndarray, lower) -> np.ndarray:
+def _degree_runs(k0: int, sizes: np.ndarray, lower, want=None, buffer=None,
+                 iota=None):
     """The multi-indices of the degrees k0, k0 + 1, ..., sizes[d] of degree
-    k0 + d, each degree in `core.compositions` order, as an (n, m) array.
-    Degree k is (k - |beta|, beta) for beta over the first sizes[d] columns
-    of lower, the same enumeration of length n - 1 from degree 0 on: the
-    multi-indices of length n - 1 and degree <= k.  At n = 2, lower is None
-    and beta runs over (0), ..., (k)."""
-    ends = np.cumsum(sizes)
-    ramp = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
-    first = np.repeat(np.arange(k0, k0 + len(sizes)), sizes)
+    k0 + d, each degree in `core.compositions` order, as n rows, and the
+    index d of each column's degree: (d, rows).  Degree k is (k - |beta|,
+    beta) for beta over the first sizes[d] columns of lower, the rows of
+    the same enumeration of length n - 1 from degree 0 on: the multi-indices
+    of length n - 1 and degree <= k.  At n = 2, lower is None and beta runs
+    over (0), ..., (k).  Only the rows in want (every row when None) are
+    built, with those that row 0 needs; a row not built is None.  Each row
+    and d are written, a degree at a time, into buffer(name), an int64
+    array of sum(sizes) entries, from iota, np.arange of at least
+    max(sizes) entries (new ones when None)."""
+    n = 2 if lower is None else len(lower) + 1
+    counts = sizes.tolist()
+    if want is None:
+        want = range(n)
+    if buffer is None:
+        def buffer(_name, m=sum(counts)):
+            return np.empty(m, dtype=np.int64)
+    if iota is None:
+        iota = np.arange(max(counts))
+    d = buffer("degree")
+    first = buffer(0) if 0 in want else None
+    # the position of each column in its degree: row 1 at n = 2, the
+    # column of lower above
+    ramp = (buffer("ramp") if lower is not None
+            else buffer(1) if 1 in want else None)
+    start = 0
+    for j, size in enumerate(counts):
+        end = start + size
+        d[start:end] = j
+        if ramp is not None:
+            ramp[start:end] = iota[:size]
+        if first is not None:  # k0 + j - beta at n = 2 (size is k0 + j + 1)
+            first[start:end] = iota[size - 1::-1] if lower is None else k0 + j
+        start = end
     if lower is None:
-        first -= ramp
-        return np.vstack([first, ramp])
-    rest = lower[:, ramp]
-    first -= rest.sum(axis=0)
-    return np.vstack([first, rest])
+        return d, [first, ramp]
+    rest = [np.take(lower[i - 1], ramp, out=buffer(i), mode="clip")
+            if i in want or first is not None else None for i in range(1, n)]
+    if first is not None:
+        for beta in rest:
+            first -= beta
+    return d, [first, *rest]
+
+
+class _DegreeColumns:
+    """The columns of a radial block: one per degree k, ..., end - 1, each
+    the representative (k, 0, ..., 0), so every table is taken at the
+    columns themselves and the walk keeps no buffer."""
+
+    def __init__(self, n: int, k: int, end: int):
+        self.n = n
+        self.degs = np.arange(k, end)
+        self.coords = {0: self.degs}
+
+    def buffer(self, name, dtype=float):
+        return None
+
+    def spread(self, table, out):
+        return table
+
+    def rising(self, i, key, root, out):
+        sigma, p, q, v = key
+        r = _rising(np.maximum(self.degs + sigma, 0), p, q, v)
+        return np.sqrt(r, out=r) if root else r
+
+
+class _MultiIndexColumns:
+    """The columns of the per-multi-index walk, one block of whole degrees
+    after another (`block`): alpha_1 ascending at n = 2, `core.compositions`
+    order above.  Everything a block holds lives in buffers made once per
+    spectrum, each as long as the longest block (`buffer`), and written
+    through out= (np.take with mode="clip", which writes straight into its
+    output, where "raise" buffers it): each column's degree index and
+    position, the coordinates that some term reads (read, from `_plan`),
+    and the chain's products and sums.  Each term's rising table over the
+    coordinate values 0, ..., K_degree, and its sqrt, is built once per
+    spectrum, keyed by (sigma_i, p_i, q_i, v_i), and read at the columns."""
+
+    def __init__(self, n: int, K_degree: int, sizes, starts, read, width: int):
+        self.n, self.sizes, self.starts, self.width = n, sizes, starts, width
+        # the enumeration of length n - 1, for n >= 3
+        self.lower = None
+        for d in range(2, n):
+            self.lower = _degree_runs(
+                0, degree_multiplicity(d, np.arange(K_degree + 1)), self.lower)[1]
+        # coordinate i is row 1 - i at n = 2 (alpha_1 ascending), row i above
+        self.rows = [1, 0] if n == 2 else list(range(n))
+        self.read, self.want = read, {self.rows[i] for i in read}
+        # every position in a degree, and every coordinate value
+        self.iota = np.arange(sizes[-1])
+        self.values = self.iota[:K_degree + 1]
+        self.tables, self.buffers, self.m = {}, {}, 0
+
+    def block(self, k: int, end: int) -> "_MultiIndexColumns":
+        """Points the columns at the degrees k, ..., end - 1."""
+        self.m = self.starts[end] - self.starts[k]
+        self.degs = np.arange(k, end)
+        self.degree, rows = _degree_runs(
+            k, self.sizes[k:end], self.lower, self.want,
+            lambda row: self.buffer(("row", row), np.int64), self.iota)
+        self.coords = {i: rows[self.rows[i]] for i in self.read}
+        return self
+
+    def buffer(self, name, dtype=float):
+        """The block's part of the buffer name, made on first use."""
+        buf = self.buffers.get(name)
+        if buf is None:
+            buf = self.buffers[name] = np.empty(self.width, dtype=dtype)
+        return buf[:self.m]
+
+    def spread(self, table, out):
+        """table, one entry per degree of the block, at each column."""
+        return np.take(table, self.degree, out=out, mode="clip")
+
+    def rising(self, i, key, root, out):
+        """`_rising` at key = (sigma_i, p_i, q_i, v_i), or its sqrt, at the
+        value of coordinate i of each column."""
+        r = self.tables.get((key, root))
+        if r is None:
+            r = self.tables.get((key, False))
+            if r is None:
+                sigma, p, q, v = key
+                r = self.tables[key, False] = _rising(
+                    np.maximum(self.values + sigma, 0), p, q, v)
+            if root:
+                r = self.tables[key, True] = np.sqrt(r)
+        return np.take(r, self.coords[i], out=out, mode="clip")
 
 
 def _windows(chunks, spans):
@@ -480,7 +616,9 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     (alpha_1 ascending at n = 2, `core.compositions` order at higher n).
     Blocks of whole degrees, of at most min(`_DEGREES`, `_BLOCK`) values
     when radial and `_BLOCK` otherwise (or one degree), take their tables
-    once per degree and coordinate value.  One walk over the blocks adds
+    once per degree and coordinate value (`_DegreeColumns`,
+    `_MultiIndexColumns`); the per-multi-index blocks are written through
+    buffers made once per spectrum.  One walk over the blocks adds
     each chain to its block, which starts at +0.0 and is raised to the
     power after the last chain, so a block's columns and values serve every
     chain while in cache.  Each exponent's moment row is streamed once
@@ -492,9 +630,9 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
-    per_chain, reach, exponents, radial, real = _plan(config)
+    per_chain, reach, exponents, read, real = _plan(config)
     n, gamma = ctx.n, ctx.gamma
-    radial = radial or n == 1
+    radial = not read or n == 1
     # per multi-index: sum over k <= K_degree of C(k+n-1, n-1)
     count = K_degree + 1 if radial else math.comb(K_degree + n, n)
     if count > _MAX_VALUES:
@@ -510,24 +648,8 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
         # the eigenvalue depends on |alpha| only: one representative per
         # degree, (k, 0, ..., 0), which carries the degree's multiplicity
         starts, mults = range(K_degree + 2), sizes
-
-        def columns(k, end):
-            comps = np.zeros((n, end - k), dtype=np.int64)
-            comps[0] = np.arange(k, end)
-            return comps[0], None, [(a, slice(None)) for a in comps]
     else:
         starts, mults = np.concatenate(([0], np.cumsum(sizes))), None
-        lower = None  # the enumeration of length n - 1, for n >= 3
-        for d in range(2, n):
-            lower = _degree_runs(
-                0, degree_multiplicity(d, np.arange(K_degree + 1)), lower)
-
-        def columns(k, end):
-            comps = _degree_runs(k, sizes[k:end], lower)
-            if n == 2:  # alpha_1 ascending: the reverse of compositions order
-                comps = comps[::-1]
-            return (np.arange(k, end), sizes[k:end],
-                    [(np.arange(end), a) for a in comps])
 
     # blocks: from each degree k, the longest run of whole degrees that holds
     # at most cap values, or degree k alone
@@ -537,6 +659,11 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
         end = max(k + 1, bisect.bisect_right(starts, starts[k] + cap) - 1)
         blocks.append((k, end))
         k = end
+    if radial:
+        columns = partial(_DegreeColumns, n)
+    else:
+        width = max(starts[end] - starts[k] for k, end in blocks)
+        columns = _MultiIndexColumns(n, K_degree, sizes, starts, read, width).block
     # normalized moment rows, one stream per radial exponent in order of
     # first use, each read within reach of a block's degrees (`_plan`)
     spans = [(max(k - reach, 0), end + reach) for k, end in blocks]
@@ -555,10 +682,10 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
         cols = columns(k, end)
         lo, hi = starts[k], starts[end]
         for ch, shifts in zip(config.chains, per_chain):
-            vals[lo:hi] += _chain_values(ch, shifts, hi - lo, *cols, gamma,
-                                         rows, origin, dtype)
+            vals[lo:hi] += _chain_values(ch, shifts, cols, gamma, rows, origin,
+                                         dtype)
         if config.power != 1:
-            vals[lo:hi] = _raised(vals[lo:hi], config.power, dtype)
+            _raised(vals[lo:hi], config.power, cols.buffer("power", complex))
     return vals, starts, mults
 
 

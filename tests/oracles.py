@@ -9,10 +9,11 @@ of the `decimal` evaluation in `focktrace.fock_matrices._base_moment`, the
 moment rows by their former three routes, least-squares lines by LAPACK,
 the values of a configuration evaluated as one unblocked block, the
 per-multi-index spectrum assembled one degree at a time, the spectrum
-finished with sorted copies, the term arithmetic of the symbol classes as
-plain-dict rules, and the symbol algebra and Toeplitz compression as they
-were computed term by term: `star` on that term arithmetic,
-`sphere_norm_sq` from the full product P * P.conj(), and
+finished with sorted copies, the validation of an s-number sequence with
+its tolerant order bound built over every value, the term arithmetic of
+the symbol classes as plain-dict rules, and the symbol algebra and
+Toeplitz compression as they were computed term by term: `star` on that
+term arithmetic, `sphere_norm_sq` from the full product P * P.conj(), and
 `toeplitz_entries` looping over the basis; semantic equality of sphere
 polynomials (`sphere_equal`) and the sphere's surface area; `evaluate`,
 the coherent vector, `berezin` and `boundary_pairing_limit` one point and
@@ -196,23 +197,42 @@ def chain_values(ch, shifts, comps: np.ndarray, gamma: float, rows: dict,
     return out
 
 
+class ColumnsAt:
+    """The columns of `spectral._chain_values` at the multi-indices of comps,
+    an (n, m) array, one column each: every table is taken at the columns
+    themselves, with no buffer."""
+
+    def __init__(self, comps: np.ndarray):
+        self.n = comps.shape[0]
+        self.degs = comps.sum(axis=0)
+        self.coords = dict(enumerate(comps))
+
+    def buffer(self, name, dtype=float):
+        return None
+
+    def spread(self, table, out):
+        return table
+
+    def rising(self, i, key, root, out):
+        sigma, p, q, v = key
+        r = spectral._rising(np.maximum(self.coords[i] + sigma, 0), p, q, v)
+        return np.sqrt(r, out=r) if root else r
+
+
 def unblocked_values(config, comps: np.ndarray, gamma: float, rows: dict,
                      dtype) -> np.ndarray:
     """The eigenvalues of config at the columns of comps, an (n, m) array of
     multi-indices, as one block: one `spectral._chain_values` call per chain
-    with every table taken at the columns themselves, each added to +0.0,
-    then raised to the power.  This is how `spectral._config_values`
-    evaluated columns before the pair walk of `spectral._diagonal_values`
-    replaced it."""
-    n, m = comps.shape
-    degs = comps.sum(axis=0)
-    coords = [(a, slice(None)) for a in comps]
-    v = np.zeros(m, dtype=dtype)
+    with every table taken at the columns themselves (`ColumnsAt`), each
+    added to +0.0, then raised to the power.  This is how
+    `spectral._config_values` evaluated columns before the pair walk of
+    `spectral._diagonal_values` replaced it."""
+    cols = ColumnsAt(comps)
+    v = np.zeros(comps.shape[1], dtype=dtype)
     for ch, shifts in zip(config.chains, spectral._plan(config)[0]):
-        v += spectral._chain_values(ch, shifts, m, degs, None, coords, gamma,
-                                    rows, 0, dtype)
+        v += spectral._chain_values(ch, shifts, cols, gamma, rows, 0, dtype)
     if config.power != 1:
-        v = spectral._raised(v, config.power, dtype)
+        spectral._raised(v, config.power)
     return v
 
 
@@ -232,7 +252,7 @@ def per_degree_spectrum(ctx, config, K_degree: int):
     degree (alpha_1 ascending at n = 2, `compositions` order above), the
     per-degree arrays concatenated, and a stable sort."""
     n, gamma = ctx.n, ctx.gamma
-    per_chain, reach, exponents, _radial, _real = spectral._plan(config)
+    per_chain, reach, exponents, _read, _real = spectral._plan(config)
     rows = {t: scaled_moment_row(t, gamma, K_degree + reach) for t in exponents}
     per_degree = []
     for k in range(K_degree + 1):
@@ -284,6 +304,34 @@ def finish_with_copies(vals, starts, degree_mults, K_degree: int):
     return spectral.SNumberSequence(
         values, mults, signed=bool(np.any(values < 0)),
         certified_rank=certified)
+
+
+def snumber_validation(values, mults, signed) -> str | None:
+    """The message of the ValueError that `spectral.SNumberSequence` raises
+    on these values and multiplicities, or None, by its checks as they were
+    before exact order was tested first: finiteness, the tolerant bound
+    (1 + 1e-15) * |v_i| + 1e-300 on |v_(i+1)| built over every value at
+    once, the sign of s-numbers, and the least multiplicity."""
+    v = np.asarray(values, dtype=float)
+    m = np.asarray(mults, dtype=np.int64)
+    if v.shape != m.shape or v.ndim != 1:
+        return "values and mults must be equal-length 1-D"
+    if not v.size:
+        return None
+    lo, hi = v.min(), v.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return "values must be finite"
+    a = np.abs(v)
+    with np.errstate(over="ignore"):
+        bound = a[:-1] * (1 + 1e-15)
+    bound += 1e-300
+    if np.any(a[1:] > bound):
+        return "values must be sorted by nonincreasing modulus"
+    if not signed and lo < 0:
+        return "s-numbers must be nonnegative"
+    if m.min() <= 0:
+        return "multiplicities must be positive"
+    return None
 
 
 def csv_by_rows(seq, path):

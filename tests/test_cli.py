@@ -230,6 +230,38 @@ def test_bad_tolerance_or_window_refused_before_the_spectrum(monkeypatch,
         run_experiment(experiment, cfg)
 
 
+# one misspelt key per experiment, and a key read only at another n
+_UNREAD_KEYS = [
+    ("model-operator", {"K_rank": 4096}, "'K_rank'"),
+    ("model-operator", {"n": 2, "K_ranks": 4096}, "'K_ranks'"),
+    ("toeplitz-trace", {"K_degre": 100}, "'K_degre'"),
+    ("hankel-trace", {"tolerence": 0.1}, "'tolerence'"),
+    ("commutator-trace", {"pair": []}, "'pair'"),
+    ("mixed-trace", {"case": []}, "'case'"),
+    ("mixed-trace", {"cases": [_CHAIN_CASE, dict(_CHAIN_CASE, label="chain2",
+                                                 K_degre=10)]},
+     "'K_degre' in case 'chain2'"),
+    ("calculus-check", {"gama": 2.0}, "'gama'"),
+]
+
+
+@pytest.mark.parametrize("experiment, cfg, named", _UNREAD_KEYS)
+def test_unread_config_key_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                             experiment, cfg, named):
+    # refused before any spectrum or star product, with one error line that
+    # names the key (and the case of a mixed-trace case key)
+    def not_yet(*args):
+        raise AssertionError("work done before the config was checked")
+    monkeypatch.setattr("focktrace.cli.diagonal_spectrum", not_yet)
+    monkeypatch.setattr("focktrace.cli.star", not_yet)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["--experiment", experiment, "--config", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown config key "), err
+    assert named in err[0], err
+
+
 def test_cli_main_rejects_unknown_experiment():
     with pytest.raises(SystemExit) as exc:
         main(["--experiment", "bogus"])

@@ -23,7 +23,7 @@ from focktrace.spectral import (DiagonalChain, DiagonalConfig,
 from focktrace.symbols import RadialSymbol
 from oracles import (csv_by_rows, finish_with_copies, hankel_product, hermitian_spectrum,
                      per_degree_spectrum, radial_moment, singular_values,
-                     unblocked_values)
+                     snumber_validation, unblocked_values)
 
 
 def random_matrix(rng, n, hermitian=False):
@@ -258,6 +258,58 @@ def test_sortedness_is_checked_across_block_edges(monkeypatch, block):
                 SNumberSequence(bad, np.ones(12, dtype=np.int64), signed=signed)
 
 
+_EDGE_MODULI = [0.0, 5e-324, 1e-300, 2e-300, 1.0, float(np.finfo(float).max)]
+
+
+@st.composite
+def nearly_sorted_sequences(draw):
+    # moduli in nonincreasing order, then values tied to the one before,
+    # nudged up by 1 to 12 ulps (inside and beyond the 1e-15 relative
+    # tolerance, and the 1e-300 absolute one near 0), swapped with the next,
+    # negated, or made non-finite; multiplicities a stride-0 view of ones or
+    # an array that may hold 0 or -1; blocks that put edges anywhere
+    moduli = draw(st.lists(st.floats(0, float(np.finfo(float).max))
+                           | st.sampled_from(_EDGE_MODULI), max_size=24))
+    v = np.sort(np.array(moduli, dtype=float))[::-1].copy()
+    for i in range(v.size):
+        op = draw(st.sampled_from(["keep", "tie", "nudge", "swap", "negate",
+                                   "non-finite"]))
+        if op == "tie" and i:
+            v[i] = v[i - 1]
+        if op in ("tie", "nudge"):
+            for _ in range(draw(st.integers(1, 12))):
+                with np.errstate(over="ignore"):  # the largest float goes to inf
+                    v[i] = np.nextafter(v[i], np.inf)
+        elif op == "swap" and i + 1 < v.size:
+            v[i], v[i + 1] = v[i + 1], v[i]
+        elif op == "negate":
+            v[i] = -v[i]
+        elif op == "non-finite" and draw(st.integers(0, 9)) == 0:
+            v[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if draw(st.booleans()):
+        mults = np.broadcast_to(np.int64(1), v.shape)
+    else:
+        mults = np.array(draw(st.lists(st.integers(-1, 3), min_size=v.size,
+                                       max_size=v.size)), dtype=np.int64)
+    return v, mults, draw(st.booleans()), draw(st.sampled_from([1, 2, 5, 1 << 14]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nearly_sorted_sequences())
+def test_validation_matches_the_bound_over_every_value(case):
+    # exact order first and the tolerant bound only where it fails, in
+    # blocks, refuses what the bound built over every value refuses, with
+    # the same error, and nothing else
+    v, mults, signed, block = case
+    with mock.patch.object(spectral, "_BLOCK", block):
+        try:
+            SNumberSequence(v, mults, signed=signed)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+    assert got == snumber_validation(v, mults, signed)
+
+
 def test_sequence_merge_is_directsum_spectrum():
     a = SNumberSequence(np.array([3.0, 1.0]), np.array([1, 2]))
     b = SNumberSequence(np.array([2.0, 1.5]), np.array([2, 1]))
@@ -480,8 +532,8 @@ def per_multi_index_cases(draw):
         chains.append(spectral.DiagonalChain(
             scale * complex(phase).conjugate(), factors))
     config = spectral.DiagonalConfig(n, chains, draw(st.sampled_from([1, 2, 3])))
-    _shifts, _reach, _exponents, radial, _real = spectral._plan(config)
-    assume(not radial)  # the oracle is per multi-index
+    _shifts, _reach, _exponents, read, _real = spectral._plan(config)
+    assume(read)  # the oracle is per multi-index: some term reads a coordinate
     K = draw(st.integers(0, 24) if n == 2 else st.integers(6, 12))
     block = draw(st.sampled_from([1, 7, 64]))
     return n, gamma, config, K, block
@@ -792,9 +844,9 @@ def test_per_multi_index_blocks_are_visited_once(monkeypatch, n):
         rows.append(t)
         return start(t, gamma, dmax)
 
-    def recording_runs(k0, sizes, lower):
+    def recording_runs(k0, sizes, *rest):
         runs.append((k0, len(sizes)))
-        return enumerate_runs(k0, sizes, lower)
+        return enumerate_runs(k0, sizes, *rest)
 
     monkeypatch.setattr(spectral, "moment_chunks", recording_row)
     monkeypatch.setattr(spectral, "_degree_runs", recording_runs)
@@ -815,6 +867,53 @@ def test_per_multi_index_blocks_are_visited_once(monkeypatch, n):
         k = end
     assert len(blocks) > 2
     assert runs == [(0, K + 1)] * (n - 2) + blocks
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rising_tables_are_built_once_per_spectrum(monkeypatch, n):
+    # each term's rising table over the coordinate values is built once per
+    # distinct (sigma_i, p_i, q_i, v_i) in a spectrum, however many blocks
+    # and chains read it: the same tables for one block as for many
+    config = _per_multi_index_configs(n)["mixed"]
+    K = 40 if n == 2 else 12
+    rising, built = spectral._rising, []
+
+    def recording(a, p, q, v):
+        built.append((int(a[-1]) - K, p, q, v))  # a[-1] is K + sigma_i
+        return rising(a, p, q, v)
+
+    monkeypatch.setattr(spectral, "_rising", recording)
+    per_block = {}
+    for block in (1 << 14, 16):
+        built = []
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        per_block[block] = spectral._diagonal_values(FockContext(n, 0.7), config, K)
+        assert built and len(built) == len(set(built)), built
+        if block == 16:
+            assert sorted(built) == sorted(first)
+        first = built
+    assert per_block[16][0].tobytes() == per_block[1 << 14][0].tobytes()
+
+
+def test_n2_spectrum_at_default_sizes_holds_values_and_block_buffers():
+    # toeplitz-trace's default symbol at n = 2 and K_degree = 2000 (2,003,001
+    # values) with the module's own block size: the walk writes every block
+    # into buffers of _BLOCK values made once per spectrum, so
+    # diagonal_spectrum peaks at the value bytes plus about 0.8 MB.  Block
+    # temporaries made per block (3.3 MB beside the values at 2^16-value
+    # blocks) would break the bound
+    z1 = RadialSymbol.coordinate(2, 1)
+    f = z1 * z1.conj() * RadialSymbol.radial_power(2, -6.0)
+    ctx = FockContext(2, 1.0)
+    diagonal_spectrum(ctx, toeplitz_config(f), 20)  # the base moments
+    tracemalloc.start()
+    try:
+        seq = diagonal_spectrum(ctx, toeplitz_config(f), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.values.size == math.comb(2002, 2)
+    assert peak <= seq.values.nbytes + (3 << 19), (peak - seq.values.nbytes) / 2**20
 
 
 def _complex_radial_configs():
