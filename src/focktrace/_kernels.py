@@ -31,9 +31,9 @@ symbols of the experiments never ask for a row with s > 0.
   extraction of Rump, Ogita & Oishi ("Accurate floating-point summation,
   part I", SIAM J. Sci. Comput. 31(1), 2008) over chunks of runs, with no
   Python float per value; each result is the exact partial sum, rounded
-  once to the nearest float.  Unit multiplicities (a stride-0 view of ones)
-  take a path where rank r is run r and the values are the products, with
-  the same bits.
+  once to the nearest float.  Every rank lies below the sequence's length.
+  Unit multiplicities (a stride-0 view of ones) take a path where rank r
+  is run r and the values are the products, with the same bits.
 
 Beside its result, each kernel holds only chunk-sized scratch.  The serial
 loops these kernels replace are kept in ``tests/`` as oracles.
@@ -309,12 +309,12 @@ def partial_sums_at(values, mults, ranks):
     """Correctly rounded partial sums of a run-length sequence at sorted
     ranks.
 
-    ranks are 0-based inclusive and nondecreasing: result[i] = sum of the
-    first ranks[i]+1 sequence elements, where run j contributes mults[j]
-    copies of values[j] (values finite, mults < 2^53); ranks past the end
-    give the total.  Each result is the exact partial sum rounded once to
-    the nearest float (ties to even); one that rounds beyond the float
-    range raises OverflowError.
+    ranks are 0-based inclusive, nondecreasing and below the sequence's
+    length: result[i] = sum of the first ranks[i]+1 sequence elements, where
+    run j contributes mults[j] copies of values[j] (values finite,
+    mults < 2^53).  Each result is the exact partial sum rounded once to the
+    nearest float (ties to even); one that rounds beyond the float range
+    raises OverflowError.
 
     One walk over the runs up to the last rank, _CHUNK runs at a time: each
     chunk's products mults[j]*values[j], fed exactly as Dekker's two halves,
@@ -327,30 +327,25 @@ def partial_sums_at(values, mults, ranks):
     the products: rank r is run r, with no cumulative sum or splitting.
     """
     out = np.empty(ranks.shape[0])
-    n = values.shape[0]
     unit = is_unit(mults)
     if unit:
-        runs = np.minimum(ranks, n)
-        inside = runs < n
+        runs = ranks
         counts = repeat(1)
     else:
         ends = np.cumsum(mults)
         runs = np.searchsorted(ends, ranks, side="right")
-        inside = runs < n
-        part_runs = runs[inside]
-        counts = (ranks[inside] - (ends[part_runs] - mults[part_runs]) + 1).tolist()
-    parts = iter([c * _units(v) for c, v in
-                  zip(counts, values[runs[inside]].tolist())])
+        counts = (ranks - (ends[runs] - mults[runs]) + 1).tolist()
+    parts = [c * _units(v) for c, v in zip(counts, values[runs].tolist())]
 
-    p = np.empty(min(n, _CHUNK))
+    p = np.empty(min(values.shape[0], _CHUNK))
     q = np.empty_like(p)
     total = 0
     walked = 0
-    for i, (run, has_part) in enumerate(zip(runs.tolist(), inside.tolist())):
+    for i, (run, part) in enumerate(zip(runs.tolist(), parts)):
         while walked < run:
             stop = min(run, walked + _CHUNK)
             total += _run_units(values[walked:stop],
                                 None if unit else mults[walked:stop], p, q)
             walked = stop
-        out[i] = (total + next(parts) if has_part else total) / _ONE
+        out[i] = (total + part) / _ONE
     return out

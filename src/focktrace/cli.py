@@ -165,7 +165,8 @@ def _extrapolated_check(name, seq, target, tol, grid, n):
         raise ConfigError(
             f"cannot extrapolate over {seq.total} ranks: {exc}") from exc
     return (make_check(name, est.value, target, tol),
-            {"estimate_method": est.method, "estimate_K": est.K_used,
+            {"estimate_method": "extrapolated",
+             "estimate_K": est.diagnostics["grid"][-1],
              **est.diagnostics})
 
 

@@ -24,12 +24,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 _TKEY_DECIMALS = 9
 
 
-def factorial(k: int) -> float:
-    """k! correctly rounded; OverflowError above k = 170, where k! leaves the
-    float range."""
-    return float(math.factorial(k))
-
-
 def degree(alpha) -> int:
     return sum(alpha)
 
@@ -37,7 +31,7 @@ def degree(alpha) -> int:
 def mi_factorial(alpha) -> float:
     out = 1.0
     for a in alpha:
-        out *= factorial(a)
+        out *= float(math.factorial(a))
     return out
 
 
@@ -95,18 +89,14 @@ def graded_rank(alphas: np.ndarray) -> np.ndarray:
     return rank
 
 
-def degree_multiplicity(n: int, k):
-    """Number of multi-indices of length n with |alpha| = k, C(k+n-1, n-1).
-
-    k is an int, or an integer array for which an int64 array of the same
-    shape is returned; that form raises ValueError when a value would not
-    fit in int64.
+def degree_multiplicity(n: int, k) -> np.ndarray:
+    """Number of multi-indices of length n with |alpha| = k, C(k+n-1, n-1),
+    for each entry of the integer array k, as an int64 array of k's shape;
+    ValueError when a value would not fit in int64.
     """
-    if n < 1 or np.any(np.asarray(k) < 0):
-        raise ValueError("need n >= 1 and k >= 0")
-    if np.ndim(k) == 0:
-        return math.comb(int(k) + n - 1, n - 1)
     k = np.asarray(k, dtype=np.int64)
+    if n < 1 or np.any(k < 0):
+        raise ValueError("need n >= 1 and k >= 0")
     if k.size and math.comb(int(k.max()) + n - 1, n - 1) > _INT64_MAX:
         raise ValueError(f"C(k+{n - 1}, {n - 1}) overflows int64 at k = {k.max()}")
     # C(k+i, i) = C(k+i-1, i-1) * (k+i) / i; dividing by i before the
@@ -255,13 +245,15 @@ class TermSum:
         return not self.terms
 
     def evaluate(self, z) -> complex:
-        """The sum at the point z, in Python complex arithmetic.  Each power
-        rounds as numpy's complex128 power does, up to the sign of a zero
-        part, which the sum, started at +0, drops; a power that overflows is
-        outside the domain (Python raises OverflowError for some).  |z|^2 is
-        numpy's sum of np.abs(z)**2, whose abs and summation order Python's
-        abs and sum do not share."""
+        """The sum at the point z of shape (n,) (ValueError otherwise), in Python
+        complex arithmetic.  Each power rounds as numpy's complex128 power does,
+        up to the sign of a zero part, which the sum, started at +0, drops; a
+        power that overflows is outside the domain (Python raises OverflowError
+        for some).  |z|^2 is numpy's sum of np.abs(z)**2, whose abs and
+        summation order Python's abs and sum do not share."""
         z = np.asarray(z, dtype=complex)
+        if z.shape != (self.n,):
+            raise ValueError(f"need a point of C^{self.n}, got shape {z.shape}")
         r2 = float(np.add.reduce(np.abs(z) ** 2))
         zs = z.tolist()
         zbs = [x.conjugate() for x in zs]
@@ -295,10 +287,6 @@ class SpherePolynomial(TermSum):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def monomial(cls, n, p, q, c=1.0):
-        return cls(n, {(tuple(p), tuple(q)): c})
 
     @classmethod
     def constant(cls, n, c=1.0):

@@ -23,12 +23,9 @@ DEFAULT_RANK_GRID_1D = tuple(2**e for e in range(10, 21, 2))
 
 
 class DixmierEstimate:
-    def __init__(self, value: float, method: str, K_used: int,
-                 diagnostics: dict | None = None):
+    def __init__(self, value: float, diagnostics: dict):
         self.value = value
-        self.method = method  # "extrapolated", the only estimator
-        self.K_used = K_used
-        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.diagnostics = diagnostics
 
 
 def _check_rank(seq: SNumberSequence, K: int):
@@ -122,4 +119,4 @@ def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:
     }
     if ill:
         diags["warning"] = "grid spans too little of 1/log(K+2); fit ill-conditioned"
-    return DixmierEstimate(c, "extrapolated", K_grid[-1], diags)
+    return DixmierEstimate(c, diags)

@@ -266,7 +266,7 @@ def buffered_product(ctx: FockContext, factors, D: int) -> OperatorMatrix:
     prod = toeplitz_matrix(ctx, factors[0], Dbuf).entries
     for f in factors[1:]:
         prod = prod @ toeplitz_matrix(ctx, f, Dbuf).entries
-    size = len(enumerate_basis(ctx.n, D))
+    size = math.comb(D + ctx.n, ctx.n)
     return OperatorMatrix(D, np.array(prod[:size, :size]))
 
 
@@ -276,25 +276,24 @@ def weyl_matrix(ctx: FockContext, a: RadialSymbol, D: int) -> OperatorMatrix:
     return toeplitz_matrix(ctx, heat_inverse(a, ctx.gamma), D)
 
 
-def berezin(ctx: FockContext, M, w):
-    """Coherent-state expectation of M at w, from the truncated kernel.
-
-    M is one OperatorMatrix, whose expectation is returned as a complex, or
-    a sequence of them of one truncation degree (ValueError otherwise),
-    whose expectations are returned as a list of complex in that order: the
-    coherent vector is built once for all of them.
+def berezin(ctx: FockContext, mats, w) -> list:
+    """Coherent-state expectations at w of a non-empty sequence of
+    OperatorMatrix of one truncation degree, from the truncated kernel, as
+    a list of complex in that order: the coherent vector is built once for
+    all of them.  w is a point of C^n, of shape (n,).  ValueError for no
+    matrices, matrices of different degrees or a point of another shape.
 
     The truncation carries >= 1 - 1e-10 of the kernel mass when
     D >= gamma |w|^2 + 10 sqrt(gamma |w|^2) + 20 (Poisson tail profile of the
     kernel coefficients in total degree); a warning is issued otherwise.
     """
     n, gamma = ctx.n, ctx.gamma
-    single = isinstance(M, OperatorMatrix)
-    mats = [M] if single else list(M)
+    if not mats:
+        raise ValueError("need at least one matrix")
     D = mats[0].D
     if any(m.D != D for m in mats):
         raise ValueError("matrices of different truncation degrees")
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    w = np.asarray(w, dtype=complex)
     if w.shape != (n,):
         raise ValueError("point dimension does not match context")
     lam = gamma * float(np.sum(np.abs(w) ** 2))
@@ -308,8 +307,7 @@ def berezin(ctx: FockContext, M, w):
     factors = [_coherent_factors(wj, gamma, D).tolist() for wj in w.tolist()]
     e = np.array([math.prod(f[a] for f, a in zip(factors, alpha))
                   for alpha in enumerate_basis(n, D)])
-    values = [complex(e @ m.entries @ e.conj()) for m in mats]
-    return values[0] if single else values
+    return [complex(e @ m.entries @ e.conj()) for m in mats]
 
 
 def _coherent_factors(wj: complex, gamma: float, D: int) -> np.ndarray:

@@ -169,27 +169,20 @@ class SNumberSequence:
         if not _kernels.is_unit(self.mults) and self.mults.min() <= 0:
             raise ValueError("multiplicities must be positive")
 
-    @classmethod
-    def from_values(cls, values, signed=False, certified_rank=None):
-        v, m = _sorted_runs(np.array(values, dtype=float), None)
-        return cls(v, m, signed=signed, certified_rank=certified_rank)
-
     @property
     def total(self) -> int:
         return _ranks_in(self.mults, self.values.size)
 
     def partial_sums(self, ranks) -> np.ndarray:
         """The exact sum of the first K+1 values, rounded once to the
-        nearest float, for each K in ranks (one walk, by error-free
-        extraction; see `_kernels.partial_sums_at`)."""
+        nearest float, for each K in ranks, nondecreasing and below total
+        (ValueError otherwise); one walk, see `_kernels.partial_sums_at`."""
         ranks = np.asarray(ranks, dtype=np.int64)
         if np.any(ranks < 0) or np.any(ranks >= self.total):
             raise ValueError("rank out of range")
-        order = np.argsort(ranks)
-        out = _kernels.partial_sums_at(self.values, self.mults, ranks[order])
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.size)
-        return out[inv]
+        if np.any(ranks[1:] < ranks[:-1]):
+            raise ValueError("ranks must be nondecreasing")
+        return _kernels.partial_sums_at(self.values, self.mults, ranks)
 
     def pointwise_values(self, lo: int, hi: int) -> np.ndarray:
         """(j+1) * s_j for j in [lo, hi], materialized."""

@@ -110,17 +110,14 @@ def boundary_pairing(f_lead: SpherePolynomial, m: int,
     return out
 
 
-def boundary_pairing_limit(f: RadialSymbol, g: RadialSymbol, zeta,
-                           exponent: int = 2):
-    """Radial limit of r^exponent * sum_j (d/dz_j conj(f))(r zeta) *
+def boundary_pairing_limit(f: RadialSymbol, g: RadialSymbol, points,
+                           exponent: int) -> list:
+    """Radial limits of r^exponent * sum_j (d/dz_j conj(f))(r zeta) *
     (d/dconj(z_j) g)(r zeta), evaluated exactly from the symbol derivative
-    algebra at r = 1e2 and 1e3, for zeta on the unit sphere (1e-12).
-
-    zeta is one point (shape (n,)), whose limit is returned as a complex,
-    or a (count, n) array of points, whose limits are returned as a list of
-    complex in that order; the derivatives are built once for all points,
-    and every point is checked to lie on the sphere (ValueError) before any
-    is evaluated.
+    algebra at r = 1e2 and 1e3, for each point zeta of a (count, n) array of
+    points on the unit sphere (1e-12), as a list of complex in that order.
+    The derivatives are built once for all points; a wrong shape or a point
+    off the sphere is refused (ValueError) before any point is evaluated.
 
     Supported-class symbols carry O(r^-2) corrections, so the two values
     agree to ~1e-4 of the correction size; a gap above 1e-3 (1 + |v|), as
@@ -129,11 +126,12 @@ def boundary_pairing_limit(f: RadialSymbol, g: RadialSymbol, zeta,
     """
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    zeta = np.asarray(zeta, dtype=complex)
-    points = zeta if zeta.ndim == 2 else [zeta]
-    for point in points:
-        if abs(float(np.sum(np.abs(point) ** 2)) - 1.0) > 1e-12:
-            raise ValueError("zeta must lie on the unit sphere")
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 2 or points.shape[1] != f.n:
+        raise ValueError(f"need a (count, {f.n}) array of points, "
+                         f"got shape {points.shape}")
+    if np.any(np.abs(np.sum(np.abs(points) ** 2, axis=1) - 1.0) > 1e-12):
+        raise ValueError("zeta must lie on the unit sphere")
     fbar = f.conj()
     dfs = [fbar.wirtinger(j, "holo") for j in range(1, f.n + 1)]
     dgs = [g.wirtinger(j, "anti") for j in range(1, f.n + 1)]
@@ -151,4 +149,4 @@ def boundary_pairing_limit(f: RadialSymbol, g: RadialSymbol, zeta,
             raise ConvergenceError(
                 f"radial limit not Cauchy: |v1-v0| = {gap:.3e} at radii 1e2, 1e3")
         limits.append((x0 * v1 - x1 * v0) / (x0 - x1))
-    return limits if zeta.ndim == 2 else limits[0]
+    return limits

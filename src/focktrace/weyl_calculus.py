@@ -263,7 +263,7 @@ def _hermite_rule(nodes: int):
     return rule
 
 
-def heat_quadrature(S: RadialSymbol, z: complex, gamma: float, nodes: int = 80) -> complex:
+def heat_quadrature(S: RadialSymbol, z: complex, gamma: float, nodes: int) -> complex:
     """Numeric heat transform by Gauss-Hermite product quadrature (n = 1):
 
         (2 gamma / pi) * integral S(z + u) exp(-2 gamma |u|^2) du over C.

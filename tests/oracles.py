@@ -9,13 +9,15 @@ of the `decimal` evaluation in `focktrace.fock_matrices._base_moment`, the
 moment rows by their former three routes, least-squares lines by LAPACK,
 the values of a configuration evaluated as one unblocked block, the
 per-multi-index spectrum assembled one degree at a time, the spectrum
-finished with sorted copies, the validation of an s-number sequence with
+finished with sorted copies, a sequence of values in any order
+(`from_values`), the validation of an s-number sequence with
 its tolerant order bound built over every value, the term arithmetic of
 the symbol classes as plain-dict rules, and the symbol algebra and
 Toeplitz compression as they were computed term by term: `star` on that
 term arithmetic, `sphere_norm_sq` from the full product P * P.conj(), and
-`toeplitz_entries` looping over the basis; semantic equality of sphere
-polynomials (`sphere_equal`) and the sphere's surface area; `evaluate`,
+`toeplitz_entries` looping over the basis; one sphere monomial
+(`sphere_monomial`), semantic equality of sphere polynomials
+(`sphere_equal`) and the sphere's surface area; `evaluate`,
 the coherent vector, `berezin` and `boundary_pairing_limit` one point and
 one matrix at a time in numpy complex arithmetic.
 Dense truncations: the Hankel product matrix, and the Hermitian eigensolve
@@ -334,6 +336,14 @@ def snumber_validation(values, mults, signed) -> str | None:
     return None
 
 
+def from_values(values, signed=False, certified_rank=None):
+    """An `spectral.SNumberSequence` of unit multiplicities of values in any
+    order, sorted by `spectral._sorted_runs` in a copy."""
+    v, m = spectral._sorted_runs(np.array(values, dtype=float), None)
+    return spectral.SNumberSequence(v, m, signed=signed,
+                                    certified_rank=certified_rank)
+
+
 def csv_by_rows(seq, path):
     """`SNumberSequence.to_csv` as it was before the block writer: one
     f-string per run, from numpy scalars."""
@@ -599,6 +609,11 @@ def sphere_norm_sq(P) -> float:
     """`core.sphere_norm_sq` as the integral of the full product."""
     return sphere_integral(
         SpherePolynomial(P.n, term_product(P.terms, term_conj(P.terms)))).real
+
+
+def sphere_monomial(n, p, q, c=1.0):
+    """The sphere polynomial c * zeta^p conj(zeta)^q."""
+    return SpherePolynomial(n, {(tuple(p), tuple(q)): c})
 
 
 def sphere_equal(P, Q, tol: float = 1e-10) -> bool:

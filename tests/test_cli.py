@@ -1,8 +1,10 @@
 """CLI driver: report schema, serialization, exit codes, config handling."""
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -59,6 +61,10 @@ def test_model_operator_report_shape():
                           "abs_deviation", "tolerance", "tolerance_kind", "pass"}
         assert c["deviation"] == pytest.approx(
             abs(c["computed"] - c["target"]) / max(abs(c["target"]), 1e-12))
+    diags = rep["diagnostics"]
+    assert diags["estimate_method"] == "extrapolated"
+    assert diags["grid"] == FAST_MODEL_CFG["grid"]
+    assert diags["estimate_K"] == FAST_MODEL_CFG["grid"][-1]
     assert rep["timing_seconds"] > 0
 
 
@@ -400,6 +406,45 @@ def test_benchmark_tracer_hooks_resolve():
                   "fock_matrices.dense", "core.sphere_norm_sq",
                   "sphere_calculus"):
         assert calls.get(layer, 0) >= 1, layer
+
+
+# src/ definitions that src/ never names, kept because the benchmark reaches
+# them: each with the perfbench file that uses it
+_PERFBENCH_ENTRY_POINTS = {"ladder_row": "tracer.py", "pair_rows": "tracer.py",
+                           "log_mean": "tracer.py", "merge": "child.py",
+                           "scaled": "child.py"}
+
+
+def test_every_src_definition_is_named_in_src():
+    # a function or class that no src/ code names (a Name, an Attribute or an
+    # import) is reached only from tests, whose oracles belong in tests/;
+    # special methods are named by the language
+    src = os.path.join(_src_dir(), "focktrace")
+    defined, named = {}, set()
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, fname)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unnamed = sorted(f"{fname}: {name}" for name, fname in defined.items()
+                     if name not in named and name not in _PERFBENCH_ENTRY_POINTS)
+    assert unnamed == []
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    for name, user in _PERFBENCH_ENTRY_POINTS.items():
+        assert name in defined, name
+        with open(os.path.join(perfbench, user)) as fh:
+            assert re.search(rf"\b{name}\b", fh.read()), (name, user)
 
 
 def test_spectral_experiment_does_not_load_mpmath():

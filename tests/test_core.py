@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from focktrace.core import (SpherePolynomial, degree_multiplicity,
                             enumerate_basis, graded_rank, sphere_integral,
                             sphere_norm_sq)
-from oracles import sphere_equal, sphere_surface_area
+from oracles import sphere_equal, sphere_monomial, sphere_surface_area
 from oracles import sphere_norm_sq as sphere_norm_sq_oracle
 
 
@@ -33,21 +33,20 @@ def test_enumerate_basis_count():
     assert len(enumerate_basis(2, 60)) == 1891
     assert len(enumerate_basis(2, 60)) == math.comb(62, 2)
     for n, D in [(1, 9), (2, 7), (3, 5)]:
-        assert len(enumerate_basis(n, D)) == sum(
-            degree_multiplicity(n, k) for k in range(D + 1))
+        assert len(enumerate_basis(n, D)) == \
+            degree_multiplicity(n, np.arange(D + 1)).sum()
 
 
 def test_degree_multiplicity():
-    assert degree_multiplicity(1, 7) == 1
-    assert degree_multiplicity(2, 3) == 4
+    assert degree_multiplicity(1, np.array([7])).tolist() == [1]
+    assert degree_multiplicity(2, np.array([3])).tolist() == [4]
     # enumeration oracle
-    assert degree_multiplicity(3, 2) == sum(
-        1 for a in enumerate_basis(3, 2) if sum(a) == 2)
-    assert degree_multiplicity(3, 2) == 6
+    assert degree_multiplicity(3, np.array([2])).tolist() == [sum(
+        1 for a in enumerate_basis(3, 2) if sum(a) == 2)]
+    assert degree_multiplicity(3, np.array([2])).tolist() == [6]
     # exact at large degree, where log-Gamma rounding was off by -569 and -2
-    assert degree_multiplicity(3, 10**6) == 500001500001
-    assert degree_multiplicity(4, 10001) == math.comb(10004, 3)
-    assert degree_multiplicity(3, np.array([10**6]))[0] == 500001500001
+    assert degree_multiplicity(3, np.array([10**6])).tolist() == [500001500001]
+    assert degree_multiplicity(4, np.array([10001])).tolist() == [math.comb(10004, 3)]
     # C(k+4, 4) passes int64 between k = 2^16 and k = 2^17
     with pytest.raises(ValueError):
         degree_multiplicity(5, np.arange(1 << 17))
@@ -59,9 +58,8 @@ def test_degree_multiplicity():
 @given(st.integers(1, 5), st.lists(st.integers(0, 10**6), min_size=1,
                                    max_size=20))
 def test_degree_multiplicity_exact_against_comb(n, ks):
-    # exact at every size, scalar and array form alike
+    # exact at every size that fits int64, refused above it
     ref = [math.comb(k + n - 1, n - 1) for k in ks]
-    assert [degree_multiplicity(n, k) for k in ks] == ref
     if max(ref) > np.iinfo(np.int64).max:
         with pytest.raises(ValueError):
             degree_multiplicity(n, np.array(ks))
@@ -97,7 +95,7 @@ def _s3_integral_oracle(p, q, n_phi=48, n_theta=32):
 def test_sphere_integral_against_circle_quadrature():
     for p in range(5):
         for q in range(5):
-            P = SpherePolynomial.monomial(1, (p,), (q,))
+            P = sphere_monomial(1, (p,), (q,))
             got = sphere_integral(P)
             ref = _circle_integral_oracle((p,), (q,))
             assert abs(got - ref) < 1e-13
@@ -106,7 +104,7 @@ def test_sphere_integral_against_circle_quadrature():
 def test_sphere_integral_against_s3_quadrature():
     for p in enumerate_basis(2, 3):
         for q in enumerate_basis(2, 3):
-            P = SpherePolynomial.monomial(2, p, q)
+            P = sphere_monomial(2, p, q)
             got = sphere_integral(P)
             ref = _s3_integral_oracle(p, q)
             assert abs(got - ref) < 1e-12, (p, q, got, ref)
@@ -114,20 +112,20 @@ def test_sphere_integral_against_s3_quadrature():
 
 def test_sphere_integral_examples():
     assert sphere_integral(SpherePolynomial.constant(3)) == 1.0
-    assert sphere_integral(SpherePolynomial.monomial(2, (1, 0), (1, 0))) == pytest.approx(0.5)
-    assert sphere_integral(SpherePolynomial.monomial(2, (2, 0), (2, 0))) == pytest.approx(1 / 3)
-    assert sphere_integral(SpherePolynomial.monomial(2, (1, 0), (0, 1))) == 0.0
+    assert sphere_integral(sphere_monomial(2, (1, 0), (1, 0))) == pytest.approx(0.5)
+    assert sphere_integral(sphere_monomial(2, (2, 0), (2, 0))) == pytest.approx(1 / 3)
+    assert sphere_integral(sphere_monomial(2, (1, 0), (0, 1))) == 0.0
 
 
 def test_sphere_equal_examples():
     n = 2
-    rel = (SpherePolynomial.monomial(n, (1, 0), (1, 0))
-           + SpherePolynomial.monomial(n, (0, 1), (0, 1)))
+    rel = (sphere_monomial(n, (1, 0), (1, 0))
+           + sphere_monomial(n, (0, 1), (0, 1)))
     assert sphere_equal(rel, SpherePolynomial.constant(n))
-    assert not sphere_equal(SpherePolynomial.monomial(n, (1, 0), (0, 0)),
-                            SpherePolynomial.monomial(n, (0, 1), (0, 0)))
-    lhs = SpherePolynomial.monomial(n, (1, 0), (1, 0)) * rel
-    assert sphere_equal(lhs, SpherePolynomial.monomial(n, (1, 0), (1, 0)))
+    assert not sphere_equal(sphere_monomial(n, (1, 0), (0, 0)),
+                            sphere_monomial(n, (0, 1), (0, 0)))
+    lhs = sphere_monomial(n, (1, 0), (1, 0)) * rel
+    assert sphere_equal(lhs, sphere_monomial(n, (1, 0), (1, 0)))
 
 
 def test_surface_area_constant():
@@ -143,7 +141,7 @@ def test_norm_identity_polar_factorization():
     from oracles import monomial_norm_sq
     for n, p, gamma in [(1, (3,), 1.0), (2, (2, 1), 1.0), (2, (1, 0), 2.0),
                         (3, (1, 1, 0), 0.7)]:
-        P = SpherePolynomial.monomial(n, p, p)
+        P = sphere_monomial(n, p, p)
         lhs = (sphere_integral(P).real * sphere_surface_area(n)
                * 0.5 * math.gamma(sum(p) + n) / gamma ** (sum(p) + n))
         rhs = monomial_norm_sq(FockContext(n, gamma), p) * (gamma / math.pi) ** n \
@@ -191,8 +189,8 @@ def test_integral_permutation_invariance(P):
 
 def test_algebra_basics():
     n = 2
-    a = SpherePolynomial.monomial(n, (1, 0), (0, 0), 2.0)
-    b = SpherePolynomial.monomial(n, (0, 0), (1, 0), 1j)
+    a = sphere_monomial(n, (1, 0), (0, 0), 2.0)
+    b = sphere_monomial(n, (0, 0), (1, 0), 1j)
     prod = a * b
     assert prod.terms == {((1, 0), (1, 0)): 2j}
     assert (a - a).is_zero()

@@ -278,9 +278,9 @@ def test_partial_sums_at_spans_chunks():
 def unit_runs(draw):
     values = np.array(draw(st.lists(
         st.floats(allow_nan=False, allow_infinity=False, width=64,
-                  min_value=-1e300, max_value=1e300), max_size=80)))
-    # ranks anywhere, on chunk edges and past the end
-    ranks = draw(st.lists(st.integers(0, values.size + 5), min_size=1,
+                  min_value=-1e300, max_value=1e300), min_size=1, max_size=80)))
+    # ranks anywhere below the length, on chunk edges and at the last value
+    ranks = draw(st.lists(st.integers(0, values.size - 1), min_size=1,
                           max_size=12))
     return values, np.array(sorted(ranks), dtype=np.int64)
 
@@ -306,8 +306,8 @@ def test_partial_sums_at_of_values_near_the_float_limit():
     # came out NaN; both paths give the exact sums
     values = np.array([1.7e308, 1e301, 1e300, -3e299, 5.0, 1e-300])
     exact = np.cumsum([Fraction(v) for v in values.tolist()])
-    ranks = np.arange(values.size + 1, dtype=np.int64)
-    want = [float(x) for x in exact] + [float(exact[-1])]
+    ranks = np.arange(values.size, dtype=np.int64)
+    want = [float(x) for x in exact]
     unit = np.broadcast_to(np.int64(1), values.shape)
     for mults in (unit, np.ones(values.size, dtype=np.int64)):
         got = _kernels.partial_sums_at(values, mults, ranks)
@@ -334,7 +334,7 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 def exact_sum_data(draw):
     """Signed values over the whole float range, with some values negated
     elsewhere in the sequence, unit or large multiplicities, and ranks
-    anywhere up to past the end."""
+    anywhere below the total."""
     value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                       st.sampled_from(_EDGE_VALUES))
     values = draw(st.lists(value, min_size=1, max_size=40))
@@ -348,8 +348,8 @@ def exact_sum_data(draw):
             min_size=len(values), max_size=len(values))), dtype=np.int64)
     total = int(mults.sum())
     ends = np.cumsum(mults).tolist()
-    pool = st.one_of(st.integers(0, total + 3),
-                     st.sampled_from([e - 1 for e in ends] + ends))
+    pool = st.one_of(st.integers(0, total - 1),
+                     st.sampled_from([e - 1 for e in ends] + ends[:-1]))
     ranks = sorted(draw(st.lists(pool, min_size=1, max_size=12)))
     return np.array(values), mults, np.array(ranks, dtype=np.int64)
 
@@ -410,7 +410,7 @@ def test_partial_sums_at_matches_the_fsum_walk(monkeypatch, unit):
     mults = (np.broadcast_to(np.int64(1), values.shape) if unit
              else np.arange(1, n + 1, dtype=np.int64))
     total = int(mults.sum())
-    ranks = np.unique(np.concatenate([[0, total - 1, total + 5],
+    ranks = np.unique(np.concatenate([[0, total - 1],
                                       rng.integers(0, total, 30)]))
     got = _kernels.partial_sums_at(values, mults, ranks)
     assert got.tobytes() == fsum_partial_sums_at(values, mults, ranks).tobytes()

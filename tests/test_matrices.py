@@ -334,7 +334,7 @@ def test_berezin_identity_symbol():
     ctx = FockContext(1, 1.0)
     I = toeplitz_matrix(ctx, RadialSymbol.constant(1), 40)
     for w in (0.0, 0.3 + 0.4j, -0.9j):
-        assert berezin(ctx, I, [w]) == pytest.approx(1.0, rel=1e-12)
+        assert berezin(ctx, [I], [w]) == [pytest.approx(1.0, rel=1e-12)]
 
 
 def test_berezin_heat_identities():
@@ -344,14 +344,13 @@ def test_berezin_heat_identities():
     T = toeplitz_matrix(ctx, zzb, 40)
     W = weyl_matrix(ctx, zzb, 40)
     for w in (0.5, 0.2 - 0.7j):
-        assert berezin(ctx, T, [w]) == pytest.approx(abs(w) ** 2 + 1.0 / gamma,
-                                                     rel=1e-10)
-        assert berezin(ctx, W, [w]) == pytest.approx(
-            abs(w) ** 2 + 1.0 / (2 * gamma), rel=1e-10)
+        bt, bw = berezin(ctx, [T, W], [w])
+        assert bt == pytest.approx(abs(w) ** 2 + 1.0 / gamma, rel=1e-10)
+        assert bw == pytest.approx(abs(w) ** 2 + 1.0 / (2 * gamma), rel=1e-10)
         # general identity: the coherent-state symbol is the heat flow of the
         # quantizing symbol
         E1 = heat_transform(zzb, gamma)
-        assert berezin(ctx, W, [w]) == pytest.approx(E1.evaluate([w]), rel=1e-10)
+        assert bw == pytest.approx(E1.evaluate([w]), rel=1e-10)
 
 
 def test_berezin_at_large_degree_and_point():
@@ -365,15 +364,15 @@ def test_berezin_at_large_degree_and_point():
         T = toeplitz_matrix(ctx, a, 250)
         E2 = heat_transform(heat_transform(a, gamma), gamma)
         for w in (10.0, 10.0 * np.exp(2.1j)):
-            assert berezin(ctx, T, [w]) == pytest.approx(E2.evaluate([w]),
-                                                         rel=1e-12)
+            assert berezin(ctx, [T], [w]) == [pytest.approx(E2.evaluate([w]),
+                                                            rel=1e-12)]
 
 
 def test_berezin_truncation_warning():
     ctx = FockContext(1, 1.0)
     I = toeplitz_matrix(ctx, RadialSymbol.constant(1), 10)
     with pytest.warns(RuntimeWarning):
-        berezin(ctx, I, [3.0])
+        berezin(ctx, [I], [3.0])
 
 
 def test_berezin_refuses_matrices_of_different_degrees():
@@ -382,6 +381,16 @@ def test_berezin_refuses_matrices_of_different_degrees():
     mats = [toeplitz_matrix(ctx, I, 30), toeplitz_matrix(ctx, I, 31)]
     with pytest.raises(ValueError, match="truncation degrees"):
         berezin(ctx, mats, [0.1])
+
+
+def test_berezin_refuses_no_matrices_and_points_of_another_shape():
+    ctx = FockContext(1, 1.0)
+    I = toeplitz_matrix(ctx, RadialSymbol.constant(1), 30)
+    with pytest.raises(ValueError, match="at least one matrix"):
+        berezin(ctx, [], [0.1])
+    for w in (0.1, [0.1, 0.2], [[0.1]]):
+        with pytest.raises(ValueError, match="point dimension"):
+            berezin(ctx, [I], w)
 
 
 _FINITE = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
@@ -423,10 +432,11 @@ def test_berezin_equals_the_per_matrix_numpy_form_bitwise(inputs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         got = berezin(ctx, mats, w)
-        single = berezin(ctx, mats[0], w)
+        single = berezin(ctx, mats[:1], w)
     ref = [oracles.berezin(ctx, M, w) for M in mats]
     assert [_hex(c) for c in got] == [_hex(c) for c in ref]
-    assert type(single) is complex and _hex(single) == _hex(ref[0])
+    assert all(type(c) is complex for c in got + single)
+    assert [_hex(c) for c in single] == [_hex(ref[0])]
     D = mats[0].D
     for wj in w:
         got = fock_matrices._coherent_factors(complex(wj), ctx.gamma, D)

@@ -21,8 +21,8 @@ from focktrace.spectral import (DiagonalChain, DiagonalConfig,
                                 commutator_config, diagonal_spectrum,
                                 hankel_config, toeplitz_config)
 from focktrace.symbols import RadialSymbol
-from oracles import (csv_by_rows, finish_with_copies, hankel_product, hermitian_spectrum,
-                     per_degree_spectrum, radial_moment, singular_values,
+from oracles import (csv_by_rows, finish_with_copies, from_values, hankel_product,
+                     hermitian_spectrum, per_degree_spectrum, radial_moment, singular_values,
                      snumber_validation, unblocked_values)
 
 
@@ -207,8 +207,12 @@ def test_sequence_partial_sums_and_pointwise():
                                [2 * 2.0, 3 * 2.0, 4 * 1.0])
     with pytest.raises(ValueError):
         seq.partial_sums([6])
+    # ranks in nondecreasing order only
+    assert seq.partial_sums([2, 2]).tolist() == [8.0, 8.0]
+    with pytest.raises(ValueError, match="nondecreasing"):
+        seq.partial_sums([2, 0])
     # unit multiplicities: rank j is run j
-    unit = SNumberSequence.from_values([1.0, 4.0, 2.0])
+    unit = from_values([1.0, 4.0, 2.0])
     assert unit.total == 3 and unit.partial_sums([2]).tolist() == [7.0]
     np.testing.assert_array_equal(unit.pointwise_values(1, 2), [2 * 2.0, 3 * 1.0])
 
@@ -218,7 +222,7 @@ def test_partial_sums_of_values_near_the_float_limit():
     values = np.array([1e301, 1e300])
     for seq in (SNumberSequence(values, np.array([1, 1])),
                 SNumberSequence(values, np.array([2, 1])),
-                SNumberSequence.from_values(values)):
+                from_values(values)):
         want = [1e301, (seq.mults[0] * Fraction(1e301)) + Fraction(1e300)]
         assert seq.partial_sums([0, seq.total - 1]).tolist() == \
             [float(w) for w in want]
@@ -237,7 +241,7 @@ def test_sequence_validation():
             SNumberSequence(np.array(bad), np.ones(len(bad), dtype=np.int64),
                             signed=True)
     with pytest.raises(ValueError, match="finite"):
-        SNumberSequence.from_values([2.0, np.nan, 1.0])
+        from_values([2.0, np.nan, 1.0])
     # moduli near the largest float: the sortedness bound overflows to inf
     with np.errstate(over="raise"):
         SNumberSequence(np.array([np.finfo(float).max, 1.0]), np.array([1, 1]))
@@ -325,7 +329,7 @@ def test_sequence_csv(tmp_path):
     seq.to_csv(p)
     assert p.read_text().splitlines() == [
         "first_rank,multiplicity,value", "0,1,2", "1,2,1"]
-    SNumberSequence.from_values([1.0, 3.0]).to_csv(p)
+    from_values([1.0, 3.0]).to_csv(p)
     assert p.read_text().splitlines() == [
         "first_rank,multiplicity,value", "0,1,3", "1,1,1"]
 
@@ -391,7 +395,7 @@ def test_dense_pipeline_agrees_with_diagonal_engine():
     dense = hermitian_spectrum(hankel_product(ctx, f, f, 600))
     diag = diagonal_spectrum(ctx, hankel_config(f, f), 1200)
     np.testing.assert_allclose(dense[:400], diag.values[:400], rtol=1e-12)
-    dense_seq = SNumberSequence.from_values(dense)
+    dense_seq = from_values(dense)
     assert log_mean(dense_seq, 400) == pytest.approx(log_mean(diag, 400),
                                                      rel=1e-12)
 
@@ -946,7 +950,7 @@ def test_complex_radial_values_at_any_block_size(monkeypatch, degrees, kind):
 
 def test_from_values_leaves_its_input_alone():
     a = np.array([1.0, 3.0, 2.0])
-    seq = SNumberSequence.from_values(a)
+    seq = from_values(a)
     np.testing.assert_array_equal(a, [1.0, 3.0, 2.0])
     np.testing.assert_array_equal(seq.values, [3.0, 2.0, 1.0])
     assert seq.total == 3 and seq.mults.strides == (0,)
@@ -969,7 +973,7 @@ def test_merge_certifies_only_what_both_certificates_cover():
                         certified_rank=5)
     assert c.merge(d).certified_rank == 2 + 4 + 3
     # stride-0 multiplicities: unit ones, and one multiplicity 2 for all runs
-    e = SNumberSequence.from_values([0.8, 0.7, 0.6], certified_rank=3)
+    e = from_values([0.8, 0.7, 0.6], certified_rank=3)
     assert a.merge(e).certified_rank == 2
     f = SNumberSequence(np.array([4.0, 3.0, 0.2]),
                         np.broadcast_to(np.int64(2), (3,)), certified_rank=3)
@@ -998,10 +1002,10 @@ def tie_heavy_values(draw):
 @given(tie_heavy_values(), tie_heavy_values())
 def test_from_values_and_merge_keep_the_stable_order(a, b):
     stable = np.argsort(-np.abs(a), kind="stable")
-    seq = SNumberSequence.from_values(a, signed=True)
+    seq = from_values(a, signed=True)
     assert seq.values.tobytes() == a[stable].tobytes()
     sa = SNumberSequence(a[stable], np.arange(1, a.size + 1), signed=True)
-    sb = SNumberSequence.from_values(b, signed=True)
+    sb = from_values(b, signed=True)
     m = sa.merge(sb)
     v = np.concatenate([sa.values, sb.values])
     old = np.argsort(-np.abs(v), kind="stable")
@@ -1018,7 +1022,7 @@ def test_merge_of_unit_sequences_keeps_stride_0_multiplicities(a, b, data):
     if data.draw(st.booleans()):
         a, b = np.abs(a), np.abs(b)
     cert = [data.draw(st.none() | st.integers(0, v.size)) for v in (a, b)]
-    sa, sb = (SNumberSequence.from_values(v, signed=True, certified_rank=c)
+    sa, sb = (from_values(v, signed=True, certified_rank=c)
               for v, c in zip((a, b), cert))
     ones = [SNumberSequence(s.values, np.ones(s.values.size, dtype=np.int64),
                             signed=True, certified_rank=c)

@@ -13,11 +13,7 @@ from focktrace.sphere_calculus import (ConvergenceError, boundary_pairing,
                                        sphere_laplacian, tangential_bracket,
                                        tangential_d, tangential_dbar)
 from focktrace.symbols import HomogeneousSymbol, RadialSymbol
-from oracles import sphere_equal
-
-
-def mono(n, p, q, c=1.0):
-    return SpherePolynomial.monomial(n, p, q, c)
+from oracles import sphere_equal, sphere_monomial as mono
 
 
 def rand_sphere_poly(rng, n, deg=3, density=0.4):
@@ -223,40 +219,49 @@ def test_boundary_pairing_examples():
 
 def test_pairing_numeric_holomorphic_degenerate():
     f = RadialSymbol.coordinate(1, 1)
-    assert boundary_pairing_limit(f, f, [1.0], exponent=2) == 0
+    assert boundary_pairing_limit(f, f, [[1.0]], exponent=2) == [0]
 
 
 def test_pairing_numeric_canonical_limit():
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
-    lim = boundary_pairing_limit(f, f, [1.0 + 0j], exponent=2)
+    lim, = boundary_pairing_limit(f, f, [[1.0 + 0j]], exponent=2)
     assert abs(lim - 0.25) < 1e-8
 
 
 def test_pairing_numeric_two_variables():
     f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
-    lim = boundary_pairing_limit(f, f, [1.0, 0.0], exponent=2)
-    assert abs(lim - 0.25) < 1e-8
-    lim = boundary_pairing_limit(f, f, [0.0, 1.0], exponent=2)
-    assert abs(lim) < 1e-10
+    lim1, lim2 = boundary_pairing_limit(f, f, [[1.0, 0.0], [0.0, 1.0]],
+                                        exponent=2)
+    assert abs(lim1 - 0.25) < 1e-8
+    assert abs(lim2) < 1e-10
 
 
 def test_pairing_numeric_detects_wrong_exponent():
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     with pytest.raises(ConvergenceError):
-        boundary_pairing_limit(f, f, [1.0], exponent=3)
+        boundary_pairing_limit(f, f, [[1.0]], exponent=3)
 
 
 def test_pairing_numeric_input_validation():
     f = RadialSymbol.coordinate(1, 1)
     with pytest.raises(ValueError):
-        boundary_pairing_limit(f, f, [1.1])
+        boundary_pairing_limit(f, f, [[1.1]], 2)
+
+
+def test_pairing_numeric_refuses_points_of_another_shape():
+    # a point of C^2 on C^1 was evaluated at its first coordinate with |z|^2
+    # over both: 0.0324 for [[0.6, 0.8]], where [[1.0]] gives 0.25
+    f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
+    for pts in ([[0.6, 0.8]], [1.0], [[[1.0]]], np.ones((0, 2))):
+        with pytest.raises(ValueError, match="array of points"):
+            boundary_pairing_limit(f, f, pts, 2)
 
 
 def test_pairing_numeric_refuses_a_batch_with_one_point_off_the_sphere():
     f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
     pts = np.array([[1.0, 0.0], [0.6, 0.8j], [0.6, 0.8 + 1e-9]])
     with pytest.raises(ValueError, match="unit sphere"):
-        boundary_pairing_limit(f, f, pts)
+        boundary_pairing_limit(f, f, pts, 2)
 
 
 @st.composite
@@ -299,8 +304,9 @@ def test_pairing_numeric_of_a_batch_equals_the_per_point_form_bitwise(inputs):
         return
     got = boundary_pairing_limit(f, g, pts, exponent)
     assert [_hex(c) for c in got] == [_hex(c) for c in ref]
-    single = boundary_pairing_limit(f, g, pts[0], exponent)
-    assert type(single) is complex and _hex(single) == _hex(ref[0])
+    single = boundary_pairing_limit(f, g, pts[:1], exponent)
+    assert all(type(c) is complex for c in got + single)
+    assert [_hex(c) for c in single] == [_hex(ref[0])]
 
 
 def test_pairing_numeric_matches_symbolic_pointwise():
@@ -315,9 +321,9 @@ def test_pairing_numeric_matches_symbolic_pointwise():
         _, f0 = f.leading_sphere_part()
         _, g0 = g.leading_sphere_part()
         sym = boundary_pairing(f0, mf, g0, mg)
-        for _ in range(5):
-            zeta = rand_sphere_point(rng, n)
-            num = boundary_pairing_limit(f, g, zeta, exponent=mf + mg + 2)
+        pts = [rand_sphere_point(rng, n) for _ in range(5)]
+        nums = boundary_pairing_limit(f, g, pts, exponent=mf + mg + 2)
+        for zeta, num in zip(pts, nums):
             assert abs(num - sym.evaluate(zeta)) < 1e-7
 
 

@@ -147,14 +147,31 @@ def test_evaluate_equals_the_numpy_form_bitwise(case):
         with pytest.raises(ValueError, match="singular"):
             P.evaluate(z)
         return
+    except OverflowError:
+        # a radial factor past the float range, near the origin: outside
+        # the domain, and refused alike
+        with pytest.raises(OverflowError):
+            P.evaluate(z)
+        return
     got = P.evaluate(z)
     assert type(got) is complex
     assert _hex(got) == _hex(ref)
 
 
+def test_evaluate_refuses_points_of_another_shape():
+    # the first n coordinates were read and |z|^2 summed over all of them:
+    # z1 (1+|z|^2)^(-1/2) on C^1 gave 0.424 at [0.6, 0.8], 0.707 at [1.0]
+    f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
+    assert abs(f.evaluate([1.0]) - 2 ** -0.5) < 1e-15
+    for P in (f, oracles.sphere_monomial(1, (1,), (0,))):
+        for z in ([0.6, 0.8], 1.0, [[1.0]], []):
+            with pytest.raises(ValueError, match="point of C\\^1"):
+                P.evaluate(z)
+
+
 def test_powers_refuse_negative_exponents():
     for S in (RadialSymbol.coordinate(2, 1),
-              SpherePolynomial.monomial(2, (1, 0), (0, 0))):
+              oracles.sphere_monomial(2, (1, 0), (0, 0))):
         assert list((S ** 0).terms.values()) == [1]
         for k in (-1, -2):
             with pytest.raises(ValueError, match="nonnegative"):
@@ -312,11 +329,11 @@ def test_leading_sphere_part():
          * RadialSymbol.radial_power(n, -2.0 * (n + 1)))
     m, f0 = S.leading_sphere_part()
     assert m == -2 * n
-    assert sphere_equal(f0, SpherePolynomial.monomial(n, (1, 0), (1, 0)))
+    assert sphere_equal(f0, oracles.sphere_monomial(n, (1, 0), (1, 0)))
     S2 = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     m, f0 = S2.leading_sphere_part()
     assert m == 0
-    assert sphere_equal(f0, SpherePolynomial.monomial(1, (1,), (0,)))
+    assert sphere_equal(f0, oracles.sphere_monomial(1, (1,), (0,)))
 
 
 def test_leading_part_conjugation():
