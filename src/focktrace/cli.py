@@ -9,9 +9,7 @@ quantitative failure, 2 a configuration error.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -57,6 +55,7 @@ class _Config(dict):
 def write_report(report: dict, path=None):
     """The report as indented JSON: floats by repr, which read back bit for
     bit; a non-finite float raises ValueError, any non-JSON value TypeError."""
+    import json  # here and in main, so that importing the package skips it
     text = json.dumps(report, indent=2, allow_nan=False)
     if path is None:
         sys.stdout.write(text + "\n")
@@ -154,9 +153,10 @@ def _trace_options(cfg, n, default_tol):
 
 def _extrapolated_check(name, seq, target, tol, grid, n):
     """The check of seq's extrapolated log-Cesaro limit against target, and
-    the estimate's diagnostics.  The default grid is the spec'd one below the
-    spectrum's length at n = 1, else the certified auto grid; a grid the
-    spectrum cannot carry is a configuration error."""
+    the estimate's diagnostics with the spectrum's certificate.  The default
+    grid is the spec'd one below the spectrum's length at n = 1, else the
+    certified auto grid; a grid the spectrum cannot carry is a configuration
+    error."""
     if grid is None and n == 1:
         grid = [k for k in DEFAULT_RANK_GRID_1D if k < seq.total]
     try:
@@ -167,6 +167,7 @@ def _extrapolated_check(name, seq, target, tol, grid, n):
     return (make_check(name, est.value, target, tol),
             {"estimate_method": "extrapolated",
              "estimate_K": est.diagnostics["grid"][-1],
+             "certificate": seq.certificate,
              **est.diagnostics})
 
 
@@ -657,6 +658,9 @@ def _finite(text: str) -> float:
 
 
 def main(argv=None) -> int:
+    import argparse  # with gettext, only for the command line
+    import json
+
     # what the imports built lives until exit: frozen, exit's collection skips it
     gc.freeze()
     parser = argparse.ArgumentParser(

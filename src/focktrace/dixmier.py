@@ -64,8 +64,13 @@ def default_rank_grid(seq: SNumberSequence):
 
     Ranks touched by the degree truncation are excluded: beyond the certified
     rank the sorted prefix may be missing interleaving eigenvalues from
-    higher degrees, which would bias the fit.
+    higher degrees, which would bias the fit.  A spectrum whose tail rises
+    (certificate "unverified") certifies no rank, and is refused.
     """
+    if seq.certificate == "unverified":
+        raise ValueError("no rank is certified: the spectrum's largest "
+                         "modulus rises over its last 5% of degrees, so the "
+                         "truncated degrees may hold larger values")
     top = seq.total - 1
     if seq.certified_rank is not None:
         top = min(top, seq.certified_rank - 1)

@@ -62,8 +62,11 @@ def _base_moment(t: float, gamma: float) -> float:
 
     Substituting v = 1 + u gives e^gamma * E_p(gamma) with p = -s, where
     E_p(z) = integral_1^inf v^(-p) e^(-z v) dv is the generalized exponential
-    integral (DLMF 8.19).  The value is computed in 45-digit `decimal`
-    arithmetic, to about 40 digits, and rounded to a float once:
+    integral (DLMF 8.19).  The value is computed in 32-digit `decimal`
+    arithmetic, each sum run until its relative step is below 1e-27, rounded
+    to a float once; it is the float of the 45-digit evaluation to 1e-40
+    (`base_moment_45` in tests/oracles.py) on every exponent from -40 to 2
+    and weight from 0.01 to 200 tested, at less than half its cost:
 
     - e^z E_p(z) is the continued fraction
       1/(z+p - 1p/(z+p+2 - 2(p+1)/(z+p+4 - ...))), summed by the modified
@@ -77,9 +80,9 @@ def _base_moment(t: float, gamma: float) -> float:
     if key not in _BASE_CACHE:
         import decimal  # here, so that runs without moment rows never load it
         with decimal.localcontext() as context:
-            context.prec = 45
+            context.prec = 32
             Dec = decimal.Decimal
-            eps, tiny = Dec("1e-40"), Dec("1e-300")
+            eps, tiny = Dec("1e-27"), Dec("1e-300")
             s, g = Dec(t / 2.0), Dec(gamma)
             z, p = max(g, Dec(1)), -s
             # modified Lentz: f = b_0 + a_1/(b_1 + a_2/(b_2 + ...)), with the

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -60,9 +59,10 @@ def _not_diagonal(why: str) -> DiagonalityError:
         f"asymptotics")
 
 
-def _sorted_by_modulus(values: np.ndarray) -> np.ndarray:
+def _sorted_by_modulus(values: np.ndarray):
     """values in the stable order of decreasing modulus (ties in index
-    order), in place in values, a buffer the caller owns, which is returned.
+    order), in place in values, a buffer the caller owns, which is returned
+    with True exactly when no value has its sign bit set.
 
     The keys -|v| hold equal bits where they are equal (every zero is
     -0.0), so sorting them gives them in the stable modulus order, with no
@@ -77,7 +77,7 @@ def _sorted_by_modulus(values: np.ndarray) -> np.ndarray:
     blocks = [values[i:i + _BLOCK] for i in range(0, values.size, _BLOCK)]
     if all(np.signbit(b).all() for b in blocks):
         values.sort()
-        return values
+        return values, values.size == 0
     if any(np.signbit(b).any() for b in blocks):
         signs = np.signbit(values)
         np.abs(values, out=values)
@@ -90,7 +90,7 @@ def _sorted_by_modulus(values: np.ndarray) -> np.ndarray:
     np.negative(values, out=values)
     if signs is not None:
         np.negative(values, out=values, where=signs)
-    return values
+    return values, signs is None
 
 
 def _leading_count(values: np.ndarray, bound: float, inclusive=False) -> int:
@@ -104,12 +104,14 @@ def _sorted_runs(values: np.ndarray, mults):
     """values, a buffer the caller owns, and their multiplicities (None for
     all 1) in the stable order of decreasing modulus: sorted in place
     (`_sorted_by_modulus`) with a stride-0 view of 1 for multiplicities, or
-    gathered with their multiplicities in that order, by a stable argsort."""
+    gathered with their multiplicities in that order, by a stable argsort.
+    Returns (values, mults, unsigned), unsigned True when the sort found no
+    value with its sign bit set, and False when it did or did not look."""
     if mults is None:
-        values = _sorted_by_modulus(values)
-        return values, np.broadcast_to(np.int64(1), values.shape)
+        values, unsigned = _sorted_by_modulus(values)
+        return values, np.broadcast_to(np.int64(1), values.shape), unsigned
     order = np.argsort(-np.abs(values), kind="stable")
-    return values[order], mults[order]
+    return values[order], mults[order], False
 
 
 def _runs_of(mults: np.ndarray, ranks):
@@ -130,14 +132,19 @@ class SNumberSequence:
     For s-number data (signed=False) all values are >= 0.  Ranks below
     certified_rank are guaranteed to be the true leading s-numbers of the
     untruncated operator: every dropped eigenvalue is smaller in modulus.
+    certificate names the check behind certified_rank (`diagonal_spectrum`):
+    "monotone-tail", or "unverified" when the check failed and nothing is
+    certified; None when no check was made.
     """
 
     def __init__(self, values: np.ndarray, mults: np.ndarray,
-                 signed: bool = False, certified_rank: int | None = None):
+                 signed: bool = False, certified_rank: int | None = None,
+                 certificate: str | None = None):
         self.values = np.asarray(values, dtype=float)
         self.mults = np.asarray(mults, dtype=np.int64)
         self.signed = signed
         self.certified_rank = certified_rank
+        self.certificate = certificate
         v = self.values
         if v.shape != self.mults.shape or v.ndim != 1:
             raise ValueError("values and mults must be equal-length 1-D")
@@ -202,7 +209,7 @@ class SNumberSequence:
         """Spectrum of the direct sum: sorted union with multiplicities.
         Unit multiplicities on both sides stay a stride-0 view."""
         unit = _kernels.is_unit(self.mults) and _kernels.is_unit(other.mults)
-        v, m = _sorted_runs(
+        v, m, _ = _sorted_runs(
             np.concatenate([self.values, other.values]),
             None if unit else np.concatenate([self.mults, other.mults]))
         ranks = (self.certified_rank, other.certified_rank)
@@ -216,15 +223,20 @@ class SNumberSequence:
             T = max(abs(float(x.values[_runs_of(x.mults, x.certified_rank - 1)]))
                     for x in (self, other))
             cert = _ranks_in(m, _leading_count(v, T, inclusive=True))
+        checks = {self.certificate, other.certificate}
         return SNumberSequence(v, m, signed=self.signed or other.signed,
-                               certified_rank=cert)
+                               certified_rank=cert,
+                               certificate=None if None in checks
+                               else "unverified" if "unverified" in checks
+                               else "monotone-tail")
 
     def scaled(self, factor: float) -> "SNumberSequence":
         if factor < 0 and not self.signed:
             raise ValueError("negative scaling of s-numbers")
         return SNumberSequence(self.values * factor, self.mults,
                                signed=self.signed,
-                               certified_rank=self.certified_rank)
+                               certified_rank=self.certified_rank,
+                               certificate=self.certificate)
 
     def to_csv(self, path):
         """CSV export, one row per run: 'first_rank,multiplicity,value',
@@ -298,20 +310,44 @@ def commutator_config(f: RadialSymbol, g: RadialSymbol) -> DiagonalConfig:
     ])
 
 
-def _plan(config: DiagonalConfig):
-    """One walk over config's chains, factors and terms: each chain's factor
-    shifts; the reach of a block's row windows, buffer_deg + n + 1 (a chain
-    shifts a degree by at most the sum of its factors' largest |p|, and a
-    term's index adds |p| + n - 1); the radial exponents in order of first
-    use; the coordinates that some term reads (p_i or q_i nonzero), in
-    order, none when every term has p = q = 0; whether every coefficient is
-    real.  Refuses, in walk order, a factor of mixed shifts and a chain
-    whose shifts do not cancel."""
-    zero = (0,) * config.n
-    per_chain, exponents, read = [], {}, set()
+def _plan(config: DiagonalConfig, gamma: float):
+    """One walk over config's chains, factors and terms, which fixes once
+    per spectrum all that `_chain_values` would otherwise work out again for
+    every block.  Returns (chains, reach, exponents, read, real):
+
+    - chains: for each chain, (c0, first, factors, bounds).  c0 is its
+      coefficient; factors, in the order they are applied (rightmost
+      first), are lists of terms, each (t, at, floor, c, g, parts): the
+      exponent of its moment row; its row index max(|alpha| + s, 0) +
+      |p| + n - 1, s being what the factors before it add to the degree,
+      as max(|alpha| + at, floor), with floor None when s >= 0 (no max);
+      its coefficient c (None for a float 1, which is skipped); its power
+      g = gamma^(-(|p|+|q|)/2) (None when it is 1); and, for each
+      coordinate i that it reads (p_i or q_i nonzero), (i, (sigma_i, p_i,
+      q_i, v_i)), with sigma_i the shift of coordinate i before the factor
+      and v its shift.  bounds are the (i, b) with b > 0 such that a column
+      stays inside the multi-index cone along the chain exactly when
+      alpha_i >= b for each of them.  first is the index of the first
+      chain that its first factor, the same symbol object, opens when that
+      factor opens more than one chain, and None otherwise: such a factor
+      is evaluated once per block (`_chain_values`).
+    - reach, how far a block's row windows reach, buffer_deg + n + 1: a
+      chain shifts a degree by at most the sum of its factors' largest |p|,
+      and a term's index adds |p| + n - 1.
+    - exponents, the radial exponents in order of first use, and read, the
+      coordinates that some term reads, in order (none when every term has
+      p = q = 0).
+    - real, whether every coefficient is real: the coefficients are then
+      floats, their real parts, and complex otherwise.
+
+    Refuses, in walk order, a factor of mixed shifts and a chain whose
+    shifts do not cancel."""
+    n = config.n
+    zero = (0,) * n
+    walked, exponents, read = [], {}, set()
     buffer_deg, real = 0, True
     for ch in config.chains:
-        shifts, lift = [], 0
+        factors, lift = [], 0
         real = real and complex(ch.coeff).imag == 0
         for S in ch.factors:
             moves, top = set(), 0
@@ -319,17 +355,48 @@ def _plan(config: DiagonalConfig):
                 moves.add(mi_sub(p, q))
                 top = max(top, degree(p))
                 exponents[t] = None
-                read.update(i for i in range(config.n) if p[i] or q[i])
+                read.update(i for i in range(n) if p[i] or q[i])
                 real = real and complex(c).imag == 0
             if len(moves) != 1:
                 raise _not_diagonal("factor mixes monomial shifts; not diagonal")
-            shifts.append(moves.pop())
+            factors.append((S, moves.pop()))
             lift += top
-        if tuple(map(sum, zip(zero, *shifts))) != zero:
+        if tuple(map(sum, zip(zero, *(v for _S, v in factors)))) != zero:
             raise _not_diagonal("chain total shift does not cancel")
-        per_chain.append(shifts)
+        walked.append((ch.coeff, factors[::-1]))
         buffer_deg = max(buffer_deg, lift)
-    return per_chain, buffer_deg + config.n + 1, list(exponents), sorted(read), real
+
+    coef = (lambda c: complex(c).real) if real else complex
+    # the factor each chain applies first, by identity: config holds every
+    # factor for the whole call
+    opening = [id(factors[0][0]) if factors else None for _c0, factors in walked]
+    chains = []
+    for j, (c0, factors) in enumerate(walked):
+        planned, deg_shift = [], 0
+        sigma = [0] * n  # the shift of each coordinate before the factor
+        need = [0] * n  # alpha_i >= need[i] keeps every column inside the cone
+        for S, v in factors:
+            terms = []
+            for (p, q, t), c in S.terms.items():
+                dp, dq = degree(p), degree(q)
+                c, g = coef(c), gamma ** (-(dp + dq) / 2.0)
+                terms.append((t, deg_shift + dp + n - 1,
+                              dp + n - 1 if deg_shift < 0 else None,
+                              None if real and c == 1 else c,
+                              None if g == 1 else g,
+                              [(i, (sigma[i], p[i], q[i], v[i]))
+                               for i in range(n) if p[i] or q[i]]))
+            planned.append(terms)
+            deg_shift += sum(v)
+            for i in range(n):
+                sigma[i] += v[i]
+                need[i] = max(need[i], -sigma[i])
+        key = opening[j]
+        first = (opening.index(key) if key is not None and opening.count(key) > 1
+                 else None)
+        chains.append((coef(c0), first, planned,
+                       [(i, b) for i, b in enumerate(need) if b]))
+    return chains, buffer_deg + n + 1, list(exponents), sorted(read), real
 
 
 def _rising(a: np.ndarray, p: int, q: int, v: int) -> np.ndarray:
@@ -347,15 +414,50 @@ def _rising(a: np.ndarray, p: int, q: int, v: int) -> np.ndarray:
     return r
 
 
-def _chain_values(ch: DiagonalChain, shifts, cols, gamma: float, rows: dict,
-                  origin: int, dtype) -> np.ndarray:
-    """Eigenvalue contribution of one chain at the columns of a block, cols
-    (`_DegreeColumns` or `_MultiIndexColumns`): cols.degs are their distinct
-    degrees and cols.coords[i] the value of coordinate i at each column, for
-    the coordinates that some term reads; rows[t][j] is m_t at degree
-    origin + j.  dtype float drops the (zero) imaginary parts of every
-    coefficient: a complex product of operands with zero imaginary part has
-    the same real part.
+def _factor_values(terms, cols, rows: dict, origin: int, dtype,
+                   into) -> np.ndarray:
+    """The sum of one factor's terms (`_plan`) at the columns cols, its
+    first term written into the buffer into and each later one into
+    "term"; see `_chain_values`."""
+    fac = None
+    for t, at, floor, c, g, parts in terms:
+        # the index lives only for the gather
+        table = rows[t][cols.degs + (at - origin) if floor is None
+                        else np.maximum(cols.degs + (at - origin), floor - origin)]
+        if c is not None:
+            if dtype is complex:
+                table = c * table
+            else:
+                table *= c
+        term = cols.spread(table, into if fac is None
+                           else cols.buffer("term", dtype))
+        if len(parts) == 1:
+            term *= cols.rising(*parts[0], True, cols.buffer("part"))
+        elif parts:
+            (i, key), *rest = parts
+            ratio = cols.rising(i, key, False, cols.buffer("ratio"))
+            for i, key in rest:
+                ratio *= cols.rising(i, key, False, cols.buffer("part"))
+            term *= np.sqrt(ratio, out=ratio)
+        if g is not None:
+            term *= g
+        if fac is None:
+            fac = term
+        else:
+            fac += term
+    return fac
+
+
+def _chain_values(chain, cols, rows: dict, origin: int, dtype,
+                  shared: dict) -> np.ndarray:
+    """Eigenvalue contribution of one chain, as `_plan` lays it out, at the
+    columns of a block, cols (`_DegreeColumns` or `_MultiIndexColumns`):
+    cols.degs are their distinct degrees and cols.coords[i] the value of
+    coordinate i at each column, for the coordinates that some term reads;
+    rows[t][j] is m_t at degree origin + j.  dtype float means that every
+    coefficient is the real part of one with a zero imaginary part: a
+    complex product of operands with zero imaginary part has the same real
+    part.
 
     Each value is the product, over the factors from the right, of
     sum_terms c * m_t[|alpha| + |p| + n - 1] * sqrt(ratio) * gamma^(-(|p|+|q|)/2),
@@ -373,66 +475,40 @@ def _chain_values(ch: DiagonalChain, shifts, cols, gamma: float, rows: dict,
     stays below 2^53.  Tables of indices outside the cone are taken at 0,
     and those columns are set to 0 at the end.
 
-    The chain is built in cols' buffers (cols.buffer): its product in
-    "out", each later factor's sum in "fac", each later term in "term", the
-    parts of ratio in "part" and "ratio"; the first factor of a float chain
-    is summed in "out" itself."""
-    n = cols.n
-    coef = complex if dtype is complex else (lambda c: complex(c).real)
-    c0 = coef(ch.coeff)
-    # a float chain starts from its first factor, times c0 unless that is 1
+    A first factor that opens several chains (first not None) is evaluated
+    by the first of them in a block, into the buffer ("first", first), and
+    kept in shared, the block's dict of such factors, from which every
+    other chain starts.  The chain is built in cols' buffers (cols.buffer):
+    its product in "out", each later factor's sum in "fac" (`_factor_values`);
+    the first factor of a float chain is summed in "out" itself."""
+    c0, first, factors, bounds = chain
     out = None
-    if dtype is complex or not ch.factors:
+    if dtype is complex or not factors:
         out = cols.spread(np.full(cols.degs.size, c0, dtype=dtype),
                           cols.buffer("out", dtype))
-    deg_shift = 0
-    sigma = [0] * n  # the shift of each coordinate before the factor
-    need = [0] * n  # alpha_i >= need[i] keeps every column inside the cone
-    for S, v in zip(reversed(ch.factors), reversed(shifts)):
-        fac = None
-        for (p, q, t), c in S.terms.items():
-            dp, dq = degree(p), degree(q)
-            table = rows[t][np.maximum(cols.degs + deg_shift, 0)
-                            + (dp + n - 1 - origin)]
-            if dtype is complex:
-                table = coef(c) * table
-            elif coef(c) != 1:
-                table *= coef(c)
-            into = ("term" if fac is not None else "fac" if out is not None
-                    else "out")
-            term = cols.spread(table, cols.buffer(into, dtype))
-            parts = [(i, (sigma[i], p[i], q[i], v[i])) for i in range(n)
-                     if p[i] or q[i]]
-            if len(parts) == 1:
-                term *= cols.rising(*parts[0], True, cols.buffer("part"))
-            elif parts:
-                (i, key), *rest = parts
-                ratio = cols.rising(i, key, False, cols.buffer("ratio"))
-                for i, key in rest:
-                    ratio *= cols.rising(i, key, False, cols.buffer("part"))
-                term *= np.sqrt(ratio, out=ratio)
-            g = gamma ** (-(dp + dq) / 2.0)
-            if g != 1:
-                term *= g
+    for j, terms in enumerate(factors):
+        opens = j == 0 and first is not None
+        if opens:
+            fac = shared.get(first)
             if fac is None:
-                fac = term
-            else:
-                fac += term
-        if out is None:
+                fac = shared[first] = _factor_values(
+                    terms, cols, rows, origin, dtype,
+                    cols.buffer(("first", first), dtype))
+        else:
+            fac = _factor_values(terms, cols, rows, origin, dtype,
+                                 cols.buffer("fac" if out is not None else "out",
+                                             dtype))
+        if out is not None:
+            out *= fac
+        elif opens:  # the shared factor stays as it is; times an exact 1 is a copy
+            out = np.multiply(fac, c0, out=cols.buffer("out", dtype))
+        else:
             out = fac
             if c0 != 1:
                 out *= c0
-        else:
-            out *= fac
-        deg_shift += sum(v)
-        for i in range(n):
-            sigma[i] += v[i]
-            need[i] = max(need[i], -sigma[i])
-    for i in range(n):
-        if need[i]:
-            outside = np.less(cols.coords[i], need[i],
-                              out=cols.buffer("mask", bool))
-            out[outside] = 0.0
+    for i, bound in bounds:
+        outside = np.less(cols.coords[i], bound, out=cols.buffer("mask", bool))
+        out[outside] = 0.0
     return out
 
 
@@ -499,8 +575,7 @@ class _DegreeColumns:
     the representative (k, 0, ..., 0), so every table is taken at the
     columns themselves and the walk keeps no buffer."""
 
-    def __init__(self, n: int, k: int, end: int):
-        self.n = n
+    def __init__(self, k: int, end: int):
         self.degs = np.arange(k, end)
         self.coords = {0: self.degs}
 
@@ -529,7 +604,7 @@ class _MultiIndexColumns:
     spectrum, keyed by (sigma_i, p_i, q_i, v_i), and read at the columns."""
 
     def __init__(self, n: int, K_degree: int, sizes, starts, read, width: int):
-        self.n, self.sizes, self.starts, self.width = n, sizes, starts, width
+        self.sizes, self.starts, self.width = sizes, starts, width
         # the enumeration of length n - 1, for n >= 3
         self.lower = None
         for d in range(2, n):
@@ -612,9 +687,10 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     once per degree and coordinate value (`_DegreeColumns`,
     `_MultiIndexColumns`); the per-multi-index blocks are written through
     buffers made once per spectrum.  One walk over the blocks adds
-    each chain to its block, which starts at +0.0 and is raised to the
-    power after the last chain, so a block's columns and values serve every
-    chain while in cache.  Each exponent's moment row is streamed once
+    each chain, laid out once by `_plan`, to its block, which starts at
+    +0.0 and is raised to the power after the last chain, so a block's
+    columns and values serve every chain while in cache, and a first factor
+    that opens several chains is evaluated once per block.  Each exponent's moment row is streamed once
     (`moment_chunks`) and read through a window from k - reach to
     end + reach (`_windows`; reach from `_plan`), so beside the values only
     block and chunk scratch is held.  Configurations with only real
@@ -623,8 +699,8 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
-    per_chain, reach, exponents, read, real = _plan(config)
     n, gamma = ctx.n, ctx.gamma
+    chains, reach, exponents, read, real = _plan(config, gamma)
     radial = not read or n == 1
     # per multi-index: sum over k <= K_degree of C(k+n-1, n-1)
     count = K_degree + 1 if radial else math.comb(K_degree + n, n)
@@ -653,7 +729,7 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
         blocks.append((k, end))
         k = end
     if radial:
-        columns = partial(_DegreeColumns, n)
+        columns = _DegreeColumns
     else:
         width = max(starts[end] - starts[k] for k, end in blocks)
         columns = _MultiIndexColumns(n, K_degree, sizes, starts, read, width).block
@@ -674,12 +750,22 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
             raise DiagonalityError(str(exc)) from exc
         cols = columns(k, end)
         lo, hi = starts[k], starts[end]
-        for ch, shifts in zip(config.chains, per_chain):
-            vals[lo:hi] += _chain_values(ch, shifts, cols, gamma, rows, origin,
-                                         dtype)
+        shared = {}
+        for chain in chains:
+            vals[lo:hi] += _chain_values(chain, cols, rows, origin, dtype, shared)
         if config.power != 1:
             _raised(vals[lo:hi], config.power, cols.buffer("power", complex))
     return vals, starts, mults
+
+
+def _largest_modulus(x: np.ndarray) -> float:
+    """The largest modulus in x, 0.0 when x is empty: of real values by
+    their max and min, without a modulus array."""
+    if not x.size:
+        return 0.0
+    if x.dtype == complex:
+        return float(np.max(np.abs(x)))
+    return float(max(x.max(), -x.min()))
 
 
 def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
@@ -690,10 +776,23 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
 
     The values are held once: `_sorted_runs` sorts them in place when every
     multiplicity is 1, which is then a stride-0 view, not an array, and
-    gathers them with their multiplicities otherwise.  certified_rank marks
-    how far the sorted values are guaranteed to be the operator's true
-    leading s-numbers: the ranks of the prefix of moduli above the tail
-    bound, found by bisection.
+    gathers them with their multiplicities otherwise.  signed is taken from
+    the sort when it found no value with its sign bit set, and from the
+    least value otherwise.
+
+    certified_rank marks how far the sorted values are guaranteed to be the
+    operator's true leading s-numbers: the ranks of the prefix of moduli
+    above the tail bound, the largest modulus over the last 5 % of degrees,
+    found by bisection.  That bound holds for the degrees past K_degree only
+    if the moduli do not rise there, and only the window's degrees are
+    checked: where the later half of the window (the fewer degrees, when
+    they are odd) reaches a larger modulus than the earlier half, nothing
+    is certified (certified_rank 0, certificate "unverified"); otherwise
+    certificate is "monotone-tail".  Halves, not neighbouring degrees: the
+    values of spectra that cancel carry rounding jitter larger than their
+    change from one degree to the next.  Each half's largest modulus is its
+    max and -min (for complex values, the max of the moduli), with no
+    temporary as long as the values.
     """
     vals, starts, degree_mults = _diagonal_values(ctx, config, K_degree)
     if vals.dtype == complex:
@@ -702,20 +801,22 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
         if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
             raise DiagonalityError("configuration has non-real diagonal values")
 
-    # truncation certificate: everything beyond K_degree is bounded by the
-    # largest modulus seen over the last 5% of degrees
+    # truncation certificate: the later half of the last 5% of degrees
+    # against the earlier half
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
-    tail = vals[starts[tail_lo]:]
-    if vals.dtype == complex:
-        tail_bound = float(np.max(np.abs(tail)))
-    else:  # the largest modulus, without a modulus array
-        tail_bound = float(max(tail.max(), -tail.min()))
+    mid = (tail_lo + K_degree + 2) // 2
+    early = _largest_modulus(vals[starts[tail_lo]:starts[mid]])
+    late = _largest_modulus(vals[starts[mid]:starts[K_degree + 1]])
+    rises = late > early
+    tail_bound = max(early, late)
     # the real parts of a complex buffer, or of a power, are a strided view:
     # only those are copied
     vals = np.ascontiguousarray(vals.real)
 
-    values, mults = _sorted_runs(vals, degree_mults)
-    signed = bool(values.min() < 0)
-    certified = _ranks_in(mults, _leading_count(values, tail_bound * (1 + 1e-12)))
+    values, mults, unsigned = _sorted_runs(vals, degree_mults)
+    signed = not unsigned and bool(values.min() < 0)
+    certified = 0 if rises else _ranks_in(
+        mults, _leading_count(values, tail_bound * (1 + 1e-12)))
     return SNumberSequence(values, mults, signed=signed,
-                           certified_rank=certified)
+                           certified_rank=certified,
+                           certificate="unverified" if rises else "monotone-tail")

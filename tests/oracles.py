@@ -5,7 +5,8 @@
 by quadrature, independently of the recurrences behind
 `focktrace.fock_matrices.scaled_moment_row`, their d = 0 base moments by
 quadrature and by mpmath's generalized exponential integral, independently
-of the `decimal` evaluation in `focktrace.fock_matrices._base_moment`, the
+of the `decimal` evaluation in `focktrace.fock_matrices._base_moment`, and
+by that evaluation at 45 digits (`base_moment_45`), the
 moment rows by their former three routes, least-squares lines by LAPACK,
 the values of a configuration evaluated as one unblocked block, the
 per-multi-index spectrum assembled one degree at a time, the spectrum
@@ -103,6 +104,44 @@ def base_moment_expint(t: float, gamma: float) -> float:
     mpmath, rounded to a float."""
     with mp.workdps(30):
         return float(mp.e ** gamma * mp.expint(-t / 2.0, gamma))
+
+
+def base_moment_45(t: float, gamma: float) -> float:
+    """`focktrace.fock_matrices._base_moment` as it was evaluated before its
+    precision was cut: in 45-digit `decimal` arithmetic, each sum run until
+    its relative step is below 1e-40, rounded to a float once."""
+    import decimal
+    with decimal.localcontext() as context:
+        context.prec = 45
+        Dec = decimal.Decimal
+        eps, tiny = Dec("1e-40"), Dec("1e-300")
+        s, g = Dec(t / 2.0), Dec(gamma)
+        z, p = max(g, Dec(1)), -s
+        f = z + p or tiny
+        C, D, k = f, Dec(0), 0
+        while True:
+            k += 1
+            a, b = -k * (p + k - 1), z + p + 2 * k
+            D = 1 / (b + a * D or tiny)
+            C = b + a / C or tiny
+            step = C * D
+            f *= step
+            if abs(step - 1) < eps:
+                break
+        val = 1 / f
+        if gamma < 1.0:
+            lift = g ** (s + 1)
+            total, coef, power, k = Dec(0), Dec(1), lift, 0
+            while True:
+                e = s + k + 1
+                term = coef * (-g.ln() if e == 0 else (1 - power) / e)
+                total += term
+                if k > -s and abs(term) <= eps * abs(total):
+                    break
+                k += 1
+                coef, power = -coef / k, power * g
+            val = g.exp() / lift * (total + val / Dec(1).exp())
+        return float(val)
 
 
 def serial_pair_rows(s_plus_one, a0, b0, gamma, dmax):
@@ -205,7 +244,6 @@ class ColumnsAt:
     themselves, with no buffer."""
 
     def __init__(self, comps: np.ndarray):
-        self.n = comps.shape[0]
         self.degs = comps.sum(axis=0)
         self.coords = dict(enumerate(comps))
 
@@ -225,14 +263,16 @@ def unblocked_values(config, comps: np.ndarray, gamma: float, rows: dict,
                      dtype) -> np.ndarray:
     """The eigenvalues of config at the columns of comps, an (n, m) array of
     multi-indices, as one block: one `spectral._chain_values` call per chain
-    with every table taken at the columns themselves (`ColumnsAt`), each
-    added to +0.0, then raised to the power.  This is how
+    with every table taken at the columns themselves (`ColumnsAt`) and every
+    first factor evaluated by each chain it opens, each added to +0.0, then
+    raised to the power.  This is how
     `spectral._config_values` evaluated columns before the pair walk of
     `spectral._diagonal_values` replaced it."""
     cols = ColumnsAt(comps)
     v = np.zeros(comps.shape[1], dtype=dtype)
-    for ch, shifts in zip(config.chains, spectral._plan(config)[0]):
-        v += spectral._chain_values(ch, shifts, cols, gamma, rows, 0, dtype)
+    for chain in spectral._plan(config, gamma)[0]:
+        # no factor values shared between chains: each evaluates its own
+        v += spectral._chain_values(chain, cols, rows, 0, dtype, {})
     if config.power != 1:
         spectral._raised(v, config.power)
     return v
@@ -252,9 +292,14 @@ def per_degree_spectrum(ctx, config, K_degree: int):
     """`spectral.diagonal_spectrum` of a non-radial configuration as it was
     built before blocks: one complex `chain_values` call per chain and
     degree (alpha_1 ascending at n = 2, `compositions` order above), the
-    per-degree arrays concatenated, and a stable sort."""
+    per-degree arrays concatenated, and a stable sort; the certificate
+    from the largest modulus of each tail degree, by `np.abs`, the later
+    half of them against the earlier."""
     n, gamma = ctx.n, ctx.gamma
-    per_chain, reach, exponents, _read, _real = spectral._plan(config)
+    _chains, reach, exponents, _read, _real = spectral._plan(config, gamma)
+    # each factor's shift, from any of its terms
+    per_chain = [[mi_sub(*next(iter(S.terms))[:2]) for S in ch.factors]
+                 for ch in config.chains]
     rows = {t: scaled_moment_row(t, gamma, K_degree + reach) for t in exponents}
     per_degree = []
     for k in range(K_degree + 1):
@@ -274,13 +319,16 @@ def per_degree_spectrum(ctx, config, K_degree: int):
     if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
         raise spectral.DiagonalityError("configuration has non-real diagonal values")
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
-    tail_bound = max(float(np.max(np.abs(v))) for v in per_degree[tail_lo:])
+    tops = [float(np.max(np.abs(v))) for v in per_degree[tail_lo:]]
+    half = (len(tops) + 1) // 2
+    rises = max(tops[half:], default=0.0) > max(tops[:half])
     values = vals.real
     values = values[np.argsort(-np.abs(values), kind="stable")]
-    certified = int(np.sum(np.abs(values) > tail_bound * (1 + 1e-12)))
+    certified = 0 if rises else int(np.sum(np.abs(values) > max(tops) * (1 + 1e-12)))
     return spectral.SNumberSequence(
         values, np.ones(values.shape[0], dtype=np.int64),
-        signed=bool(np.any(values < 0)), certified_rank=certified)
+        signed=bool(np.any(values < 0)), certified_rank=certified,
+        certificate="unverified" if rises else "monotone-tail")
 
 
 def finish_with_copies(vals, starts, degree_mults, K_degree: int):
@@ -288,13 +336,18 @@ def finish_with_copies(vals, starts, degree_mults, K_degree: int):
     `spectral._diagonal_values` as it was before the values were held once:
     a sorted copy (`np.sort(v)[::-1]` for values without a sign bit, a stable
     modulus argsort otherwise), an `np.ones` multiplicity array, and the
-    certificate as a mask over every modulus."""
+    certificate as a mask over every modulus, from the largest modulus of
+    each tail degree, by `np.abs`, the later half of them against the
+    earlier."""
     if np.iscomplexobj(vals):
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         if float(np.max(np.abs(vals.imag))) > 1e-9 * scale:
             raise spectral.DiagonalityError("configuration has non-real diagonal values")
     tail_lo = max(0, int(math.floor(0.95 * K_degree)))
-    tail_bound = float(np.max(np.abs(vals[starts[tail_lo]:])))
+    tops = [float(np.max(np.abs(vals[starts[d]:starts[d + 1]])))
+            for d in range(tail_lo, K_degree + 1)]
+    half = (len(tops) + 1) // 2
+    rises = max(tops[half:], default=0.0) > max(tops[:half])
     v = vals.real
     order = np.argsort(-np.abs(v), kind="stable")
     if degree_mults is not None:
@@ -302,10 +355,12 @@ def finish_with_copies(vals, starts, degree_mults, K_degree: int):
     else:
         values = v[order] if np.signbit(v).any() else np.sort(v)[::-1]
         mults = np.ones(values.shape[0], dtype=np.int64)
-    certified = int(np.sum(mults[np.abs(values) > tail_bound * (1 + 1e-12)]))
+    certified = 0 if rises else int(
+        np.sum(mults[np.abs(values) > max(tops) * (1 + 1e-12)]))
     return spectral.SNumberSequence(
         values, mults, signed=bool(np.any(values < 0)),
-        certified_rank=certified)
+        certified_rank=certified,
+        certificate="unverified" if rises else "monotone-tail")
 
 
 def snumber_validation(values, mults, signed) -> str | None:
@@ -339,7 +394,7 @@ def snumber_validation(values, mults, signed) -> str | None:
 def from_values(values, signed=False, certified_rank=None):
     """An `spectral.SNumberSequence` of unit multiplicities of values in any
     order, sorted by `spectral._sorted_runs` in a copy."""
-    v, m = spectral._sorted_runs(np.array(values, dtype=float), None)
+    v, m, _unsigned = spectral._sorted_runs(np.array(values, dtype=float), None)
     return spectral.SNumberSequence(v, m, signed=signed,
                                     certified_rank=certified_rank)
 

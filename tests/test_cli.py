@@ -65,7 +65,27 @@ def test_model_operator_report_shape():
     assert diags["estimate_method"] == "extrapolated"
     assert diags["grid"] == FAST_MODEL_CFG["grid"]
     assert diags["estimate_K"] == FAST_MODEL_CFG["grid"][-1]
+    assert diags["certificate"] == "monotone-tail"
     assert rep["timing_seconds"] > 0
+
+
+def test_a_rising_tail_is_reported_and_refuses_the_auto_grid(tmp_path, capsys):
+    # (1+|z|^2)^-n - 50 (1+|z|^2)^-n-1 at K_degree 60: the moduli rise over
+    # the last 5% of degrees.  With a grid the check runs and records the
+    # certificate as unverified; at n = 2 the default grid, which reads the
+    # certified rank, is refused, naming the rising tail
+    def symbol(n):
+        return (RadialSymbol.radial_power(n, -2.0 * n)
+                - 50 * RadialSymbol.radial_power(n, -2.0 * n - 2)).to_json_dict()
+
+    rep = run_experiment("toeplitz-trace", {"n": 1, "f": symbol(1),
+                                            "K_degree": 60, "grid": [8, 16, 32]})
+    assert rep["diagnostics"]["certificate"] == "unverified"
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"n": 2, "f": symbol(2), "K_degree": 60}))
+    assert main(["--experiment", "toeplitz-trace", "--config", str(cfgp),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "rises" in capsys.readouterr().err
 
 
 def test_unknown_experiment_rejected():
@@ -341,6 +361,18 @@ def test_cli_import_does_not_load_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_does_not_load_argparse_or_json():
+    # only main parses arguments and reads a config, only write_report
+    # writes JSON: a process that runs experiments as a library loads
+    # neither, nor argparse's gettext
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    code = ("import sys, focktrace.cli; "
+            "print([m for m in ('argparse', 'gettext', 'json') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_only_main_freezes_the_heap(tmp_path):

@@ -75,21 +75,33 @@ def fsum_partial_sums_at(values, mults, ranks):
     return out
 
 
+# 2^1074: an integer count of 2^-1074 divided by this rounds to its float
+_ONE = 1 << 1074
+
+
 def exact_partial_sums(values, mults, ranks):
-    """The partial sums at ranks as Fractions, from exact run products."""
+    """The partial sums at ranks as exact integer counts of 2^-1074, the
+    spacing of the subnormals, of which every finite float is a whole
+    multiple: from exact run products.  A count divided by _ONE, one
+    correctly rounded integer true division, is the nearest float, and
+    raises OverflowError beyond the float range."""
     mults = np.broadcast_to(mults, values.shape).tolist()
+    units = []
+    for v in values.tolist():
+        num, den = v.as_integer_ratio()  # den is a power of 2, at most _ONE
+        units.append(num * (_ONE // den))
     ends = np.cumsum(mults)
     runs = np.searchsorted(ends, ranks, side="right")
-    prefix = [Fraction(0)]
-    for m, v in zip(mults, values.tolist()):
-        prefix.append(prefix[-1] + m * Fraction(v))
+    prefix = [0]
+    for m, u in zip(mults, units):
+        prefix.append(prefix[-1] + m * u)
     out = []
     for r, run in zip(ranks.tolist(), runs.tolist()):
         if run == len(mults):
             out.append(prefix[-1])
         else:
             start = int(ends[run]) - mults[run]
-            out.append(prefix[run] + (r - start + 1) * Fraction(values[run]))
+            out.append(prefix[run] + (r - start + 1) * units[run])
     return out
 
 
@@ -99,7 +111,7 @@ def assert_rounds_exact_sums(values, mults, ranks):
     want = []
     for x in exact_partial_sums(values, mults, ranks):
         try:
-            want.append(float(x))
+            want.append(x / _ONE)
         except OverflowError:
             with pytest.raises(OverflowError):
                 _kernels.partial_sums_at(values, mults, ranks[:len(want) + 1])
@@ -249,7 +261,7 @@ def run_length_data(draw):
 def test_partial_sums_at_is_correctly_rounded(data):
     values, mults, ranks = data
     out = _kernels.partial_sums_at(values, mults, ranks)
-    assert out.tolist() == [float(x) for x in exact_partial_sums(values, mults, ranks)]
+    assert out.tolist() == [x / _ONE for x in exact_partial_sums(values, mults, ranks)]
 
 
 def test_partial_sums_at_spans_chunks():

@@ -20,9 +20,10 @@ from focktrace.fock_matrices import (FockContext, berezin, buffered_product,
                                      weyl_matrix)
 from focktrace.symbols import RadialSymbol
 from focktrace.weyl_calculus import heat_inverse, heat_transform, star
-from oracles import (base_moment_expint, base_moment_quad, compute_row,
-                     hankel_product, monomial_norm_sq, normalized_moment_hp,
-                     radial_moment, radial_moment_hp, toeplitz_entries)
+from oracles import (base_moment_45, base_moment_expint, base_moment_quad,
+                     compute_row, hankel_product, monomial_norm_sq,
+                     normalized_moment_hp, radial_moment, radial_moment_hp,
+                     toeplitz_entries)
 
 
 def gauss_hermite_norm_sq(n, gamma, alpha, nodes=120):
@@ -110,6 +111,16 @@ def test_base_moment_equals_expint_oracle_on_the_quadrature_grid(monkeypatch):
         for gamma in _BASE_GAMMA:
             assert (fock_matrices._base_moment(t, gamma)
                     == base_moment_expint(t, gamma)), (t, gamma)
+
+
+def test_base_moment_equals_the_45_digit_evaluation(monkeypatch):
+    # 32 digits to 1e-27 round to the same float as 45 digits to 1e-40, on
+    # exponents -40, -39.5, ..., 2 and 31 weights spaced geometrically from
+    # 0.01 to 200: both branches, and t/2 whole and half-whole
+    monkeypatch.setattr(fock_matrices, "_BASE_CACHE", {})
+    for gamma in np.geomspace(0.01, 200.0, 31).tolist():
+        for t in np.arange(-40.0, 2.25, 0.5).tolist():
+            assert fock_matrices._base_moment(t, gamma) == base_moment_45(t, gamma), (t, gamma)
 
 
 def test_scaled_rows_match_radial_moment():

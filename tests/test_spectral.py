@@ -536,7 +536,7 @@ def per_multi_index_cases(draw):
         chains.append(spectral.DiagonalChain(
             scale * complex(phase).conjugate(), factors))
     config = spectral.DiagonalConfig(n, chains, draw(st.sampled_from([1, 2, 3])))
-    _shifts, _reach, _exponents, read, _real = spectral._plan(config)
+    _chains, _reach, _exponents, read, _real = spectral._plan(config, gamma)
     assume(read)  # the oracle is per multi-index: some term reads a coordinate
     K = draw(st.integers(0, 24) if n == 2 else st.integers(6, 12))
     block = draw(st.sampled_from([1, 7, 64]))
@@ -626,7 +626,7 @@ def test_complex_coefficients_take_the_complex_path():
         diagonal_spectrum(ctx, DiagonalConfig(2, [DiagonalChain(1j, [S])]), 20)
     # i*f has non-real chain coefficients but the same Hankel product
     f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
-    assert not spectral._plan(hankel_config(1j * f, 1j * f))[4]  # not real
+    assert not spectral._plan(hankel_config(1j * f, 1j * f), 1.0)[4]  # not real
     got = diagonal_spectrum(ctx, hankel_config(1j * f, 1j * f), 40)
     ref = diagonal_spectrum(ctx, hankel_config(f, f), 40)
     np.testing.assert_array_equal(got.mults, ref.mults)
@@ -666,10 +666,38 @@ def test_finishing_matches_the_copying_oracle(kind):
     assert got.values.tobytes() == ref.values.tobytes()
     np.testing.assert_array_equal(got.mults, ref.mults)
     assert (got.certified_rank, got.signed) == (ref.certified_rank, ref.signed)
+    assert got.certificate == ref.certificate == "monotone-tail"
     assert 0 < got.certified_rank < got.total
     assert got.signed == (kind == "n1-signed")
     if kind != "n2-radial":
         assert got.mults.strides == (0,) and not got.mults.flags.writeable
+
+
+def test_a_rising_tail_certifies_nothing():
+    # f = (1+|z|^2)^-1 - 50 (1+|z|^2)^-2 at n = 1: the eigenvalues cross 0
+    # near degree 50 and peak at degree 100, so at K_degree 60 the moduli
+    # rise over the last 5% of degrees, and 244 values at degrees 61-400
+    # exceed the largest modulus there (2.74e-3), up to 4.95e-3.  Bounding
+    # the truncated degrees by that modulus certified 45 ranks, none of
+    # them the true leading values
+    f = RadialSymbol.radial_power(1, -2.0) - 50 * RadialSymbol.radial_power(1, -4.0)
+    ctx = FockContext(1, 1.0)
+    seq = diagonal_spectrum(ctx, toeplitz_config(f), 60)
+    assert (seq.certified_rank, seq.certificate) == (0, "unverified")
+    longer = diagonal_spectrum(ctx, toeplitz_config(f), 400)
+    assert longer.certificate == "monotone-tail"
+    window = spectral._diagonal_values(ctx, toeplitz_config(f), 60)[0][57:]
+    beyond = spectral._diagonal_values(ctx, toeplitz_config(f), 400)[0][61:]
+    assert np.sum(np.abs(beyond) > np.abs(window).max()) == 244
+    # no default grid over a spectrum that certifies nothing
+    with pytest.raises(ValueError, match="rises"):
+        extrapolate(seq)
+    # scaling keeps the certificate, and a merge with an unverified part
+    # certifies nothing
+    assert seq.scaled(2.0).certificate == "unverified"
+    merged = longer.merge(seq)
+    assert (merged.certified_rank, merged.certificate) == (0, "unverified")
+    assert longer.merge(longer).certificate == "monotone-tail"
 
 
 def test_finishing_holds_the_values_about_once(monkeypatch):
@@ -874,6 +902,42 @@ def test_per_multi_index_blocks_are_visited_once(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_a_shared_first_factor_is_evaluated_once_per_block(monkeypatch, n):
+    # the Toeplitz factor opens both chains of the mixed case: two factor
+    # sums a chain, not five for both, and the bits of each chain
+    # evaluating its own
+    config = _per_multi_index_configs(n)["mixed"]
+    assert [chain[1] for chain in spectral._plan(config, 0.7)[0]] == [0, 0]
+    K = 40 if n == 2 else 12
+    monkeypatch.setattr(spectral, "_BLOCK", 64)
+    plan, chain_values, factor_values = (
+        spectral._plan, spectral._chain_values, spectral._factor_values)
+    calls = {"chain": 0, "factor": 0}
+
+    def counted(key, f):
+        def call(*args):
+            calls[key] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(spectral, "_chain_values", counted("chain", chain_values))
+    monkeypatch.setattr(spectral, "_factor_values", counted("factor", factor_values))
+    got = spectral._diagonal_values(FockContext(n, 0.7), config, K)[0]
+    assert calls["chain"] > 2 and calls["factor"] == 2 * calls["chain"]
+
+    def unshared(config, gamma):
+        chains, *rest = plan(config, gamma)
+        return ([(c0, None, factors, bounds) for c0, _, factors, bounds in chains],
+                *rest)
+
+    monkeypatch.setattr(spectral, "_plan", unshared)
+    calls = {"chain": 0, "factor": 0}
+    ref = spectral._diagonal_values(FockContext(n, 0.7), config, K)[0]
+    assert 2 * calls["factor"] == 5 * calls["chain"]
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_rising_tables_are_built_once_per_spectrum(monkeypatch, n):
     # each term's rising table over the coordinate values is built once per
     # distinct (sigma_i, p_i, q_i, v_i) in a spectrum, however many blocks
@@ -938,7 +1002,7 @@ def test_complex_radial_values_at_any_block_size(monkeypatch, degrees, kind):
     # part of the arithmetic: blocks of _DEGREES and of 1000 degrees give the
     # bytes of the 2^16-degree blocks the radial path used before
     config = _complex_radial_configs()[kind]
-    assert not spectral._plan(config)[4]  # not real
+    assert not spectral._plan(config, 0.7)[4]  # not real
     ctx = FockContext(1, 0.7)
     K = 3 * (1 << 13) + 5
     monkeypatch.setattr(spectral, "_DEGREES", 1 << 16)
@@ -1040,13 +1104,16 @@ def test_merge_of_unit_sequences_keeps_stride_0_multiplicities(a, b, data):
 def test_sorted_by_modulus_sorts_unsigned_values_directly(a):
     # with unit multiplicities the sorted values are the stable modulus order
     # gathered, bit for bit; values whose sign bits differ (-0.0 counts as
-    # signed) take an argsort for their signs, values of one sign never do
+    # signed) take an argsort for their signs, values of one sign never do;
+    # the sort reports values with no sign bit set as unsigned
     for v in (a, np.abs(a), -np.abs(a)):
         stable = v[np.argsort(-np.abs(v), kind="stable")]
         mixed = len(set(np.signbit(v).tolist())) == 2
+        unsigned = not np.signbit(v).any()
         with mock.patch.object(spectral.np, "argsort", wraps=np.argsort) as order:
-            got = spectral._sorted_by_modulus(v)
+            got, got_unsigned = spectral._sorted_by_modulus(v)
         assert order.called == mixed
+        assert got_unsigned == unsigned
         np.testing.assert_array_equal(got.view(np.uint64), stable.view(np.uint64))
 
 
@@ -1065,7 +1132,7 @@ def test_sorted_by_modulus_reads_sign_bits_by_block(monkeypatch, block):
     for v, mixed in cases:
         stable = v[np.argsort(-np.abs(v), kind="stable")]
         with mock.patch.object(spectral.np, "argsort", wraps=np.argsort) as order:
-            got = spectral._sorted_by_modulus(v.copy())
+            got = spectral._sorted_by_modulus(v.copy())[0]
         assert order.called == mixed
         assert got.tobytes() == stable.tobytes()
 
@@ -1074,12 +1141,12 @@ def test_sorted_by_modulus_sends_signed_zeros_and_negatives_to_modulus_order():
     for v in (np.array([1.0, -0.0, 0.0, 2.0]), np.array([1.0, -2.0, 2.0, -1.0])):
         stable = v[np.argsort(-np.abs(v), kind="stable")]
         with mock.patch.object(spectral.np, "argsort", wraps=np.argsort) as order:
-            got = spectral._sorted_by_modulus(v)
+            got = spectral._sorted_by_modulus(v)[0]
         order.assert_called_once()
         assert got.tobytes() == stable.tobytes()
     # the order of +0.0 and -0.0 is the index order, which a sort of the
     # values themselves would not keep
-    assert spectral._sorted_by_modulus(np.array([-0.0, 0.0]))[0].tobytes() == \
+    assert spectral._sorted_by_modulus(np.array([-0.0, 0.0]))[0][0].tobytes() == \
         np.array(-0.0).tobytes()
 
 
@@ -1099,6 +1166,6 @@ def test_modulus_order_on_long_tied_runs():
     # unsigned path sorts its argument in place, so it is given a copy
     for w in (v, np.abs(v)):
         expected = w[spectral._sorted_runs(w.copy(), np.arange(w.size))[1]]
-        got = spectral._sorted_by_modulus(w.copy())
+        got = spectral._sorted_by_modulus(w.copy())[0]
         np.testing.assert_array_equal(got.view(np.uint64),
                                       expected.view(np.uint64))
