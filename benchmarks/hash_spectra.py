@@ -1,6 +1,6 @@
 """Bit-identity digests of the diagonal spectral path.
 
-For each of 20 diagonal configurations, at gamma in {0.7, 1, 2} and two
+For each of 23 diagonal configurations, at gamma in {0.7, 1, 2} and two
 cutoffs each, hashes with SHA-256 what `spectral._diagonal_values` returns
 (the values, the start of each degree and the multiplicities) and what
 `spectral.diagonal_spectrum` returns (the sorted values and their
@@ -10,11 +10,16 @@ configuration and the digest of all of them, `total`.
 
 The configurations are n = 1: model, hankel, commutator, toeplitz chain,
 hankel^3, complex hankel, complex commutator^2, t = -3 hankel, three
-chains and t = 3 toeplitz; n = 2: radial, radial^2, hankel, commutator,
-mixed (the hankel-toeplitz default case), hankel^2, complex hankel^3 and
-z2 hankel; n = 3: toeplitz and hankel^3.  The cutoffs cross a block
-boundary of each path (`_DEGREES` degrees when radial, `_BLOCK` values
-otherwise) and the serial head of the moment rows.
+chains, t = 3 toeplitz and lowering; n = 2: radial, radial^2, hankel,
+commutator, mixed (the hankel-toeplitz default case), hankel^2, complex
+hankel^3, z2 hankel, lowering and two-coords; n = 3: toeplitz and
+hankel^3.  The lowering chains apply z-bar^2 first, so later factors read
+their rows below the degree of alpha, below the row window at the first
+degrees; n2-lowering also has a factor of two terms, one with a real
+coefficient other than 1, and n2-two-coords has terms that read both
+coordinates.  The cutoffs cross a block boundary of each path
+(`_DEGREES` degrees when radial, `_BLOCK` values otherwise) and the
+serial head of the moment rows.
 
 With --against DIR, DIR holding another focktrace package (say a
 checkout's src/), the same digests are computed from that package in a
@@ -46,7 +51,7 @@ CUTOFFS = {1: (3000, 9000), 2: (60, 400), 3: (20, 75)}
 
 
 def configurations():
-    """{name: DiagonalConfig} of the 20 hashed configurations."""
+    """{name: DiagonalConfig} of the 23 hashed configurations."""
     def z(n, j=1, conj=False):
         return RadialSymbol.coordinate(n, j, conjugated=conj)
 
@@ -58,6 +63,7 @@ def configurations():
     fb1 = z(1, conj=True) * w(1, -1.0)
     f2, f3 = z(2) * w(2, -1.0), z(3) * w(3, -1.0)
     g2 = z(2) * w(2, -2.0)
+    zb1, zb2, z22 = z(2, conj=True), z(2, 2, conj=True), z(2, 2)
     return {
         "n1-model": toeplitz_config(w(1, -2.0)),
         "n1-hankel": hankel_config(f1, f1),
@@ -71,6 +77,9 @@ def configurations():
             DiagonalChain(1.0, [u, u]), DiagonalChain(-0.5, [w(1, -2.0)]),
             DiagonalChain(2.0, [f1.conj(), f1])]),
         "n1-t=3-toeplitz": toeplitz_config(w(1, 3.0)),
+        "n1-lowering": DiagonalConfig(1, [DiagonalChain(1.0, [
+            z(1) * z(1) * w(1, -2.0), w(1, -2.0),
+            z(1, conj=True) * z(1, conj=True) * w(1, -1.0)])]),
         "n2-radial": toeplitz_config(w(2, -4.0)),
         "n2-radial^2": toeplitz_config(w(2, -4.0)) ** 2,
         "n2-hankel": hankel_config(f2, f2),
@@ -80,6 +89,12 @@ def configurations():
         "n2-hankel^2": hankel_config(f2, f2) ** 2,
         "n2-complex-hankel^3": hankel_config(c * f2, c * f2) ** 3,
         "n2-z2-hankel": hankel_config(z(2, 2) * w(2, -1.0), z(2, 2) * w(2, -1.0)),
+        "n2-lowering": DiagonalConfig(2, [DiagonalChain(1.0, [
+            z(2) * z(2) * w(2, -2.0), w(2, -2.0) + 0.5 * z22 * zb2 * w(2, -4.0),
+            zb1 * zb1 * w(2, -1.0)])]),
+        "n2-two-coords": DiagonalConfig(2, [
+            DiagonalChain(1.0, [zb1 * z22 * w(2, -2.0), z(2) * zb2 * w(2, -2.0)]),
+            DiagonalChain(-0.3, [z(2) * zb1 * z22 * zb2 * w(2, -6.0)])]),
         "n3-toeplitz": toeplitz_config(z(3) * z(3, conj=True) * w(3, -8.0)),
         "n3-hankel^3": hankel_config(f3, f3) ** 3,
     }

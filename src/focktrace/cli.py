@@ -367,6 +367,8 @@ def _exp_mixed_trace(cfg, seed, csv_sink):
     cases = _option(cfg, "cases", None, _list(_case))
     if cases is None:
         cases = _list(_case)(_default_mixed_cases())
+    if not cases:
+        raise ConfigError("invalid cases: need at least one case, got []")
     # every case is read, and its target computed, before the first spectrum
     labels = [_option(c, "label", f"case{i}", _label) for i, c in enumerate(cases)]
     if len(set(labels)) < len(labels):
@@ -434,7 +436,8 @@ def _monomial_pair(n, p, q, mf, pg, qg, mg):
 def _exp_calculus_check(cfg, seed, csv_sink):
     rng = np.random.default_rng(seed)
     checks = []
-    gamma = _context(cfg, 1).gamma
+    # the checks run at fixed n = 1, 2, 3: only gamma is read
+    gamma = _option(cfg, "gamma", 1.0, lambda v: FockContext(1, json_number(v)).gamma)
     _all_read(cfg)
 
     # star product: associativity, conjugation, unit, generators

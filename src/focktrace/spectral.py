@@ -61,8 +61,7 @@ def _not_diagonal(why: str) -> DiagonalityError:
 
 def _sorted_by_modulus(values: np.ndarray):
     """values in the stable order of decreasing modulus (ties in index
-    order), in place in values, a buffer the caller owns, which is returned
-    with True exactly when no value has its sign bit set.
+    order), in place in values, a buffer the caller owns, which is returned.
 
     The keys -|v| hold equal bits where they are equal (every zero is
     -0.0), so sorting them gives them in the stable modulus order, with no
@@ -77,7 +76,7 @@ def _sorted_by_modulus(values: np.ndarray):
     blocks = [values[i:i + _BLOCK] for i in range(0, values.size, _BLOCK)]
     if all(np.signbit(b).all() for b in blocks):
         values.sort()
-        return values, values.size == 0
+        return values
     if any(np.signbit(b).any() for b in blocks):
         signs = np.signbit(values)
         np.abs(values, out=values)
@@ -90,7 +89,7 @@ def _sorted_by_modulus(values: np.ndarray):
     np.negative(values, out=values)
     if signs is not None:
         np.negative(values, out=values, where=signs)
-    return values, signs is None
+    return values
 
 
 def _leading_count(values: np.ndarray, bound: float, inclusive=False) -> int:
@@ -104,14 +103,12 @@ def _sorted_runs(values: np.ndarray, mults):
     """values, a buffer the caller owns, and their multiplicities (None for
     all 1) in the stable order of decreasing modulus: sorted in place
     (`_sorted_by_modulus`) with a stride-0 view of 1 for multiplicities, or
-    gathered with their multiplicities in that order, by a stable argsort.
-    Returns (values, mults, unsigned), unsigned True when the sort found no
-    value with its sign bit set, and False when it did or did not look."""
+    gathered with their multiplicities in that order, by a stable argsort."""
     if mults is None:
-        values, unsigned = _sorted_by_modulus(values)
-        return values, np.broadcast_to(np.int64(1), values.shape), unsigned
+        values = _sorted_by_modulus(values)
+        return values, np.broadcast_to(np.int64(1), values.shape)
     order = np.argsort(-np.abs(values), kind="stable")
-    return values[order], mults[order], False
+    return values[order], mults[order]
 
 
 def _runs_of(mults: np.ndarray, ranks):
@@ -209,7 +206,7 @@ class SNumberSequence:
         """Spectrum of the direct sum: sorted union with multiplicities.
         Unit multiplicities on both sides stay a stride-0 view."""
         unit = _kernels.is_unit(self.mults) and _kernels.is_unit(other.mults)
-        v, m, _ = _sorted_runs(
+        v, m = _sorted_runs(
             np.concatenate([self.values, other.values]),
             None if unit else np.concatenate([self.mults, other.mults]))
         ranks = (self.certified_rank, other.certified_rank)
@@ -311,17 +308,16 @@ def commutator_config(f: RadialSymbol, g: RadialSymbol) -> DiagonalConfig:
 
 
 def _plan(config: DiagonalConfig, gamma: float):
-    """One walk over config's chains, factors and terms, which fixes once
-    per spectrum all that `_chain_values` would otherwise work out again for
-    every block.  Returns (chains, reach, exponents, read, real):
+    """One visit to each of config's chains, factors and terms, which fixes
+    once per spectrum all that `_chain_values` would otherwise work out
+    again for every block.  Returns (chains, reach, exponents, read, real):
 
     - chains: for each chain, (c0, first, factors, bounds).  c0 is its
       coefficient; factors, in the order they are applied (rightmost
-      first), are lists of terms, each (t, at, floor, c, g, parts): the
-      exponent of its moment row; its row index max(|alpha| + s, 0) +
-      |p| + n - 1, s being what the factors before it add to the degree,
-      as max(|alpha| + at, floor), with floor None when s >= 0 (no max);
-      its coefficient c (None for a float 1, which is skipped); its power
+      first), are lists of terms, each (t, at, c, g, parts): the exponent
+      of its moment row; its row index |alpha| + s + |p| + n - 1, s being
+      what the factors before it add to the degree, as |alpha| + at; its
+      coefficient c (None for a float 1, which is skipped); its power
       g = gamma^(-(|p|+|q|)/2) (None when it is 1); and, for each
       coordinate i that it reads (p_i or q_i nonzero), (i, (sigma_i, p_i,
       q_i, v_i)), with sigma_i the shift of coordinate i before the factor
@@ -340,62 +336,53 @@ def _plan(config: DiagonalConfig, gamma: float):
     - real, whether every coefficient is real: the coefficients are then
       floats, their real parts, and complex otherwise.
 
-    Refuses, in walk order, a factor of mixed shifts and a chain whose
+    Refuses, chain by chain, a factor of mixed shifts and a chain whose
     shifts do not cancel."""
     n = config.n
-    zero = (0,) * n
-    walked, exponents, read = [], {}, set()
-    buffer_deg, real = 0, True
-    for ch in config.chains:
-        factors, lift = [], 0
-        real = real and complex(ch.coeff).imag == 0
-        for S in ch.factors:
-            moves, top = set(), 0
-            for (p, q, t), c in S.terms.items():
-                moves.add(mi_sub(p, q))
-                top = max(top, degree(p))
-                exponents[t] = None
-                read.update(i for i in range(n) if p[i] or q[i])
-                real = real and complex(c).imag == 0
-            if len(moves) != 1:
-                raise _not_diagonal("factor mixes monomial shifts; not diagonal")
-            factors.append((S, moves.pop()))
-            lift += top
-        if tuple(map(sum, zip(zero, *(v for _S, v in factors)))) != zero:
-            raise _not_diagonal("chain total shift does not cancel")
-        walked.append((ch.coeff, factors[::-1]))
-        buffer_deg = max(buffer_deg, lift)
-
+    exponents, read = {}, set()
+    real = all(complex(ch.coeff).imag == 0 for ch in config.chains)
+    for S in chain.from_iterable(ch.factors for ch in config.chains):
+        for (p, q, t), c in S.terms.items():
+            exponents[t] = None
+            read.update(i for i in range(n) if p[i] or q[i])
+            real = real and complex(c).imag == 0
     coef = (lambda c: complex(c).real) if real else complex
-    # the factor each chain applies first, by identity: config holds every
-    # factor for the whole call
-    opening = [id(factors[0][0]) if factors else None for _c0, factors in walked]
-    chains = []
-    for j, (c0, factors) in enumerate(walked):
-        planned, deg_shift = [], 0
+
+    plans, buffer_deg = [], 0
+    for ch in config.chains:
+        planned, lift = [], 0
         sigma = [0] * n  # the shift of each coordinate before the factor
         need = [0] * n  # alpha_i >= need[i] keeps every column inside the cone
-        for S, v in factors:
+        for S in reversed(ch.factors):
+            moves = {mi_sub(p, q) for p, q, _t in S.terms}
+            if len(moves) != 1:
+                raise _not_diagonal("factor mixes monomial shifts; not diagonal")
+            v = moves.pop()
             terms = []
             for (p, q, t), c in S.terms.items():
                 dp, dq = degree(p), degree(q)
                 c, g = coef(c), gamma ** (-(dp + dq) / 2.0)
-                terms.append((t, deg_shift + dp + n - 1,
-                              dp + n - 1 if deg_shift < 0 else None,
+                terms.append((t, sum(sigma) + dp + n - 1,
                               None if real and c == 1 else c,
                               None if g == 1 else g,
                               [(i, (sigma[i], p[i], q[i], v[i]))
                                for i in range(n) if p[i] or q[i]]))
             planned.append(terms)
-            deg_shift += sum(v)
+            lift += max(degree(p) for p, _q, _t in S.terms)
             for i in range(n):
                 sigma[i] += v[i]
                 need[i] = max(need[i], -sigma[i])
-        key = opening[j]
-        first = (opening.index(key) if key is not None and opening.count(key) > 1
-                 else None)
-        chains.append((coef(c0), first, planned,
-                       [(i, b) for i, b in enumerate(need) if b]))
+        if any(sigma):
+            raise _not_diagonal("chain total shift does not cancel")
+        buffer_deg = max(buffer_deg, lift)
+        plans.append((coef(ch.coeff), planned,
+                      [(i, b) for i, b in enumerate(need) if b]))
+    # the factor each chain applies first, by identity: config holds every
+    # factor for the whole call
+    opening = [id(ch.factors[-1]) if ch.factors else None for ch in config.chains]
+    chains = [(c0, (opening.index(key) if key is not None and opening.count(key) > 1
+                    else None), planned, bounds)
+              for key, (c0, planned, bounds) in zip(opening, plans)]
     return chains, buffer_deg + n + 1, list(exponents), sorted(read), real
 
 
@@ -418,17 +405,16 @@ def _factor_values(terms, cols, rows: dict, origin: int, dtype,
                    into) -> np.ndarray:
     """The sum of one factor's terms (`_plan`) at the columns cols, its
     first term written into the buffer into and each later one into
-    "term"; see `_chain_values`."""
+    "term"; see `_chain_values`.  Each row is read at |alpha| + at through
+    np.take with mode="clip": an index falls below the window only where
+    |alpha| + s < 0, a column that has left the multi-index cone, which
+    `_chain_values` sets to 0 whatever was read there."""
     fac = None
-    for t, at, floor, c, g, parts in terms:
+    for t, at, c, g, parts in terms:
         # the index lives only for the gather
-        table = rows[t][cols.degs + (at - origin) if floor is None
-                        else np.maximum(cols.degs + (at - origin), floor - origin)]
+        table = np.take(rows[t], cols.degs + (at - origin), mode="clip")
         if c is not None:
-            if dtype is complex:
-                table = c * table
-            else:
-                table *= c
+            table = c * table
         term = cols.spread(table, into if fac is None
                            else cols.buffer("term", dtype))
         if len(parts) == 1:
@@ -459,7 +445,7 @@ def _chain_values(chain, cols, rows: dict, origin: int, dtype,
     complex product of operands with zero imaginary part has the same real
     part.
 
-    Each value is the product, over the factors from the right, of
+    Each value is c0 times the product, over the factors from the right, of
     sum_terms c * m_t[|alpha| + |p| + n - 1] * sqrt(ratio) * gamma^(-(|p|+|q|)/2),
     where ratio is the rising-factorial quotient of the monomial norms, and
     0 once a shift leaves the multi-index cone.  A term is evaluated once per
@@ -467,45 +453,39 @@ def _chain_values(chain, cols, rows: dict, origin: int, dtype,
     (cols.spread), and each coordinate's part of ratio (`_rising`) over
     that coordinate's values, with its sqrt when the term carries one
     coordinate, read at the columns (cols.rising).  Every column then sees
-    the operations of the per-column product in its order, except
-    multiplications by an exact 1 and additions to an initial 0, which are
-    skipped: that can change only the sign of a zero, and `_diagonal_values`
-    adds each chain to +0.0.  A ratio over several coordinates is the
-    product of their parts, the same float while the product of integers
-    stays below 2^53.  Tables of indices outside the cone are taken at 0,
-    and those columns are set to 0 at the end.
+    the operations of the per-column product, with c0 applied to the first
+    factor (complex products commute bit for bit), except multiplications
+    by an exact 1 and additions to an initial 0, which are skipped: that
+    can change only the sign of a zero, and `_diagonal_values` adds each
+    chain to +0.0.  A ratio over several coordinates is the product of its
+    parts, the same float while the product of integers stays below 2^53.
 
-    A first factor that opens several chains (first not None) is evaluated
-    by the first of them in a block, into the buffer ("first", first), and
-    kept in shared, the block's dict of such factors, from which every
-    other chain starts.  The chain is built in cols' buffers (cols.buffer):
-    its product in "out", each later factor's sum in "fac" (`_factor_values`);
-    the first factor of a float chain is summed in "out" itself."""
+    The chain is built in cols' buffers (cols.buffer): the first factor
+    times c0 in "out", and each later factor's sum in "fac"
+    (`_factor_values`).  A first factor that opens several chains (first
+    not None) is evaluated by the first of them in a block, into ("first",
+    first), and kept in shared, the block's dict of such factors, for all
+    of them.  The columns outside the cone are set to 0 at the end."""
     c0, first, factors, bounds = chain
-    out = None
-    if dtype is complex or not factors:
-        out = cols.spread(np.full(cols.degs.size, c0, dtype=dtype),
-                          cols.buffer("out", dtype))
-    for j, terms in enumerate(factors):
-        opens = j == 0 and first is not None
-        if opens:
-            fac = shared.get(first)
-            if fac is None:
-                fac = shared[first] = _factor_values(
-                    terms, cols, rows, origin, dtype,
-                    cols.buffer(("first", first), dtype))
-        else:
-            fac = _factor_values(terms, cols, rows, origin, dtype,
-                                 cols.buffer("fac" if out is not None else "out",
-                                             dtype))
-        if out is not None:
-            out *= fac
-        elif opens:  # the shared factor stays as it is; times an exact 1 is a copy
-            out = np.multiply(fac, c0, out=cols.buffer("out", dtype))
-        else:
-            out = fac
-            if c0 != 1:
-                out *= c0
+    if not factors:  # c0 times the identity
+        return cols.spread(np.full(cols.degs.size, c0, dtype=dtype),
+                           cols.buffer("out", dtype))
+    if first is None:
+        out = _factor_values(factors[0], cols, rows, origin, dtype,
+                             cols.buffer("out", dtype))
+        if c0 != 1:
+            out *= c0
+    else:
+        fac = shared.get(first)
+        if fac is None:
+            fac = shared[first] = _factor_values(
+                factors[0], cols, rows, origin, dtype,
+                cols.buffer(("first", first), dtype))
+        # the shared factor stays as it is; times an exact 1 is a copy
+        out = np.multiply(fac, c0, out=cols.buffer("out", dtype))
+    for terms in factors[1:]:
+        out *= _factor_values(terms, cols, rows, origin, dtype,
+                              cols.buffer("fac", dtype))
     for i, bound in bounds:
         outside = np.less(cols.coords[i], bound, out=cols.buffer("mask", bool))
         out[outside] = 0.0
@@ -600,8 +580,8 @@ class _MultiIndexColumns:
     output, where "raise" buffers it): each column's degree index and
     position, the coordinates that some term reads (read, from `_plan`),
     and the chain's products and sums.  Each term's rising table over the
-    coordinate values 0, ..., K_degree, and its sqrt, is built once per
-    spectrum, keyed by (sigma_i, p_i, q_i, v_i), and read at the columns."""
+    coordinate values 0, ..., K_degree is built once per spectrum with its
+    sqrt, keyed by (sigma_i, p_i, q_i, v_i), and read at the columns."""
 
     def __init__(self, n: int, K_degree: int, sizes, starts, read, width: int):
         self.sizes, self.starts, self.width = sizes, starts, width
@@ -642,16 +622,12 @@ class _MultiIndexColumns:
     def rising(self, i, key, root, out):
         """`_rising` at key = (sigma_i, p_i, q_i, v_i), or its sqrt, at the
         value of coordinate i of each column."""
-        r = self.tables.get((key, root))
-        if r is None:
-            r = self.tables.get((key, False))
-            if r is None:
-                sigma, p, q, v = key
-                r = self.tables[key, False] = _rising(
-                    np.maximum(self.values + sigma, 0), p, q, v)
-            if root:
-                r = self.tables[key, True] = np.sqrt(r)
-        return np.take(r, self.coords[i], out=out, mode="clip")
+        tables = self.tables.get(key)
+        if tables is None:
+            sigma, p, q, v = key
+            r = _rising(np.maximum(self.values + sigma, 0), p, q, v)
+            tables = self.tables[key] = r, np.sqrt(r)
+        return np.take(tables[root], self.coords[i], out=out, mode="clip")
 
 
 def _windows(chunks, spans):
@@ -686,16 +662,16 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     when radial and `_BLOCK` otherwise (or one degree), take their tables
     once per degree and coordinate value (`_DegreeColumns`,
     `_MultiIndexColumns`); the per-multi-index blocks are written through
-    buffers made once per spectrum.  One walk over the blocks adds
-    each chain, laid out once by `_plan`, to its block, which starts at
-    +0.0 and is raised to the power after the last chain, so a block's
-    columns and values serve every chain while in cache, and a first factor
-    that opens several chains is evaluated once per block.  Each exponent's moment row is streamed once
-    (`moment_chunks`) and read through a window from k - reach to
-    end + reach (`_windows`; reach from `_plan`), so beside the values only
-    block and chunk scratch is held.  Configurations with only real
-    coefficients are evaluated in float64.  More than _MAX_VALUES values are
-    refused before anything is allocated; a row out of [0, 1], as it is read.
+    buffers made once per spectrum.  One walk over the blocks adds each chain,
+    laid out once by `_plan`, to its block, which starts at +0.0 and is raised
+    to the power after the last chain, so a block's columns and values serve
+    every chain while in cache, and a first factor that opens several chains
+    is evaluated once per block.  Each exponent's moment row is streamed once
+    (`moment_chunks`) and read through a window from k - reach to end + reach
+    (`_windows`; reach from `_plan`), so beside the values only block and
+    chunk scratch is held.  Configurations with only real coefficients are
+    evaluated in float64.  More than _MAX_VALUES values are refused before
+    anything is allocated; a row out of [0, 1], as it is read.
     """
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
@@ -776,9 +752,8 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
 
     The values are held once: `_sorted_runs` sorts them in place when every
     multiplicity is 1, which is then a stride-0 view, not an array, and
-    gathers them with their multiplicities otherwise.  signed is taken from
-    the sort when it found no value with its sign bit set, and from the
-    least value otherwise.
+    gathers them with their multiplicities otherwise.  signed is whether
+    the least value is negative.
 
     certified_rank marks how far the sorted values are guaranteed to be the
     operator's true leading s-numbers: the ranks of the prefix of moduli
@@ -813,8 +788,8 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     # only those are copied
     vals = np.ascontiguousarray(vals.real)
 
-    values, mults, unsigned = _sorted_runs(vals, degree_mults)
-    signed = not unsigned and bool(values.min() < 0)
+    values, mults = _sorted_runs(vals, degree_mults)
+    signed = bool(values.min() < 0)
     certified = 0 if rises else _ranks_in(
         mults, _leading_count(values, tail_bound * (1 + 1e-12)))
     return SNumberSequence(values, mults, signed=signed,

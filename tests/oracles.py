@@ -394,7 +394,7 @@ def snumber_validation(values, mults, signed) -> str | None:
 def from_values(values, signed=False, certified_rank=None):
     """An `spectral.SNumberSequence` of unit multiplicities of values in any
     order, sorted by `spectral._sorted_runs` in a copy."""
-    v, m, _unsigned = spectral._sorted_runs(np.array(values, dtype=float), None)
+    v, m = spectral._sorted_runs(np.array(values, dtype=float), None)
     return spectral.SNumberSequence(v, m, signed=signed,
                                     certified_rank=certified_rank)
 

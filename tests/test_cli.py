@@ -112,6 +112,22 @@ def test_mixed_trace_homogeneity_validation():
         run_experiment("mixed-trace", {"cases": [case]})
 
 
+def test_mixed_trace_without_cases_exits_2(tmp_path, capsys, monkeypatch):
+    # no case would be no check, and a report that passes with none: the
+    # empty list is refused before any spectrum, and no report is written
+    def no_spectrum(*args):
+        raise AssertionError("spectrum computed before the config was checked")
+    monkeypatch.setattr("focktrace.cli.diagonal_spectrum", no_spectrum)
+    p = tmp_path / "cfg.json"
+    p.write_text('{"cases": []}')
+    out = tmp_path / "r.json"
+    assert main(["--experiment", "mixed-trace", "--config", str(p),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid cases"), err
+    assert not out.exists()
+
+
 def test_report_float_formatting(tmp_path):
     rep = {"schema": 1, "x": 1 / 3, "nested": {"y": [2.0, 1e-17]},
            "f64": np.float64(2.0) / 3, "flag": True, "none": None, "i": 7}
@@ -268,6 +284,8 @@ _UNREAD_KEYS = [
                                                  K_degre=10)]},
      "'K_degre' in case 'chain2'"),
     ("calculus-check", {"gama": 2.0}, "'gama'"),
+    # its checks run at fixed n, so n is not a key it reads
+    ("calculus-check", {"n": 2}, "'n'"),
 ]
 
 

@@ -237,33 +237,6 @@ def test_ladder_row_chunks_are_bit_identical(monkeypatch, chunk):
             assert got.tobytes() == restarted_ladder_row(prev, 0.3, gamma).tobytes()
 
 
-@st.composite
-def run_length_data(draw):
-    runs = draw(st.integers(1, 60))
-    values = draw(st.lists(
-        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
-        min_size=runs, max_size=runs))
-    mults = draw(st.lists(st.integers(1, 50), min_size=runs, max_size=runs))
-    ends = np.cumsum(mults)
-    total = int(ends[-1])
-    # ranks anywhere, at run boundaries (either side), and the last rank
-    pool = st.one_of(st.integers(0, total - 1),
-                     st.sampled_from([int(e) - 1 for e in ends]),
-                     st.sampled_from([int(e) for e in ends[:-1]] or [0]),
-                     st.just(total - 1))
-    ranks = draw(st.lists(pool, min_size=1, max_size=12))
-    return (np.array(values), np.array(mults, dtype=np.int64),
-            np.array(sorted(ranks), dtype=np.int64))
-
-
-@settings(max_examples=300, deadline=None)
-@given(run_length_data())
-def test_partial_sums_at_is_correctly_rounded(data):
-    values, mults, ranks = data
-    out = _kernels.partial_sums_at(values, mults, ranks)
-    assert out.tolist() == [x / _ONE for x in exact_partial_sums(values, mults, ranks)]
-
-
 def test_partial_sums_at_spans_chunks():
     # more runs than one fsum chunk, large multiplicities (inexact products)
     rng = np.random.default_rng(5)
@@ -344,19 +317,20 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 
 @st.composite
 def exact_sum_data(draw):
-    """Signed values over the whole float range, with some values negated
-    elsewhere in the sequence, unit or large multiplicities, and ranks
-    anywhere below the total."""
+    """Signed values over the whole float range, up to 60 of them, with
+    some values negated elsewhere in the sequence, unit, small (up to 50)
+    or large multiplicities, and ranks anywhere below the total and at the
+    run boundaries."""
     value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                       st.sampled_from(_EDGE_VALUES))
-    values = draw(st.lists(value, min_size=1, max_size=40))
+    values = draw(st.lists(value, min_size=1, max_size=60))
     values += [-x for x in draw(st.lists(st.sampled_from(values), max_size=10))]
     values = draw(st.permutations(values))
     if draw(st.booleans()):
         mults = np.broadcast_to(np.int64(1), (len(values),))
     else:
         mults = np.array(draw(st.lists(
-            st.one_of(st.integers(1, 5), st.integers(1, 2 ** 52)),
+            st.one_of(st.integers(1, 50), st.integers(1, 2 ** 52)),
             min_size=len(values), max_size=len(values))), dtype=np.int64)
     total = int(mults.sum())
     ends = np.cumsum(mults).tolist()
