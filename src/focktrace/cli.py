@@ -394,10 +394,11 @@ def _random_sum(kind, rng, n, deg):
     with |p| + |q| <= deg is kept with probability 0.4 (0.35 on the sphere),
     with a standard complex normal coefficient; the constant 1 when none is."""
     radial = kind is RadialSymbol
-    bases = [enumerate_basis(n, d) for d in range(deg + 1)]
+    # graded: the multi-indices of degree <= d are the first C(d + n, n)
+    basis = enumerate_basis(n, deg)
     terms = {}
-    for p in bases[deg]:
-        for q in bases[deg - sum(p)]:
+    for p in basis:
+        for q in basis[:math.comb(deg - sum(p) + n, n)]:
             if rng.random() < (0.4 if radial else 0.35):
                 terms[(p, q, 0.0) if radial else (p, q)] = complex(
                     rng.normal(), rng.normal())
@@ -595,13 +596,9 @@ def _exp_calculus_check(cfg, seed, csv_sink):
 def _ambient_laplacian_on_sphere(P: SpherePolynomial) -> SpherePolynomial:
     """Quarter of the Euclidean Laplacian of the degree-0 homogeneous
     extension of P, restricted back to the sphere."""
-    out = SpherePolynomial(P.n)
-    for (p, q), c in P.terms.items():
-        ext = HomogeneousSymbol(P.n, 0.0)
-        ext.add_term(p, q, -(sum(p) + sum(q)), c)
-        lap = ext.laplacian()
-        out = out + (1.0 / 4.0) * lap.restrict_sphere()
-    return out
+    ext = HomogeneousSymbol(P.n, 0.0, {(p, q, -(sum(p) + sum(q))): c
+                                       for (p, q), c in P.terms.items()})
+    return (1.0 / 4.0) * ext.laplacian().restrict_sphere()
 
 
 EXPERIMENTS = {

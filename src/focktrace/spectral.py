@@ -317,13 +317,12 @@ def _plan(config: DiagonalConfig, gamma: float):
       first), are lists of terms, each (t, at, c, g, parts): the exponent
       of its moment row; its row index |alpha| + s + |p| + n - 1, s being
       what the factors before it add to the degree, as |alpha| + at; its
-      coefficient c (None for a float 1, which is skipped); its power
-      g = gamma^(-(|p|+|q|)/2) (None when it is 1); and, for each
-      coordinate i that it reads (p_i or q_i nonzero), (i, (sigma_i, p_i,
-      q_i, v_i)), with sigma_i the shift of coordinate i before the factor
-      and v its shift.  bounds are the (i, b) with b > 0 such that a column
-      stays inside the multi-index cone along the chain exactly when
-      alpha_i >= b for each of them.  first is the index of the first
+      coefficient c; its power g = gamma^(-(|p|+|q|)/2) (None when it is
+      1); and, for each coordinate i that it reads (p_i or q_i nonzero),
+      (i, (sigma_i, p_i, q_i, v_i)), with sigma_i the shift of coordinate i
+      before the factor and v its shift.  bounds are the (i, b) with b > 0
+      such that a column stays inside the multi-index cone along the chain
+      exactly when alpha_i >= b for each of them.  first is the index of the first
       chain that its first factor, the same symbol object, opens when that
       factor opens more than one chain, and None otherwise: such a factor
       is evaluated once per block (`_chain_values`).
@@ -336,8 +335,9 @@ def _plan(config: DiagonalConfig, gamma: float):
     - real, whether every coefficient is real: the coefficients are then
       floats, their real parts, and complex otherwise.
 
-    Refuses, chain by chain, a factor of mixed shifts and a chain whose
-    shifts do not cancel."""
+    Refuses, chain by chain, a chain of no factors (c0 times the identity,
+    which is not compact and so has no Dixmier trace), a factor of mixed
+    shifts and a chain whose shifts do not cancel."""
     n = config.n
     exponents, read = {}, set()
     real = all(complex(ch.coeff).imag == 0 for ch in config.chains)
@@ -350,6 +350,9 @@ def _plan(config: DiagonalConfig, gamma: float):
 
     plans, buffer_deg = [], 0
     for ch in config.chains:
+        if not ch.factors:
+            raise DiagonalityError("a chain of no factors is a multiple of "
+                                   "the identity: not compact, no Dixmier trace")
         planned, lift = [], 0
         sigma = [0] * n  # the shift of each coordinate before the factor
         need = [0] * n  # alpha_i >= need[i] keeps every column inside the cone
@@ -362,8 +365,7 @@ def _plan(config: DiagonalConfig, gamma: float):
             for (p, q, t), c in S.terms.items():
                 dp, dq = degree(p), degree(q)
                 c, g = coef(c), gamma ** (-(dp + dq) / 2.0)
-                terms.append((t, sum(sigma) + dp + n - 1,
-                              None if real and c == 1 else c,
+                terms.append((t, sum(sigma) + dp + n - 1, c,
                               None if g == 1 else g,
                               [(i, (sigma[i], p[i], q[i], v[i]))
                                for i in range(n) if p[i] or q[i]]))
@@ -379,9 +381,9 @@ def _plan(config: DiagonalConfig, gamma: float):
                       [(i, b) for i, b in enumerate(need) if b]))
     # the factor each chain applies first, by identity: config holds every
     # factor for the whole call
-    opening = [id(ch.factors[-1]) if ch.factors else None for ch in config.chains]
-    chains = [(c0, (opening.index(key) if key is not None and opening.count(key) > 1
-                    else None), planned, bounds)
+    opening = [id(ch.factors[-1]) for ch in config.chains]
+    chains = [(c0, opening.index(key) if opening.count(key) > 1 else None,
+               planned, bounds)
               for key, (c0, planned, bounds) in zip(opening, plans)]
     return chains, buffer_deg + n + 1, list(exponents), sorted(read), real
 
@@ -412,9 +414,7 @@ def _factor_values(terms, cols, rows: dict, origin: int, dtype,
     fac = None
     for t, at, c, g, parts in terms:
         # the index lives only for the gather
-        table = np.take(rows[t], cols.degs + (at - origin), mode="clip")
-        if c is not None:
-            table = c * table
+        table = c * np.take(rows[t], cols.degs + (at - origin), mode="clip")
         term = cols.spread(table, into if fac is None
                            else cols.buffer("term", dtype))
         if len(parts) == 1:
@@ -455,10 +455,11 @@ def _chain_values(chain, cols, rows: dict, origin: int, dtype,
     coordinate, read at the columns (cols.rising).  Every column then sees
     the operations of the per-column product, with c0 applied to the first
     factor (complex products commute bit for bit), except multiplications
-    by an exact 1 and additions to an initial 0, which are skipped: that
-    can change only the sign of a zero, and `_diagonal_values` adds each
-    chain to +0.0.  A ratio over several coordinates is the product of its
-    parts, the same float while the product of integers stays below 2^53.
+    by a c0 or gamma power of exactly 1 and additions to an initial 0,
+    which are skipped: that can change only the sign of a zero, and
+    `_diagonal_values` adds each chain to +0.0.  A ratio over several
+    coordinates is the product of its parts, the same float while the
+    product of integers stays below 2^53.
 
     The chain is built in cols' buffers (cols.buffer): the first factor
     times c0 in "out", and each later factor's sum in "fac"
@@ -467,9 +468,6 @@ def _chain_values(chain, cols, rows: dict, origin: int, dtype,
     first), and kept in shared, the block's dict of such factors, for all
     of them.  The columns outside the cone are set to 0 at the end."""
     c0, first, factors, bounds = chain
-    if not factors:  # c0 times the identity
-        return cols.spread(np.full(cols.degs.size, c0, dtype=dtype),
-                           cols.buffer("out", dtype))
     if first is None:
         out = _factor_values(factors[0], cols, rows, origin, dtype,
                              cols.buffer("out", dtype))
@@ -503,28 +501,18 @@ def _raised(v: np.ndarray, power: int, scratch=None):
     v[...] = p.real if v.dtype == float else p
 
 
-def _degree_runs(k0: int, sizes: np.ndarray, lower, want=None, buffer=None,
-                 iota=None):
+def _degree_runs(k0: int, sizes: np.ndarray, lower, want, buffer, iota):
     """The multi-indices of the degrees k0, k0 + 1, ..., sizes[d] of degree
     k0 + d, each degree in `core.compositions` order, as n rows, and the
     index d of each column's degree: (d, rows).  Degree k is (k - |beta|,
     beta) for beta over the first sizes[d] columns of lower, the rows of
     the same enumeration of length n - 1 from degree 0 on: the multi-indices
     of length n - 1 and degree <= k.  At n = 2, lower is None and beta runs
-    over (0), ..., (k).  Only the rows in want (every row when None) are
-    built, with those that row 0 needs; a row not built is None.  Each row
-    and d are written, a degree at a time, into buffer(name), an int64
-    array of sum(sizes) entries, from iota, np.arange of at least
-    max(sizes) entries (new ones when None)."""
-    n = 2 if lower is None else len(lower) + 1
+    over (0), ..., (k).  Only the rows in want are built, with those that
+    row 0 needs; a row not built is None.  Each row and d are written, a
+    degree at a time, into buffer(name), an int64 array of sum(sizes)
+    entries, from iota, np.arange of at least max(sizes) entries."""
     counts = sizes.tolist()
-    if want is None:
-        want = range(n)
-    if buffer is None:
-        def buffer(_name, m=sum(counts)):
-            return np.empty(m, dtype=np.int64)
-    if iota is None:
-        iota = np.arange(max(counts))
     d = buffer("degree")
     first = buffer(0) if 0 in want else None
     # the position of each column in its degree: row 1 at n = 2, the
@@ -542,8 +530,9 @@ def _degree_runs(k0: int, sizes: np.ndarray, lower, want=None, buffer=None,
         start = end
     if lower is None:
         return d, [first, ramp]
-    rest = [np.take(lower[i - 1], ramp, out=buffer(i), mode="clip")
-            if i in want or first is not None else None for i in range(1, n)]
+    rest = [np.take(beta, ramp, out=buffer(i), mode="clip")
+            if i in want or first is not None else None
+            for i, beta in enumerate(lower, 1)]
     if first is not None:
         for beta in rest:
             first -= beta
@@ -585,11 +574,14 @@ class _MultiIndexColumns:
 
     def __init__(self, n: int, K_degree: int, sizes, starts, read, width: int):
         self.sizes, self.starts, self.width = sizes, starts, width
-        # the enumeration of length n - 1, for n >= 3
+        # the enumeration of length n - 1, for n >= 3, every row of it
         self.lower = None
         for d in range(2, n):
+            counts = degree_multiplicity(d, np.arange(K_degree + 1))
             self.lower = _degree_runs(
-                0, degree_multiplicity(d, np.arange(K_degree + 1)), self.lower)[1]
+                0, counts, self.lower, range(d),
+                lambda _name, m=int(counts.sum()): np.empty(m, dtype=np.int64),
+                np.arange(counts.max()))[1]
         # coordinate i is row 1 - i at n = 2 (alpha_1 ascending), row i above
         self.rows = [1, 0] if n == 2 else list(range(n))
         self.read, self.want = read, {self.rows[i] for i in read}
@@ -671,8 +663,11 @@ def _diagonal_values(ctx: FockContext, config: DiagonalConfig, K_degree: int):
     (`_windows`; reach from `_plan`), so beside the values only block and
     chunk scratch is held.  Configurations with only real coefficients are
     evaluated in float64.  More than _MAX_VALUES values are refused before
-    anything is allocated; a row out of [0, 1], as it is read.
+    anything is allocated; a row out of [0, 1], as it is read; a negative
+    K_degree (ValueError), first.
     """
+    if K_degree < 0:
+        raise ValueError(f"need K_degree >= 0, got {K_degree}")
     if config.n != ctx.n:
         raise DiagonalityError("configuration dimension does not match context")
     n, gamma = ctx.n, ctx.gamma

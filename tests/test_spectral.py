@@ -135,6 +135,22 @@ def test_diagonal_rejects_mixed_shift_factor():
         diagonal_spectrum(CTX1, toeplitz_config(S), 10)
 
 
+def test_diagonal_rejects_a_chain_of_no_factors():
+    # c * I is not compact, so it has no Dixmier trace to estimate
+    u = RadialSymbol.radial_power(1, -2.0)
+    config = DiagonalConfig(1, [DiagonalChain(1.0, [u]), DiagonalChain(2.0, [])])
+    with pytest.raises(DiagonalityError, match="no factors .* identity"):
+        diagonal_spectrum(CTX1, config, 10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_negative_cutoff_is_refused_first(monkeypatch, n):
+    f = RadialSymbol.coordinate(n, 1) * RadialSymbol.radial_power(n, -1.0)
+    monkeypatch.setattr(spectral, "_plan", None)
+    with pytest.raises(ValueError, match=r"need K_degree >= 0, got -1"):
+        diagonal_spectrum(FockContext(n, 1.0), hankel_config(f, f), -1)
+
+
 def test_diagonal_annihilated_walks_are_zero():
     # T_g T_{conj g} hits the vacuum: the first eigenvalue is 0
     g = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
@@ -508,8 +524,9 @@ def per_multi_index_cases(draw):
     # shifts cancel along the chain, the first ones applied may leave the
     # cone, and e over several coordinates spreads a rising product over
     # them.  Each factor has one phase c; the chain coefficient undoes the
-    # product of the phases, so that every value is real
-    n = draw(st.sampled_from([2, 3]))
+    # product of the phases, so that every value is real.  n = 4 enumerates
+    # its multi-indices from those of length 3
+    n = draw(st.sampled_from([2, 3, 4]))
     gamma = draw(st.sampled_from([0.7, 1.0, 2.5]))
     complex_coeffs = draw(st.booleans())
     unit = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
@@ -538,12 +555,13 @@ def per_multi_index_cases(draw):
     config = spectral.DiagonalConfig(n, chains, draw(st.sampled_from([1, 2, 3])))
     _chains, _reach, _exponents, read, _real = spectral._plan(config, gamma)
     assume(read)  # the oracle is per multi-index: some term reads a coordinate
-    K = draw(st.integers(0, 24) if n == 2 else st.integers(6, 12))
+    K = draw({2: st.integers(0, 24), 3: st.integers(6, 12),
+              4: st.integers(2, 8)}[n])
     block = draw(st.sampled_from([1, 7, 64]))
     return n, gamma, config, K, block
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(per_multi_index_cases())
 def test_random_per_multi_index_spectra_match_per_degree_oracle(case):
     # degree-run blocks of 1, 7 and 64 values, so that degrees of more than
