@@ -63,7 +63,7 @@ _LADDER_TERMS = 12
 _CHUNK = 1 << 15
 # degrees per chunk of the sources of streamed rows, which the steps down
 # from a source keep: of pair_chunks' serial loop, whose two lists of Python
-# floats take 64 bytes a degree, of ones_chunks, and of `pieces`
+# floats take 64 bytes a degree, and of `pieces`
 _SERIAL_CHUNK = 1 << 12
 # partial_sums_at: sums are carried exactly as integer counts of 2^-_UNIT;
 # values at or above _BIG in modulus are summed scaled by 2^-_SHIFT
@@ -87,14 +87,6 @@ def pieces(row):
     """row as consecutive views of at most _SERIAL_CHUNK entries."""
     return (row[lo:lo + _SERIAL_CHUNK]
             for lo in range(0, row.shape[0], _SERIAL_CHUNK))
-
-
-def ones_chunks(length):
-    """m_0 = 1 over `length` degrees, as stride-0 views of at most
-    _SERIAL_CHUNK."""
-    ones = np.broadcast_to(1.0, (_SERIAL_CHUNK,))
-    for lo in range(0, length, _SERIAL_CHUNK):
-        yield ones[:length - lo]
 
 
 def _restarted(prev, lo, gamma):

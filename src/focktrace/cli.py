@@ -3,8 +3,10 @@
 Each experiment builds an operator configuration, produces a spectral
 estimate, computes the matching closed-form target through the symbolic
 sphere calculus (a code path disjoint from the spectral one), and emits a
-machine-readable report.  Exit code 0 means every check passed, 1 means a
-quantitative failure, 2 a configuration error.
+machine-readable report.  Every trace experiment's target comes from one
+product formula with one decay rule, `_product_target`.  Exit code 0 means
+every check passed, 1 means a quantitative failure, 2 a configuration
+error.
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def _trace_options(cfg, n, default_tol):
 
 def _extrapolated_check(name, seq, target, tol, grid, n):
     """The check of seq's extrapolated log-Cesaro limit against target, and
-    the estimate's diagnostics with the spectrum's certificate.  The default
+    the estimate's diagnostics with the spectrum's certificate and the
+    number of ranks it certifies.  The default
     grid is the spec'd one below the spectrum's length at n = 1, else the
     certified auto grid; a grid the spectrum cannot carry is a configuration
     error."""
@@ -168,6 +171,7 @@ def _extrapolated_check(name, seq, target, tol, grid, n):
             {"estimate_method": "extrapolated",
              "estimate_K": est.diagnostics["grid"][-1],
              "certificate": seq.certificate,
+             "certified_rank": seq.certified_rank,
              **est.diagnostics})
 
 
@@ -191,17 +195,48 @@ def loglog_slope(xs, ys):
     return _line_fit(np.log(xs), np.log(ys))[1]
 
 
-def _leading(sym: RadialSymbol, order=None):
+def _leading(sym: RadialSymbol):
     """(m, leading sphere part) of sym, whose order must be an integer -m <= 0
-    (to 1e-9, from below: every term then has t <= 0); with order given, a
-    symbol of an order other than -order is refused."""
+    (to 1e-9, from below: every term then has t <= 0)."""
     m, lead = sym.leading_sphere_part()
     mi = int(round(-m))
     if abs(m + mi) > 1e-9 or m > 0:
         raise ConfigError(f"symbol order {m:g} is not a nonpositive integer")
-    if order not in (None, mi):
-        raise ConfigError(f"need a symbol of order {-order}, got {-mi}")
     return mi, lead
+
+
+def _product_target(ctx, pairs, factors, form):
+    """The Dixmier trace of the product of the Hankel-type pairs (f, g) and
+    the Toeplitz factors h: gamma^(n - len(pairs)) / n! times the sphere
+    integral of prod form(f0, mf, g0, mg) * prod h0, with each symbol's
+    order -m and leading sphere part from `_leading`.  It holds in the
+    Dixmier class only, so a total decay (mf + mg + 2 a pair, mh a factor)
+    other than 2n is refused.  Callers pass form as looked up at the call,
+    never bound at import, so a wrapper patched onto its name here is the
+    one called."""
+    n = ctx.n
+    integrand = SpherePolynomial.constant(n)
+    decay = 0
+    for f, g in pairs:
+        mf, f0 = _leading(f)
+        mg, g0 = _leading(g)
+        decay += mf + mg + 2
+        integrand = integrand * form(f0, mf, g0, mg)
+    for h in factors:
+        mh, h0 = _leading(h)
+        decay += mh
+        integrand = integrand * h0
+    if decay != 2 * n:
+        raise ConfigError(f"total decay {decay} must equal 2n = {2 * n}: the "
+                          f"trace formula holds in the Dixmier class only")
+    return (ctx.gamma ** (n - len(pairs)) / math.factorial(n)
+            * sphere_integral(integrand).real)
+
+
+def _commutator_form(f0, mf, g0, mg):
+    """The boundary form of a commutator [T_f, T_g] (its symbols' decay
+    makes mf = mg = 0): the bracket of (g0, f0) minus that of (f0, g0)."""
+    return tangential_bracket(g0, f0) - tangential_bracket(f0, g0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +244,9 @@ def _leading(sym: RadialSymbol, order=None):
 
 def _exp_model_operator(cfg, seed, csv_sink):
     ctx = _context(cfg, 1)
-    n, gamma = ctx.n, ctx.gamma
+    n = ctx.n
     S = RadialSymbol.radial_power(n, -2.0 * n)
-    target = gamma**n / math.factorial(n)
+    target = _product_target(ctx, [], [S], boundary_pairing)
     tol_extrapolated = _option(cfg, "tol_extrapolated", 0.02, json_number)
     grid = _option(cfg, "grid", None, _list(_whole))
     if n == 1:
@@ -242,14 +277,13 @@ def _exp_model_operator(cfg, seed, csv_sink):
 
 def _exp_toeplitz_trace(cfg, seed, csv_sink):
     ctx = _context(cfg, 2)
-    n, gamma = ctx.n, ctx.gamma
+    n = ctx.n
     default = (RadialSymbol.coordinate(n, 1)
                * RadialSymbol.coordinate(n, 1, conjugated=True)
                * RadialSymbol.radial_power(n, -2.0 * (n + 1)))
     f = _option(cfg, "f", default, _symbol(n))
     options = _trace_options(cfg, n, 0.02)
-    _, f0 = _leading(f, 2 * n)
-    target = gamma**n / math.factorial(n) * sphere_integral(f0).real
+    target = _product_target(ctx, [], [f], boundary_pairing)
     _all_read(cfg)
     return _trace_check(ctx, toeplitz_config(f), target, options,
                         "trace-vs-boundary-integral", "toeplitz-trace", csv_sink)
@@ -263,10 +297,7 @@ def _exp_hankel_trace(cfg, seed, csv_sink):
     f = _option(cfg, "f", default, _symbol(n))
     g = _option(cfg, "g", default, _symbol(n))
     options = _trace_options(cfg, n, 0.01 if n == 1 else 0.05)
-    _, f0 = _leading(f, 0)
-    _, g0 = _leading(g, 0)
-    bracket = tangential_bracket(f0.conj(), g0)
-    target = sphere_integral(bracket**n).real / math.factorial(n)
+    target = _product_target(ctx, [(f, g)] * n, [], boundary_pairing)
     _all_read(cfg)
     return _trace_check(ctx, hankel_config(f, g) ** n, target, options,
                         "hankel-trace-vs-bracket-integral", "hankel-trace",
@@ -285,14 +316,8 @@ def _exp_commutator_trace(cfg, seed, csv_sink):
     if len(pairs) != n:
         raise ConfigError(f"need exactly n = {n} commutator pairs")
     options = _trace_options(cfg, n, 0.05)
-    integrand = SpherePolynomial.constant(n)
-    for fj, gj in pairs:
-        _, f0 = _leading(fj, 0)
-        _, g0 = _leading(gj, 0)
-        integrand = integrand * (tangential_bracket(g0, f0)
-                                 - tangential_bracket(f0, g0))
+    target = _product_target(ctx, pairs, [], _commutator_form)
     config = reduce(mul, [commutator_config(f, g) for f, g in pairs])
-    target = sphere_integral(integrand).real / math.factorial(n)
     _all_read(cfg)
     return _trace_check(ctx, config, target, options,
                         "commutator-trace-vs-boundary-integral",
@@ -303,29 +328,13 @@ def _mixed_case(case):
     """The context, configuration, symbolic target and trace options of one
     mixed-trace case."""
     ctx = _context(case, 2)
-    n, gamma = ctx.n, ctx.gamma
+    n = ctx.n
     pairs = _option(case, "hankel_pairs", [], _list(_list(_symbol(n), 2)))
     factors = _option(case, "toeplitz_factors", [], _list(_symbol(n)))
     options = _trace_options(case, n, 0.05)
-    integrand = SpherePolynomial.constant(n)
-    homogeneity = 0
-    for fj, gj in pairs:
-        mf, f0 = _leading(fj)
-        mg, g0 = _leading(gj)
-        homogeneity += mf + mg + 2
-        integrand = integrand * boundary_pairing(f0, mf, g0, mg)
-    for h in factors:
-        mh, h0 = _leading(h)
-        homogeneity += mh
-        integrand = integrand * h0
-    # with no factor at all the decay is 0, so this also refuses an empty case
-    if homogeneity != 2 * n:
-        raise ConfigError(
-            f"total decay {homogeneity} must equal 2n = {2*n} for a finite trace")
+    target = _product_target(ctx, pairs, factors, boundary_pairing)
     config = reduce(mul, [hankel_config(f, g) for f, g in pairs]
                     + [toeplitz_config(h) for h in factors])
-    target = (gamma ** (n - len(pairs)) / math.factorial(n)
-              * sphere_integral(integrand).real)
     return ctx, config, target, options
 
 

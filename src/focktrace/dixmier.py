@@ -5,9 +5,10 @@ converge, so the trace is the limit of
 
     (sum of the first K+1 s-numbers) / log(K + 2)
 
-as K grows.  `log_mean` evaluates that quotient, `pointwise` inspects the
-(j+1) s_j law directly, and `extrapolate` removes the O(1/log K) bias by a
-least-squares fit of  c + b / log(K+2)  over a dyadic rank grid, returning c.
+as K grows.  `log_mean` evaluates that quotient over a list of ranks,
+`pointwise` inspects the (j+1) s_j law directly, and `extrapolate` removes
+the O(1/log K) bias by a least-squares fit of  c + b / log(K+2)  over a
+dyadic rank grid of log-means, returning c.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ class DixmierEstimate:
         self.diagnostics = diagnostics
 
 
-def _check_rank(seq: SNumberSequence, K: int):
-    if K < 2:
-        raise ValueError("need K >= 2")
-    if K >= seq.total:
-        raise ValueError(f"rank {K} beyond sequence length {seq.total}")
-
-
-def log_mean(seq: SNumberSequence, K: int) -> float:
-    """Partial sum of the first K+1 values divided by log(K+2)."""
-    _check_rank(seq, K)
-    return float(seq.partial_sums([K])[0]) / math.log(K + 2)
+def log_mean(seq: SNumberSequence, ranks) -> list:
+    """For each rank K of ranks, a non-empty nondecreasing sequence of whole
+    numbers in [2, seq.total), the partial sum of the first K+1 values
+    divided by log(K+2), as a list of floats; the sums in one walk."""
+    ranks = [int(K) for K in ranks]
+    if not ranks or ranks[0] < 2:
+        raise ValueError("need a non-empty list of ranks K >= 2")
+    if ranks[-1] >= seq.total:
+        raise ValueError(f"rank {ranks[-1]} beyond sequence length {seq.total}")
+    sums = seq.partial_sums(ranks).tolist()
+    return [s / math.log(K + 2) for s, K in zip(sums, ranks)]
 
 
 def pointwise(seq: SNumberSequence, window) -> tuple[float, float]:
@@ -102,11 +103,7 @@ def extrapolate(seq: SNumberSequence, K_grid=None) -> DixmierEstimate:
     K_grid = sorted(int(k) for k in K_grid)
     if len(K_grid) < 3:
         raise ValueError("need at least 3 grid points")
-    _check_rank(seq, K_grid[0])
-    _check_rank(seq, K_grid[-1])
-    # the whole grid in one walk; each entry equals log_mean(seq, K)
-    sums = seq.partial_sums(K_grid).tolist()
-    lms = [s / math.log(K + 2) for s, K in zip(sums, K_grid)]
+    lms = log_mean(seq, K_grid)
     xs = 1.0 / np.log(np.asarray(K_grid, dtype=float) + 2.0)
     ys = np.array(lms)
     c, b = _line_fit(xs, ys)

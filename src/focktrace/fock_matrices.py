@@ -136,7 +136,7 @@ def moment_chunks(t: float, gamma: float, dmax: int):
     k = int(round(s - sigma))
     length = dmax + 1 + max(k, 0)
     if sigma == 0.0:
-        chunks = _kernels.ones_chunks(length)
+        chunks = _kernels.pieces(np.broadcast_to(1.0, (length,)))
     else:
         a0 = gamma * _base_moment(2.0 * (sigma + 1.0), gamma)
         b0 = gamma * _base_moment(2.0 * sigma, gamma)

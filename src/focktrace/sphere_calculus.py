@@ -5,7 +5,9 @@ rules, derived by extending zeta^p conj(zeta)^q to the degree-0 homogeneous
 function z^p conj(z)^q |z|^(-|p|-|q|) and restricting the ambient derivative
 back to the sphere.  `tangential_dbar` is `tangential_d` conjugated on both
 sides, and each rule builds its result in the stored form of `core.TermSum`
-directly.  Finite differences are used only in tests.
+directly.  The boundary form of a Hankel-type product has one
+implementation, `boundary_pairing`; `tangential_bracket` is its case of
+orders 0.  Finite differences are used only in tests.
 """
 
 from __future__ import annotations
@@ -56,13 +58,9 @@ def tangential_dbar(j: int, P: SpherePolynomial) -> SpherePolynomial:
 
 def tangential_bracket(phi: SpherePolynomial, psi: SpherePolynomial) -> SpherePolynomial:
     """sum_j tangential_d(j, phi) * tangential_dbar(j, psi)
-    - reeb(phi) * reeb(psi)."""
-    if phi.n != psi.n:
-        raise ValueError("dimension mismatch")
-    out = SpherePolynomial(phi.n)
-    for j in range(1, phi.n + 1):
-        out = out + tangential_d(j, phi) * tangential_dbar(j, psi)
-    return out - reeb(phi) * reeb(psi)
+    - reeb(phi) * reeb(psi): the boundary form of orders 0,
+    boundary_pairing(conj(phi), 0, psi, 0)."""
+    return boundary_pairing(phi.conj(), 0, psi, 0)
 
 
 def sphere_laplacian(P: SpherePolynomial) -> SpherePolynomial:
@@ -94,8 +92,9 @@ def boundary_pairing(f_lead: SpherePolynomial, m: int,
         (m/2 + E) conj(f_lead) * (k/2 - E) g_lead
         + sum_j tangential_d(j, conj(f_lead)) * tangential_dbar(j, g_lead)
 
-    The first slot is conjugated; for m = k = 0 this reduces to
-    tangential_bracket(conj(f_lead), g_lead).
+    The first slot is conjugated; at m = k = 0 it is
+    `tangential_bracket(conj(f_lead), g_lead)`, the bracket's one
+    implementation.
     """
     if f_lead.n != g_lead.n:
         raise ValueError("dimension mismatch")

@@ -16,7 +16,8 @@ its tolerant order bound built over every value, the term arithmetic of
 the symbol classes as plain-dict rules, and the symbol algebra and
 Toeplitz compression as they were computed term by term: `star` on that
 term arithmetic, `sphere_norm_sq` from the full product P * P.conj(), and
-`toeplitz_entries` looping over the basis; one sphere monomial
+`toeplitz_entries` looping over the basis; the sphere bracket as its own
+rule beside `boundary_pairing`'s (`tangential_bracket`); one sphere monomial
 (`sphere_monomial`), semantic equality of sphere polynomials
 (`sphere_equal`) and the sphere's surface area; `evaluate`,
 the coherent vector, `berezin` and `boundary_pairing_limit` one point and
@@ -32,7 +33,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 
-from focktrace import _kernels, core, spectral
+from focktrace import _kernels, core, spectral, sphere_calculus
 from focktrace.core import (SpherePolynomial, compositions, degree,
                             enumerate_basis, mi_add, mi_factorial, mi_sub,
                             sphere_integral)
@@ -664,6 +665,17 @@ def sphere_norm_sq(P) -> float:
     """`core.sphere_norm_sq` as the integral of the full product."""
     return sphere_integral(
         SpherePolynomial(P.n, term_product(P.terms, term_conj(P.terms)))).real
+
+
+def tangential_bracket(phi, psi):
+    """`sphere_calculus.tangential_bracket` as its own rule: the sum over j
+    of tangential_d(j, phi) * tangential_dbar(j, psi), then minus
+    reeb(phi) * reeb(psi)."""
+    out = SpherePolynomial(phi.n)
+    for j in range(1, phi.n + 1):
+        out = out + sphere_calculus.tangential_d(j, phi) * \
+            sphere_calculus.tangential_dbar(j, psi)
+    return out - sphere_calculus.reeb(phi) * sphere_calculus.reeb(psi)
 
 
 def sphere_monomial(n, p, q, c=1.0):

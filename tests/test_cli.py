@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from focktrace import _kernels, cli
 from focktrace.cli import ConfigError, main, run_experiment, write_report
-from focktrace.core import TermSum
+from focktrace.core import SpherePolynomial, TermSum, sphere_integral
 from focktrace.spectral import commutator_config, hankel_config
 from focktrace.symbols import RadialSymbol
 
@@ -81,6 +81,7 @@ def test_a_rising_tail_is_reported_and_refuses_the_auto_grid(tmp_path, capsys):
     rep = run_experiment("toeplitz-trace", {"n": 1, "f": symbol(1),
                                             "K_degree": 60, "grid": [8, 16, 32]})
     assert rep["diagnostics"]["certificate"] == "unverified"
+    assert rep["diagnostics"]["certified_rank"] == 0
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"n": 2, "f": symbol(2), "K_degree": 60}))
     assert main(["--experiment", "toeplitz-trace", "--config", str(cfgp),
@@ -438,18 +439,42 @@ def test_benchmark_tracer_hooks_resolve():
     perfbench = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench")
     env = dict(os.environ, PYTHONPATH=_src_dir())
-    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-            "from tracer import Tracer; from focktrace import cli; "
-            "tracer = Tracer(); tracer.install(); "
-            "cli.run_experiment('model-operator', json.loads(sys.argv[2])); "
-            "cli.run_experiment('calculus-check'); "
-            "print(json.dumps(tracer.summary()['calls']))")
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from tracer import Tracer
+        from focktrace import cli
+        tracer = Tracer()
+        tracer.install()
+        entered = {}
+        for experiment, cfg in json.loads(sys.argv[2]):
+            before = dict(tracer.calls)
+            cli.run_experiment(experiment, cfg)
+            entered[experiment] = [
+                name for name in ("sphere_calculus", "symbolic.leading")
+                if tracer.calls.get(name, 0) > before.get(name, 0)]
+        print(json.dumps([tracer.summary()["calls"], entered]))
+    """
+    small = {"K_degree": 1024, "grid": [64, 128, 256]}
+    cases = [dict(cli._default_mixed_cases()[0], K_degree=40, grid=[64, 128, 256]),
+             dict(_CHAIN_CASE, **small)]
+    runs = [("model-operator", FAST_MODEL_CFG), ("calculus-check", {}),
+            ("hankel-trace", small), ("commutator-trace", small),
+            ("mixed-trace", {"cases": cases})]
     out = subprocess.run([sys.executable, "-c", code, perfbench,
-                          json.dumps(FAST_MODEL_CFG)], env=env, check=True,
+                          json.dumps(runs)], env=env, check=True,
                          capture_output=True, text=True).stdout
-    calls = json.loads(out)
-    assert calls["cli.run_experiment"] == 2
-    assert calls["spectral.diagonal_spectrum"] == 1
+    calls, entered = json.loads(out)
+    assert calls["cli.run_experiment"] == 5
+    assert calls["spectral.diagonal_spectrum"] == 5
+    # each trace target passes through the patched _leading, and each
+    # Hankel or commutator form through the patched sphere calculus: a form
+    # bound where the tracer cannot see it would drop its span here
+    both = ["sphere_calculus", "symbolic.leading"]
+    assert entered == {"model-operator": ["symbolic.leading"],
+                       "calculus-check": ["sphere_calculus"],
+                       "hankel-trace": both, "commutator-trace": both,
+                       "mixed-trace": both}
     # the symbolic-dense workload's layers: a hook that no longer reaches
     # its function would leave these at zero
     for layer in ("weyl_calculus.star", "weyl_calculus.heat",
@@ -461,8 +486,7 @@ def test_benchmark_tracer_hooks_resolve():
 # src/ definitions that src/ never names, kept because the benchmark reaches
 # them: each with the perfbench file that uses it
 _PERFBENCH_ENTRY_POINTS = {"ladder_row": "tracer.py", "pair_rows": "tracer.py",
-                           "log_mean": "tracer.py", "merge": "child.py",
-                           "scaled": "child.py"}
+                           "merge": "child.py", "scaled": "child.py"}
 
 
 def test_every_src_definition_is_named_in_src():
@@ -701,3 +725,101 @@ def test_large_gamma_rows_are_refused(tmp_path, capsys, experiment, gamma, t):
                  "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"t = {t} at gamma = {gamma} " in err[0], err
+
+
+class _Target(Exception):
+    """Carries the target an experiment checks, before its estimate."""
+
+
+def _target(monkeypatch, experiment, cfg):
+    def stop(name, seq, target, tol, grid, n):
+        raise _Target(target)
+    monkeypatch.setattr(cli, "_extrapolated_check", stop)
+    with pytest.raises(_Target) as info:
+        run_experiment(experiment, cfg)
+    return info.value.args[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_trace_target_is_the_one_product_formula(monkeypatch, n):
+    # each experiment's default target, by float.hex: the same as the
+    # mixed-trace case of the same factors and pairs, and the same bits as
+    # the formula each experiment had of its own (gamma = 1), with the
+    # bracket's own rule for the Hankel and commutator forms
+    w, z = RadialSymbol.radial_power, RadialSymbol.coordinate
+    small = {"n": n, "K_degree": 4}
+    S = w(n, -2.0 * n)
+    f = z(n, 1) * z(n, 1, conjugated=True) * w(n, -2.0 * (n + 1))
+    h = z(n, 1) * w(n, -1.0)
+    got = {e: _target(monkeypatch, e, cfg) for e, cfg in [
+        ("model-operator", {"n": 1, "K_ranks": 64} if n == 1 else small),
+        ("toeplitz-trace", small),
+        ("hankel-trace", small), ("commutator-trace", small)]}
+
+    def mixed(pairs, factors):
+        case = dict(small, hankel_pairs=[[a.to_json_dict(), b.to_json_dict()]
+                                         for a, b in pairs],
+                    toeplitz_factors=[a.to_json_dict() for a in factors])
+        return _target(monkeypatch, "mixed-trace", {"cases": [case]})
+
+    f0, h0 = f.leading_sphere_part()[1], h.leading_sphere_part()[1]
+    integrand = SpherePolynomial.constant(n)
+    for j in range(1, n + 1):
+        a0 = (z(n, j) * w(n, -1.0)).leading_sphere_part()[1]
+        b0 = (z(n, j, conjugated=True) * w(n, -1.0)).leading_sphere_part()[1]
+        integrand = integrand * (oracles.tangential_bracket(b0, a0)
+                                 - oracles.tangential_bracket(a0, b0))
+    fact = math.factorial(n)
+    want = {
+        "model-operator": [1.0 / fact, mixed([], [S])],
+        "toeplitz-trace": [1.0 / fact * sphere_integral(f0).real,
+                           mixed([], [f])],
+        "hankel-trace": [
+            sphere_integral(oracles.tangential_bracket(h0.conj(), h0) ** n).real
+            / fact, mixed([(h, h)] * n, [])],
+        "commutator-trace": [sphere_integral(integrand).real / fact],
+    }
+    for experiment, targets in want.items():
+        assert [t.hex() for t in targets] == \
+            [got[experiment].hex()] * len(targets), experiment
+
+
+@pytest.mark.parametrize("experiment, cfg", [
+    # order -2 where n = 2 needs -4
+    ("toeplitz-trace", {"n": 2, "f": RadialSymbol.radial_power(2, -2.0)}),
+    # a Hankel symbol and a commutator symbol of order -2, not 0
+    ("hankel-trace", {"f": _z_over_w(t=-3)}),
+    ("commutator-trace", {"pairs": [[_z_over_w(t=-3), _z_over_w(q=[1], p=[0])]]}),
+    ("mixed-trace", {"cases": [dict(_CHAIN_CASE, toeplitz_factors=[_U])]}),
+])
+def test_every_trace_target_refuses_a_decay_other_than_2n(experiment, cfg):
+    cfg = {k: v.to_json_dict() if isinstance(v, RadialSymbol) else v
+           for k, v in cfg.items()}
+    with pytest.raises(ConfigError, match=r"^total decay \d+ must equal 2n = "):
+        run_experiment(experiment, cfg)
+
+
+@pytest.mark.parametrize("experiment, cfg", [
+    ("model-operator", {"n": 2, "K_degree": 200}),
+    ("toeplitz-trace", {"n": 2, "K_degree": 200}),
+    ("hankel-trace", {"K_degree": 1024, "grid": [64, 128, 256]}),
+    ("commutator-trace", {"n": 2, "K_degree": 200}),
+    ("mixed-trace", {"cases": [dict(_CHAIN_CASE, K_degree=1024,
+                                    grid=[64, 128, 256])]}),
+])
+def test_trace_diagnostics_say_how_far_the_spectrum_is_certified(
+        monkeypatch, experiment, cfg):
+    seqs = []
+    spectrum = cli.diagonal_spectrum
+
+    def kept(*args):
+        seqs.append(spectrum(*args))
+        return seqs[-1]
+    monkeypatch.setattr(cli, "diagonal_spectrum", kept)
+    diags = run_experiment(experiment, cfg)["diagnostics"]
+    if experiment == "mixed-trace":
+        (diags,) = diags.values()
+    (seq,) = seqs
+    assert diags["certificate"] == "monotone-tail"
+    assert diags["certified_rank"] == seq.certified_rank
+    assert 0 < seq.certified_rank < seq.total

@@ -21,7 +21,7 @@ def harmonic_sequence(K):
 def test_log_mean_harmonic():
     K = 10**6
     seq = harmonic_sequence(K)
-    got = log_mean(seq, K)
+    got, = log_mean(seq, [K])
     ref = math.fsum(1.0 / (j + 1.0) for j in range(K + 1)) / math.log(K + 2)
     assert got == pytest.approx(ref, rel=1e-13)
     assert got == pytest.approx(1.042, abs=1e-3)
@@ -30,16 +30,16 @@ def test_log_mean_harmonic():
 def test_log_mean_trace_class_vanishes():
     vals = 0.5 ** np.arange(4000)
     seq = SNumberSequence(vals, np.ones(4000, dtype=np.int64))
-    assert log_mean(seq, 3999) < log_mean(seq, 100) < log_mean(seq, 10)
-    assert log_mean(seq, 3999) < 0.25
+    lm10, lm100, lm3999 = log_mean(seq, [10, 100, 3999])
+    assert lm3999 < lm100 < lm10
+    assert lm3999 < 0.25
 
 
 def test_log_mean_bounds():
     seq = harmonic_sequence(100)
-    with pytest.raises(ValueError):
-        log_mean(seq, 1)
-    with pytest.raises(ValueError):
-        log_mean(seq, 101)
+    for bad in ([], [1], [101], [1, 50], [50, 101], [50, 10]):
+        with pytest.raises(ValueError):
+            log_mean(seq, bad)
 
 
 def test_pointwise_examples():
@@ -108,7 +108,7 @@ def test_extrapolate_one_walk_matches_per_rank_log_means():
     est = extrapolate(seq, grid)
     # the per-rank path extrapolate replaced: one log_mean walk per rank,
     # fitted against 1/log(K+2)
-    lms = [log_mean(seq, K) for K in grid]
+    lms = [log_mean(seq, [K])[0] for K in grid]
     x = 1.0 / np.log(np.asarray(grid, dtype=float) + 2.0)
     c, b = _line_fit(x, lms)
     rms = float(np.sqrt(np.mean((np.array(lms) - (c + b * x)) ** 2)))
@@ -204,7 +204,7 @@ def test_scale_equivariance():
         scaled = seq.scaled(lam)
         est2 = extrapolate(scaled, [2**10, 2**12, 2**14, 2**16])
         assert est2.value == lam * est.value
-        assert log_mean(scaled, 5000) == lam * log_mean(seq, 5000)
+        assert log_mean(scaled, [5000]) == [lam * log_mean(seq, [5000])[0]]
     lam = math.pi
     est3 = extrapolate(seq.scaled(lam), [2**10, 2**12, 2**14, 2**16])
     assert est3.value == pytest.approx(lam * est.value, rel=1e-13)

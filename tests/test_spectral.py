@@ -412,8 +412,8 @@ def test_dense_pipeline_agrees_with_diagonal_engine():
     diag = diagonal_spectrum(ctx, hankel_config(f, f), 1200)
     np.testing.assert_allclose(dense[:400], diag.values[:400], rtol=1e-12)
     dense_seq = from_values(dense)
-    assert log_mean(dense_seq, 400) == pytest.approx(log_mean(diag, 400),
-                                                     rel=1e-12)
+    assert log_mean(dense_seq, [400]) == pytest.approx(log_mean(diag, [400]),
+                                                       rel=1e-12)
 
 
 # largest truncation degree per dimension: dense sizes 31, 55 and 56

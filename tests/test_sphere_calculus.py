@@ -201,7 +201,21 @@ def test_boundary_pairing_order_zero_reduces_to_bracket():
         f0 = rand_sphere_poly(rng, n, 2)
         g0 = rand_sphere_poly(rng, n, 2)
         assert sphere_equal(boundary_pairing(f0, 0, g0, 0),
-                            tangential_bracket(f0.conj(), g0), 1e-9)
+                            oracles.tangential_bracket(f0.conj(), g0), 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_bracket_through_the_pairing_drifts_at_rounding_level(n, deg, seed):
+    # the bracket is boundary_pairing at orders 0, which sums the same
+    # products in another order: the sphere integrals the trace targets read
+    # move by rounding only, against the size |P|_1 |Q|_1 of the products
+    rng = np.random.default_rng(seed)
+    P, Q = rand_sphere_poly(rng, n, deg), rand_sphere_poly(rng, n, deg)
+    new = sphere_integral(tangential_bracket(P, Q))
+    old = sphere_integral(oracles.tangential_bracket(P, Q))
+    size = sum(map(abs, P.terms.values())) * sum(map(abs, Q.terms.values()))
+    assert abs(new - old) <= 1e-14 * size
 
 
 def test_boundary_pairing_examples():
