@@ -424,6 +424,13 @@ def _sym_rel_dev(a: RadialSymbol, b: RadialSymbol) -> float:
     return worst / scale
 
 
+def _random_disc_point(rng):
+    """A complex normal draw, scaled into the closed unit disc."""
+    w = rng.normal() + 1j * rng.normal()
+    w /= max(1.0, abs(w))
+    return w
+
+
 def _random_sphere_points(rng, n, count):
     pts = []
     for _ in range(count):
@@ -443,32 +450,27 @@ def _monomial_pair(n, p, q, mf, pg, qg, mg):
     return f, g, boundary_pairing(f0, mf, g0, mg)
 
 
-def _exp_calculus_check(cfg, seed, csv_sink):
-    rng = np.random.default_rng(seed)
-    checks = []
-    # the checks run at fixed n = 1, 2, 3: only gamma is read
-    gamma = _option(cfg, "gamma", 1.0, lambda v: FockContext(1, json_number(v)).gamma)
-    _all_read(cfg)
-
-    # star product: associativity, conjugation, unit, generators
+def _star_checks(gamma, triples):
+    """Associativity, conjugation and unit of the star product on random
+    triples (a, b, c) of symbols."""
     dev_assoc = 0.0
     dev_conj = 0.0
     dev_unit = 0.0
-    for n in (1, 2):
-        for _ in range(3):
-            a, b, c = (_random_sum(RadialSymbol, rng, n, 3) for _ in range(3))
-            ab = star(a, b, gamma)
-            dev_assoc = max(dev_assoc,
-                            _sym_rel_dev(star(ab, c, gamma),
-                                         star(a, star(b, c, gamma), gamma)))
-            dev_conj = max(dev_conj,
-                           _sym_rel_dev(ab.conj(), star(b.conj(), a.conj(), gamma)))
-            dev_unit = max(dev_unit,
-                           _sym_rel_dev(star(a, RadialSymbol.constant(n), gamma), a))
-    checks.append(make_check("star-associativity", dev_assoc, 0.0, 1e-12))
-    checks.append(make_check("star-conjugation", dev_conj, 0.0, 1e-12))
-    checks.append(make_check("star-unit", dev_unit, 0.0, 1e-14))
+    for a, b, c in triples:
+        ab = star(a, b, gamma)
+        dev_assoc = max(dev_assoc,
+                        _sym_rel_dev(star(ab, c, gamma),
+                                     star(a, star(b, c, gamma), gamma)))
+        dev_conj = max(dev_conj,
+                       _sym_rel_dev(ab.conj(), star(b.conj(), a.conj(), gamma)))
+        dev_unit = max(dev_unit,
+                       _sym_rel_dev(star(a, RadialSymbol.constant(a.n), gamma), a))
+    return [make_check("star-associativity", dev_assoc, 0.0, 1e-12),
+            make_check("star-conjugation", dev_conj, 0.0, 1e-12),
+            make_check("star-unit", dev_unit, 0.0, 1e-14)]
 
+
+def _generator_check(gamma):
     dev_comm = 0.0
     for g in (gamma, 2.7 * gamma):
         for j in (1, 2):
@@ -478,16 +480,19 @@ def _exp_calculus_check(cfg, seed, csv_sink):
                 comm = star(zj, zkb, g) - star(zkb, zj, g)
                 expect = RadialSymbol.constant(2, -1.0 / g if j == k else 0.0)
                 dev_comm = max(dev_comm, _sym_rel_dev(comm, expect))
-    checks.append(make_check("generator-commutators", dev_comm, 0.0, 1e-14))
+    return [make_check("generator-commutators", dev_comm, 0.0, 1e-14)]
 
+
+def _heat_roundtrip_check(gamma, sums):
     dev_heat = 0.0
-    for n in (1, 2):
-        a = _random_sum(RadialSymbol, rng, n, 8 if n == 1 else 4)
+    for a in sums:
         dev_heat = max(dev_heat, _sym_rel_dev(
             heat_inverse(heat_transform(a, gamma), gamma), a))
-    checks.append(make_check("heat-roundtrip", dev_heat, 0.0, 1e-12))
+    return [make_check("heat-roundtrip", dev_heat, 0.0, 1e-12)]
 
-    # coordinate symbols quantize identically through both routes
+
+def _coordinate_check(gamma):
+    """Coordinate symbols quantize identically through both routes."""
     ctx1 = FockContext(1, gamma)
     z = RadialSymbol.coordinate(1, 1)
     Tz = toeplitz_matrix(ctx1, z, 10)
@@ -498,46 +503,50 @@ def _exp_calculus_check(cfg, seed, csv_sink):
     Wzzb = weyl_matrix(ctx1, zzb, 10)
     expect = Tzzb.entries - np.eye(Tzzb.size) / (2 * gamma)
     dev_coord = max(dev_coord, float(np.max(np.abs(Wzzb.entries - expect))))
-    checks.append(make_check("coordinate-quantization", dev_coord, 0.0, 1e-13))
+    return [make_check("coordinate-quantization", dev_coord, 0.0, 1e-13)]
 
-    # operator composition matches the star product on the truncated block
+
+def _composition_check(gamma, pairs):
+    """Operator composition matches the star product on the truncated block,
+    for random pairs (a, b) of symbols."""
     dev_star_op = 0.0
-    for n in (1, 2):
-        ctx = FockContext(n, gamma)
-        D = 12 if n == 1 else 8
-        for _ in range(2):
-            a = _random_sum(RadialSymbol, rng, n, 4)
-            b = _random_sum(RadialSymbol, rng, n, 4)
-            Wab = buffered_product(
-                ctx, [heat_inverse(a, gamma), heat_inverse(b, gamma)], D)
-            Wc = weyl_matrix(ctx, star(a, b, gamma), D)
-            scale = max(float(np.max(np.abs(Wc.entries))), 1e-300)
-            dev_star_op = max(dev_star_op, float(
-                np.max(np.abs(Wab.entries - Wc.entries))) / scale)
-    checks.append(make_check("composition-vs-star", dev_star_op, 0.0, 1e-10))
+    for a, b in pairs:
+        ctx = FockContext(a.n, gamma)
+        D = 12 if a.n == 1 else 8
+        Wab = buffered_product(
+            ctx, [heat_inverse(a, gamma), heat_inverse(b, gamma)], D)
+        Wc = weyl_matrix(ctx, star(a, b, gamma), D)
+        scale = max(float(np.max(np.abs(Wc.entries))), 1e-300)
+        dev_star_op = max(dev_star_op, float(
+            np.max(np.abs(Wab.entries - Wc.entries))) / scale)
+    return [make_check("composition-vs-star", dev_star_op, 0.0, 1e-10)]
 
-    # coherent-state symbols: toeplitz sees the double heat flow, the
-    # heat-inverse quantization sees a single one
+
+def _berezin_checks(gamma, draws):
+    """Coherent-state symbols, for random symbols on C^1 and points of the
+    closed unit disc: toeplitz sees the double heat flow, the heat-inverse
+    quantization sees a single one."""
+    ctx1 = FockContext(1, gamma)
     dev_btoe = 0.0
     dev_bweyl = 0.0
-    for _ in range(5):
-        a = _random_sum(RadialSymbol, rng, 1, 4)
+    for a, points in draws:
         Ta = toeplitz_matrix(ctx1, a, 40)
         Wa = weyl_matrix(ctx1, a, 40)
         E1 = heat_transform(a, gamma)
         E2 = heat_transform(E1, gamma)
-        for _ in range(10):
-            w = rng.normal() + 1j * rng.normal()
-            w /= max(1.0, abs(w))
+        for w in points:
             ref2 = E2.evaluate([w])
             ref1 = E1.evaluate([w])
             bt, bw = berezin(ctx1, [Ta, Wa], [w])
             dev_btoe = max(dev_btoe, abs(bt - ref2) / max(abs(ref2), 1e-300))
             dev_bweyl = max(dev_bweyl, abs(bw - ref1) / max(abs(ref1), 1e-300))
-    checks.append(make_check("berezin-toeplitz", dev_btoe, 0.0, 1e-6))
-    checks.append(make_check("berezin-weyl", dev_bweyl, 0.0, 1e-6))
+    return [make_check("berezin-toeplitz", dev_btoe, 0.0, 1e-6),
+            make_check("berezin-weyl", dev_bweyl, 0.0, 1e-6)]
 
-    # leading symbol of the Hankel product against the tangential pairing
+
+def _hankel_lead_check(gamma):
+    """The leading symbol of the Hankel product against the tangential
+    pairing."""
     dev_lead = 0.0
     for n, p, q, mf, pg, qg, mg in [
         (1, (1,), (0,), 0, (1,), (0,), 0),
@@ -554,22 +563,25 @@ def _exp_calculus_check(cfg, seed, csv_sink):
         num = sphere_norm_sq(scaled - ref)
         den = 1.0 + sphere_norm_sq(scaled) + sphere_norm_sq(ref)
         dev_lead = max(dev_lead, num / den)
-    checks.append(make_check("hankel-leading-symbol", dev_lead, 0.0, 1e-10))
+    return [make_check("hankel-leading-symbol", dev_lead, 0.0, 1e-10)]
 
-    # tangential operators assemble the ambient Laplacian on the sphere
+
+def _laplacian_check(polys):
+    """Tangential operators assemble the ambient Laplacian on the sphere, for
+    random sphere polynomials."""
     dev_lap = 0.0
-    for n in (1, 2, 3):
-        for _ in range(3):
-            P = _random_sum(SpherePolynomial, rng, n, 3)
-            lhs = sphere_laplacian(P)
-            rhs = _ambient_laplacian_on_sphere(P)
-            num = sphere_norm_sq(lhs - rhs)
-            den = 1.0 + sphere_norm_sq(lhs) + sphere_norm_sq(rhs)
-            dev_lap = max(dev_lap, num / den)
-    checks.append(make_check("sphere-laplacian-identity", dev_lap, 0.0, 1e-10))
+    for P in polys:
+        lhs = sphere_laplacian(P)
+        rhs = _ambient_laplacian_on_sphere(P)
+        num = sphere_norm_sq(lhs - rhs)
+        den = 1.0 + sphere_norm_sq(lhs) + sphere_norm_sq(rhs)
+        dev_lap = max(dev_lap, num / den)
+    return [make_check("sphere-laplacian-identity", dev_lap, 0.0, 1e-10)]
 
-    # heat-layer remainders decay at the generic rate for a symbol with all
-    # layers populated
+
+def _heat_layer_check(gamma):
+    """Heat-layer remainders decay at the generic rate for a symbol with all
+    layers populated."""
     S = RadialSymbol.radial_power(1, -1.0) + RadialSymbol.radial_power(1, -2.0)
     m = S.order()
     radii = [10.0, 30.0, 100.0]
@@ -584,22 +596,153 @@ def _exp_calculus_check(cfg, seed, csv_sink):
             rem.append(abs(e - part))
         slope = loglog_slope(radii, rem)
         worst_slope_gap = max(worst_slope_gap, abs(slope - (m - N)))
-    checks.append(make_check("heat-layer-decay-slope", worst_slope_gap, 0.0, 0.3))
+    return [make_check("heat-layer-decay-slope", worst_slope_gap, 0.0, 0.3)]
 
-    # symbolic boundary pairing against the exact radial limits
+
+def _pairing_check(pts):
+    """The symbolic boundary pairing against the exact radial limits at
+    points of the sphere in C^2."""
     pairs = [((1, 0), (0, 0), mf, (1, 0), (0, 0), mg)
              for mf in (0, 1, 2) for mg in (0, 1, 2)]
     pairs.append(((0, 1), (1, 0), 1, (1, 0), (0, 1), 2))
-    pts = _random_sphere_points(rng, 2, 20)
     dev_pair = 0.0
     for p, q, mf, pg, qg, mg in pairs:
         f, g, sym = _monomial_pair(2, p, q, mf, pg, qg, mg)
         nums = boundary_pairing_limit(f, g, pts, exponent=mf + mg + 2)
         for zeta, num in zip(pts, nums):
             dev_pair = max(dev_pair, abs(num - sym.evaluate(zeta)))
-    checks.append(make_check("pairing-numeric-vs-symbolic", dev_pair, 0.0, 1e-6))
+    return [make_check("pairing-numeric-vs-symbolic", dev_pair, 0.0, 1e-6)]
 
-    return checks, {}
+
+def _leave_this_cpu():
+    """Moves this process to the other CPUs it may run on, if there are any
+    and the platform can say which CPU it is on (Linux).  A forked child
+    starts on its parent's CPU, and where the kernel does not balance load
+    across CPUs (a cgroup-v1 cpuset with sched_load_balance 0) it shares
+    that CPU with its parent for its whole life: on such a 2-vCPU host,
+    calculus-check's two groups then took as long as one process."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        with open("/proc/self/stat") as fh:
+            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+        if allowed - {cpu}:
+            os.sched_setaffinity(0, allowed - {cpu})
+    except (AttributeError, OSError, ValueError, IndexError):
+        pass
+
+
+def _in_two_processes(here, forked):
+    """(here(), forked()), with forked run in a child made with os.fork while
+    here runs in this process.  The child sends its result, or the exception
+    it raised, pickled through a pipe, and leaves by os._exit, so it neither
+    flushes this process's stdio buffers nor runs its exit hooks; forked's
+    exception is raised here with its type and message, and on Python 3.11
+    and later with the child's traceback as a note.  The child is reaped
+    before this returns or raises, and killed first if here raised or was
+    interrupted.  Where os.fork does not exist, forked runs here after
+    here."""
+    if not hasattr(os, "fork"):
+        return here(), forked()
+    import pickle
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            _leave_this_cpu()
+            try:
+                payload = (True, forked())
+            except BaseException as exc:
+                if hasattr(exc, "add_note"):
+                    import traceback
+                    exc.add_note("in the forked child:\n" + traceback.format_exc())
+                payload = (False, exc)
+            with open(wfd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as pipe:
+            mine = here()
+            data = pipe.read()
+    except BaseException:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"the forked child exited with code "
+                           f"{os.waitstatus_to_exitcode(status)} and no result")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
+def _exp_calculus_check(cfg, seed, csv_sink):
+    """The Weyl calculus's checks: star product, generators, heat transform,
+    quantization of coordinates, composition, Berezin symbols, the Hankel
+    leading symbol, the sphere Laplacian, heat layers and the boundary
+    pairing, at fixed n = 1, 2, 3 and the config's gamma.
+
+    Every random input is drawn first, from the seed's generator, in the
+    order the checks take them.  The checks share nothing else, so they run
+    as two groups at once: the composition, Berezin, heat-layer and pairing
+    checks in a child made with os.fork (`_in_two_processes`), the rest
+    here.  The checks run here still call the star product, the heat
+    functions, a dense matrix, sphere norms and the sphere Laplacian, where
+    a tracer of this process sees them.  The
+    report lists the checks in one fixed order, and its diagnostics name the
+    checks the second group ran, whether it ran in a forked child, and each
+    group's wall seconds."""
+    # the checks run at fixed n = 1, 2, 3: only gamma is read
+    gamma = _option(cfg, "gamma", 1.0, lambda v: FockContext(1, json_number(v)).gamma)
+    _all_read(cfg)
+
+    rng = np.random.default_rng(seed)
+    triples = [tuple(_random_sum(RadialSymbol, rng, n, 3) for _ in range(3))
+               for n in (1, 2) for _ in range(3)]
+    heat_sums = [_random_sum(RadialSymbol, rng, n, 8 if n == 1 else 4)
+                 for n in (1, 2)]
+    composed = [(_random_sum(RadialSymbol, rng, n, 4),
+                 _random_sum(RadialSymbol, rng, n, 4))
+                for n in (1, 2) for _ in range(2)]
+    berezin_draws = [(_random_sum(RadialSymbol, rng, 1, 4),
+                      [_random_disc_point(rng) for _ in range(10)])
+                     for _ in range(5)]
+    polys = [_random_sum(SpherePolynomial, rng, n, 3)
+             for n in (1, 2, 3) for _ in range(3)]
+    pts = _random_sphere_points(rng, 2, 20)
+
+    # (checks, in the child?) in report order
+    sections = [(partial(_star_checks, gamma, triples), False),
+                (partial(_generator_check, gamma), False),
+                (partial(_heat_roundtrip_check, gamma, heat_sums), False),
+                (partial(_coordinate_check, gamma), False),
+                (partial(_composition_check, gamma, composed), True),
+                (partial(_berezin_checks, gamma, berezin_draws), True),
+                (partial(_hankel_lead_check, gamma), False),
+                (partial(_laplacian_check, polys), False),
+                (partial(_heat_layer_check, gamma), True),
+                (partial(_pairing_check, pts), True)]
+
+    def group(in_child):
+        t0 = time.perf_counter()
+        out = [run() for run, child in sections if child == in_child]
+        return out, time.perf_counter() - t0
+
+    (mine, mine_s), (theirs, theirs_s) = _in_two_processes(
+        partial(group, False), partial(group, True))
+    diags = {"child_checks": [c["name"] for sec in theirs for c in sec],
+             "child_wall_s": theirs_s, "parent_wall_s": mine_s,
+             "forked": hasattr(os, "fork")}
+    mine, theirs = iter(mine), iter(theirs)
+    return [c for _, child in sections
+            for c in next(theirs if child else mine)], diags
 
 
 def _ambient_laplacian_on_sphere(P: SpherePolynomial) -> SpherePolynomial:

@@ -18,6 +18,7 @@ from focktrace import _kernels, cli
 from focktrace.cli import ConfigError, main, run_experiment, write_report
 from focktrace.core import SpherePolynomial, TermSum, sphere_integral
 from focktrace.spectral import commutator_config, hankel_config
+from focktrace.sphere_calculus import ConvergenceError
 from focktrace.symbols import RadialSymbol
 
 _U = RadialSymbol.radial_power(1, -1.0).to_json_dict()
@@ -345,6 +346,73 @@ def test_calculus_check_computes_the_bits_of_the_per_point_forms(monkeypatch,
     monkeypatch.setattr(cli, "berezin", berezin)
     monkeypatch.setattr(cli, "boundary_pairing_limit", limits)
     assert bits(run_experiment("calculus-check", seed=seed)) == fast
+
+
+_CHILD_CHECKS = ["composition-vs-star", "berezin-toeplitz", "berezin-weyl",
+                 "heat-layer-decay-slope", "pairing-numeric-vs-symbolic"]
+_needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                 reason="the platform has no os.fork")
+
+
+@_needs_fork
+@pytest.mark.parametrize("seed", range(4))
+def test_calculus_check_has_the_same_bits_without_fork(monkeypatch, seed):
+    # without os.fork the child's group runs here after the parent's: the
+    # checks and their order are the same, and so is every computed bit
+    def bits(report):
+        return [(c["name"], c["computed"].hex()) for c in report["checks"]]
+
+    forked = run_experiment("calculus-check", seed=seed)
+    monkeypatch.delattr(os, "fork")
+    alone = run_experiment("calculus-check", seed=seed)
+    assert bits(alone) == bits(forked)
+    assert forked["diagnostics"]["forked"] and not alone["diagnostics"]["forked"]
+    for rep in (forked, alone):
+        assert rep["diagnostics"]["child_checks"] == _CHILD_CHECKS
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_needs_fork
+def test_calculus_check_child_error_reaches_the_caller(monkeypatch):
+    # the pairing limits run only in the forked child
+    def boom(*args, **kwargs):
+        raise ConvergenceError("boom")
+
+    monkeypatch.setattr(cli, "boundary_pairing_limit", boom)
+    with pytest.raises(ConvergenceError) as exc:
+        run_experiment("calculus-check")
+    assert exc.value.args == ("boom",)
+    if hasattr(exc.value, "add_note"):
+        assert "in the forked child" in exc.value.__notes__[0]
+        assert "boom" in exc.value.__notes__[0]
+    _no_child_left()
+
+
+def test_calculus_check_parent_error_kills_the_child(monkeypatch):
+    # only the parent's group calls sphere_laplacian; the child, still
+    # running its checks, is killed and reaped
+    def boom(P):
+        raise ArithmeticError("parent boom")
+
+    monkeypatch.setattr(cli, "sphere_laplacian", boom)
+    with pytest.raises(ArithmeticError) as exc:
+        run_experiment("calculus-check")
+    assert exc.value.args == ("parent boom",)
+    _no_child_left()
+
+
+@_needs_fork
+def test_calculus_check_child_that_dies_is_an_error(monkeypatch):
+    # a child that exits without a result (here by os._exit in its group)
+    monkeypatch.setattr(cli, "boundary_pairing_limit",
+                        lambda *args, **kwargs: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 and no result"):
+        run_experiment("calculus-check")
+    _no_child_left()
 
 
 def test_non_diagonal_configuration_refused_with_guidance():
@@ -709,6 +777,12 @@ def test_every_report_is_plain_json(tmp_path, experiment, cfg):
     rep = run_experiment(experiment, cfg, csv_dir=tmp_path)
     text = json.dumps(rep, allow_nan=False)
     assert json.loads(text)["experiment"] == experiment
+    if experiment == "calculus-check":
+        # where the time went: the checks the forked child ran, and each
+        # group's wall seconds
+        diags = rep["diagnostics"]
+        assert diags["child_checks"] == _CHILD_CHECKS
+        assert diags["child_wall_s"] > 0 and diags["parent_wall_s"] > 0
 
 
 @pytest.mark.parametrize("experiment, gamma, t", [
