@@ -5,12 +5,8 @@ subprocess, so imports are cold, N times in turn.  A first row, `--help`,
 runs `python -m focktrace.cli --help` the same way: the import, argument
 parsing and exit that every CLI run pays, its per-process floor.
 For each experiment the script records the median wall time (spawn to
-exit, imports included), the median CPU time (user plus system) and the
-median peak resident set size, along with every sample and exit code.
-CPU time and peak RSS come from `os.wait4`, so they include any child the
-run forked and reaped (calculus-check forks one): CPU time above wall time
-is work done in parallel, and CPU time that rises with it is what the
-parallelism costs.  Each point also records the kernel
+exit, imports included) and the median peak resident set size (`os.wait4`),
+along with every sample and exit code.  Each point also records the kernel
 backend and the Python and numpy versions that its children import (and
 mpmath's, where it is installed, though focktrace does not import it), and
 the machine.
@@ -77,10 +73,9 @@ def child_env(src: Path) -> dict:
 
 
 def run_once(name: str, env: dict, report: Path, seed: int):
-    """Wall seconds, CPU seconds (user plus system, reaped children
-    included), peak RSS in MB, exit code and check values of one CLI run of
-    a row; the check values map each check's name to [computed, target],
-    and are None when the run wrote no report."""
+    """Wall seconds, peak RSS in MB, exit code and check values of one CLI
+    run of a row; the check values map each check's name to [computed,
+    target], and are None when the run wrote no report."""
     args = [FLOOR] if name == FLOOR else [
         "--experiment", name, "--out", str(report), "--seed", str(seed)]
     cmd = [sys.executable, "-m", "focktrace.cli", *args]
@@ -96,20 +91,17 @@ def run_once(name: str, env: dict, report: Path, seed: int):
         checks = {c["name"]: [c["computed"], c["target"]]
                   for c in json.loads(report.read_text())["checks"]}
     # ru_maxrss: KiB
-    return (wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0,
-            proc.returncode, checks)
+    return wall, usage.ru_maxrss / 1024.0, proc.returncode, checks
 
 
 def summarize(samples) -> list:
     results = []
     for name in ROWS:
-        walls, cpus, rss, codes, checks = (list(x) for x in zip(*samples[name]))
+        walls, rss, codes, checks = (list(x) for x in zip(*samples[name]))
         results.append({"experiment": name,
                         "wall_s": statistics.median(walls),
-                        "cpu_s": statistics.median(cpus),
                         "peak_rss_mb": statistics.median(rss),
-                        "wall_samples": walls, "cpu_samples": cpus,
-                        "rss_samples": rss,
+                        "wall_samples": walls, "rss_samples": rss,
                         "exit_codes": codes, "check_samples": checks})
     return results
 
@@ -121,7 +113,7 @@ def differing_checks(samples, labels) -> list:
     out = []
     for name in ROWS:
         for r, runs in enumerate(zip(*(samples[label][name] for label in labels))):
-            values = {label: run[-1] or {} for label, run in zip(labels, runs)}
+            values = {label: run[3] or {} for label, run in zip(labels, runs)}
             for check in sorted(set().union(*values.values())):
                 seen = {label: v.get(check) for label, v in values.items()}
                 if len({json.dumps(v) for v in seen.values()}) > 1:
@@ -171,9 +163,8 @@ def main():
         print(f"{label}: median of {args.repeats} fresh processes, "
               f"backend {environments[label]['backend']}")
         for res in results:
-            print(f"  {res['experiment']:<18}{res['wall_s']:>8.3f} s wall"
-                  f"{res['cpu_s']:>8.3f} s CPU{res['peak_rss_mb']:>6.0f} MB"
-                  f"  exit {res['exit_codes']}")
+            print(f"  {res['experiment']:<18}{res['wall_s']:>8.2f} s"
+                  f"{res['peak_rss_mb']:>8.0f} MB  exit {res['exit_codes']}")
         points.append({"label": label, "repeats": args.repeats,
                        "environment": environments[label], "machine": machine,
                        "results": results})

@@ -614,43 +614,56 @@ def _pairing_check(pts):
     return [make_check("pairing-numeric-vs-symbolic", dev_pair, 0.0, 1e-6)]
 
 
-def _leave_this_cpu():
-    """Moves this process to the other CPUs it may run on, if there are any
-    and the platform can say which CPU it is on (Linux).  A forked child
-    starts on its parent's CPU, and where the kernel does not balance load
-    across CPUs (a cgroup-v1 cpuset with sched_load_balance 0) it shares
-    that CPU with its parent for its whole life: on such a 2-vCPU host,
-    calculus-check's two groups then took as long as one process."""
-    try:
-        allowed = os.sched_getaffinity(0)
-        with open("/proc/self/stat") as fh:
-            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
-        if allowed - {cpu}:
-            os.sched_setaffinity(0, allowed - {cpu})
-    except (AttributeError, OSError, ValueError, IndexError):
-        pass
-
-
 def _in_two_processes(here, forked):
     """(here(), forked()), with forked run in a child made with os.fork while
-    here runs in this process.  The child sends its result, or the exception
-    it raised, pickled through a pipe, and leaves by os._exit, so it neither
-    flushes this process's stdio buffers nor runs its exit hooks; forked's
-    exception is raised here with its type and message, and on Python 3.11
-    and later with the child's traceback as a note.  The child is reaped
-    before this returns or raises, and killed first if here raised or was
-    interrupted.  Where os.fork does not exist, forked runs here after
-    here."""
-    if not hasattr(os, "fork"):
+    here runs in this process.
+
+    The child sends its result, or the exception it raised, pickled through
+    a pipe, and leaves by os._exit, so it neither flushes this process's
+    stdio buffers nor runs its exit hooks.  forked's exception is raised
+    here with its type and message, and on Python 3.11 and later with the
+    child's traceback as a note; a result or exception that pickle cannot
+    carry is a RuntimeError with its repr.  The child is
+    reaped before this returns or raises, and killed first if here raised or
+    was interrupted.
+
+    The child first moves off the CPU this process ran on at the fork, where
+    its affinity allows another: a forked child starts on its parent's CPU,
+    and the kernel moves it only where scheduling domains span the CPUs,
+    which a cpuset with load balancing off (cgroup v1 `sched_load_balance`
+    0) removes.
+
+    The fork is made only on Linux, and only while this is the process's
+    one Python thread: a fork copies only the calling thread, so a lock
+    that another thread holds stays held in the child, and macOS's system
+    libraries are not safe to use after a fork.  Elsewhere, and while other
+    Python threads run, forked runs here after here.  The wait for
+    the child is not bounded: a child that blocks on a lock a native thread
+    held at the fork blocks this call too.
+    """
+    import threading
+    if not (sys.platform == "linux" and hasattr(os, "fork")
+            and threading.active_count() == 1):
         return here(), forked()
     import pickle
+    try:
+        with open("/proc/self/stat") as fh:
+            # field 39: the CPU this process last ran on
+            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        cpu = None
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(rfd)
-            _leave_this_cpu()
+            others = os.sched_getaffinity(0) - {cpu}
+            if cpu is not None and others:
+                try:
+                    os.sched_setaffinity(0, others)
+                except OSError:
+                    pass
             try:
                 payload = (True, forked())
             except BaseException as exc:
@@ -658,8 +671,14 @@ def _in_two_processes(here, forked):
                     import traceback
                     exc.add_note("in the forked child:\n" + traceback.format_exc())
                 payload = (False, exc)
+            try:
+                data = pickle.dumps(payload)
+                pickle.loads(data)
+            except Exception as exc:
+                data = pickle.dumps((False, RuntimeError(
+                    f"the forked child could not send {payload[1]!r}: {exc!r}")))
             with open(wfd, "wb") as pipe:
-                pipe.write(pickle.dumps(payload))
+                pipe.write(data)
             status = 0
         finally:
             os._exit(status)
@@ -691,14 +710,25 @@ def _exp_calculus_check(cfg, seed, csv_sink):
 
     Every random input is drawn first, from the seed's generator, in the
     order the checks take them.  The checks share nothing else, so they run
-    as two groups at once: the composition, Berezin, heat-layer and pairing
-    checks in a child made with os.fork (`_in_two_processes`), the rest
-    here.  The checks run here still call the star product, the heat
+    in three groups:
+
+    - first, here: composition-vs-star and heat-layer-decay-slope, the two
+      whose BLAS calls OpenBLAS may run on several threads (the 120 x 120
+      complex products at n = 2, and the eigenvalues behind the 120-node
+      Gauss-Hermite rule).  OpenBLAS stops its worker threads at a fork and
+      starts them again at the next threaded call, which after the fork
+      would put a worker, spinning between calls, on a CPU that the other
+      group needs;
+    - then at once, through `_in_two_processes`: the star-product,
+      generator and heat-roundtrip checks in a child made with os.fork,
+      the rest here.
+
+    The checks run in this process still call the star product, the heat
     functions, a dense matrix, sphere norms and the sphere Laplacian, where
-    a tracer of this process sees them.  The
-    report lists the checks in one fixed order, and its diagnostics name the
-    checks the second group ran, whether it ran in a forked child, and each
-    group's wall seconds."""
+    a tracer of this process sees them.  The report lists the checks in one
+    fixed order, and its diagnostics name the checks the child group ran,
+    say whether it ran in a forked child, and give each group's wall
+    seconds."""
     # the checks run at fixed n = 1, 2, 3: only gamma is read
     gamma = _option(cfg, "gamma", 1.0, lambda v: FockContext(1, json_number(v)).gamma)
     _all_read(cfg)
@@ -718,31 +748,32 @@ def _exp_calculus_check(cfg, seed, csv_sink):
              for n in (1, 2, 3) for _ in range(3)]
     pts = _random_sphere_points(rng, 2, 20)
 
-    # (checks, in the child?) in report order
-    sections = [(partial(_star_checks, gamma, triples), False),
-                (partial(_generator_check, gamma), False),
-                (partial(_heat_roundtrip_check, gamma, heat_sums), False),
-                (partial(_coordinate_check, gamma), False),
-                (partial(_composition_check, gamma, composed), True),
-                (partial(_berezin_checks, gamma, berezin_draws), True),
-                (partial(_hankel_lead_check, gamma), False),
-                (partial(_laplacian_check, polys), False),
-                (partial(_heat_layer_check, gamma), True),
-                (partial(_pairing_check, pts), True)]
+    # (checks, group) in report order
+    sections = [(partial(_star_checks, gamma, triples), "child"),
+                (partial(_generator_check, gamma), "child"),
+                (partial(_heat_roundtrip_check, gamma, heat_sums), "child"),
+                (partial(_coordinate_check, gamma), "here"),
+                (partial(_composition_check, gamma, composed), "first"),
+                (partial(_berezin_checks, gamma, berezin_draws), "here"),
+                (partial(_hankel_lead_check, gamma), "here"),
+                (partial(_laplacian_check, polys), "here"),
+                (partial(_heat_layer_check, gamma), "first"),
+                (partial(_pairing_check, pts), "here")]
 
-    def group(in_child):
+    def group(name):
         t0 = time.perf_counter()
-        out = [run() for run, child in sections if child == in_child]
-        return out, time.perf_counter() - t0
+        out = [run() for run, where in sections if where == name]
+        return out, time.perf_counter() - t0, os.getpid()
 
-    (mine, mine_s), (theirs, theirs_s) = _in_two_processes(
-        partial(group, False), partial(group, True))
-    diags = {"child_checks": [c["name"] for sec in theirs for c in sec],
-             "child_wall_s": theirs_s, "parent_wall_s": mine_s,
-             "forked": hasattr(os, "fork")}
-    mine, theirs = iter(mine), iter(theirs)
-    return [c for _, child in sections
-            for c in next(theirs if child else mine)], diags
+    first = group("first")
+    here, child = _in_two_processes(partial(group, "here"),
+                                    partial(group, "child"))
+    diags = {"child_checks": [c["name"] for sec in child[0] for c in sec],
+             "forked": child[2] != os.getpid(), "first_wall_s": first[1],
+             "parent_wall_s": here[1], "child_wall_s": child[1]}
+    groups = {"first": iter(first[0]), "here": iter(here[0]),
+              "child": iter(child[0])}
+    return [c for _, where in sections for c in next(groups[where])], diags
 
 
 def _ambient_laplacian_on_sphere(P: SpherePolynomial) -> SpherePolynomial:

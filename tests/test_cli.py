@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -348,27 +349,78 @@ def test_calculus_check_computes_the_bits_of_the_per_point_forms(monkeypatch,
     assert bits(run_experiment("calculus-check", seed=seed)) == fast
 
 
-_CHILD_CHECKS = ["composition-vs-star", "berezin-toeplitz", "berezin-weyl",
-                 "heat-layer-decay-slope", "pairing-numeric-vs-symbolic"]
-_needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                 reason="the platform has no os.fork")
+_CHILD_CHECKS = ["star-associativity", "star-conjugation", "star-unit",
+                 "generator-commutators", "heat-roundtrip"]
+_forks = pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "fork"),
+                            reason="calculus-check forks only on Linux")
 
 
-@_needs_fork
+def _check_bits(report):
+    return [(c["name"], c["computed"].hex()) for c in report["checks"]]
+
+
+@_forks
 @pytest.mark.parametrize("seed", range(4))
 def test_calculus_check_has_the_same_bits_without_fork(monkeypatch, seed):
     # without os.fork the child's group runs here after the parent's: the
     # checks and their order are the same, and so is every computed bit
-    def bits(report):
-        return [(c["name"], c["computed"].hex()) for c in report["checks"]]
-
     forked = run_experiment("calculus-check", seed=seed)
     monkeypatch.delattr(os, "fork")
     alone = run_experiment("calculus-check", seed=seed)
-    assert bits(alone) == bits(forked)
+    assert _check_bits(alone) == _check_bits(forked)
     assert forked["diagnostics"]["forked"] and not alone["diagnostics"]["forked"]
     for rep in (forked, alone):
         assert rep["diagnostics"]["child_checks"] == _CHILD_CHECKS
+
+
+@pytest.mark.parametrize("why", ["another platform", "another thread"])
+def test_calculus_check_forks_only_on_linux_with_one_thread(monkeypatch, why):
+    # a fork copies only the calling thread, and macOS's system libraries
+    # are not fork-safe: both groups then run here, to the same bits
+    expect = _check_bits(run_experiment("calculus-check", seed=1))
+    if why == "another platform":
+        monkeypatch.setattr(sys, "platform", "darwin")
+        rep = run_experiment("calculus-check", seed=1)
+    else:
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            rep = run_experiment("calculus-check", seed=1)
+        finally:
+            done.set()
+            other.join()
+    assert not rep["diagnostics"]["forked"]
+    assert _check_bits(rep) == expect
+
+
+@_forks
+def test_calculus_check_starts_no_thread_after_the_fork(monkeypatch):
+    # OpenBLAS stops its worker threads at a fork and starts them again at
+    # the next threaded call; the checks that make one run before the fork,
+    # so neither group starts a thread that would spin on the other's CPU
+    def threads():
+        return len(os.listdir("/proc/self/task"))
+
+    def counted(run):
+        def wrapped():
+            before = threads()
+            result = run()
+            return result, before, threads()
+        return wrapped
+
+    seen = {}
+    real = cli._in_two_processes
+
+    def split(here, forked):
+        (mine, *seen["here"]), (theirs, *seen["child"]) = real(
+            counted(here), counted(forked))
+        return mine, theirs
+
+    monkeypatch.setattr(cli, "_in_two_processes", split)
+    assert run_experiment("calculus-check")["diagnostics"]["forked"]
+    assert seen["child"] == [1, 1]
+    assert seen["here"][1] == seen["here"][0]
 
 
 def _no_child_left():
@@ -376,13 +428,13 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@_needs_fork
+@_forks
 def test_calculus_check_child_error_reaches_the_caller(monkeypatch):
-    # the pairing limits run only in the forked child
+    # only the child's group compares symbols by _sym_rel_dev
     def boom(*args, **kwargs):
         raise ConvergenceError("boom")
 
-    monkeypatch.setattr(cli, "boundary_pairing_limit", boom)
+    monkeypatch.setattr(cli, "_sym_rel_dev", boom)
     with pytest.raises(ConvergenceError) as exc:
         run_experiment("calculus-check")
     assert exc.value.args == ("boom",)
@@ -405,12 +457,21 @@ def test_calculus_check_parent_error_kills_the_child(monkeypatch):
     _no_child_left()
 
 
-@_needs_fork
+@_forks
 def test_calculus_check_child_that_dies_is_an_error(monkeypatch):
     # a child that exits without a result (here by os._exit in its group)
-    monkeypatch.setattr(cli, "boundary_pairing_limit",
-                        lambda *args, **kwargs: os._exit(3))
+    monkeypatch.setattr(cli, "_sym_rel_dev", lambda *args: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with code 3 and no result"):
+        run_experiment("calculus-check")
+    _no_child_left()
+
+
+@_forks
+def test_calculus_check_child_result_that_cannot_be_pickled(monkeypatch):
+    # the child's failure to send its result reaches the caller by repr
+    monkeypatch.setattr(cli, "_heat_roundtrip_check",
+                        lambda gamma, sums: [lambda: None])
+    with pytest.raises(RuntimeError, match="could not send .*lambda"):
         run_experiment("calculus-check")
     _no_child_left()
 
@@ -782,7 +843,8 @@ def test_every_report_is_plain_json(tmp_path, experiment, cfg):
         # group's wall seconds
         diags = rep["diagnostics"]
         assert diags["child_checks"] == _CHILD_CHECKS
-        assert diags["child_wall_s"] > 0 and diags["parent_wall_s"] > 0
+        assert min(diags[k] for k in ("first_wall_s", "parent_wall_s",
+                                      "child_wall_s")) > 0
 
 
 @pytest.mark.parametrize("experiment, gamma, t", [
