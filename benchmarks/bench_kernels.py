@@ -6,7 +6,10 @@ Times each kernel once per repeat at one row length, the assembly of the
 toeplitz-trace and mixed-trace `hankel-toeplitz` default spectra (n = 2)
 at one K_degree, and of the hankel-trace default spectrum (n = 1, one
 value per degree) at the row length; each assembly builds its moment rows
-too: no row outlives its call.  `partial_sums_at` sums a spectrum with
+too: no row outlives its call.  The moment-row kernels are timed as the
+walk reads them, a stream of `fock_matrices.moment_chunks` drained chunk
+by chunk: t = -2 is the m_0 anchor and one `ladder_chunks` step, t = -1
+the `pair_chunks` anchor.  `partial_sums_at` sums a spectrum with
 unit multiplicities as the spectra hold them, a stride-0 view, and one
 with multiplicities k + 1.
 The dense cases assemble calculus-check's composition-vs-star shape, the
@@ -15,9 +18,10 @@ three-term n = 1 symbol at D = 2048; their length is the symbol's term count.
 Each case runs once to warm up (the d = 0 base moments are kept) and then
 REPEATS times; the median and the quartiles of those times are recorded,
 since on a shared machine a best-of-few reads differently run to run.
-The moment-row kernels and the three assemblies also record `peak_bytes`,
+The moment-row streams and the three assemblies also record `peak_bytes`,
 the tracemalloc peak of one more, untimed call: the bytes it allocates,
-its result included.
+its result included.  perfbench's tracer wraps whole-row functions, so it
+cannot see what a stream holds.
 The run is one point, named by --label, of BENCH_kernels.json at the
 repository root, with the kernel backend and the machine it ran on; a point
 of the same label is replaced, the others are kept.  focktrace is imported
@@ -39,7 +43,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_kernels.py --label after
 import argparse
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -105,16 +108,22 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def drained(chunks):
+    """Reads every chunk of chunks, letting each go before the next."""
+    for _ in chunks:
+        pass
+
+
 def cases(ft, L, K):
     """(name, length, call, whether to record its tracemalloc peak) for
     each case, with the focktrace modules ft."""
     _kernels, spectral = ft._kernels, ft.spectral
     RadialSymbol, FockContext = ft.symbols.RadialSymbol, ft.fock_matrices.FockContext
     toeplitz_matrix = ft.fock_matrices.toeplitz_matrix
+    moment_chunks = ft.fock_matrices.moment_chunks
     heat_inverse, star = ft.weyl_calculus.heat_inverse, ft.weyl_calculus.star
     _random_sum = ft.cli._random_sum
 
-    ones = np.ones(L)
     rng = np.random.default_rng(0)
     values = np.sort(rng.random(L))[::-1].copy()
     mults = np.broadcast_to(np.int64(1), (L,))
@@ -139,11 +148,6 @@ def cases(ft, L, K):
     # the n = 1 default spectrum of hankel-trace, one value per degree
     f = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
     hankel = spectral.hankel_config(f, f)
-    # pair_rows' row B, the anchor of every row with non-integer t/2; a
-    # tree whose pair_rows still takes `upper` is asked for B by False
-    pair_args = (0.5, 1.2, 0.82, 1.0, L - 1)
-    if len(inspect.signature(_kernels.pair_rows).parameters) > 5:
-        pair_args += (False,)
 
     # dense assembly: the heat-inverse symbol of a star product of two
     # n = 2, degree-4 draws, and three radial terms at a large degree
@@ -155,10 +159,10 @@ def cases(ft, L, K):
                            (((0,), (2,), 0.0), 0.25)])
 
     return [
-        ("ladder_row", L, lambda: _kernels.ladder_row(ones, 0.59634736, 1.0),
-         True),
-        ("pair_rows", L, lambda: _kernels.pair_rows(*pair_args), True),
-        ("raise_row", L, lambda: _kernels.raise_row(ones, 1.0), False),
+        ("moment_chunks[t=-2]", L,
+         lambda: drained(moment_chunks(-2.0, 1.0, L - 1)), True),
+        ("moment_chunks[t=-1]", L,
+         lambda: drained(moment_chunks(-1.0, 1.0, L - 1)), True),
         ("partial_sums_at", L,
          lambda: _kernels.partial_sums_at(values, mults, ranks), False),
         ("partial_sums_at[mults=k+1]", L,

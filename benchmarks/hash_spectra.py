@@ -22,9 +22,12 @@ coordinates.  The cutoffs cross a block boundary of each path
 serial head of the moment rows.
 
 With --against DIR, DIR holding another focktrace package (say a
-checkout's src/), the same digests are computed from that package in a
-subprocess, and every configuration whose digest differs is listed; the
-exit code is 1 if any does, else 0.  focktrace is imported from PYTHONPATH.
+checkout's src/), the digests are computed from that package in a
+subprocess, by that checkout's own script, DIR/../benchmarks/hash_spectra.py,
+when it has one (its configurations are built through its own API), and by
+this script otherwise; every configuration whose digest differs is listed,
+and the exit code is 1 if any does, else 0.  focktrace is imported from
+PYTHONPATH.
 
 Run:  PYTHONPATH=src python benchmarks/hash_spectra.py [--against ../parent/src]
 """
@@ -68,16 +71,16 @@ def configurations():
         "n1-model": toeplitz_config(w(1, -2.0)),
         "n1-hankel": hankel_config(f1, f1),
         "n1-commutator": commutator_config(f1, fb1),
-        "n1-toeplitz-chain": DiagonalConfig(1, [DiagonalChain(1.0, [u, u])]),
+        "n1-toeplitz-chain": DiagonalConfig([DiagonalChain(1.0, [u, u])]),
         "n1-hankel^3": hankel_config(f1, f1) ** 3,
         "n1-complex-hankel": hankel_config(c * f1, c * f1),
         "n1-complex-commutator^2": commutator_config(c * f1, (c * f1).conj()) ** 2,
         "n1-t=-3-hankel": hankel_config(z(1) * w(1, -3.0), z(1) * w(1, -3.0)),
-        "n1-three-chains": DiagonalConfig(1, [
+        "n1-three-chains": DiagonalConfig([
             DiagonalChain(1.0, [u, u]), DiagonalChain(-0.5, [w(1, -2.0)]),
             DiagonalChain(2.0, [f1.conj(), f1])]),
         "n1-t=3-toeplitz": toeplitz_config(w(1, 3.0)),
-        "n1-lowering": DiagonalConfig(1, [DiagonalChain(1.0, [
+        "n1-lowering": DiagonalConfig([DiagonalChain(1.0, [
             z(1) * z(1) * w(1, -2.0), w(1, -2.0),
             z(1, conj=True) * z(1, conj=True) * w(1, -1.0)])]),
         "n2-radial": toeplitz_config(w(2, -4.0)),
@@ -89,10 +92,10 @@ def configurations():
         "n2-hankel^2": hankel_config(f2, f2) ** 2,
         "n2-complex-hankel^3": hankel_config(c * f2, c * f2) ** 3,
         "n2-z2-hankel": hankel_config(z(2, 2) * w(2, -1.0), z(2, 2) * w(2, -1.0)),
-        "n2-lowering": DiagonalConfig(2, [DiagonalChain(1.0, [
+        "n2-lowering": DiagonalConfig([DiagonalChain(1.0, [
             z(2) * z(2) * w(2, -2.0), w(2, -2.0) + 0.5 * z22 * zb2 * w(2, -4.0),
             zb1 * zb1 * w(2, -1.0)])]),
-        "n2-two-coords": DiagonalConfig(2, [
+        "n2-two-coords": DiagonalConfig([
             DiagonalChain(1.0, [zb1 * z22 * w(2, -2.0), z(2) * zb2 * w(2, -2.0)]),
             DiagonalChain(-0.3, [z(2) * zb1 * z22 * zb2 * w(2, -6.0)])]),
         "n3-toeplitz": toeplitz_config(z(3) * z(3, conj=True) * w(3, -8.0)),
@@ -144,8 +147,12 @@ def main(argv=None) -> int:
         print(f"{d}  {name}")
     if args.against is None:
         return 0
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.against))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+    against = os.path.abspath(args.against)
+    script = os.path.join(os.path.dirname(against), "benchmarks", "hash_spectra.py")
+    if not os.path.exists(script):
+        script = os.path.abspath(__file__)
+    env = dict(os.environ, PYTHONPATH=against)
+    out = subprocess.run([sys.executable, script], env=env,
                          check=True, capture_output=True, text=True).stdout
     theirs = {name: d for d, name in (line.split("  ", 1) for line in out.splitlines())}
     differ = [name for name in ours if theirs.get(name) != ours[name]]

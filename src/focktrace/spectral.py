@@ -47,6 +47,7 @@ _MAX_VALUES = 60_000_000
 
 class DiagonalityError(ValueError):
     """Raised when the exact per-degree path cannot take a configuration: it
+    is empty, mixes dimensions or has a factorless chain (`DiagonalConfig`),
     is not monomial-diagonal, not of the context's dimension, or has values
     that are not real or more than _MAX_VALUES of them, or a moment row it
     reads leaves [0, 1], which happens at large gamma (`moment_chunks`)."""
@@ -126,7 +127,7 @@ def _ranks_in(mults: np.ndarray, lead: int) -> int:
 class SNumberSequence:
     """Run-length-compressed spectrum sorted by decreasing |value|.
 
-    For s-number data (signed=False) all values are >= 0.  Ranks below
+    signed is whether the least value is negative.  Ranks below
     certified_rank are guaranteed to be the true leading s-numbers of the
     untruncated operator: every dropped eigenvalue is smaller in modulus.
     certificate names the check behind certified_rank (`diagonal_spectrum`):
@@ -135,11 +136,11 @@ class SNumberSequence:
     """
 
     def __init__(self, values: np.ndarray, mults: np.ndarray,
-                 signed: bool = False, certified_rank: int | None = None,
+                 certified_rank: int | None = None,
                  certificate: str | None = None):
         self.values = np.asarray(values, dtype=float)
         self.mults = np.asarray(mults, dtype=np.int64)
-        self.signed = signed
+        self.signed = False
         self.certified_rank = certified_rank
         self.certificate = certificate
         v = self.values
@@ -150,12 +151,13 @@ class SNumberSequence:
         lo, hi = v.min(), v.max()  # NaN and +-inf reach one of them
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("values must be finite")
+        self.signed = bool(lo < 0)
         # each modulus may exceed the one before by at most the tolerant
         # bound (1 + 1e-15) * a + 1e-300, which exact order always meets: in
         # blocks that overlap by one value, order is tested exactly, in one
         # scratch mask, and the bound is built only where it fails
         rises = np.empty(min(v.size - 1, _BLOCK), dtype=bool)
-        moduli = np.empty(min(v.size, _BLOCK + 1)) if lo < 0 else None
+        moduli = np.empty(min(v.size, _BLOCK + 1)) if self.signed else None
         for start in range(0, v.size - 1, _BLOCK):
             a = v[start:start + _BLOCK + 1]
             if moduli is not None:
@@ -168,8 +170,6 @@ class SNumberSequence:
                 bound += 1e-300
                 if np.any(a[i + 1] > bound):
                     raise ValueError("values must be sorted by nonincreasing modulus")
-        if not self.signed and lo < 0:
-            raise ValueError("s-numbers must be nonnegative")
         if not _kernels.is_unit(self.mults) and self.mults.min() <= 0:
             raise ValueError("multiplicities must be positive")
 
@@ -221,17 +221,13 @@ class SNumberSequence:
                     for x in (self, other))
             cert = _ranks_in(m, _leading_count(v, T, inclusive=True))
         checks = {self.certificate, other.certificate}
-        return SNumberSequence(v, m, signed=self.signed or other.signed,
-                               certified_rank=cert,
+        return SNumberSequence(v, m, certified_rank=cert,
                                certificate=None if None in checks
                                else "unverified" if "unverified" in checks
                                else "monotone-tail")
 
     def scaled(self, factor: float) -> "SNumberSequence":
-        if factor < 0 and not self.signed:
-            raise ValueError("negative scaling of s-numbers")
         return SNumberSequence(self.values * factor, self.mults,
-                               signed=self.signed,
                                certified_rank=self.certified_rank,
                                certificate=self.certificate)
 
@@ -264,13 +260,23 @@ class DiagonalChain:
 class DiagonalConfig:
     """Linear combination of diagonal chains, raised to an integer power.
 
-    All chains must share the ambient dimension and have zero total shift;
-    the configuration is then diagonal in the monomial basis and its
-    eigenvalue at alpha is (sum_c coeff_c * prod of factor elements)^power.
+    All chains must have zero total shift; the configuration is then
+    diagonal in the monomial basis and its eigenvalue at alpha is
+    (sum_c coeff_c * prod of factor elements)^power.  n is the dimension
+    of its factors; no chains, a chain of no factors or factors of several
+    dimensions are refused (`DiagonalityError`).
     """
 
-    def __init__(self, n: int, chains: list, power: int = 1):
-        self.n = n
+    def __init__(self, chains: list, power: int = 1):
+        if not all(ch.factors for ch in chains):
+            raise DiagonalityError("a chain of no factors is a multiple of "
+                                   "the identity: not compact, no Dixmier trace")
+        dims = sorted({S.n for ch in chains for S in ch.factors})
+        if len(dims) != 1:
+            raise DiagonalityError("a configuration acts on one C^n, but " + (
+                "its factors are on " + ", ".join(f"C^{d}" for d in dims)
+                if dims else "it has no chains"))
+        self.n = dims[0]
         self.chains = chains
         self.power = power
 
@@ -279,21 +285,21 @@ class DiagonalConfig:
             raise ValueError("compose before raising to a power")
         chains = [DiagonalChain(c1.coeff * c2.coeff, c1.factors + c2.factors)
                   for c1 in self.chains for c2 in other.chains]
-        return DiagonalConfig(self.n, chains)
+        return DiagonalConfig(chains)
 
     def __pow__(self, k: int) -> "DiagonalConfig":
         if self.power != 1:
             raise ValueError("already raised to a power")
-        return DiagonalConfig(self.n, self.chains, k)
+        return DiagonalConfig(self.chains, k)
 
 
 def toeplitz_config(S: RadialSymbol) -> DiagonalConfig:
-    return DiagonalConfig(S.n, [DiagonalChain(1.0, [S])])
+    return DiagonalConfig([DiagonalChain(1.0, [S])])
 
 
 def hankel_config(f: RadialSymbol, g: RadialSymbol) -> DiagonalConfig:
     """Hankel product as Toeplitz data: T_{conj(f) g} - T_{conj(f)} T_g."""
-    return DiagonalConfig(f.n, [
+    return DiagonalConfig([
         DiagonalChain(1.0, [f.conj() * g]),
         DiagonalChain(-1.0, [f.conj(), g]),
     ])
@@ -301,7 +307,7 @@ def hankel_config(f: RadialSymbol, g: RadialSymbol) -> DiagonalConfig:
 
 def commutator_config(f: RadialSymbol, g: RadialSymbol) -> DiagonalConfig:
     """T_f T_g - T_g T_f."""
-    return DiagonalConfig(f.n, [
+    return DiagonalConfig([
         DiagonalChain(1.0, [f, g]),
         DiagonalChain(-1.0, [g, f]),
     ])
@@ -335,9 +341,8 @@ def _plan(config: DiagonalConfig, gamma: float):
     - real, whether every coefficient is real: the coefficients are then
       floats, their real parts, and complex otherwise.
 
-    Refuses, chain by chain, a chain of no factors (c0 times the identity,
-    which is not compact and so has no Dixmier trace), a factor of mixed
-    shifts and a chain whose shifts do not cancel."""
+    Refuses, chain by chain, a factor of mixed shifts and a chain whose
+    shifts do not cancel."""
     n = config.n
     exponents, read = {}, set()
     real = all(complex(ch.coeff).imag == 0 for ch in config.chains)
@@ -350,9 +355,6 @@ def _plan(config: DiagonalConfig, gamma: float):
 
     plans, buffer_deg = [], 0
     for ch in config.chains:
-        if not ch.factors:
-            raise DiagonalityError("a chain of no factors is a multiple of "
-                                   "the identity: not compact, no Dixmier trace")
         planned, lift = [], 0
         sigma = [0] * n  # the shift of each coordinate before the factor
         need = [0] * n  # alpha_i >= need[i] keeps every column inside the cone
@@ -747,8 +749,7 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
 
     The values are held once: `_sorted_runs` sorts them in place when every
     multiplicity is 1, which is then a stride-0 view, not an array, and
-    gathers them with their multiplicities otherwise.  signed is whether
-    the least value is negative.
+    gathers them with their multiplicities otherwise.
 
     certified_rank marks how far the sorted values are guaranteed to be the
     operator's true leading s-numbers: the ranks of the prefix of moduli
@@ -784,9 +785,7 @@ def diagonal_spectrum(ctx: FockContext, config: DiagonalConfig,
     vals = np.ascontiguousarray(vals.real)
 
     values, mults = _sorted_runs(vals, degree_mults)
-    signed = bool(values.min() < 0)
     certified = 0 if rises else _ranks_in(
         mults, _leading_count(values, tail_bound * (1 + 1e-12)))
-    return SNumberSequence(values, mults, signed=signed,
-                           certified_rank=certified,
+    return SNumberSequence(values, mults, certified_rank=certified,
                            certificate="unverified" if rises else "monotone-tail")

@@ -327,8 +327,7 @@ def per_degree_spectrum(ctx, config, K_degree: int):
     values = values[np.argsort(-np.abs(values), kind="stable")]
     certified = 0 if rises else int(np.sum(np.abs(values) > max(tops) * (1 + 1e-12)))
     return spectral.SNumberSequence(
-        values, np.ones(values.shape[0], dtype=np.int64),
-        signed=bool(np.any(values < 0)), certified_rank=certified,
+        values, np.ones(values.shape[0], dtype=np.int64), certified_rank=certified,
         certificate="unverified" if rises else "monotone-tail")
 
 
@@ -359,17 +358,16 @@ def finish_with_copies(vals, starts, degree_mults, K_degree: int):
     certified = 0 if rises else int(
         np.sum(mults[np.abs(values) > max(tops) * (1 + 1e-12)]))
     return spectral.SNumberSequence(
-        values, mults, signed=bool(np.any(values < 0)),
-        certified_rank=certified,
+        values, mults, certified_rank=certified,
         certificate="unverified" if rises else "monotone-tail")
 
 
-def snumber_validation(values, mults, signed) -> str | None:
+def snumber_validation(values, mults) -> str | None:
     """The message of the ValueError that `spectral.SNumberSequence` raises
     on these values and multiplicities, or None, by its checks as they were
     before exact order was tested first: finiteness, the tolerant bound
     (1 + 1e-15) * |v_i| + 1e-300 on |v_(i+1)| built over every value at
-    once, the sign of s-numbers, and the least multiplicity."""
+    once, and the least multiplicity."""
     v = np.asarray(values, dtype=float)
     m = np.asarray(mults, dtype=np.int64)
     if v.shape != m.shape or v.ndim != 1:
@@ -385,19 +383,16 @@ def snumber_validation(values, mults, signed) -> str | None:
     bound += 1e-300
     if np.any(a[1:] > bound):
         return "values must be sorted by nonincreasing modulus"
-    if not signed and lo < 0:
-        return "s-numbers must be nonnegative"
     if m.min() <= 0:
         return "multiplicities must be positive"
     return None
 
 
-def from_values(values, signed=False, certified_rank=None):
+def from_values(values, certified_rank=None):
     """An `spectral.SNumberSequence` of unit multiplicities of values in any
     order, sorted by `spectral._sorted_runs` in a copy."""
     v, m = spectral._sorted_runs(np.array(values, dtype=float), None)
-    return spectral.SNumberSequence(v, m, signed=signed,
-                                    certified_rank=certified_rank)
+    return spectral.SNumberSequence(v, m, certified_rank=certified_rank)
 
 
 def csv_by_rows(seq, path):

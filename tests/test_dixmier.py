@@ -61,10 +61,9 @@ def test_pointwise_median_equals_np_median_bitwise():
         size = int(rng.integers(1, 80))
         vals = (rng.choice(pool, size) if draw % 2
                 else rng.normal(size=size) * 10.0 ** rng.integers(-5, 6, size))
-        seq = from_values(vals, signed=True)
+        seq = from_values(vals)
         if draw % 3 == 0:
-            seq = SNumberSequence(seq.values, rng.integers(1, 4, size),
-                                  signed=True)
+            seq = SNumberSequence(seq.values, rng.integers(1, 4, size))
         lo = int(rng.integers(0, seq.total))
         hi = int(rng.integers(lo, seq.total))
         med, _ = pointwise(seq, (lo, hi))

@@ -138,8 +138,28 @@ def test_diagonal_rejects_mixed_shift_factor():
 def test_diagonal_rejects_a_chain_of_no_factors():
     # c * I is not compact, so it has no Dixmier trace to estimate
     u = RadialSymbol.radial_power(1, -2.0)
-    config = DiagonalConfig(1, [DiagonalChain(1.0, [u]), DiagonalChain(2.0, [])])
     with pytest.raises(DiagonalityError, match="no factors .* identity"):
+        DiagonalConfig([DiagonalChain(1.0, [u]), DiagonalChain(2.0, [])])
+
+
+def test_a_configuration_takes_one_dimension_from_its_factors():
+    # n is the factors' dimension: a C^1 factor beside a C^2 one, however
+    # the configuration is built, is refused with both dimensions named,
+    # and so is a configuration of no chains, which has no dimension
+    f1 = RadialSymbol.coordinate(1, 1) * RadialSymbol.radial_power(1, -1.0)
+    f2 = RadialSymbol.coordinate(2, 2) * RadialSymbol.radial_power(2, -2.0)
+    u2 = RadialSymbol.radial_power(2, -2.0)
+    for build in (lambda: DiagonalConfig([DiagonalChain(1.0, [f1.conj() * f1]),
+                                          DiagonalChain(-1.0, [u2])]),
+                  lambda: commutator_config(f1, f2.conj() * f2),
+                  lambda: toeplitz_config(f1.conj() * f1) * toeplitz_config(u2)):
+        with pytest.raises(DiagonalityError, match=r"C\^1, C\^2"):
+            build()
+    with pytest.raises(DiagonalityError, match="no chains"):
+        DiagonalConfig([])
+    config = toeplitz_config(f2.conj() * f2)
+    assert config.n == 2
+    with pytest.raises(DiagonalityError, match="does not match context"):
         diagonal_spectrum(CTX1, config, 10)
 
 
@@ -247,15 +267,15 @@ def test_partial_sums_of_values_near_the_float_limit():
 def test_sequence_validation():
     with pytest.raises(ValueError):
         SNumberSequence(np.array([1.0, 2.0]), np.array([1, 1]))
-    with pytest.raises(ValueError):
-        SNumberSequence(np.array([1.0, -0.5]), np.array([1, 1]))
     # signed sequences may carry negative values, ordered by modulus
-    seq = SNumberSequence(np.array([-1.0, 0.5]), np.array([1, 1]), signed=True)
+    seq = SNumberSequence(np.array([-1.0, 0.5]), np.array([1, 1]))
     assert seq.signed
+    # the sign is read from the values, whatever made them
+    unsigned = SNumberSequence(np.array([1.0, -0.0]), np.array([1, 1]))
+    assert not unsigned.signed and unsigned.scaled(-1.0).signed
     for bad in ([2.0, np.nan, 1.0], [np.inf, 1.0], [-np.inf]):
         with pytest.raises(ValueError, match="finite"):
-            SNumberSequence(np.array(bad), np.ones(len(bad), dtype=np.int64),
-                            signed=True)
+            SNumberSequence(np.array(bad), np.ones(len(bad), dtype=np.int64))
     with pytest.raises(ValueError, match="finite"):
         from_values([2.0, np.nan, 1.0])
     # moduli near the largest float: the sortedness bound overflows to inf
@@ -270,12 +290,12 @@ def test_sortedness_is_checked_across_block_edges(monkeypatch, block):
     v = np.arange(12.0, 0.0, -1.0)
     for signed in (False, True):
         w = v * np.where(np.arange(12) % 3, 1.0, -1.0) if signed else v
-        SNumberSequence(w, np.ones(12, dtype=np.int64), signed=signed)
+        assert SNumberSequence(w, np.ones(12, dtype=np.int64)).signed == signed
         for i in range(11):
             bad = w.copy()
             bad[i], bad[i + 1] = bad[i + 1], bad[i]
             with pytest.raises(ValueError, match="sorted"):
-                SNumberSequence(bad, np.ones(12, dtype=np.int64), signed=signed)
+                SNumberSequence(bad, np.ones(12, dtype=np.int64))
 
 
 _EDGE_MODULI = [0.0, 5e-324, 1e-300, 2e-300, 1.0, float(np.finfo(float).max)]
@@ -311,7 +331,7 @@ def nearly_sorted_sequences(draw):
     else:
         mults = np.array(draw(st.lists(st.integers(-1, 3), min_size=v.size,
                                        max_size=v.size)), dtype=np.int64)
-    return v, mults, draw(st.booleans()), draw(st.sampled_from([1, 2, 5, 1 << 14]))
+    return v, mults, draw(st.sampled_from([1, 2, 5, 1 << 14]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,14 +340,14 @@ def test_validation_matches_the_bound_over_every_value(case):
     # exact order first and the tolerant bound only where it fails, in
     # blocks, refuses what the bound built over every value refuses, with
     # the same error, and nothing else
-    v, mults, signed, block = case
+    v, mults, block = case
     with mock.patch.object(spectral, "_BLOCK", block):
         try:
-            SNumberSequence(v, mults, signed=signed)
+            SNumberSequence(v, mults)
             got = None
         except ValueError as exc:
             got = str(exc)
-    assert got == snumber_validation(v, mults, signed)
+    assert got == snumber_validation(v, mults)
 
 
 def test_sequence_merge_is_directsum_spectrum():
@@ -361,7 +381,7 @@ def test_sequence_csv_matches_the_row_writer(tmp_path, monkeypatch, unit):
     values = values[np.argsort(-np.abs(values), kind="stable")]
     mults = (np.broadcast_to(np.int64(1), values.shape) if unit
              else rng.integers(1, 10 ** 12, values.size))
-    seq = SNumberSequence(values, mults, signed=True)
+    seq = SNumberSequence(values, mults)
     seq.to_csv(tmp_path / "blocks.csv")
     csv_by_rows(seq, tmp_path / "rows.csv")
     got = (tmp_path / "blocks.csv").read_bytes()
@@ -552,7 +572,7 @@ def per_multi_index_cases(draw):
         scale = draw(st.sampled_from([1.0, -1.0, 0.5]))
         chains.append(spectral.DiagonalChain(
             scale * complex(phase).conjugate(), factors))
-    config = spectral.DiagonalConfig(n, chains, draw(st.sampled_from([1, 2, 3])))
+    config = spectral.DiagonalConfig(chains, draw(st.sampled_from([1, 2, 3])))
     _chains, _reach, _exponents, read, _real = spectral._plan(config, gamma)
     assume(read)  # the oracle is per multi-index: some term reads a coordinate
     K = draw({2: st.integers(0, 24), 3: st.integers(6, 12),
@@ -641,7 +661,7 @@ def test_complex_coefficients_take_the_complex_path():
     S = (RadialSymbol.coordinate(2, 1) * RadialSymbol.coordinate(2, 1, conjugated=True)
          * RadialSymbol.radial_power(2, -6.0))
     with pytest.raises(DiagonalityError, match="non-real"):
-        diagonal_spectrum(ctx, DiagonalConfig(2, [DiagonalChain(1j, [S])]), 20)
+        diagonal_spectrum(ctx, DiagonalConfig([DiagonalChain(1j, [S])]), 20)
     # i*f has non-real chain coefficients but the same Hankel product
     f = RadialSymbol.coordinate(2, 1) * RadialSymbol.radial_power(2, -1.0)
     assert not spectral._plan(hankel_config(1j * f, 1j * f), 1.0)[4]  # not real
@@ -854,7 +874,7 @@ def test_radial_streams_are_started_once_per_exponent(monkeypatch):
     assert started == [-2.0, -1.0]
     assert got.values.tobytes() == ref.values.tobytes()
     # t = -2 in the first and third chain
-    config = spectral.DiagonalConfig(1, [
+    config = spectral.DiagonalConfig([
         spectral.DiagonalChain(1.0, [z.conj() * z * u * u]),
         spectral.DiagonalChain(-1.0, [z.conj() * u, z * u]),
         spectral.DiagonalChain(0.5, [u * u])])
@@ -1084,10 +1104,10 @@ def tie_heavy_values(draw):
 @given(tie_heavy_values(), tie_heavy_values())
 def test_from_values_and_merge_keep_the_stable_order(a, b):
     stable = np.argsort(-np.abs(a), kind="stable")
-    seq = from_values(a, signed=True)
+    seq = from_values(a)
     assert seq.values.tobytes() == a[stable].tobytes()
-    sa = SNumberSequence(a[stable], np.arange(1, a.size + 1), signed=True)
-    sb = from_values(b, signed=True)
+    sa = SNumberSequence(a[stable], np.arange(1, a.size + 1))
+    sb = from_values(b)
     m = sa.merge(sb)
     v = np.concatenate([sa.values, sb.values])
     old = np.argsort(-np.abs(v), kind="stable")
@@ -1104,10 +1124,9 @@ def test_merge_of_unit_sequences_keeps_stride_0_multiplicities(a, b, data):
     if data.draw(st.booleans()):
         a, b = np.abs(a), np.abs(b)
     cert = [data.draw(st.none() | st.integers(0, v.size)) for v in (a, b)]
-    sa, sb = (from_values(v, signed=True, certified_rank=c)
-              for v, c in zip((a, b), cert))
+    sa, sb = (from_values(v, certified_rank=c) for v, c in zip((a, b), cert))
     ones = [SNumberSequence(s.values, np.ones(s.values.size, dtype=np.int64),
-                            signed=True, certified_rank=c)
+                            certified_rank=c)
             for s, c in zip((sa, sb), cert)]
     got = sa.merge(sb)
     ref = ones[0].merge(ones[1])
